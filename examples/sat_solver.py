@@ -13,8 +13,9 @@ Usage:
 
 import argparse
 
-from repro.apps.sat import dpll_solve, load_dimacs, solve_on_machine, uf20_91_suite
+from repro.apps.sat import dpll_solve, load_dimacs, uf20_91_suite
 from repro.bench import heatmap_ascii, sparkline
+from repro.engine import RunSpec, execute
 from repro.topology import Torus, nearest_mesh_dims
 
 
@@ -37,16 +38,21 @@ def main() -> None:
     topo = Torus(nearest_mesh_dims(args.cores, 2))
     print(f"machine: {topo.describe()} with {args.mapper} mapping\n")
 
-    res = solve_on_machine(
-        cnf, topo, mapper=args.mapper, seed=args.seed, simplify="none"
+    spec = RunSpec(
+        workload="sat",
+        workload_params=cnf.to_params(),
+        mapper=args.mapper,
+        seed=args.seed,
+        simplify="none",
     )
+    res = execute(spec, topology=topo)
 
     seq = dpll_solve(cnf)
-    assert res.satisfiable == seq.satisfiable, "distributed/sequential disagree!"
+    assert res.verdict["sat"] == seq.satisfiable, "distributed/sequential disagree!"
 
-    if res.satisfiable:
-        assert res.verified
-        model = dict(sorted(res.assignment.items()))
+    if res.verdict["sat"]:
+        model = dict(res.verdict["assignment"])
+        assert cnf.is_satisfied_by(model)
         lits = " ".join(str(v if val else -v) for v, val in model.items())
         print(f"SAT — verified model: {lits}")
     else:

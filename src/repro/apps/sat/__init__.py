@@ -6,8 +6,8 @@ Public surface:
 * Generators: :func:`uniform_random_ksat`, :func:`satisfiable_random_ksat`,
   :func:`planted_random_ksat`, :func:`uf20_91_suite` (the paper's suite).
 * Sequential reference: :func:`dpll_solve` (+ :func:`brute_force_solve`).
-* Distributed solver: :func:`make_solve_sat` (Listing 4),
-  :func:`solve_on_machine` (one-call convenience).
+* Distributed solver: :func:`make_solve_sat` (Listing 4); run it on a
+  machine with ``repro.engine.execute(RunSpec(workload="sat", ...))``.
 * Branching heuristics registry: :func:`make_heuristic`.
 """
 
@@ -16,12 +16,10 @@ from .cdcl import CdclResult, CdclStats, cdcl_solve, luby
 from .cnf import CNF, Clause, Literal, negate, var_of
 from .dimacs import load_dimacs, parse_dimacs, save_dimacs, to_dimacs
 from .distributed import (
-    DistributedSatResult,
     SatProblem,
     is_sat,
     make_solve_sat,
     sat_content_size,
-    solve_on_machine,
     solve_sat,
 )
 from .dpll import SatResult, SolveStats, assign_pures, dpll_solve, propagate_units
@@ -76,8 +74,6 @@ __all__ = [
     "sat_content_size",
     "make_solve_sat",
     "solve_sat",
-    "solve_on_machine",
-    "DistributedSatResult",
     "make_heuristic",
     "HEURISTIC_NAMES",
     "first_literal",

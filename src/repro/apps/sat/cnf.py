@@ -232,6 +232,17 @@ class CNF:
 
     # -- misc ----------------------------------------------------------------
 
+    def to_params(self) -> Dict[str, object]:
+        """This formula as JSON-safe ``sat`` workload params.
+
+        The explicit-formula form of ``RunSpec.workload_params``; the
+        inverse of :func:`repro.engine.cnf_of`.
+        """
+        return {
+            "clauses": [list(c) for c in self.clauses],
+            "num_vars": self.num_vars,
+        }
+
     def stats(self) -> Dict[str, int]:
         """Structural counts used in reports and hints."""
         return {

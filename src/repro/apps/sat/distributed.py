@@ -20,10 +20,8 @@ import random
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ...errors import ApplicationError
-from ...netsim import resolve_shards
 from ...recursion import Call, Choice, Result, Sync
 from ...telemetry.probe import probe, probe_enabled
-from ...topology import NodeId, Topology
 from .cnf import CNF, var_of
 from .dpll import assign_pures, propagate_units
 from .heuristics import Heuristic, make_heuristic
@@ -34,8 +32,6 @@ __all__ = [
     "sat_content_size",
     "make_solve_sat",
     "solve_sat",
-    "DistributedSatResult",
-    "solve_on_machine",
 ]
 
 
@@ -186,196 +182,3 @@ def make_solve_sat(
 
 #: the default solver (max-occurrence heuristic, no hints)
 solve_sat = make_solve_sat()
-
-
-class DistributedSatResult:
-    """Outcome of a distributed solve: verdict, model and profiling data."""
-
-    __slots__ = (
-        "satisfiable", "assignment", "report", "engine_stats", "cnf",
-        "link_stats", "state_digest",
-    )
-
-    def __init__(
-        self, cnf: CNF, raw_result: Any, report, engine_stats, link_stats=None,
-        state_digest: Optional[str] = None,
-    ) -> None:
-        self.cnf = cnf
-        self.satisfiable = raw_result is not None
-        self.assignment: Optional[Dict[int, bool]] = (
-            dict(raw_result) if raw_result is not None else None
-        )
-        self.report = report
-        self.engine_stats = engine_stats
-        #: layer-1.5 protocol counters (reliable runs only, else None)
-        self.link_stats = link_stats
-        #: semantic digest of the final stack state — only computed for
-        #: checkpointed/resumed solves, where it anchors resume parity
-        self.state_digest = state_digest
-
-    @property
-    def verified(self) -> bool:
-        """True iff the returned model actually satisfies the formula."""
-        if not self.satisfiable:
-            return True  # UNSAT verdicts are verified against dpll elsewhere
-        assert self.assignment is not None
-        return self.cnf.is_satisfied_by(self.assignment)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tag = "SAT" if self.satisfiable else "UNSAT"
-        return f"DistributedSatResult({tag}, ct={self.report.computation_time})"
-
-
-def solve_on_machine(
-    cnf: CNF,
-    topology: Topology,
-    *,
-    mapper: str = "rr",
-    status: "int | None" = None,
-    heuristic: "Heuristic | str" = "max_occurrence",
-    cancellation: bool = False,
-    hint_mode: Optional[str] = None,
-    simplify: str = "single",
-    seed: int = 0,
-    trigger_node: NodeId = 0,
-    max_steps: int = 1_000_000,
-    record_queue_depths: bool = False,
-    drain: bool = True,
-    share_threshold: Optional[int] = None,
-    size_fn=None,
-    drop: float = 0.0,
-    duplicate: float = 0.0,
-    reliable=False,
-    telemetry=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir=None,
-    checkpoint_sink=None,
-    resume_from=None,
-    topology_spec: Optional[str] = None,
-    shards=None,
-    shard_partitioner: str = "strip",
-) -> DistributedSatResult:
-    """Solve one formula on a simulated machine; the one-call entry point.
-
-    Builds a :class:`~repro.stack.HyperspaceStack` over ``topology``, runs
-    the Listing-4 solver and returns the verdict with the full profiling
-    report (computation time, interconnect activity, node activity).
-
-    ``drain`` (default) matches the paper's measurement protocol: losing
-    speculative evaluations are ignored but *keep running*, and computation
-    time counts "the number of simulation time steps between the first
-    (trigger) and last messages" — i.e. until the machine is quiescent.
-    ``drain=False`` halts as soon as the root verdict is known (the
-    latency a real user would observe); combined with ``cancellation=True``
-    it also stops speculative subtrees early.
-
-    ``share_threshold`` and ``size_fn`` pass straight through to the
-    :class:`~repro.stack.HyperspaceStack` (layer-3 work sharing and the
-    bandwidth-accounting message sizer) so sweep tasks can cover the
-    ablation benches' configurations too.  ``telemetry`` likewise: pass a
-    :class:`~repro.telemetry.TelemetryBus` (or ``True`` for a fresh one)
-    to capture structured events from all five layers, including the
-    solver's ``dpll.branch`` / ``dpll.backtrack`` probes.
-
-    ``drop`` / ``duplicate`` / ``reliable`` configure lossy links and the
-    layer-1.5 reliable-delivery protocol (``docs/robustness.md``); with
-    ``reliable`` the result's ``link_stats`` carries the protocol counters
-    (retransmits, suppressed duplicates, ...).
-
-    ``checkpoint_every`` / ``checkpoint_dir`` / ``checkpoint_sink`` /
-    ``resume_from`` expose stack checkpointing (``docs/checkpointing.md``):
-    checkpoints embed a ``workload`` header describing this solve (formula
-    included) so ``repro solve --resume`` can rebuild the stack unaided;
-    ``topology_spec`` optionally records the parseable CLI topology string
-    in that header.  Checkpointed solves carry the final semantic state
-    digest on the result (``state_digest``).  The ``"random"`` branching
-    heuristic draws from one shared RNG across invocations and therefore
-    cannot be replayed from a checkpoint — it is rejected here.
-
-    ``shards`` / ``shard_partitioner`` select the sharded multi-process
-    backend (``docs/parallelism.md``): node handlers run in ``shards``
-    persistent worker processes with a schedule bit-identical to the
-    serial machine, so verdicts, digests and telemetry counters do not
-    depend on the shard count.  ``shards=None`` consults ``REPRO_SHARDS``
-    and defaults to serial.  Checkpoints never record the shard count —
-    a sharded run resumes serially and vice versa.
-
-    This function is a thin back-compat shim: it builds a
-    :class:`repro.engine.RunSpec` from its keyword arguments and runs it
-    through :func:`repro.engine.execute`, the library's one run entry
-    point.  Validation (including the random-heuristic guards above)
-    happens in :func:`repro.engine.validate`, so the CLI, this shim and
-    the conformance fuzzer reject bad configurations with identical
-    messages.
-    """
-    from ...engine import RunSpec, execute
-    from ...reliability import ReliabilityConfig
-    from ...topology import spec_of
-
-    # split the legacy polymorphic kwargs into declarative spec fields
-    # plus runtime attachments execute() takes alongside the spec
-    heuristic_fn = None
-    heuristic_name = heuristic
-    if not isinstance(heuristic, str):
-        heuristic_fn, heuristic_name = heuristic, "custom"
-    reliability_override = None
-    reliable_flag = bool(reliable)
-    retry_limit = None
-    if isinstance(reliable, ReliabilityConfig):
-        reliability_override, reliable_flag = reliable, True
-    status_factory = None
-    spec_status = status
-    if not (status is None or isinstance(status, int)):
-        status_factory, spec_status = status, None
-    mapper_factory = None
-    spec_mapper = mapper
-    if not isinstance(mapper, str):
-        mapper_factory, spec_mapper = mapper, "rr"
-    spec = RunSpec(
-        workload="sat",
-        workload_params={
-            "clauses": [list(c) for c in cnf.clauses],
-            "num_vars": cnf.num_vars,
-        },
-        topology=topology_spec if topology_spec is not None else spec_of(topology),
-        mapper=spec_mapper,
-        status=spec_status,
-        cancellation=cancellation,
-        share_threshold=share_threshold,
-        record_queue_depths=record_queue_depths,
-        heuristic=heuristic_name,
-        simplify=simplify,
-        hint_mode=hint_mode,
-        seed=seed,
-        trigger_node=trigger_node,
-        max_steps=max_steps,
-        drain=drain,
-        drop=drop,
-        duplicate=duplicate,
-        reliable=reliable_flag,
-        retry_limit=retry_limit,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir is not None else None,
-        shards=min(resolve_shards(shards), topology.n_nodes),
-        partitioner=shard_partitioner,
-    )
-    run = execute(
-        spec,
-        topology=topology,
-        telemetry=telemetry,
-        size_fn=size_fn,
-        checkpoint_sink=checkpoint_sink,
-        resume_from=resume_from,
-        reliability=reliability_override,
-        heuristic_fn=heuristic_fn,
-        mapper_factory=mapper_factory,
-        status_factory=status_factory,
-    )
-    return DistributedSatResult(
-        cnf,
-        run.result,
-        run.report,
-        run.engine_stats,
-        link_stats=run.link_stats,
-        state_digest=run.state_digest,
-    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel import solve_sat_tasks
+from ..parallel import SatTask, solve_sat_tasks
 from .report import format_table
 from .suites import BenchPreset, QUICK, figure4_grid, mesh_for, sat_suite, with_seed
 
@@ -169,15 +169,17 @@ def run_figure4(
 
         trace_topo = mesh_for("torus2d", max(preset.core_counts))
         result.trace_summary = capture_sat_trace(
-            sat_suite(preset)[0],
-            trace_topo,
+            SatTask(
+                sat_suite(preset)[0],
+                trace_topo,
+                mapper="lbn",
+                status=status_threshold,
+                heuristic=heuristic,
+                simplify=simplify,
+                seed=preset.seed,
+                max_steps=preset.max_steps,
+            ),
             trace_path,
-            mapper="lbn",
-            status=status_threshold,
-            heuristic=heuristic,
-            simplify=simplify,
-            seed=preset.seed,
-            max_steps=preset.max_steps,
         )
     return result
 

@@ -129,15 +129,17 @@ def run_figure5(
         from ..telemetry import capture_sat_trace
 
         result.trace_summary = capture_sat_trace(
-            problems[0],
-            topo,
+            SatTask(
+                problems[0],
+                topo,
+                mapper="lbn",
+                status=status_threshold,
+                heuristic=heuristic,
+                simplify=simplify,
+                seed=preset.seed,
+                max_steps=preset.max_steps,
+            ),
             trace_path,
-            mapper="lbn",
-            status=status_threshold,
-            heuristic=heuristic,
-            simplify=simplify,
-            seed=preset.seed,
-            max_steps=preset.max_steps,
         )
     return result
 

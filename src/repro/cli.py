@@ -283,10 +283,7 @@ def _cmd_solve(args) -> int:
     else:
         spec = RunSpec(
             workload="sat",
-            workload_params={
-                "clauses": [list(c) for c in cnf.clauses],
-                "num_vars": cnf.num_vars,
-            },
+            workload_params=cnf.to_params(),
             topology=args.topology,
             mapper=args.mapper,
             status=args.status,
@@ -307,8 +304,8 @@ def _cmd_solve(args) -> int:
     except (ApplicationError, SimulationError) as exc:
         # contradictory flag combinations (e.g. --shards with the shared-RNG
         # 'random' heuristic) are usage errors, not crashes — and they carry
-        # the same message here, in the library shim and in the fuzzer,
-        # because all three reject through engine.validate
+        # the same message here, in library calls and in the fuzzer,
+        # because all of them reject through engine.validate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     satisfiable = run.verdict["sat"]

@@ -119,8 +119,8 @@ def replay_artifact(
     shard count and checkpoint cadence are per-mode knobs): a hand-edited
     artifact naming an unknown mapper or an impossible knob combination
     raises :class:`~repro.errors.SpecError` with the *same message*
-    ``repro solve`` and ``solve_on_machine`` would print, instead of
-    being reported as a mode "crash" discrepancy.
+    ``repro solve`` and :func:`repro.engine.execute` would give, instead
+    of being reported as a mode "crash" discrepancy.
     """
     from ..engine import validate
 

@@ -10,11 +10,12 @@ reproduces), :func:`shrink_config` delta-debugs in two phases:
    move), keeping any change under which the failure persists, until a
    full pass changes nothing.  The result reads as "default everything
    except ...".
-2. **Size minimisation** — shrink the workload argument itself: fib and
-   N-queens ``n`` walk down to the smallest still-failing value; a SAT
-   generator recipe is first materialised into explicit clauses, then
-   classic ddmin removes clause subsets, then unreferenced variables are
-   compacted away.  (If the workload's canonical default parameters
+2. **Size minimisation** — shrink the workload argument itself with the
+   ``shrink_params`` of the workload's record (:mod:`repro.workloads`):
+   fib and N-queens ``n`` walk down to the smallest still-failing value;
+   a SAT generator recipe is first materialised into explicit clauses,
+   then classic ddmin removes clause subsets, then unreferenced variables
+   are compacted away.  (If the workload's canonical default parameters
    already fail, they win outright — a canonical repro beats a merely
    small one.)
 
@@ -25,15 +26,10 @@ predicate calls, since each real call replays several full simulations.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from .space import (
-    DEFAULT_CONFIG,
-    DEFAULT_WORKLOAD_PARAMS,
-    DIMENSIONS,
-    FuzzConfig,
-    build_cnf,
-)
+from ..workloads import WORKLOADS
+from .space import DEFAULT_CONFIG, DIMENSIONS, FuzzConfig
 
 __all__ = ["shrink_config"]
 
@@ -64,7 +60,7 @@ def _default_candidate(config: FuzzConfig, dim: str) -> Optional[FuzzConfig]:
     changes: Dict[str, Any] = {dim: default}
     if dim == "workload":
         # the params travel with the workload they parameterise
-        changes["workload_params"] = dict(DEFAULT_WORKLOAD_PARAMS[default])
+        changes["workload_params"] = dict(WORKLOADS[default].default_params)
     return config.with_(**changes)
 
 
@@ -83,93 +79,22 @@ def _sweep_dimensions(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
 # -- size minimisation ------------------------------------------------------
 
 
-def _shrink_int_param(
-    config: FuzzConfig, key: str, floor: int, budget: _Budget
-) -> FuzzConfig:
-    """Walk an integer workload parameter down to the smallest failing value."""
-    current = config.workload_params[key]
-    for value in range(floor, current):
-        candidate = config.with_(workload_params={**config.workload_params, key: value})
-        if budget.fails(candidate):
-            return candidate
-        if budget.exhausted:
-            break
-    return config
-
-
-def _with_clauses(
-    config: FuzzConfig, clauses: Sequence[Tuple[int, ...]]
-) -> FuzzConfig:
-    num_vars = max((abs(l) for c in clauses for l in c), default=1)
-    return config.with_(workload_params={
-        "clauses": [list(c) for c in clauses],
-        "num_vars": num_vars,
-    })
-
-
-def _ddmin_clauses(
-    config: FuzzConfig, clauses: List[Tuple[int, ...]], budget: _Budget
-) -> FuzzConfig:
-    """Zeller's ddmin over the clause list (complements first)."""
-    n = 2
-    while len(clauses) >= 2 and not budget.exhausted:
-        chunk = max(1, len(clauses) // n)
-        reduced = False
-        for start in range(0, len(clauses), chunk):
-            complement = clauses[:start] + clauses[start + chunk:]
-            if complement and budget.fails(_with_clauses(config, complement)):
-                clauses = complement
-                n = max(2, n - 1)
-                reduced = True
-                break
-        if not reduced:
-            if n >= len(clauses):
-                break
-            n = min(len(clauses), n * 2)
-    return _with_clauses(config, clauses)
-
-
-def _shrink_sat(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
-    # materialise the generator recipe so single clauses become removable
-    if "clauses" not in config.workload_params:
-        cnf = build_cnf(config)
-        explicit = _with_clauses(config, cnf.clauses)
-        if not budget.fails(explicit):
-            return config  # materialisation changed behaviour; keep recipe
-        config = explicit
-    clauses = [tuple(c) for c in config.workload_params["clauses"]]
-    config = _ddmin_clauses(config, clauses, budget)
-    # compact variable names so num_vars reflects what the formula uses
-    clauses = [tuple(c) for c in config.workload_params["clauses"]]
-    used = sorted({abs(l) for c in clauses for l in c})
-    renumber = {v: i + 1 for i, v in enumerate(used)}
-    if renumber != {v: v for v in used}:
-        renamed = [
-            tuple(renumber[abs(l)] * (1 if l > 0 else -1) for l in c)
-            for c in clauses
-        ]
-        candidate = _with_clauses(config, renamed)
-        if budget.fails(candidate):
-            config = candidate
-    return config
-
-
 def _shrink_size(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
     # a canonical repro beats a merely small one: params already at (or
     # movable to) the workload default end the size phase right there
-    defaults = DEFAULT_WORKLOAD_PARAMS[config.workload]
-    if config.workload_params == defaults:
+    record = WORKLOADS[config.workload]
+    if config.workload_params == record.default_params:
         return config
-    candidate = config.with_(workload_params=dict(defaults))
+    candidate = config.with_(workload_params=dict(record.default_params))
     if budget.fails(candidate):
         return candidate
-    if config.workload == "fib":
-        return _shrink_int_param(config, "n", 0, budget)
-    if config.workload == "nqueens":
-        return _shrink_int_param(config, "n", 1, budget)
-    if config.workload == "sat":
-        return _shrink_sat(config, budget)
-    return config  # traversal carries no size parameter
+    if record.shrink_params is None:
+        return config  # e.g. traversal carries no size parameter
+    smaller = record.shrink_params(
+        config.workload_params,
+        lambda params: budget.fails(config.with_(workload_params=params)),
+    )
+    return config.with_(workload_params=smaller)
 
 
 def shrink_config(

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ApplicationError
+from ..workloads import WORKLOADS, cnf_of
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -117,23 +118,7 @@ class FuzzConfig:
 
     def describe(self) -> str:
         """One-line human summary (fuzz-loop progress, artifacts)."""
-        parts = [f"{self.workload}{self.workload_params}", self.topology,
-                 f"mapper={self.mapper}"]
-        if self.status is not None:
-            parts.append(f"status={self.status}")
-        if self.workload == "sat":
-            parts.append(f"heur={self.heuristic}/{self.simplify}")
-        if self.drop or self.duplicate:
-            guard = "reliable" if self.reliable else "unprotected"
-            parts.append(f"faults={self.drop}/{self.duplicate}({guard})")
-        elif self.reliable:
-            parts.append("reliable")
-        if self.shards > 1:
-            parts.append(f"shards={self.shards}({self.partitioner})")
-        if self.ckpt_step is not None:
-            parts.append(f"ckpt@{self.ckpt_step}")
-        parts.append(f"seed={self.seed}")
-        return " ".join(parts)
+        return self.to_runspec().describe()
 
 
 #: the shrinker's target values, one per dimension
@@ -159,27 +144,13 @@ DIMENSIONS: Tuple[str, ...] = (
     "seed",
 )
 
-#: canonical default workload_params per workload (shrinker + sampler)
-DEFAULT_WORKLOAD_PARAMS: Dict[str, Dict[str, Any]] = {
-    "fib": {"n": 5},
-    "nqueens": {"n": 4},
-    "traversal": {},
-    "sat": {"num_vars": 6, "num_clauses": 14, "formula_seed": 0},
-}
-
 
 def build_cnf(config: FuzzConfig):
     """Materialise the config's CNF formula (``sat`` workloads only).
 
-    Generator-recipe params are expanded through
-    :func:`repro.apps.sat.generator.uniform_random_ksat` (unfiltered, so
-    both SAT and UNSAT instances occur); explicit-clause params are used
-    verbatim.  Deterministic: the formula is a pure function of the
-    params.  Thin alias for :func:`repro.engine.cnf_of`, kept as the
-    conformance-facing name.
+    The conformance-facing name of :func:`repro.engine.cnf_of`: generator
+    recipes expand deterministically, explicit clauses are used verbatim.
     """
-    from ..engine import cnf_of
-
     return cnf_of(config.workload_params)
 
 
@@ -206,22 +177,11 @@ _DROPS = (0.02, 0.05, 0.1)
 _DUPS = (0.0, 0.02, 0.05)
 
 
-def _sample_workload_params(workload: str, rng: random.Random) -> Dict[str, Any]:
-    if workload == "fib":
-        return {"n": rng.randrange(3, 10)}
-    if workload == "nqueens":
-        # n=2/3 have no solution, n=1/4/5/6 do — both verdicts get coverage
-        return {"n": rng.randrange(2, 7)}
-    if workload == "traversal":
-        return {}
-    num_vars = rng.randrange(5, 10)
-    # straddle the satisfiability threshold (~4.27 clauses/var for 3-SAT)
-    ratio = rng.choice((3.0, 4.3, 5.5))
-    return {
-        "num_vars": num_vars,
-        "num_clauses": max(1, round(num_vars * ratio)),
-        "formula_seed": rng.randrange(1_000_000),
-    }
+#: canonical default workload_params of every sampled workload (the
+#: shrinker's size target), straight from the workload table
+DEFAULT_WORKLOAD_PARAMS: Dict[str, Dict[str, Any]] = {
+    name: WORKLOADS[name].default_params for name in dict.fromkeys(_WORKLOADS)
+}
 
 
 def sample_one(rng: random.Random) -> FuzzConfig:
@@ -238,7 +198,7 @@ def sample_one(rng: random.Random) -> FuzzConfig:
     reliable = (rng.random() < 0.75) if faulty else (rng.random() < 0.1)
     return FuzzConfig(
         workload=workload,
-        workload_params=_sample_workload_params(workload, rng),
+        workload_params=WORKLOADS[workload].sample_params(rng),
         topology=rng.choice(_TOPOLOGIES),
         mapper=rng.choice(_MAPPERS),
         status=rng.choice(_STATUSES),

@@ -34,7 +34,8 @@ from ..engine import INCOMPLETE, execute
 from ..telemetry import TelemetryBus
 from ..telemetry.metrics import MetricsSubscriber
 from ..topology import topology_from_spec
-from .space import FuzzConfig, build_cnf
+from ..workloads import WORKLOADS
+from .space import FuzzConfig
 
 __all__ = [
     "RunOutcome",
@@ -71,12 +72,7 @@ class RunOutcome:
         """
         if self.verdict == INCOMPLETE or not isinstance(self.verdict, dict):
             return self.verdict
-        kind = self.verdict.get("kind")
-        if kind == "sat":
-            return {"kind": "sat", "sat": self.verdict["sat"]}
-        if kind == "nqueens":
-            return {"kind": "nqueens", "found": self.verdict["placement"] is not None}
-        return self.verdict  # fib value / traversal visited set are unique
+        return WORKLOADS[self.verdict["kind"]].coarse(self.verdict)
 
 
 # -- applicability ----------------------------------------------------------
@@ -141,144 +137,23 @@ def _filter_counters(sub: MetricsSubscriber) -> Dict[str, Dict[str, Any]]:
     return metrics
 
 
-def _mode_spec(
-    config: FuzzConfig,
-    *,
-    shards: int,
-    shard_backend: str,
-    capture_checkpoints: bool = False,
-):
-    """The :class:`~repro.engine.RunSpec` for one execution mode.
-
-    ``to_runspec`` names the config's canonical run; the mode then pins
-    the backend knobs (shard count, worker backend) and whether this run
-    *produces* checkpoints — only the serial baseline captures them, and
-    only when the capability rules allow it (a spec carrying
-    ``checkpoint_every`` for an uncheckpointable workload would be
-    rejected by :func:`~repro.engine.validate`, by design).
-    """
-    return config.to_runspec().with_(
-        shards=shards,
-        shard_backend=shard_backend,
-        checkpoint_every=config.ckpt_step if capture_checkpoints else None,
-    )
-
-
-def _run_stack(
-    config: FuzzConfig,
-    mode: str,
-    *,
-    shards: int,
-    shard_backend: str,
-    capture_checkpoints: bool = False,
-    resume_from: Any = None,
-) -> RunOutcome:
-    """Run a layer-5 workload through :func:`repro.engine.execute`."""
-    bus = TelemetryBus()
-    sub = bus.attach(MetricsSubscriber())
-    spec = _mode_spec(
-        config, shards=shards, shard_backend=shard_backend,
-        capture_checkpoints=capture_checkpoints,
-    )
-    checkpoints: List[Any] = []
-    run = execute(
-        spec,
-        telemetry=bus,
-        checkpoint_sink=checkpoints.append if capture_checkpoints else None,
-        resume_from=resume_from,
-        want_state_digest=True,
-    )
-    return RunOutcome(
-        mode=mode,
-        completed=run.completed,
-        verdict=run.verdict,
-        schedule_digest=run.schedule_digest(),
-        state_digest=run.semantic_digest,
-        counters=_filter_counters(sub),
-        checkpoints=checkpoints,
-    )
-
-
-# -- traversal (bare layer 1) ----------------------------------------------
-
-
-def _run_traversal(config: FuzzConfig, mode: str, *, shards: int,
-                   shard_backend: str) -> RunOutcome:
-    bus = TelemetryBus()
-    sub = bus.attach(MetricsSubscriber())
-    spec = _mode_spec(config, shards=shards, shard_backend=shard_backend)
-    run = execute(spec, telemetry=bus, want_state_digest=True)
-    return RunOutcome(
-        mode=mode,
-        completed=run.completed,
-        verdict=run.verdict,
-        schedule_digest=run.schedule_digest(),
-        state_digest=run.semantic_digest,
-        counters=_filter_counters(sub),
-    )
-
-
 # -- the sequential references ---------------------------------------------
-
-
-def reference_verdict(config: FuzzConfig) -> Optional[Any]:
-    """Ground truth from the sequential solvers (coarse-verdict form).
-
-    Returns None when no reference applies (traversal's reference — every
-    node visited — depends on the topology object, so it is computed
-    inline by :func:`check_reference` instead).
-    """
-    if config.workload == "sat":
-        from ..apps.sat.dpll import dpll_solve
-
-        res = dpll_solve(build_cnf(config), heuristic="max_occurrence")
-        return {"kind": "sat", "sat": bool(res.satisfiable)}
-    if config.workload == "fib":
-        from ..apps.fib import sequential_fib
-
-        return {"kind": "fib", "value": sequential_fib(config.workload_params["n"])}
-    if config.workload == "nqueens":
-        from ..apps.nqueens import sequential_nqueens
-
-        found = sequential_nqueens(config.workload_params["n"]) is not None
-        return {"kind": "nqueens", "found": found}
-    return None
 
 
 def check_reference(config: FuzzConfig, outcome: RunOutcome) -> Optional[str]:
     """Compare a completed clean/protected run against ground truth.
 
     Returns an error string on mismatch, None when the run agrees (or no
-    reference applies).  Also validates witness structures: a SAT model
-    must satisfy the formula, an N-queens placement must be valid.
+    reference applies).  The workload's record supplies the sequential
+    reference and the witness check: a SAT model must satisfy the
+    formula, an N-queens placement must be valid, a traversal must reach
+    every node.
     """
     if not outcome.completed:
         return None
-    if config.workload == "traversal":
-        n_nodes = topology_from_spec(config.topology).n_nodes
-        visited = outcome.verdict["visited"]
-        if visited != list(range(n_nodes)):
-            return (
-                f"traversal visited {len(visited)}/{n_nodes} nodes "
-                f"on connected topology {config.topology}"
-            )
-        return None
-    want = reference_verdict(config)
-    got = outcome.coarse_verdict()
-    if got != want:
-        return f"verdict {got!r} disagrees with sequential reference {want!r}"
-    if config.workload == "sat" and outcome.verdict["sat"]:
-        model = dict(outcome.verdict["assignment"])
-        if not build_cnf(config).is_satisfied_by(model):
-            return f"claimed SAT model does not satisfy the formula: {model!r}"
-    if config.workload == "nqueens" and outcome.verdict["placement"] is not None:
-        from ..apps.nqueens import is_valid_placement
-
-        n = config.workload_params["n"]
-        placement = tuple(outcome.verdict["placement"])
-        if not is_valid_placement(n, placement):
-            return f"claimed {n}-queens placement is invalid: {placement!r}"
-    return None
+    return WORKLOADS[config.workload].verify(
+        config.workload_params, topology_from_spec(config.topology), outcome.verdict
+    )
 
 
 # -- the adapter entry point ------------------------------------------------
@@ -297,33 +172,48 @@ def run_mode(
     first checkpoint that run captured; a run that finished before the
     first checkpoint boundary yields no checkpoint, and the mode returns
     None).  ``fault_free`` reruns the config serially on clean links.
+
+    The mode pins the backend knobs on top of the config's canonical run
+    (``to_runspec``) and decides whether this run *produces* checkpoints:
+    only the serial baseline captures them, and only when the capability
+    rules allow it (a spec carrying ``checkpoint_every`` for an
+    uncheckpointable workload is rejected by
+    :func:`~repro.engine.validate`, by design).
     """
+    shards, capture, resume_from = 1, False, None
     if mode == "serial":
         capture = config.ckpt_step is not None and checkpointable(config)
-        if config.workload == "traversal":
-            return _run_traversal(config, mode, shards=1, shard_backend=shard_backend)
-        return _run_stack(
-            config, mode, shards=1, shard_backend=shard_backend,
-            capture_checkpoints=capture,
-        )
-    if mode == "sharded":
-        if config.workload == "traversal":
-            return _run_traversal(
-                config, mode, shards=config.shards, shard_backend=shard_backend
-            )
-        return _run_stack(
-            config, mode, shards=config.shards, shard_backend=shard_backend
-        )
-    if mode == "resume":
+    elif mode == "sharded":
+        shards = config.shards
+    elif mode == "resume":
         if baseline is None or not baseline.checkpoints:
             return None
-        return _run_stack(
-            config, mode, shards=1, shard_backend=shard_backend,
-            resume_from=baseline.checkpoints[0],
-        )
-    if mode == "fault_free":
-        clean = config.with_(drop=0.0, duplicate=0.0, reliable=False)
-        if config.workload == "traversal":
-            return _run_traversal(clean, mode, shards=1, shard_backend=shard_backend)
-        return _run_stack(clean, mode, shards=1, shard_backend=shard_backend)
-    raise ValueError(f"unknown execution mode {mode!r}")
+        resume_from = baseline.checkpoints[0]
+    elif mode == "fault_free":
+        config = config.with_(drop=0.0, duplicate=0.0, reliable=False)
+    else:
+        raise ValueError(f"unknown execution mode {mode!r}")
+    spec = config.to_runspec().with_(
+        shards=shards,
+        shard_backend=shard_backend,
+        checkpoint_every=config.ckpt_step if capture else None,
+    )
+    bus = TelemetryBus()
+    sub = bus.attach(MetricsSubscriber())
+    checkpoints: List[Any] = []
+    run = execute(
+        spec,
+        telemetry=bus,
+        checkpoint_sink=checkpoints.append if capture else None,
+        resume_from=resume_from,
+        want_state_digest=True,
+    )
+    return RunOutcome(
+        mode=mode,
+        completed=run.completed,
+        verdict=run.verdict,
+        schedule_digest=run.schedule_digest(),
+        state_digest=run.semantic_digest,
+        counters=_filter_counters(sub),
+        checkpoints=checkpoints,
+    )

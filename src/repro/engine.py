@@ -11,13 +11,13 @@ backends.  This module is where that claim becomes a single funnel:
   topology object, a telemetry bus, a checkpoint sink callable) is a
   runtime attachment passed to :func:`execute` instead.
 * :func:`validate` — the one capability-rule table.  The CLI, the
-  :func:`~repro.apps.sat.distributed.solve_on_machine` shim and the
-  conformance fuzzer all reject a bad configuration with the *same*
-  message, because they all reject it here.
+  conformance fuzzer and every library caller reject a bad configuration
+  with the *same* message, because they all reject it here.
 * :func:`execute` — the only place in the library where a
-  :class:`~repro.stack.HyperspaceStack` (or a bare layer-1 machine for
-  the ``traversal`` workload) is assembled.  ``tools/check_entrypoints.py``
-  enforces this in CI.
+  :class:`~repro.stack.HyperspaceStack` is assembled, and one sequence
+  for every workload: build, inject, run, collect, digest, close.  What
+  differs between workloads is looked up in :mod:`repro.workloads`.
+  ``tools/check_entrypoints.py`` enforces this in CI.
 
 Checkpoint headers embed the canonical spec JSON (``meta["runspec"]``),
 so ``repro solve --resume`` rebuilds the original run through the same
@@ -27,18 +27,15 @@ funnel it was started from — see ``docs/runspec.md``.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import SpecError, TopologyError
-from .netsim import EMPTY_MSG, Machine, ShardProgramSpec, ShardedMachine
 from .netsim.digest import canonical_digest
-from .netsim.faults import FaultModel, ReliableLinks
-from .rng import substream
 from .stack import HyperspaceStack
 from .state import state_digest_of
 from .topology import Topology, topology_from_spec
+from .workloads import WORKLOADS, cnf_of
 
 __all__ = [
     "INCOMPLETE",
@@ -62,16 +59,12 @@ __all__ = [
 #: the RunSpec wire-format version; bump when a field changes meaning
 SCHEMA_VERSION = 1
 
-#: workloads the engine can build a layer-5 function for.  ``custom``
-#: marks a run whose function is a runtime attachment (``execute(fn=...)``);
-#: such specs execute but their checkpoint headers cannot rebuild them.
-WORKLOAD_NAMES = ("sat", "fib", "nqueens", "sumrec", "traversal", "custom")
+#: the built-in workloads (see :data:`repro.workloads.WORKLOADS`)
+WORKLOAD_NAMES = tuple(WORKLOADS)
 
 #: verdict marker for runs that exhausted max_steps without an answer
 INCOMPLETE: Tuple[str] = ("incomplete",)
 
-_SIMPLIFY_NAMES = ("none", "single", "fixpoint")
-_HINT_MODES = (None, "clauses", "vars")
 _SHARE_LOADS = ("queue", "invocations")
 _QUEUE_POLICIES = ("fifo", "lifo", "random")
 _PARTITIONER_NAMES = ("strip", "grid", "greedy")
@@ -189,14 +182,19 @@ class RunSpec:
         return replace(self, **changes)
 
     def describe(self) -> str:
-        """One-line human summary (progress lines, error context)."""
+        """One-line human summary (fuzz-loop progress, artifacts, errors)."""
         parts = [f"{self.workload}{self.workload_params}",
                  self.topology or "<topology object>", f"mapper={self.mapper}"]
-        if self.workload == "sat":
-            parts.append(f"heur={self.heuristic}/{self.simplify}")
+        if self.status is not None:
+            parts.append(f"status={self.status}")
+        knobs = _ask_workload(self, "describe_knobs")
+        if knobs:
+            parts.append(knobs)
         if self.drop or self.duplicate:
             guard = "reliable" if self.reliable else "unprotected"
             parts.append(f"faults={self.drop}/{self.duplicate}({guard})")
+        elif self.reliable:
+            parts.append("reliable")
         if self.shards > 1:
             parts.append(f"shards={self.shards}({self.partitioner})")
         if self.checkpoint_every is not None:
@@ -205,68 +203,40 @@ class RunSpec:
         return " ".join(parts)
 
 
-def cnf_of(params: Dict[str, Any]):
-    """Materialise a ``sat`` spec's CNF formula from its workload params.
-
-    Either an explicit formula (``{"clauses": [[...]], "num_vars": N}``,
-    used verbatim) or a generator recipe (``{"num_vars", "num_clauses",
-    "formula_seed"}`` through :func:`~repro.apps.sat.generator.uniform_random_ksat`,
-    unfiltered so both SAT and UNSAT instances occur).  Deterministic:
-    the formula is a pure function of the params.
-    """
-    from .apps.sat.cnf import CNF
-    from .apps.sat.generator import uniform_random_ksat
-
-    if "clauses" in params:
-        return CNF([tuple(c) for c in params["clauses"]], params["num_vars"])
-    rng = random.Random(params["formula_seed"])
-    k = min(3, params["num_vars"])
-    return uniform_random_ksat(params["num_vars"], params["num_clauses"], k, rng)
-
-
 # -- the capability-rule table ----------------------------------------------
 
-#: why the 'random' SAT heuristic cannot be checkpointed (shared RNG stream)
-_RANDOM_CKPT_MSG = (
-    "the 'random' branching heuristic shares one RNG stream across "
-    "invocations and cannot be checkpointed/resumed deterministically; "
-    "use a deterministic heuristic (e.g. 'max_occurrence')"
-)
-#: why the 'random' SAT heuristic cannot run sharded (per-worker RNG copies)
-_RANDOM_SHARD_MSG = (
-    "the 'random' branching heuristic shares one RNG stream across "
-    "invocations; under the sharded backend each worker would hold "
-    "its own copy and the draws would diverge from a serial run — "
-    "use a deterministic heuristic (e.g. 'max_occurrence')"
-)
 #: why work sharing cannot run sharded (mirrors the HyperspaceStack guard)
 _SHARE_SHARD_MSG = (
     "work sharing (share_threshold) reads live inbox depths and "
     "is not supported with shards > 1"
 )
-#: why traversal cannot be checkpointed (bare layer-1 program)
-_TRAVERSAL_CKPT_MSG = (
-    "the 'traversal' workload is a bare layer-1 program: node program "
-    "state lives outside the layer-2 snapshot protocol, so it cannot be "
-    "checkpointed or resumed"
-)
+
+
+def _ask_workload(spec: "RunSpec", question: str, about: Any = None) -> Optional[str]:
+    """Put one of the per-workload questions to the spec's record (about
+    the spec itself unless ``about`` says otherwise).
+
+    An unknown workload has no record and so no answer: the ``workload``
+    rule is what reports it.
+    """
+    record = WORKLOADS.get(spec.workload)
+    if record is None:
+        return None
+    return getattr(record, question)(spec if about is None else about)
 
 
 def checkpoint_blockers(spec: RunSpec) -> List[str]:
     """Why this spec could not run under checkpoint/resume ([] = it can)."""
-    blockers = []
-    if spec.workload == "traversal":
-        blockers.append(_TRAVERSAL_CKPT_MSG)
-    if spec.workload == "sat" and spec.heuristic == "random":
-        blockers.append(_RANDOM_CKPT_MSG)
-    return blockers
+    reason = _ask_workload(spec, "checkpoint_blocker")
+    return [reason] if reason is not None else []
 
 
 def shard_blockers(spec: RunSpec) -> List[str]:
     """Why this spec could not run on the sharded backend ([] = it can)."""
     blockers = []
-    if spec.workload == "sat" and spec.heuristic == "random":
-        blockers.append(_RANDOM_SHARD_MSG)
+    reason = _ask_workload(spec, "shard_blocker")
+    if reason is not None:
+        blockers.append(reason)
     if spec.share_threshold is not None:
         blockers.append(_SHARE_SHARD_MSG)
     return blockers
@@ -303,24 +273,7 @@ def _check_workload_params(spec: RunSpec) -> Optional[str]:
     params = spec.workload_params
     if not isinstance(params, dict):
         return f"workload_params must be a dict, got {type(params).__name__}"
-    if spec.workload in ("fib", "nqueens", "sumrec"):
-        n = params.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            return (
-                f"workload {spec.workload!r} needs workload_params"
-                f"['n'] (a non-negative int), got {params!r}"
-            )
-    if spec.workload == "sat":
-        explicit = "clauses" in params and "num_vars" in params
-        recipe = all(k in params for k in ("num_vars", "num_clauses", "formula_seed"))
-        if not (explicit or recipe):
-            return (
-                "workload 'sat' needs workload_params {'clauses', 'num_vars'} "
-                "(explicit formula) or {'num_vars', 'num_clauses', "
-                "'formula_seed'} (generator recipe), got "
-                f"{sorted(params)!r}"
-            )
-    return None
+    return _ask_workload(spec, "check_params", params)
 
 
 def _check_topology(spec: RunSpec) -> Optional[str]:
@@ -362,22 +315,6 @@ def _check_positive(name: str, *, optional: bool = False,
     return check
 
 
-def _check_sat_knobs(spec: RunSpec) -> Optional[str]:
-    if spec.workload != "sat":
-        return None
-    from .apps.sat.heuristics import HEURISTIC_NAMES
-
-    if spec.heuristic not in HEURISTIC_NAMES + ("custom",):
-        return (
-            f"unknown heuristic {spec.heuristic!r}; expected one of "
-            f"{HEURISTIC_NAMES} (or 'custom' with execute(heuristic_fn=...))"
-        )
-    err = _enum(spec.simplify, _SIMPLIFY_NAMES, "simplify mode")
-    if err:
-        return err
-    return _enum(spec.hint_mode, _HINT_MODES, "hint_mode")
-
-
 def _check_checkpoint_policy(spec: RunSpec) -> Optional[str]:
     if spec.checkpoint_dir is not None and spec.checkpoint_every is None:
         # mirror the CheckpointError text run_recursive would raise
@@ -412,7 +349,7 @@ def _check_retry_limit(spec: RunSpec) -> Optional[str]:
 #: the one capability-rule table: every entry point rejects through this
 RULES: Tuple[Rule, ...] = (
     Rule("workload", "workload is a known registry name",
-         lambda s: _enum(s.workload, WORKLOAD_NAMES, "workload")),
+         lambda s: _enum(s.workload, tuple(WORKLOADS), "workload")),
     Rule("workload-params", "workload_params carry what the workload needs",
          _check_workload_params),
     Rule("topology", "topology spec (when given) parses; trigger_node in range",
@@ -424,7 +361,7 @@ RULES: Tuple[Rule, ...] = (
          (isinstance(s.status, int) and not isinstance(s.status, bool))
          else f"status must be None or an int threshold, got {s.status!r}"),
     Rule("sat-knobs", "heuristic/simplify/hint_mode are valid (sat only)",
-         _check_sat_knobs),
+         lambda s: _ask_workload(s, "check_knobs")),
     Rule("share-load", "share_load is 'queue' or 'invocations'",
          lambda s: _enum(s.share_load, _SHARE_LOADS, "share_load")),
     Rule("queue-policy", "queue_policy is fifo/lifo/random",
@@ -475,9 +412,9 @@ def violations(spec: RunSpec) -> List[Tuple[str, str]]:
 def validate(spec: RunSpec) -> RunSpec:
     """Raise :class:`SpecError` on the first broken rule; return the spec.
 
-    The single gate all entry points (CLI, ``solve_on_machine`` shim,
-    conformance fuzzer, checkpoint resume) reject configurations through,
-    so they all produce identical error messages.
+    The single gate all entry points (CLI, library callers, conformance
+    fuzzer, checkpoint resume) reject configurations through, so they all
+    produce identical error messages.
     """
     broken = violations(spec)
     if broken:
@@ -495,7 +432,7 @@ class RunResult:
     ``verdict`` is plain comparable data (the conformance oracle's
     comparand); ``results`` is the raw layer-5 result list.  The two state
     digests differ only when a telemetry bus was attached: ``state_digest``
-    covers every composed layer (what ``solve_on_machine`` reports),
+    covers every composed layer (what ``repro solve`` prints),
     ``semantic_digest`` excludes the telemetry layer (what cross-mode
     parity compares — gauge last-values depend on event-relay
     interleaving).  Both are None unless the run checkpointed/resumed or
@@ -543,16 +480,6 @@ def schedule_digest(verdict: Any, report: Any) -> str:
 # -- execution --------------------------------------------------------------
 
 
-def _header_spec(spec: RunSpec) -> RunSpec:
-    """The spec a checkpoint header embeds.
-
-    Shard layout is normalised away: checkpoints never record the shard
-    count (a sharded run resumes serially and vice versa), so the header
-    describes the canonical serial run.
-    """
-    return spec.with_(shards=1, partitioner="strip", shard_backend="auto")
-
-
 def _resolve_reliability(spec: RunSpec, reliability: Any) -> Any:
     if reliability is not None:
         return reliability
@@ -561,154 +488,6 @@ def _resolve_reliability(spec: RunSpec, reliability: Any) -> Any:
 
         return ReliabilityConfig(retry_limit=spec.retry_limit)
     return spec.reliable
-
-
-def _resolve_workload(
-    spec: RunSpec,
-    *,
-    sharded: bool,
-    heuristic_fn: Any,
-    fn: Any,
-    args: Any,
-    fn_spec: Any,
-) -> Tuple[Any, Any, Any]:
-    """The layer-5 function, its argument and (sharded) picklable recipe."""
-    if spec.workload == "sat":
-        from .apps.sat.distributed import SatProblem, make_solve_sat
-
-        heuristic: Any = spec.heuristic
-        if spec.heuristic == "custom":
-            if heuristic_fn is None:
-                raise SpecError(
-                    "heuristic 'custom' needs execute(heuristic_fn=...)"
-                )
-            heuristic = heuristic_fn
-        kwargs = dict(hint_mode=spec.hint_mode, simplify=spec.simplify)
-        run_fn = make_solve_sat(heuristic, rng=random.Random(spec.seed), **kwargs)
-        run_spec = None
-        if sharded:
-            # workers rebuild the generator function from this picklable recipe
-            run_spec = ShardProgramSpec(
-                make_solve_sat, heuristic, rng=random.Random(spec.seed), **kwargs
-            )
-        return run_fn, SatProblem(cnf_of(spec.workload_params)), run_spec
-    if spec.workload == "fib":
-        from .apps.fib import fib
-
-        return fib, spec.workload_params["n"], None  # module-level: pickles
-    if spec.workload == "nqueens":
-        from .apps.nqueens import QueensProblem, nqueens
-
-        return nqueens, QueensProblem(spec.workload_params["n"]), None
-    if spec.workload == "sumrec":
-        from .apps.sumrec import calculate_sum
-
-        return calculate_sum, spec.workload_params["n"], None
-    # custom: the function is a runtime attachment
-    if fn is None:
-        raise SpecError("workload 'custom' needs execute(fn=...)")
-    return fn, args, fn_spec
-
-
-def _verdict_of(spec: RunSpec, results: List[Any]) -> Tuple[bool, Any]:
-    """Plain comparable data from the raw layer-5 results."""
-    if not results:
-        return False, INCOMPLETE
-    raw = results[0]
-    if spec.workload == "sat":
-        return True, {
-            "kind": "sat",
-            "sat": raw is not None,
-            "assignment": sorted(dict(raw).items()) if raw is not None else None,
-        }
-    if spec.workload == "fib":
-        return True, {"kind": "fib", "value": raw}
-    if spec.workload == "nqueens":
-        return True, {
-            "kind": "nqueens",
-            "placement": list(raw) if raw is not None else None,
-        }
-    if spec.workload == "sumrec":
-        return True, {"kind": "sumrec", "value": raw}
-    return True, {"kind": "custom", "value": raw}
-
-
-def _traversal_visited_rpc(program, ctx, arg):
-    """map_nodes RPC: read one node's visited flag inside its shard."""
-    return bool(ctx.state["visited"])
-
-
-def _execute_traversal(
-    spec: RunSpec,
-    topo: Topology,
-    *,
-    telemetry: Any,
-    reliability: Any,
-    want_digest: bool,
-) -> RunResult:
-    """The bare layer-1 path: no stack, just a machine and a flood."""
-    from .apps.traversal import traversal_program
-
-    if spec.drop or spec.duplicate:
-        faults = FaultModel(
-            spec.drop, spec.duplicate, rng=substream(spec.seed, "l1-faults")
-        )
-    else:
-        faults = ReliableLinks
-    common = dict(
-        seed=spec.seed,
-        faults=faults,
-        reliability=reliability,
-        telemetry=telemetry,
-        queue_policy=spec.queue_policy,
-        queue_capacity=spec.queue_capacity,
-        latency=spec.latency,
-    )
-    n_shards = min(spec.shards, topo.n_nodes)
-    if n_shards > 1:
-        machine: Machine = ShardedMachine(
-            topo,
-            ShardProgramSpec(traversal_program),
-            shards=n_shards,
-            partitioner=spec.partitioner,
-            shard_backend=spec.shard_backend,
-            **common,
-        )
-    else:
-        machine = Machine(topo, traversal_program(), **common)
-    machine.inject(spec.trigger_node, EMPTY_MSG)
-    report = machine.run(max_steps=spec.max_steps)
-    if isinstance(machine, ShardedMachine):
-        per = machine.map_nodes(_traversal_visited_rpc)
-        visited = [n for n in topo.nodes() if per[n]]
-        machine.drain_telemetry()
-    else:
-        visited = [n for n in topo.nodes() if machine.state_of(n)["visited"]]
-    verdict = {"kind": "traversal", "visited": visited}
-    state_digest = None
-    if want_digest:
-        layers: Dict[str, Any] = {"netsim": machine.snapshot()}
-        if machine.reliability is not None:
-            layers["reliability"] = machine.reliability.snapshot()
-        state_digest = state_digest_of(layers)
-    rel = machine.reliability
-    link_stats = rel.stats if rel is not None else None
-    close = getattr(machine, "close", None)
-    if close is not None:
-        close()
-    return RunResult(
-        spec=spec,
-        completed=True,
-        results=[],
-        verdict=verdict,
-        report=report,
-        link_stats=link_stats,
-        # a traversal run has no telemetry layer in its composed state,
-        # so the full and semantic digests coincide
-        state_digest=state_digest,
-        semantic_digest=state_digest,
-        telemetry=telemetry,
-    )
 
 
 def execute(
@@ -761,10 +540,11 @@ def execute(
     layers it assembles.
     """
     validate(spec)
-    if telemetry is True:
-        from .telemetry import TelemetryBus
-
-        telemetry = TelemetryBus()
+    if resume_from is not None:
+        # resuming is checkpointing's other half: same capability rule
+        blockers = checkpoint_blockers(spec)
+        if blockers:
+            raise SpecError(blockers[0])
     topo = topology
     if topo is None:
         if spec.topology is None:
@@ -778,7 +558,6 @@ def execute(
             f"trigger_node {spec.trigger_node} out of range for "
             f"{topo.describe()} ({topo.n_nodes} nodes)"
         )
-    rel = _resolve_reliability(spec, reliability)
     if size_fn is None and spec.sat_sizing:
         from .apps.sat import sat_content_size
         from .netsim import make_envelope_sizer
@@ -788,12 +567,10 @@ def execute(
     checkpointing = spec.checkpoint_every is not None or resume_from is not None
     want = want_state_digest if want_state_digest is not None else checkpointing
 
-    if spec.workload == "traversal":
-        return _execute_traversal(
-            spec, topo, telemetry=telemetry, reliability=rel, want_digest=want
-        )
-
-    n_shards = min(spec.shards, topo.n_nodes)
+    workload = WORKLOADS[spec.workload]
+    program = workload.build(
+        spec, heuristic_fn=heuristic_fn, fn=fn, args=args, fn_spec=fn_spec
+    )
     stack = HyperspaceStack(
         topo,
         mapper=mapper_factory if mapper_factory is not None else spec.mapper,
@@ -811,61 +588,66 @@ def execute(
         latency=spec.latency,
         drop=spec.drop,
         duplicate=spec.duplicate,
-        reliable=rel,
+        reliable=_resolve_reliability(spec, reliability),
         telemetry=telemetry,
-        shards=n_shards,
+        shards=min(spec.shards, topo.n_nodes),
         shard_partitioner=spec.partitioner,
         shard_backend=spec.shard_backend,
-    )
-    run_fn, run_args, run_fn_spec = _resolve_workload(
-        spec, sharded=n_shards > 1, heuristic_fn=heuristic_fn,
-        fn=fn, args=args, fn_spec=fn_spec,
     )
     meta: Optional[Dict[str, Any]] = None
     if spec.checkpoint_every is not None:
         # the canonical header: `repro solve --resume` rebuilds the run
-        # from this spec through this same function
+        # from this spec through this same function.  The shard layout is
+        # normalised away: checkpoints never record the shard count, a
+        # sharded run resumes serially and vice versa
         meta = dict(checkpoint_meta or {})
-        meta.setdefault("runspec", _header_spec(spec).to_dict())
+        header = spec.with_(shards=1, partitioner="strip", shard_backend="auto")
+        meta.setdefault("runspec", header.to_dict())
     try:
-        _raw, report = stack.run_recursive(
-            run_fn,
-            None if resume_from is not None else run_args,
-            trigger_node=spec.trigger_node,
-            max_steps=spec.max_steps,
-            strict=spec.strict,
-            halt_on_result=not spec.drain,
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_dir=spec.checkpoint_dir,
-            checkpoint_sink=checkpoint_sink,
-            checkpoint_meta=meta,
-            resume_from=resume_from,
-            fn_spec=run_fn_spec,
-        )
-    except BaseException:
-        # a strict run that timed out (or a mid-run error) must not leak
-        # sharded worker processes
-        last = stack.last_run
-        if last is not None:
-            close = getattr(last.machine, "close", None)
-            if close is not None:
-                close()
-        raise
-    run = stack.last_run
-    assert run is not None
-    completed, verdict = _verdict_of(spec, run.results)
-    state_digest = semantic_digest = None
-    if want:
-        layers = stack._compose_layers(run.machine, run.scheduler)
-        state_digest = state_digest_of(layers)
-        semantic_digest = state_digest_of(
-            {k: v for k, v in layers.items() if k != "telemetry"}
-        )
-    rel_layer = run.machine.reliability
-    link_stats = rel_layer.stats if rel_layer is not None else None
-    close = getattr(run.machine, "close", None)
-    if close is not None:
-        close()
+        if program.node_program is not None:
+            report = stack.run_program(
+                program.node_program,
+                trigger_node=spec.trigger_node,
+                max_steps=spec.max_steps,
+                strict=spec.strict,
+            )
+        else:
+            _raw, report = stack.run_recursive(
+                program.fn,
+                None if resume_from is not None else program.args,
+                trigger_node=spec.trigger_node,
+                max_steps=spec.max_steps,
+                strict=spec.strict,
+                halt_on_result=not spec.drain,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_dir=spec.checkpoint_dir,
+                checkpoint_sink=checkpoint_sink,
+                checkpoint_meta=meta,
+                resume_from=resume_from,
+            )
+        run = stack.last_run
+        assert run is not None
+        if program.read_node is not None:
+            # the raw result is spread over the nodes' program state
+            completed = report.quiescent
+            verdict = workload.verdict_of(run.machine.map_nodes(program.read_node))
+        elif run.results:
+            completed, verdict = True, workload.verdict_of(run.results[0])
+        else:
+            completed, verdict = False, INCOMPLETE
+        state_digest = semantic_digest = None
+        if want:
+            layers = stack._compose_layers(run.machine, run.scheduler)
+            state_digest = state_digest_of(layers)
+            semantic_digest = state_digest_of(
+                {k: v for k, v in layers.items() if k != "telemetry"}
+            )
+        rel_layer = run.machine.reliability
+        link_stats = rel_layer.stats if rel_layer is not None else None
+    finally:
+        # also on a strict run that timed out or a mid-run error: sharded
+        # worker processes must not outlive the run
+        stack.close()
     return RunResult(
         spec=spec,
         completed=completed,
@@ -876,5 +658,5 @@ def execute(
         link_stats=link_stats,
         state_digest=state_digest,
         semantic_digest=semantic_digest,
-        telemetry=telemetry,
+        telemetry=stack.telemetry,
     )

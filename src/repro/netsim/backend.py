@@ -369,6 +369,37 @@ class Machine:
         self.topology.check_node(node)
         return self._contexts[node].state
 
+    # -- node services (same interface on the sharded backend) ----------
+
+    def map_nodes(
+        self,
+        fn: Callable[[Any, NodeContext, Any], Any],
+        args: Optional[Dict[NodeId, Any]] = None,
+    ) -> Dict[NodeId, Any]:
+        """Run ``fn(program, ctx, arg)`` for every node; ``{node: result}``.
+
+        How the layers above read or replace per-node program state
+        (result collection, scheduler snapshot/restore) without asking
+        which machine they hold: the state is reached where it lives —
+        here, or inside the owning worker of a sharded machine.  ``args``
+        maps node id to ``arg`` (default None).
+        """
+        program = self.program
+        if args is None:
+            args = {}
+        return {
+            ctx.node: fn(program, ctx, args.get(ctx.node)) for ctx in self._contexts
+        }
+
+    def drain_telemetry(self) -> int:
+        """Relay worker-side events onto the bus; serial handlers publish
+        straight to it, so nothing is ever pending here."""
+        return 0
+
+    def close(self) -> None:
+        """Release what the backend holds outside this object (idempotent):
+        nothing here, the worker processes on the sharded backend."""
+
     def queue_depths(self) -> List[int]:
         """Current inbox depth for every node."""
         return list(self._depths)

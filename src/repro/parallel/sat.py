@@ -25,7 +25,8 @@ __all__ = ["SatTask", "SatOutcome", "run_sat_task", "solve_sat_tasks"]
 class SatTask(NamedTuple):
     """One sweep cell: formula + machine + solver/stack knobs.
 
-    Field defaults mirror :func:`repro.apps.sat.solve_on_machine`;
+    Field defaults mirror :class:`repro.engine.RunSpec` (except
+    ``simplify``: sweeps reproduce the paper's unfolding scale);
     ``collect_activity`` / ``collect_heatmap`` opt into the Figure-5
     arrays (omitted from the result otherwise to keep IPC cheap).
     """
@@ -57,24 +58,15 @@ class SatTask(NamedTuple):
         from ..engine import RunSpec
         from ..topology import spec_of
 
+        # the solver/stack knobs are RunSpec fields of the same name
+        knobs = self._asdict()
+        for own in ("cnf", "topology", "collect_activity", "collect_heatmap"):
+            del knobs[own]
         return RunSpec(
             workload="sat",
-            workload_params={
-                "clauses": [list(c) for c in self.cnf.clauses],
-                "num_vars": self.cnf.num_vars,
-            },
+            workload_params=self.cnf.to_params(),
             topology=spec_of(self.topology),
-            mapper=self.mapper,
-            status=self.status,
-            heuristic=self.heuristic,
-            cancellation=self.cancellation,
-            hint_mode=self.hint_mode,
-            simplify=self.simplify,
-            seed=self.seed,
-            max_steps=self.max_steps,
-            drain=self.drain,
-            share_threshold=self.share_threshold,
-            sat_sizing=self.sat_sizing,
+            **knobs,
         )
 
 

@@ -240,8 +240,10 @@ class SchedulerProgram:
     #: snapshot-schema version of the scheduler layer state
     STATE_VERSION = 1
 
-    def _snapshot_node(self, sched: _NodeSched) -> Dict[str, Any]:
-        """Capture one node's scheduler bookkeeping + per-process state."""
+    def _snapshot_node(self, ctx: NodeContext, _arg: Any = None) -> Dict[str, Any]:
+        """Capture one node's scheduler bookkeeping + per-process state
+        (a ``map_nodes`` callback: runs where the node's state lives)."""
+        sched: _NodeSched = ctx.state
         procs: Dict[int, Tuple[str, Any]] = {}
         for pid, template in enumerate(self._templates):
             pstate = sched.proc_ctxs[pid].state
@@ -261,9 +263,11 @@ class SchedulerProgram:
             "procs": procs,
         }
 
-    def _restore_node(self, sched: _NodeSched, ndata: Dict[str, Any]) -> None:
+    def _restore_node(self, ctx: NodeContext, ndata: Dict[str, Any]) -> None:
         """Install one node's captured state (inverse of _snapshot_node)."""
         from ..state import CheckpointError
+
+        sched: _NodeSched = ctx.state
 
         for pid, q in sched.queues.items():
             q.clear()
@@ -299,9 +303,9 @@ class SchedulerProgram:
         deepcopy.  Either way one final :func:`copy.deepcopy` over the
         whole composite detaches the snapshot from the live run.
 
-        On a sharded machine the per-node captures are gathered from the
-        owning shard workers through ``machine.map_nodes`` — the snapshot
-        data (and therefore the checkpoint digest) is identical either
+        The per-node captures are gathered through ``machine.map_nodes``
+        — from this process or from the owning shard workers, with
+        identical snapshot data (and therefore checkpoint digest) either
         way, which is what lets a checkpoint hop between shard counts.
         """
         import copy
@@ -309,19 +313,11 @@ class SchedulerProgram:
         from ..state import LayerState
 
         n_nodes = machine.topology.n_nodes
-        map_nodes = getattr(machine, "map_nodes", None)
-        if map_nodes is not None:
-            per_node = map_nodes(_snapshot_node_rpc)
-            nodes = [per_node[node] for node in range(n_nodes)]
-        else:
-            nodes = [
-                self._snapshot_node(machine.state_of(node))
-                for node in range(n_nodes)
-            ]
+        per_node = machine.map_nodes(SchedulerProgram._snapshot_node)
         data = {
             "n_nodes": n_nodes,
             "n_processes": len(self._templates),
-            "nodes": nodes,
+            "nodes": [per_node[node] for node in range(n_nodes)],
         }
         return LayerState("sched", self.STATE_VERSION, copy.deepcopy(data))
 
@@ -347,16 +343,10 @@ class SchedulerProgram:
                 f"scheduler snapshot hosts {data['n_processes']} processes "
                 f"per node; this program hosts {len(self._templates)}"
             )
-        map_nodes = getattr(machine, "map_nodes", None)
-        if map_nodes is not None:
-            # scatter: each node's capture is restored inside its shard
-            map_nodes(
-                _restore_node_rpc,
-                {node: ndata for node, ndata in enumerate(data["nodes"])},
-            )
-            return
-        for node, ndata in enumerate(data["nodes"]):
-            self._restore_node(machine.state_of(node), ndata)
+        # scatter: each node's capture is restored where the node lives
+        machine.map_nodes(
+            SchedulerProgram._restore_node, dict(enumerate(data["nodes"]))
+        )
 
     # -- inspection helpers ----------------------------------------------
 
@@ -372,16 +362,3 @@ class SchedulerProgram:
     def n_processes(self) -> int:
         """Number of process templates per node."""
         return len(self._templates)
-
-
-# -- sharded-machine RPC callbacks (module-level: picklable by reference) --
-
-
-def _snapshot_node_rpc(program: SchedulerProgram, ctx: NodeContext, arg: Any) -> Any:
-    """Capture one node's scheduler state inside its shard worker."""
-    return program._snapshot_node(ctx.state)
-
-
-def _restore_node_rpc(program: SchedulerProgram, ctx: NodeContext, ndata: Any) -> None:
-    """Install one node's captured scheduler state inside its shard."""
-    program._restore_node(ctx.state, ndata)

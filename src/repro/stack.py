@@ -43,8 +43,10 @@ from .mapping import (
     StatusPolicyFactory,
     make_mapper_factory,
     make_status_factory,
+    queue_depth_load,
 )
 from .netsim import (
+    EMPTY_MSG,
     FaultModel,
     Machine,
     ReliableLinks,
@@ -70,47 +72,60 @@ MapperSpec = Union[str, MapperFactory]
 StatusSpec = Union[None, str, int, StatusPolicyFactory]
 
 
-def _build_stack_program(cfg: Dict[str, Any], telemetry=None) -> SchedulerProgram:
-    """Rebuild the layer 2-4 program tower from a picklable config.
+def _mapper_factory_of(mapper: MapperSpec) -> MapperFactory:
+    return make_mapper_factory(mapper) if isinstance(mapper, str) else mapper
 
-    This is the :class:`~repro.netsim.ShardProgramSpec` builder the
-    sharded backend ships to its workers: each worker reconstructs an
-    identical engine → mapping service → scheduler chain (same seeds,
-    same per-node substreams), wired to the worker's local telemetry bus.
-    The coordinator calls it too (with ``telemetry=None`` under the
-    process backend) so layer snapshots see the same template shape.
-    """
-    fn_source = cfg["fn_source"]
-    fn = fn_source.build() if isinstance(fn_source, ShardProgramSpec) else fn_source
-    engine = RecursionEngine(
-        fn, cancellation=cfg["cancellation"], telemetry=telemetry
-    )
-    mapper = cfg["mapper"]
-    mapper_factory = make_mapper_factory(mapper) if isinstance(mapper, str) else mapper
-    status = cfg["status"]
+
+def _status_factory_of(status: StatusSpec) -> StatusPolicyFactory:
     if status is None or isinstance(status, (str, int)):
-        status_factory = make_status_factory(status)
-    else:
-        status_factory = status
+        return make_status_factory(status)
+    return status
+
+
+def _build_tower(
+    app: Any,
+    *,
+    ticketed: bool,
+    cancellation: bool,
+    mapper: MapperSpec,
+    status: StatusSpec,
+    budget: Optional[int],
+    telemetry: Optional[TelemetryBus] = None,
+    **service_kwargs: Any,
+) -> SchedulerProgram:
+    """Build the layer 2-4 tower (engine → mapping service → scheduler).
+
+    The one place the chain is wired: a serial run builds it with the
+    stack's bus, a sharded run ships it as a
+    :class:`~repro.netsim.ShardProgramSpec` recipe and every worker
+    rebuilds an identical tower (same seeds, same per-node substreams)
+    on its local bus.  ``app`` is a layer-5 generator function (or a
+    recipe for one) unless ``ticketed`` marks a ready layer-3
+    :class:`~repro.mapping.MappedApp`.
+    """
+    if isinstance(app, ShardProgramSpec):
+        app = app.build()
+    if not ticketed:
+        app = RecursionEngine(app, cancellation=cancellation, telemetry=telemetry)
     service = MappingService(
-        engine,
-        mapper_factory,
-        status_factory,
-        seed=cfg["seed"],
-        forward_hops=cfg["forward_hops"],
-        halt_on_result=cfg["halt_on_result"],
+        app,
+        _mapper_factory_of(mapper),
+        _status_factory_of(status),
         telemetry=telemetry,
+        **service_kwargs,
     )
-    return SchedulerProgram([service], budget=cfg["budget"], telemetry=telemetry)
+    return SchedulerProgram([service], budget=budget, telemetry=telemetry)
 
 
-def _collect_node_rpc(program: SchedulerProgram, ctx, arg) -> Tuple[List[Any], Any]:
-    """Gather one node's external results + layer-4 stats from its shard."""
+def _collect_node_rpc(
+    program: SchedulerProgram, ctx, recursive: bool
+) -> Tuple[List[Any], Optional[EngineStats]]:
+    """map_nodes callback: one node's external results + layer-4 stats."""
     state = ctx.state.proc_ctxs[0].state
-    return (
-        list(MappingService.results_of(state)),
-        RecursionEngine.stats_of(MappingService.app_state_of(state)),
-    )
+    stats = None
+    if recursive:
+        stats = RecursionEngine.stats_of(MappingService.app_state_of(state))
+    return list(MappingService.results_of(state)), stats
 
 
 class StackRun:
@@ -124,14 +139,15 @@ class StackRun:
         report: SimulationReport,
         results: List[Any],
         engine_stats: Optional[EngineStats],
-        scheduler: SchedulerProgram,
+        scheduler: Optional[SchedulerProgram],
     ) -> None:
         self.machine = machine
         self.report = report
         #: external results delivered at the trigger node (usually length 1)
         self.results = results
-        #: aggregated layer-4 counters (None for ticket-style runs)
+        #: aggregated layer-4 counters (None for ticket-style and bare runs)
         self.engine_stats = engine_stats
+        #: the layer-2 program (None for a bare layer-1 program run)
         self.scheduler = scheduler
 
     @property
@@ -243,16 +259,12 @@ class HyperspaceStack:
         shard_backend: str = "auto",
     ) -> None:
         self.topology = topology
-        #: raw mapper/status specs, kept for shipping to shard workers
+        #: raw mapper/status specs: what the tower recipe ships to workers
         self._mapper_spec: MapperSpec = mapper
         self._status_spec: StatusSpec = status
-        self.mapper_factory: MapperFactory = (
-            make_mapper_factory(mapper) if isinstance(mapper, str) else mapper
-        )
-        if status is None or isinstance(status, (str, int)):
-            self.status_factory: StatusPolicyFactory = make_status_factory(status)
-        else:
-            self.status_factory = status
+        # resolved here so an unknown registry name fails at construction
+        self.mapper_factory: MapperFactory = _mapper_factory_of(mapper)
+        self.status_factory: StatusPolicyFactory = _status_factory_of(status)
         self.cancellation = cancellation
         self.forward_hops = forward_hops
         self.share_threshold = share_threshold
@@ -286,89 +298,57 @@ class HyperspaceStack:
             )
         #: populated by the most recent run_* call
         self.last_run: Optional[StackRun] = None
+        #: the machine of the most recent run_* call, from the moment it is
+        #: built (a run that raises never reaches last_run) until close()
+        self._machine: Optional[Machine] = None
 
     # ------------------------------------------------------------------
 
-    def _build_faults(self):
-        if self.drop or self.duplicate:
-            # fresh fault stream per build: repeated runs on one stack
-            # instance see identical fault schedules
-            return FaultModel(
-                self.drop, self.duplicate, rng=substream(self.seed, "l1-faults")
+    def _tower(
+        self, app: Any, *, ticketed: bool, halt_on_result: bool
+    ) -> ShardProgramSpec:
+        """The recipe of this stack's layer 2-4 tower over ``app`` (see
+        :func:`_build_tower` for what ``app`` may be)."""
+        load_fn = None
+        if self.share_threshold is not None and not ticketed:
+            load_fn = (
+                queue_depth_load
+                if self.share_load == "queue"
+                else RecursionEngine.load_probe
             )
-        return ReliableLinks
-
-    def _build_sharded(
-        self, fn_source: Any, halt_on_result: bool
-    ) -> Tuple[ShardedMachine, SchedulerProgram, MappingService]:
-        """Assemble the stack on the sharded backend.
-
-        ``fn_source`` is the layer-5 function itself (must pickle) or a
-        :class:`~repro.netsim.ShardProgramSpec` recipe for it; each worker
-        rebuilds the full layer 2-4 tower via :func:`_build_stack_program`.
-        """
-        cfg = {
-            "fn_source": fn_source,
-            "cancellation": self.cancellation,
-            "mapper": self._mapper_spec,
-            "status": self._status_spec,
-            "seed": self.seed,
-            "forward_hops": self.forward_hops,
-            "halt_on_result": halt_on_result,
-            "budget": self.scheduler_budget,
-        }
-        spec = ShardProgramSpec(_build_stack_program, cfg, telemetry_kwarg="telemetry")
-        trace = TraceRecorder(
-            self.topology.n_nodes, record_queue_depths=self.record_queue_depths
-        )
-        machine = ShardedMachine(
-            self.topology,
-            spec,
-            shards=self.shards,
-            partitioner=self.shard_partitioner,
-            shard_backend=self.shard_backend,
-            trace=trace,
-            queue_policy=self.queue_policy,
-            queue_capacity=self.queue_capacity,
-            seed=self.seed,
-            size_fn=self.size_fn,
-            latency=self.latency,
-            faults=self._build_faults(),
-            reliability=self.reliable,
-            telemetry=self.telemetry,
-        )
-        scheduler: SchedulerProgram = machine.program
-        service: MappingService = scheduler._templates[0]
-        return machine, scheduler, service
-
-    def _build(
-        self,
-        app: MappedApp,
-        halt_on_result: bool,
-        load_fn=None,
-    ) -> Tuple[Machine, SchedulerProgram, MappingService]:
-        service = MappingService(
+        return ShardProgramSpec(
+            _build_tower,
             app,
-            self.mapper_factory,
-            self.status_factory,
+            ticketed=ticketed,
+            cancellation=self.cancellation,
+            mapper=self._mapper_spec,
+            status=self._status_spec,
+            budget=self.scheduler_budget,
             seed=self.seed,
             forward_hops=self.forward_hops,
             halt_on_result=halt_on_result,
             share_threshold=self.share_threshold,
-            load_fn=load_fn if self.share_threshold is not None else None,
-            telemetry=self.telemetry,
+            load_fn=load_fn,
+            telemetry_kwarg="telemetry",
         )
-        scheduler = SchedulerProgram(
-            [service], budget=self.scheduler_budget, telemetry=self.telemetry
-        )
-        trace = TraceRecorder(
-            self.topology.n_nodes, record_queue_depths=self.record_queue_depths
-        )
-        faults = self._build_faults()
-        machine = Machine(
-            self.topology,
-            scheduler,
-            trace=trace,
+
+    def _build_machine(self, source: ShardProgramSpec) -> Machine:
+        """Assemble the layer-1 machine that runs ``source`` on every node.
+
+        Serial builds the program here, sharded ships the recipe to its
+        workers; every other argument is the same either way.  The fault
+        stream is fresh per build, so repeated runs on one stack see
+        identical fault schedules.
+        """
+        faults: FaultModel = ReliableLinks
+        if self.drop or self.duplicate:
+            faults = FaultModel(
+                self.drop, self.duplicate, rng=substream(self.seed, "l1-faults")
+            )
+        layer1: Dict[str, Any] = dict(
+            trace=TraceRecorder(
+                self.topology.n_nodes, record_queue_depths=self.record_queue_depths
+            ),
             queue_policy=self.queue_policy,
             queue_capacity=self.queue_capacity,
             seed=self.seed,
@@ -378,58 +358,119 @@ class HyperspaceStack:
             reliability=self.reliable,
             telemetry=self.telemetry,
         )
-        return machine, scheduler, service
+        if self.shards > 1:
+            return ShardedMachine(
+                self.topology,
+                source,
+                shards=self.shards,
+                partitioner=self.shard_partitioner,
+                shard_backend=self.shard_backend,
+                **layer1,
+            )
+        return Machine(self.topology, source.build(self.telemetry), **layer1)
 
-    def _collect(
+    def _run(
         self,
-        machine: Machine,
-        scheduler: SchedulerProgram,
+        source: ShardProgramSpec,
+        payload: Any,
+        *,
         trigger_node: NodeId,
-        engine: Optional[RecursionEngine],
+        max_steps: int,
+        recursive: bool = False,
+        bare: bool = False,
+        checkpoint_every: Optional[int] = None,
+        checkpoint_dir: Union[None, str, Path] = None,
+        checkpoint_sink: Optional[Callable[["StackCheckpoint"], None]] = None,
+        checkpoint_meta: Optional[Dict[str, Any]] = None,
+        resume_from: Union[None, str, Path, "StackCheckpoint"] = None,
     ) -> StackRun:
-        map_nodes = getattr(machine, "map_nodes", None)
-        if map_nodes is not None:
-            # sharded: node state lives in the workers; one gather returns
-            # (results, engine stats) per node
-            per_node = map_nodes(_collect_node_rpc)
-            results = list(per_node[trigger_node][0])
-            engine_stats = None
-            if engine is not None:
+        """Build → inject (or restore) → run → collect: every run's path.
+
+        ``source`` is the per-node program recipe: a :meth:`_tower`, or
+        with ``bare`` a plain layer-1 program with no scheduler above it.
+        """
+        machine = self._machine = self._build_machine(source)
+        scheduler: Optional[SchedulerProgram] = None if bare else machine.program
+        if resume_from is not None:
+            from .state import StackCheckpoint, load_checkpoint
+
+            ckpt = (
+                resume_from
+                if isinstance(resume_from, StackCheckpoint)
+                else load_checkpoint(resume_from)
+            )
+            self._restore_layers(machine, scheduler, ckpt)
+        else:
+            machine.inject(trigger_node, payload)
+        machine_sink = None
+        if checkpoint_every is not None:
+            ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+
+            def machine_sink(m: Machine) -> None:
+                ckpt = self._compose_checkpoint(m, scheduler, checkpoint_meta)
+                if ckpt_dir is not None:
+                    from .state import save_checkpoint
+
+                    save_checkpoint(
+                        ckpt_dir / f"checkpoint-{m.current_step + 1:08d}.ckpt", ckpt
+                    )
+                if checkpoint_sink is not None:
+                    checkpoint_sink(ckpt)
+
+        bus = self.telemetry
+        if bus is not None:
+            install_probes(bus, step_fn=lambda: machine.current_step)
+        try:
+            machine.run(
+                max_steps=max_steps,
+                checkpoint_every=checkpoint_every,
+                checkpoint_sink=machine_sink,
+            )
+        finally:
+            if bus is not None:
+                uninstall_probes()
+        results: List[Any] = []
+        engine_stats: Optional[EngineStats] = None
+        if scheduler is not None:
+            # one gather returns (results, engine stats) per node, from
+            # wherever the node's state lives
+            per_node = machine.map_nodes(
+                _collect_node_rpc, dict.fromkeys(self.topology.nodes(), recursive)
+            )
+            results = per_node[trigger_node][0]
+            if recursive:
                 engine_stats = EngineStats()
                 for node in self.topology.nodes():
                     engine_stats.merge(per_node[node][1])
-            run = StackRun(machine, machine.report(), results, engine_stats, scheduler)
-            self.last_run = run
-            return run
-        state = scheduler.process_state(machine, trigger_node)
-        results = list(MappingService.results_of(state))
-        engine_stats: Optional[EngineStats] = None
-        if engine is not None:
-            engine_stats = EngineStats()
-            for node in self.topology.nodes():
-                node_state = scheduler.process_state(machine, node)
-                engine_stats.merge(
-                    RecursionEngine.stats_of(MappingService.app_state_of(node_state))
-                )
         run = StackRun(machine, machine.report(), results, engine_stats, scheduler)
         self.last_run = run
         return run
 
+    def close(self) -> None:
+        """Release the most recent run's machine (idempotent).
+
+        A sharded run keeps its workers alive after it returns so that
+        :meth:`snapshot` can still reach node state; the run engine calls
+        this in a ``finally`` once the run has been read.
+        """
+        if self._machine is not None:
+            self._machine.close()
+
     # -- checkpointing (repro.state protocol) --------------------------
 
     def _compose_layers(
-        self, machine: Machine, scheduler: SchedulerProgram
+        self, machine: Machine, scheduler: Optional[SchedulerProgram]
     ) -> Dict[str, Any]:
-        """Snapshot every active layer of a built machine, keyed by name."""
-        drain = getattr(machine, "drain_telemetry", None)
-        if drain is not None:
-            # relay pending worker events first so the telemetry layer's
-            # events_emitted matches a serial run's at this boundary
-            drain()
-        layers: Dict[str, Any] = {
-            "netsim": machine.snapshot(),
-            "sched": scheduler.snapshot(machine),
-        }
+        """Snapshot every active layer of a built machine, keyed by name.
+
+        A bare layer-1 program run has no scheduler and so no ``sched``
+        layer: its node state lives outside the snapshot protocol."""
+        # relay pending worker events first so the telemetry layer's
+        # events_emitted matches a serial run's at this boundary
+        machine.drain_telemetry()
+        layers: Dict[str, Any] = {"netsim": machine.snapshot()}
+        if scheduler is not None:
+            layers["sched"] = scheduler.snapshot(machine)
         if machine.reliability is not None:
             layers["reliability"] = machine.reliability.snapshot()
         if self.telemetry is not None:
@@ -439,7 +480,7 @@ class HyperspaceStack:
     def _compose_checkpoint(
         self,
         machine: Machine,
-        scheduler: SchedulerProgram,
+        scheduler: Optional[SchedulerProgram],
         meta: Optional[Dict[str, Any]] = None,
     ) -> "StackCheckpoint":
         from .state import StackCheckpoint
@@ -574,70 +615,22 @@ class HyperspaceStack:
                 "checkpoint_every needs a destination: checkpoint_dir "
                 "and/or checkpoint_sink"
             )
-        if self.shards > 1:
-            machine, scheduler, service = self._build_sharded(
+        run = self._run(
+            self._tower(
                 fn_spec if fn_spec is not None else fn,
+                ticketed=False,
                 halt_on_result=halt_on_result,
-            )
-            engine = service.app
-        else:
-            engine = RecursionEngine(
-                fn, cancellation=self.cancellation, telemetry=self.telemetry
-            )
-            from .mapping import queue_depth_load
-
-            load_fn = (
-                queue_depth_load
-                if self.share_load == "queue"
-                else RecursionEngine.load_probe
-            )
-            machine, scheduler, _service = self._build(
-                engine, halt_on_result=halt_on_result, load_fn=load_fn
-            )
-        if resume_from is not None:
-            from .state import StackCheckpoint, load_checkpoint
-
-            ckpt = (
-                resume_from
-                if isinstance(resume_from, StackCheckpoint)
-                else load_checkpoint(resume_from)
-            )
-            self._restore_layers(machine, scheduler, ckpt)
-        else:
-            machine.inject(trigger_node, args)
-        machine_sink = None
-        if checkpoint_every is not None:
-            ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-
-            def machine_sink(m: Machine) -> None:
-                ckpt = self._compose_checkpoint(m, scheduler, checkpoint_meta)
-                if ckpt_dir is not None:
-                    from .state import save_checkpoint
-
-                    save_checkpoint(
-                        ckpt_dir / f"checkpoint-{m.current_step + 1:08d}.ckpt", ckpt
-                    )
-                if checkpoint_sink is not None:
-                    checkpoint_sink(ckpt)
-
-        bus = self.telemetry
-        if bus is not None:
-            install_probes(bus, step_fn=lambda: machine.current_step)
-            try:
-                report = machine.run(
-                    max_steps=max_steps,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_sink=machine_sink,
-                )
-            finally:
-                uninstall_probes()
-        else:
-            report = machine.run(
-                max_steps=max_steps,
-                checkpoint_every=checkpoint_every,
-                checkpoint_sink=machine_sink,
-            )
-        run = self._collect(machine, scheduler, trigger_node, engine)
+            ),
+            args,
+            trigger_node=trigger_node,
+            max_steps=max_steps,
+            recursive=True,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_sink=checkpoint_sink,
+            checkpoint_meta=checkpoint_meta,
+            resume_from=resume_from,
+        )
         if strict and not run.results:
             raise SimulationError(
                 f"run did not complete within {max_steps} steps "
@@ -684,8 +677,40 @@ class HyperspaceStack:
                 "run_ticketed supports only the serial backend; "
                 f"this stack is configured with shards={self.shards}"
             )
-        machine, scheduler, _service = self._build(app, halt_on_result=halt_on_result)
-        machine.inject(trigger_node, trigger)
-        machine.run(max_steps=max_steps)
-        run = self._collect(machine, scheduler, trigger_node, engine=None)
+        run = self._run(
+            self._tower(app, ticketed=True, halt_on_result=halt_on_result),
+            trigger,
+            trigger_node=trigger_node,
+            max_steps=max_steps,
+        )
         return run.results, run.report
+
+    def run_program(
+        self,
+        program: ShardProgramSpec,
+        trigger: Any = EMPTY_MSG,
+        *,
+        trigger_node: NodeId = 0,
+        max_steps: int = 1_000_000,
+        strict: bool = True,
+    ) -> SimulationReport:
+        """Run a bare layer-1 node program (no layers 2-4 above it).
+
+        ``program`` is a :class:`~repro.netsim.ShardProgramSpec` recipe for
+        the :class:`~repro.netsim.NodeProgram` every node runs.  ``trigger``
+        is injected at ``trigger_node`` and the machine runs until
+        quiescent; with ``strict`` (default) exhausting ``max_steps`` first
+        raises :class:`SimulationError`.  Returns the report; node state is
+        reachable through ``last_run.machine.map_nodes``.  It lives outside
+        the layer-2 snapshot protocol, so these runs cannot checkpoint.
+        """
+        run = self._run(
+            program, trigger, trigger_node=trigger_node, max_steps=max_steps,
+            bare=True,
+        )
+        if strict and not run.report.quiescent:
+            raise SimulationError(
+                f"run did not complete within {max_steps} steps "
+                f"(topology {self.topology.describe()}, bare program)"
+            )
+        return run.report

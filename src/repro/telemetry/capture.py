@@ -17,111 +17,52 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from ..apps.sat import uf20_91_suite
+from ..engine import RunSpec, execute
+from ..topology import spec_of, topology_from_spec
+from ..workloads import WORKLOADS as RECORDS
 from .bus import TelemetryBus
 from .export import ChromeTraceExporter, write_metrics
 from .metrics import MetricsSubscriber
 
 __all__ = ["WORKLOADS", "capture_workload", "capture_sat_trace"]
 
-
-def _run_sat(bus: TelemetryBus, topology, seed: int) -> Dict[str, Any]:
-    from ..apps.sat import uf20_91_suite
-    from ..engine import RunSpec, execute
-    from ..topology import spec_of
-
-    cnf = uf20_91_suite(1, seed=seed)[0]
-    spec = RunSpec(
-        workload="sat",
-        workload_params={
-            "clauses": [list(c) for c in cnf.clauses],
-            "num_vars": cnf.num_vars,
-        },
-        topology=spec_of(topology),
-        mapper="lbn",
-        status=16,
-        seed=seed,
-    )
-    run = execute(spec, topology=topology, telemetry=bus)
-    satisfiable = bool(run.verdict["sat"])
-    verified = (
-        cnf.is_satisfied_by(dict(run.verdict["assignment"]))
-        if satisfiable
-        else True
-    )
-    return {
-        "satisfiable": satisfiable,
-        "verified": verified,
-        "computation_time": run.report.computation_time,
-        "sent": run.report.sent_total,
-    }
-
-
-def _stack_workload(workload: str, n: int, mapper: str = "rr"):
-    def run(bus: TelemetryBus, topology, seed: int) -> Dict[str, Any]:
-        from ..engine import RunSpec, execute
-        from ..topology import spec_of
-
-        spec = RunSpec(
-            workload=workload,
-            workload_params={"n": n},
-            topology=spec_of(topology),
-            mapper=mapper,
-            seed=seed,
-            drain=False,
-        )
-        res = execute(spec, topology=topology, telemetry=bus)
-        return {
-            "result": repr(res.result),
-            "computation_time": res.report.computation_time,
-            "sent": res.report.sent_total,
-        }
-
-    return run
-
-
-def _run_traversal(bus: TelemetryBus, topology, seed: int) -> Dict[str, Any]:
-    from ..engine import RunSpec, execute
-    from ..topology import spec_of
-
-    spec = RunSpec(
-        workload="traversal",
-        workload_params={},
-        topology=spec_of(topology),
-        seed=seed,
-    )
-    run = execute(spec, topology=topology, telemetry=bus)
-    return {
-        "computation_time": run.report.computation_time,
-        "sent": run.report.sent_total,
-    }
-
-
-#: name -> (description, default topology spec, runner)
-WORKLOADS: Dict[str, Tuple[str, str, Callable]] = {
+#: name -> (description, default topology spec, ``seed -> RunSpec``); the
+#: capture fills in the spec's topology and seed
+WORKLOADS: Dict[str, Tuple[str, str, Callable[[int], RunSpec]]] = {
     "sat": (
         "distributed DPLL on one uf20-91 instance (all 5 layers + probes)",
         "torus2d:14x14",
-        _run_sat,
+        lambda seed: RunSpec(
+            workload="sat",
+            workload_params=uf20_91_suite(1, seed=seed)[0].to_params(),
+            mapper="lbn",
+            status=16,
+        ),
     ),
     "sumrec": (
         "the paper's Listing-3 recursive sum (layers 1-4)",
         "torus2d:8x8",
-        _stack_workload("sumrec", 60),
+        lambda seed: RunSpec(
+            workload="sumrec", workload_params={"n": 60}, drain=False
+        ),
     ),
     "fib": (
         "fork-join Fibonacci (layers 1-4, fixed fan-out)",
         "torus2d:8x8",
-        _stack_workload("fib", 13),
+        lambda seed: RunSpec(workload="fib", workload_params={"n": 13}, drain=False),
     ),
     "nqueens": (
         "6-queens via non-deterministic choice (layers 1-4)",
         "torus2d:8x8",
-        _stack_workload("nqueens", 6, mapper="lbn"),
+        lambda seed: RunSpec(
+            workload="nqueens", workload_params={"n": 6}, mapper="lbn", drain=False
+        ),
     ),
     "traversal": (
         "Listing-1 mesh flood fill (layer 1 only)",
         "torus2d:20x20",
-        _run_traversal,
+        lambda seed: RunSpec(workload="traversal", workload_params={}),
     ),
 }
 
@@ -151,6 +92,23 @@ def resolve_workload(name: str) -> str:
     raise ValueError(f"unknown trace workload {name!r} (known: {known})")
 
 
+def _run_traced(spec, topology, out, metrics_path) -> Tuple[Any, Dict[str, Any]]:
+    """Run ``spec`` under a fresh bus + Chrome-trace exporter + metrics and
+    write the artifacts; returns the run and the artifact summary."""
+    bus = TelemetryBus()
+    exporter = bus.attach(ChromeTraceExporter())
+    metrics = bus.attach(MetricsSubscriber())
+    run = execute(spec, topology=topology, telemetry=bus)
+    artifacts: Dict[str, Any] = {
+        "events": len(exporter),
+        "layers": exporter.layers(),
+        "trace_path": str(exporter.write(out)),
+    }
+    if metrics_path is not None:
+        artifacts["metrics_path"] = str(write_metrics(metrics.registry, metrics_path))
+    return run, artifacts
+
+
 def capture_workload(
     workload: str,
     out: Union[str, Path],
@@ -164,84 +122,45 @@ def capture_workload(
     Returns a summary dict: the workload result plus event/layer counts and
     the artifact paths.
     """
-    from ..topology import topology_from_spec
-
     key = resolve_workload(workload)
-    description, default_topo, runner = WORKLOADS[key]
+    description, default_topo, make_spec = WORKLOADS[key]
     topo = topology_from_spec(topology or default_topo)
-
-    bus = TelemetryBus()
-    exporter = bus.attach(ChromeTraceExporter())
-    metrics = bus.attach(MetricsSubscriber())
-    result = runner(bus, topo, seed)
-
-    trace_path = exporter.write(out)
-    summary: Dict[str, Any] = {
+    spec = make_spec(seed).with_(topology=spec_of(topo), seed=seed)
+    run, artifacts = _run_traced(spec, topo, out, metrics_path)
+    mismatch = RECORDS[key].verify(spec.workload_params, topo, run.verdict)
+    return {
         "workload": key,
         "description": description,
         "topology": topo.describe(),
         "seed": seed,
-        "result": result,
-        "events": len(exporter),
-        "layers": exporter.layers(),
-        "trace_path": str(trace_path),
+        "result": {
+            "result": repr(run.result),
+            "verified": mismatch is None,
+            "computation_time": run.report.computation_time,
+            "sent": run.report.sent_total,
+        },
+        **artifacts,
     }
-    if metrics_path is not None:
-        summary["metrics_path"] = str(write_metrics(metrics.registry, metrics_path))
-    return summary
 
 
 def capture_sat_trace(
-    cnf,
-    topology,
+    task,
     out: Union[str, Path],
     *,
-    mapper: str = "lbn",
-    status: Optional[int] = 16,
-    heuristic: str = "max_occurrence",
-    simplify: str = "none",
-    seed: int = 2017,
-    max_steps: int = 2_000_000,
     metrics_path: Optional[Union[str, Path]] = None,
 ) -> Dict[str, Any]:
     """Trace one SAT sweep cell (the figure benches' representative run).
 
-    Runs the cell's canonical :class:`repro.engine.RunSpec` through
-    :func:`repro.engine.execute` with a fresh telemetry pipeline and
+    Runs the :class:`~repro.parallel.SatTask`'s canonical
+    :class:`repro.engine.RunSpec` with a fresh telemetry pipeline and
     writes the Chrome trace — the profiling lens of the paper's §V-C,
     per event instead of per aggregate.
     """
-    from ..engine import RunSpec, execute
-    from ..topology import spec_of
-
-    bus = TelemetryBus()
-    exporter = bus.attach(ChromeTraceExporter())
-    metrics = bus.attach(MetricsSubscriber())
-    spec = RunSpec(
-        workload="sat",
-        workload_params={
-            "clauses": [list(c) for c in cnf.clauses],
-            "num_vars": cnf.num_vars,
-        },
-        topology=spec_of(topology),
-        mapper=mapper,
-        status=status,
-        heuristic=heuristic,
-        simplify=simplify,
-        seed=seed,
-        max_steps=max_steps,
-    )
-    run = execute(spec, topology=topology, telemetry=bus)
-    trace_path = exporter.write(out)
-    summary: Dict[str, Any] = {
-        "topology": topology.describe(),
-        "mapper": mapper,
+    run, artifacts = _run_traced(task.to_runspec(), task.topology, out, metrics_path)
+    return {
+        "topology": task.topology.describe(),
+        "mapper": task.mapper,
         "satisfiable": bool(run.verdict["sat"]),
         "computation_time": run.report.computation_time,
-        "events": len(exporter),
-        "layers": exporter.layers(),
-        "trace_path": str(trace_path),
+        **artifacts,
     }
-    if metrics_path is not None:
-        summary["metrics_path"] = str(write_metrics(metrics.registry, metrics_path))
-    return summary

@@ -11,11 +11,20 @@ from repro.apps.sat import (
     dpll_solve,
     is_sat,
     make_solve_sat,
-    solve_on_machine,
     uniform_random_ksat,
 )
+from repro.engine import RunSpec, execute
 from repro.errors import ApplicationError
 from repro.topology import FullyConnected, Hypercube, Ring, Torus
+
+
+def solve(cnf, topology, **knobs):
+    spec = RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
+    return execute(spec, topology=topology)
+
+
+def model_satisfies(cnf, run):
+    return cnf.is_satisfied_by(dict(run.verdict["assignment"]))
 
 
 class TestSatProblem:
@@ -61,16 +70,18 @@ class TestVerdictsAgainstReferences:
         for _ in range(6):
             cnf = uniform_random_ksat(9, 38, 3, rng)
             expected = brute_force_solve(cnf) is not None
-            res = solve_on_machine(cnf, Torus((4, 4)), simplify=simplify, seed=1)
-            assert res.satisfiable == expected
-            assert res.verified
+            res = solve(cnf, Torus((4, 4)), simplify=simplify, seed=1)
+            assert res.verdict["sat"] == expected
+            if expected:
+                assert model_satisfies(cnf, res)
 
     def test_matches_sequential_on_suite(self, small_sat_suite):
         for i, cnf in enumerate(small_sat_suite):
             seq = dpll_solve(cnf)
-            dist = solve_on_machine(cnf, Torus((5, 5)), seed=10 + i)
-            assert dist.satisfiable == seq.satisfiable
-            assert dist.verified
+            dist = solve(cnf, Torus((5, 5)), seed=10 + i)
+            assert dist.verdict["sat"] == seq.satisfiable
+            if seq.satisfiable:
+                assert model_satisfies(cnf, dist)
 
     @pytest.mark.parametrize(
         "topo",
@@ -79,19 +90,19 @@ class TestVerdictsAgainstReferences:
     )
     def test_verdict_independent_of_topology(self, topo, small_sat_suite):
         cnf = small_sat_suite[0]
-        res = solve_on_machine(cnf, topo, seed=4)
-        assert res.satisfiable
-        assert res.verified
+        res = solve(cnf, topo, seed=4)
+        assert res.verdict["sat"]
+        assert model_satisfies(cnf, res)
 
     @pytest.mark.parametrize("mapper", ["rr", "lbn", "random", "hint"])
     def test_verdict_independent_of_mapper(self, mapper, small_sat_suite):
         cnf = small_sat_suite[1]
-        res = solve_on_machine(
+        res = solve(
             cnf, Torus((4, 4)), mapper=mapper, seed=4,
             hint_mode="clauses" if mapper == "hint" else None,
         )
-        assert res.satisfiable
-        assert res.verified
+        assert res.verdict["sat"]
+        assert model_satisfies(cnf, res)
 
     def test_unsat_detection(self):
         rng = random.Random(2)
@@ -99,24 +110,24 @@ class TestVerdictsAgainstReferences:
         while found < 2:
             cnf = uniform_random_ksat(8, 60, 3, rng)
             if brute_force_solve(cnf) is None:
-                res = solve_on_machine(cnf, Torus((3, 3)), seed=1)
-                assert not res.satisfiable
+                res = solve(cnf, Torus((3, 3)), seed=1)
+                assert not res.verdict["sat"]
                 found += 1
 
 
 class TestDeterminism:
     def test_same_seed_same_trace(self, small_sat_suite):
         cnf = small_sat_suite[0]
-        a = solve_on_machine(cnf, Torus((4, 4)), mapper="lbn", seed=77)
-        b = solve_on_machine(cnf, Torus((4, 4)), mapper="lbn", seed=77)
+        a = solve(cnf, Torus((4, 4)), mapper="lbn", seed=77)
+        b = solve(cnf, Torus((4, 4)), mapper="lbn", seed=77)
         assert a.report.computation_time == b.report.computation_time
         assert a.report.sent_total == b.report.sent_total
         assert (a.report.node_activity == b.report.node_activity).all()
 
     def test_different_seed_changes_lbn_trace(self, small_sat_suite):
         cnf = small_sat_suite[0]
-        a = solve_on_machine(cnf, Torus((4, 4)), mapper="lbn", seed=77)
-        b = solve_on_machine(cnf, Torus((4, 4)), mapper="lbn", seed=78)
+        a = solve(cnf, Torus((4, 4)), mapper="lbn", seed=77)
+        b = solve(cnf, Torus((4, 4)), mapper="lbn", seed=78)
         # tie-breaking differs; traces are overwhelmingly unlikely to match
         assert (
             a.report.computation_time != b.report.computation_time
@@ -126,26 +137,24 @@ class TestDeterminism:
 
 class TestDrainSemantics:
     def test_drain_runs_to_quiescence(self, small_sat_suite):
-        res = solve_on_machine(
+        res = solve(
             small_sat_suite[0], Torus((4, 4)), seed=1, drain=True
         )
         assert res.report.quiescent
 
     def test_no_drain_halts_early(self, small_sat_suite):
         cnf = small_sat_suite[0]
-        drain = solve_on_machine(cnf, Torus((4, 4)), seed=1, simplify="none")
-        quick = solve_on_machine(
+        drain = solve(cnf, Torus((4, 4)), seed=1, simplify="none")
+        quick = solve(
             cnf, Torus((4, 4)), seed=1, simplify="none", drain=False
         )
         assert quick.report.steps < drain.report.steps
-        assert quick.satisfiable == drain.satisfiable
+        assert quick.verdict["sat"] == drain.verdict["sat"]
 
     def test_hint_mode_vars(self, small_sat_suite):
-        res = solve_on_machine(
-            small_sat_suite[0], Torus((4, 4)), mapper="hint",
-            hint_mode="vars", seed=1,
-        )
-        assert res.verified
+        cnf = small_sat_suite[0]
+        res = solve(cnf, Torus((4, 4)), mapper="hint", hint_mode="vars", seed=1)
+        assert model_satisfies(cnf, res)
 
 
 class TestSimplifyModesWorkload:
@@ -153,6 +162,6 @@ class TestSimplifyModesWorkload:
         cnf = small_sat_suite[0]
         sent = {}
         for mode in ("none", "single", "fixpoint"):
-            res = solve_on_machine(cnf, Torus((6, 6)), simplify=mode, seed=1)
+            res = solve(cnf, Torus((6, 6)), simplify=mode, seed=1)
             sent[mode] = res.report.sent_total
         assert sent["none"] > sent["single"] > sent["fixpoint"]

@@ -8,7 +8,8 @@ counts visible in a telemetry metrics dump.
 
 import pytest
 
-from repro.apps.sat import dpll_solve, solve_on_machine
+from repro.apps.sat import dpll_solve
+from repro.engine import RunSpec, execute
 from repro.reliability import ReliabilityConfig
 from repro.telemetry import TelemetryBus
 from repro.telemetry.metrics import MetricsSubscriber
@@ -17,40 +18,50 @@ from repro.topology import Ring, Torus
 DROP, DUP = 0.05, 0.02
 
 
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
+
+
 class TestAcceptance:
     def test_uf20_suite_on_torus_verdict_parity(self, small_sat_suite):
         for i, cnf in enumerate(small_sat_suite):
-            reference = solve_on_machine(
-                cnf, Torus((4, 4)), mapper="lbn", seed=7
+            reference = execute(
+                sat_spec(cnf, mapper="lbn", seed=7), topology=Torus((4, 4)),
             )
-            chaotic = solve_on_machine(
-                cnf,
-                Torus((4, 4)),
-                mapper="lbn",
-                seed=7,
-                drop=DROP,
-                duplicate=DUP,
-                reliable=True,
+            chaotic = execute(
+                sat_spec(
+                    cnf,
+                    mapper="lbn",
+                    seed=7,
+                    drop=DROP,
+                    duplicate=DUP,
+                    reliable=True,
+                ),
+                topology=Torus((4, 4)),
             )
             seq = dpll_solve(cnf)
-            assert chaotic.satisfiable == reference.satisfiable == seq.satisfiable, (
+            assert (
+                chaotic.verdict["sat"] == reference.verdict["sat"] == seq.satisfiable
+            ), (
                 f"instance {i}: verdict diverged under drop={DROP} dup={DUP}"
             )
-            assert chaotic.verified
+            assert cnf.is_satisfied_by(dict(chaotic.verdict["assignment"]))
             assert chaotic.link_stats is not None
             assert chaotic.link_stats.exhausted == 0
 
     def test_retransmits_visible_in_metrics_dump(self, small_sat_suite):
         bus = TelemetryBus()
         metrics = bus.attach(MetricsSubscriber())
-        res = solve_on_machine(
-            small_sat_suite[0],
-            Torus((4, 4)),
-            mapper="lbn",
-            seed=7,
-            drop=DROP,
-            duplicate=DUP,
-            reliable=True,
+        res = execute(
+            sat_spec(
+                small_sat_suite[0],
+                mapper="lbn",
+                seed=7,
+                drop=DROP,
+                duplicate=DUP,
+                reliable=True,
+            ),
+            topology=Torus((4, 4)),
             telemetry=bus,
         )
         dump = metrics.as_dict()
@@ -67,30 +78,30 @@ class TestAcceptance:
 
 class TestUnsatAndDeterminism:
     def test_unsat_verdict_survives_chaos(self, unsat_cnf):
-        res = solve_on_machine(
-            unsat_cnf,
-            Ring(6),
-            seed=11,
-            drop=0.1,
-            duplicate=0.05,
-            reliable=True,
+        res = execute(
+            sat_spec(
+                unsat_cnf, seed=11, drop=0.1, duplicate=0.05, reliable=True,
+            ),
+            topology=Ring(6),
         )
-        assert not res.satisfiable
+        assert not res.verdict["sat"]
 
     def test_chaotic_solve_is_deterministic(self, tiny_cnf):
         def one():
-            res = solve_on_machine(
-                tiny_cnf,
-                Torus((3, 3)),
-                mapper="lbn",
-                seed=13,
-                drop=0.08,
-                duplicate=0.04,
-                reliable=True,
+            res = execute(
+                sat_spec(
+                    tiny_cnf,
+                    mapper="lbn",
+                    seed=13,
+                    drop=0.08,
+                    duplicate=0.04,
+                    reliable=True,
+                ),
+                topology=Torus((3, 3)),
             )
             return (
-                res.satisfiable,
-                res.assignment,
+                res.verdict["sat"],
+                res.verdict["assignment"],
                 res.report.computation_time,
                 res.link_stats.as_dict(),
             )
@@ -99,16 +110,19 @@ class TestUnsatAndDeterminism:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_seed_sweep_terminates_and_verifies(self, tiny_cnf, seed):
-        res = solve_on_machine(
-            tiny_cnf,
-            Ring(5),
-            seed=seed,
-            drop=0.12,
-            duplicate=0.06,
-            reliable=True,
-            max_steps=50_000,
+        res = execute(
+            sat_spec(
+                tiny_cnf,
+                seed=seed,
+                drop=0.12,
+                duplicate=0.06,
+                reliable=True,
+                max_steps=50_000,
+            ),
+            topology=Ring(5),
         )
-        assert res.satisfiable and res.verified
+        assert res.verdict["sat"]
+        assert tiny_cnf.is_satisfied_by(dict(res.verdict["assignment"]))
         assert res.report.quiescent
 
 
@@ -121,20 +135,16 @@ class TestIdempotentResultHandling:
     """
 
     def test_dup_work_counter_default_zero(self, tiny_cnf):
-        res = solve_on_machine(tiny_cnf, Ring(5), seed=3)
+        res = execute(sat_spec(tiny_cnf, seed=3), topology=Ring(5))
         assert res.engine_stats.as_dict().get("dup_work", 0) == 0
 
     def test_chaotic_run_reports_engine_stats(self, tiny_cnf):
-        res = solve_on_machine(
-            tiny_cnf,
-            Ring(5),
-            seed=3,
-            drop=0.1,
-            duplicate=0.08,
-            reliable=True,
+        res = execute(
+            sat_spec(tiny_cnf, seed=3, drop=0.1, duplicate=0.08, reliable=True),
+            topology=Ring(5),
         )
         st = res.engine_stats.as_dict()
         # link-level dedup means layer 4 should normally see no duplicates;
         # the invariant is that any it does see are suppressed, not crashed
         assert st["dup_work"] >= 0
-        assert res.verified
+        assert tiny_cnf.is_satisfied_by(dict(res.verdict["assignment"]))

@@ -2,8 +2,9 @@
 
 import pickle
 
-from repro.apps.sat import solve_on_machine, uf20_91_suite
+from repro.apps.sat import uf20_91_suite
 from repro.bench import BenchPreset, figure4_to_dict, figure5_to_dict, run_figure4, run_figure5
+from repro.engine import RunSpec, execute
 from repro.parallel import SatTask, run_sat_task, solve_sat_tasks
 from repro.topology import Torus
 
@@ -24,11 +25,14 @@ class TestSatTask:
         cnf = uf20_91_suite(1)[0]
         task = SatTask(cnf, Torus((4, 4)), simplify="none", seed=1)
         out = run_sat_task(task)
-        res = solve_on_machine(cnf, Torus((4, 4)), simplify="none", seed=1)
+        spec = RunSpec(
+            workload="sat", workload_params=cnf.to_params(), simplify="none", seed=1
+        )
+        res = execute(spec, topology=Torus((4, 4)))
         assert out.computation_time == res.report.computation_time
         assert out.sent_total == res.report.sent_total
-        assert out.satisfiable == res.satisfiable
-        assert out.verified == res.verified
+        assert out.satisfiable == res.verdict["sat"]
+        assert out.verified == cnf.is_satisfied_by(dict(res.verdict["assignment"]))
         assert out.activity is None and out.heatmap is None
 
     def test_collect_flags_ship_arrays(self):

@@ -3,8 +3,13 @@
 import pytest
 
 from repro import HyperspaceStack
+from repro.engine import RunSpec, execute
 from repro.recursion import Call, Choice, Result, Sync
 from repro.topology import Ring, Torus
+
+
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
 
 
 def speculative_app(depth):
@@ -95,24 +100,30 @@ class TestCancellation:
 
 class TestCancellationOnSat:
     def test_sat_verdict_unchanged_by_cancellation(self):
-        from repro.apps.sat import solve_on_machine, uniform_random_ksat
+        from repro.apps.sat import uniform_random_ksat
         import random
 
         rng = random.Random(5)
         cnf = uniform_random_ksat(12, 48, 3, rng)
-        base = solve_on_machine(cnf, Torus((4, 4)), seed=3)
-        canc = solve_on_machine(cnf, Torus((4, 4)), seed=3, cancellation=True)
-        assert base.satisfiable == canc.satisfiable
-        if base.satisfiable:
-            assert base.verified and canc.verified
+        base = execute(sat_spec(cnf, seed=3), topology=Torus((4, 4)))
+        canc = execute(
+            sat_spec(cnf, seed=3, cancellation=True), topology=Torus((4, 4)),
+        )
+        assert base.verdict["sat"] == canc.verdict["sat"]
+        if base.verdict["sat"]:
+            assert cnf.is_satisfied_by(dict(base.verdict["assignment"]))
+            assert cnf.is_satisfied_by(dict(canc.verdict["assignment"]))
 
     def test_cancellation_drains_faster_on_sat(self):
-        from repro.apps.sat import uf20_91_suite, solve_on_machine
+        from repro.apps.sat import uf20_91_suite
 
         cnf = uf20_91_suite(1, seed=31)[0]
-        base = solve_on_machine(cnf, Torus((6, 6)), seed=3, simplify="none")
-        canc = solve_on_machine(
-            cnf, Torus((6, 6)), seed=3, simplify="none", cancellation=True
+        base = execute(
+            sat_spec(cnf, seed=3, simplify="none"), topology=Torus((6, 6)),
+        )
+        canc = execute(
+            sat_spec(cnf, seed=3, simplify="none", cancellation=True),
+            topology=Torus((6, 6)),
         )
         # Cancels chase the expanding frontier at the same one-hop-per-step
         # speed, so the traffic win is modest — but killed waiting

@@ -4,13 +4,18 @@ import random
 
 import pytest
 
-from repro.apps.sat import solve_on_machine, uf20_91_suite
+from repro.apps.sat import uf20_91_suite
 from repro.apps.sumrec import calculate_sum
+from repro.engine import RunSpec, execute
 from repro.netsim import EMPTY_MSG, Machine
 from repro.netsim.faults import FaultModel
 from repro.stack import HyperspaceStack
 from repro.telemetry import EventLog, TelemetryBus, resolve_workload
 from repro.topology import Torus
+
+
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +72,12 @@ class TestAllFiveLayers:
         bus = TelemetryBus()
         log = bus.attach(EventLog())
         cnf = uf20_91_suite(1, seed=5)[0]
-        res = solve_on_machine(
-            cnf, Torus((6, 6)), mapper="lbn", status=8, seed=5, telemetry=bus
+        res = execute(
+            sat_spec(cnf, mapper="lbn", status=8, seed=5),
+            topology=Torus((6, 6)),
+            telemetry=bus,
         )
-        assert res.verified
+        assert cnf.is_satisfied_by(dict(res.verdict["assignment"]))
         assert log.layers() == [1, 2, 3, 4, 5]
         probes = log.by_layer(5)
         assert {e.name for e in probes} <= {"dpll.branch", "dpll.backtrack"}
@@ -94,12 +101,14 @@ class TestTelemetryOnOffEquivalence:
         cnf = uf20_91_suite(1, seed=11)[0]
 
         def run(bus):
-            res = solve_on_machine(
-                cnf, Torus((6, 6)), mapper="lbn", status=8, seed=11, telemetry=bus
+            res = execute(
+                sat_spec(cnf, mapper="lbn", status=8, seed=11),
+                topology=Torus((6, 6)),
+                telemetry=bus,
             )
             return (
-                res.satisfiable,
-                res.assignment,
+                res.verdict["sat"],
+                res.verdict["assignment"],
                 res.report.summary(),
                 res.engine_stats.as_dict(),
             )

@@ -14,9 +14,10 @@ import random
 
 import pytest
 
-from repro.apps.sat import CNF, solve_on_machine
+from repro.apps.sat import CNF
 from repro.apps.sat.generator import uf20_91_suite
 from repro.apps.sumrec import calculate_sum
+from repro.engine import RunSpec, execute
 from repro.errors import ApplicationError, CheckpointError
 from repro.netsim import Machine
 from repro.netsim.digest import canonical_digest, payload_digest
@@ -33,6 +34,10 @@ from repro.state import (
     state_digest_of,
 )
 from repro.topology import Ring, Torus
+
+
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +399,8 @@ class TestStackResumeParity:
 
 def solve_fingerprint(res) -> str:
     return canonical_digest({
-        "sat": res.satisfiable,
-        "model": sorted(res.assignment.items()) if res.assignment else None,
+        "sat": res.verdict["sat"],
+        "model": res.verdict["assignment"] or None,
         "steps": res.report.steps,
         "sent": res.report.sent_total,
         "delivered": res.report.delivered_total,
@@ -414,16 +419,15 @@ class TestSatResumeParity:
     @pytest.mark.parametrize("config", sorted(UF20_CONFIGS))
     def test_resume_early_mid_late(self, config, tmp_path):
         cnf = uf20_91_suite(1, seed=2017)[0]
-        kwargs = dict(
-            topology=Torus((6, 6)), simplify="none", seed=1,
-            **UF20_CONFIGS[config],
-        )
+        spec = sat_spec(cnf, simplify="none", seed=1, **UF20_CONFIGS[config])
+        topology = Torus((6, 6))
         # reference: checkpointing on (sink only) but never interrupted
         snaps = []
-        ref = solve_on_machine(
-            cnf, checkpoint_every=10, checkpoint_sink=snaps.append, **kwargs
+        ref = execute(
+            spec.with_(checkpoint_every=10), topology=topology,
+            checkpoint_sink=snaps.append,
         )
-        assert ref.verified
+        assert cnf.is_satisfied_by(dict(ref.verdict["assignment"]))
         assert ref.state_digest is not None
         want = solve_fingerprint(ref)
         assert len(snaps) >= 3, "run too short to pick early/mid/late"
@@ -433,18 +437,23 @@ class TestSatResumeParity:
             path = save_checkpoint(
                 tmp_path / f"{config}-{ckpt.step}.ckpt", ckpt
             )
-            resumed = solve_on_machine(cnf, resume_from=path, **kwargs)
+            resumed = execute(spec, topology=topology, resume_from=path)
             assert solve_fingerprint(resumed) == want, (
                 f"[{config}] resume from step {ckpt.step} diverged"
             )
 
     def test_runspec_header_embedded(self, tmp_path):
-        from repro.engine import RunSpec
-
         cnf = CNF([(1, -2), (2,)], num_vars=2)
-        solve_on_machine(
-            cnf, Ring(4), checkpoint_every=1, checkpoint_dir=tmp_path,
-            simplify="none", topology_spec="ring:4", seed=9,
+        execute(
+            sat_spec(
+                cnf,
+                checkpoint_every=1,
+                checkpoint_dir=str(tmp_path),
+                simplify="none",
+                topology="ring:4",
+                seed=9,
+            ),
+            topology=Ring(4),
         )
         files = sorted(tmp_path.glob("checkpoint-*.ckpt"))
         assert files
@@ -465,7 +474,8 @@ class TestSatResumeParity:
     def test_random_heuristic_rejected(self):
         cnf = CNF([(1,)], num_vars=1)
         with pytest.raises(ApplicationError, match="random"):
-            solve_on_machine(
-                cnf, Ring(4), heuristic="random",
-                checkpoint_every=5, checkpoint_sink=lambda c: None,
+            execute(
+                sat_spec(cnf, heuristic="random", checkpoint_every=5),
+                topology=Ring(4),
+                checkpoint_sink=lambda c: None,
             )

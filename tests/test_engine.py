@@ -1,11 +1,11 @@
 """The engine front door: RunSpec round-trips, the validation table,
-execute() per workload, shim/spec parity, and the entry-point lint.
+execute() per workload, the workload table, and the entry-point lint.
 
 The engine is the single place machines are assembled, so these tests pin
-its three contracts: a spec is frozen JSON-round-trippable data, the
-capability table rejects the same combinations with the same messages
-everywhere, and a run built from a spec is bit-identical to the same run
-built through the legacy ``solve_on_machine`` kwargs shim.
+its contracts: a spec is frozen JSON-round-trippable data, the capability
+table rejects the same combinations with the same messages everywhere,
+every workload is one record of ``repro.workloads`` and runs through the
+one assembly path, which honours every spec field for all of them.
 """
 
 import json
@@ -202,7 +202,7 @@ def test_execute_sat_generated_formula():
         assert cnf_of(spec.workload_params).is_satisfied_by(model)
 
 
-def test_execute_traversal():
+def test_execute_flood_traversal():
     run = execute(RunSpec(workload="traversal", workload_params={},
                           topology="ring:5"))
     assert run.verdict == {"kind": "traversal", "visited": [0, 1, 2, 3, 4]}
@@ -235,50 +235,131 @@ def test_execute_sharded_matches_serial():
     assert serial.semantic_digest == sharded.semantic_digest
 
 
-# -- kwargs shim parity ----------------------------------------------------
+# -- the workload table ----------------------------------------------------
 
 
-def test_solve_on_machine_matches_execute():
-    from repro.apps.sat import uf20_91_suite, solve_on_machine
-    from repro.topology import Torus
+def test_every_workload_name_has_a_record():
+    from repro.conformance import space
+    from repro.engine import WORKLOAD_NAMES
+    from repro.workloads import WORKLOADS
 
-    cnf = uf20_91_suite(1, seed=7)[0]
-    topo = Torus((4, 4))
-    res = solve_on_machine(cnf, topo, mapper="lbn", status=16, seed=7,
-                           simplify="single")
-    spec = RunSpec(
-        workload="sat",
-        workload_params={"clauses": [list(c) for c in cnf.clauses],
-                         "num_vars": cnf.num_vars},
-        topology="torus:4x4", mapper="lbn", status=16, seed=7,
-        simplify="single",
-    )
+    assert set(WORKLOAD_NAMES) == set(WORKLOADS)
+    assert all(WORKLOADS[name].name == name for name in WORKLOAD_NAMES)
+    # the sampler draws only workloads the table knows and can sample
+    assert set(space._WORKLOADS) <= set(WORKLOADS)
+    assert all(WORKLOADS[n].sample_params is not None for n in space._WORKLOADS)
+
+
+@pytest.mark.parametrize("name", ["sat", "fib", "nqueens", "sumrec", "traversal"])
+def test_record_defaults_pass_their_check_and_agree_with_their_reference(name):
+    from repro.topology import topology_from_spec
+    from repro.workloads import WORKLOADS
+
+    record = WORKLOADS[name]
+    assert record.check_params(record.default_params) is None
+    spec = RunSpec(workload=name, workload_params=dict(record.default_params),
+                   topology="torus2d:3x3")
+    assert violations(spec) == []
     run = execute(spec)
-    assert run.verdict["sat"] == res.satisfiable
-    if res.satisfiable:
-        assert dict(run.verdict["assignment"]) == res.assignment
-    assert run.report.computation_time == res.report.computation_time
-    assert run.report.sent_total == res.report.sent_total
-    assert run.report.delivered_total == res.report.delivered_total
-    assert run.report.peak_queued == res.report.peak_queued
+    assert run.completed and run.verdict["kind"] == name
+    assert record.reference is not None
+    topology = topology_from_spec(spec.topology)
+    assert record.verify(spec.workload_params, topology, run.verdict) is None
 
 
-def test_shim_and_spec_state_digests_agree():
-    from repro.apps.sat import uf20_91_suite, solve_on_machine
-    from repro.topology import Ring
+def test_custom_record_has_no_reference_and_accepts_any_params():
+    from repro.workloads import WORKLOADS
 
-    cnf = uf20_91_suite(1, seed=3)[0]
-    res = solve_on_machine(cnf, Ring(6), seed=3, checkpoint_every=50,
-                           checkpoint_sink=lambda ck: None)
-    spec = RunSpec(
-        workload="sat",
-        workload_params={"clauses": [list(c) for c in cnf.clauses],
-                         "num_vars": cnf.num_vars},
-        topology="ring:6", seed=3, checkpoint_every=50,
-    )
-    run = execute(spec, checkpoint_sink=lambda ck: None)
-    assert res.state_digest is not None
-    assert run.state_digest == res.state_digest
+    record = WORKLOADS["custom"]
+    assert record.check_params(record.default_params) is None
+    assert record.reference is None
+    assert record.verify({}, None, {"kind": "custom", "value": 1}) is None
+
+
+def test_cnf_to_params_inverts_cnf_of():
+    from repro.apps.sat import CNF
+
+    cnf = CNF([(1, -2), (2, 3), (-3,)], num_vars=4)
+    params = cnf.to_params()
+    assert params == {"clauses": [[1, -2], [2, 3], [-3]], "num_vars": 4}
+    assert json.loads(json.dumps(params)) == params
+    assert cnf_of(params) == cnf and cnf_of(params).num_vars == 4
+
+
+# -- one assembly path: traversal obeys its spec ---------------------------
+
+#: the bare-machine path this replaced ignored every one of these
+TRAVERSAL = RunSpec(workload="traversal", workload_params={},
+                    topology="torus2d:6x6", max_steps=2, strict=False)
+
+
+def _queue_depths(run):
+    # a steps x n_nodes matrix, not None
+    assert run.report.queue_depths.shape == (run.report.steps, 36)
+
+
+def _sized_traffic(run):
+    assert run.report.traffic_total == 7 * run.report.sent_total > 0
+
+
+def _incomplete(run):
+    # max_steps=2 floods 5 of 36 nodes: the run did not finish
+    assert not run.completed and not run.report.quiescent
+    assert len(run.verdict["visited"]) == 5
+
+
+def _complete(run):
+    assert run.completed and run.report.quiescent
+    assert len(run.verdict["visited"]) == 36
+
+
+@pytest.mark.parametrize("spec, attachments, check", [
+    (TRAVERSAL.with_(record_queue_depths=True), {}, _queue_depths),
+    (TRAVERSAL, {"size_fn": lambda payload: 7}, _sized_traffic),
+    (TRAVERSAL, {}, _incomplete),
+    (TRAVERSAL.with_(max_steps=1000), {}, _complete),
+], ids=["record_queue_depths", "size_fn", "completed", "quiescent"])
+def test_traversal_honours_spec_fields(spec, attachments, check):
+    check(execute(spec, **attachments))
+
+
+def test_traversal_strict_run_that_hits_max_steps_raises():
+    from repro.errors import SimulationError
+
+    with pytest.raises(SimulationError, match="did not complete within 2 steps"):
+        execute(TRAVERSAL.with_(strict=True))
+
+
+def test_traversal_resume_is_refused_not_restarted():
+    checkpoints = []
+    execute(RunSpec(topology="ring:4", checkpoint_every=2),
+            checkpoint_sink=checkpoints.append)
+    with pytest.raises(SpecError, match="bare layer-1 program"):
+        execute(TRAVERSAL, resume_from=checkpoints[0])
+
+
+# -- shard workers never outlive a failed run ------------------------------
+
+
+@pytest.mark.parametrize("workload, params", [("fib", {"n": 12}), ("traversal", {})])
+def test_failed_process_sharded_run_leaves_no_worker_alive(workload, params):
+    import multiprocessing
+
+    from repro.errors import ReliabilityError
+
+    spec = RunSpec(workload=workload, workload_params=params,
+                   topology="torus2d:4x4", drop=0.6, reliable=True,
+                   retry_limit=0, seed=3, shards=2, shard_backend="process")
+    try:
+        execute(spec)
+    except ReliabilityError:
+        # inside the handler, with the traceback (and every frame it pins)
+        # still alive and no gc pass: the engine itself must have closed
+        alive = [p.name for p in multiprocessing.active_children()
+                 if p.name.startswith("repro-shard-")]
+        assert alive == []
+    else:
+        pytest.fail("retry_limit=0 under 60% loss must exhaust a link")
 
 
 # -- the entry-point lint (tier 1) -----------------------------------------
@@ -307,3 +388,45 @@ def test_entrypoint_lint_catches_a_violation(tmp_path):
     assert proc.returncode == 1
     assert "rogue.py" in proc.stderr
     assert "HyperspaceStack" in proc.stderr
+
+
+@pytest.mark.parametrize("constructor, rel_path", [
+    # each constructor has its own allowlist: a file trusted with one
+    # is still refused the others
+    ("HyperspaceStack", "src/repro/stack.py"),
+    ("ShardedMachine", "src/repro/engine.py"),
+    ("Machine", "src/repro/engine.py"),
+    ("Machine", "src/repro/telemetry/capture.py"),
+])
+def test_entrypoint_lint_allowlists_are_per_constructor(tmp_path, constructor, rel_path):
+    bad = tmp_path / rel_path
+    bad.parent.mkdir(parents=True)
+    bad.write_text(f"machine = {constructor}(object(), object())\n")
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "check_entrypoints.py"),
+         "--root", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert f"{rel_path}:1: {constructor}(...)" in proc.stderr
+
+
+def test_entrypoint_lint_accepts_each_constructor_in_its_own_files(tmp_path):
+    for constructor, rel_path in [
+        ("HyperspaceStack", "src/repro/engine.py"),
+        ("ShardedMachine", "src/repro/stack.py"),
+        ("ShardedMachine", "benchmarks/record_baseline.py"),
+        ("Machine", "src/repro/stack.py"),
+        ("Machine", "src/repro/apps/traversal.py"),
+        ("Machine", "benchmarks/bench_microbenchmarks.py"),
+    ]:
+        path = tmp_path / rel_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a") as fh:
+            fh.write(f"machine = {constructor}(object(), object())\n")
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "check_entrypoints.py"),
+         "--root", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

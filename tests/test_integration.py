@@ -3,10 +3,15 @@
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.sat import dpll_solve, solve_on_machine, uf20_91_suite
+from repro.apps.sat import dpll_solve
 from repro.apps.sumrec import calculate_sum
+from repro.engine import RunSpec, execute
 from repro.mapping import MappingService
 from repro.topology import FullyConnected, Hypercube, Torus
+
+
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
 
 
 class TestFullSatPipeline:
@@ -14,14 +19,19 @@ class TestFullSatPipeline:
         for cnf in small_sat_suite:
             seq = dpll_solve(cnf)
             for topo in (Torus((6, 6)), Hypercube(5), FullyConnected(30)):
-                res = solve_on_machine(cnf, topo, seed=5)
-                assert res.satisfiable == seq.satisfiable
-                assert res.verified
+                res = execute(sat_spec(cnf, seed=5), topology=topo)
+                assert res.verdict["sat"] == seq.satisfiable
+                assert cnf.is_satisfied_by(dict(res.verdict["assignment"]))
 
     def test_profiling_artifacts_consistent(self, small_sat_suite):
-        res = solve_on_machine(
-            small_sat_suite[0], Torus((6, 6)), seed=5, simplify="none",
-            record_queue_depths=True,
+        res = execute(
+            sat_spec(
+                small_sat_suite[0],
+                seed=5,
+                simplify="none",
+                record_queue_depths=True,
+            ),
+            topology=Torus((6, 6)),
         )
         rep = res.report
         # queue-depth matrix row sums must match the queued series
@@ -34,7 +44,7 @@ class TestFullSatPipeline:
         assert rep.queued_series[-1] == 0
 
     def test_engine_stats_balance(self, small_sat_suite):
-        res = solve_on_machine(small_sat_suite[0], Torus((5, 5)), seed=5)
+        res = execute(sat_spec(small_sat_suite[0], seed=5), topology=Torus((5, 5)))
         stats = res.engine_stats
         assert stats.completions <= stats.invocations
         # every choice group either won or exhausted (drain mode: all settle)
@@ -61,14 +71,16 @@ class TestLayerInterchangeability:
         cnf = small_sat_suite[1]
         verdicts = set()
         for mapper in ("rr", "lbn", "random", "hint"):
-            res = solve_on_machine(cnf, Torus((4, 4)), mapper=mapper, seed=1)
-            verdicts.add(res.satisfiable)
+            res = execute(
+                sat_spec(cnf, mapper=mapper, seed=1), topology=Torus((4, 4)),
+            )
+            verdicts.add(res.verdict["sat"])
         assert verdicts == {True}
 
     def test_swap_topology(self, small_sat_suite):
         cnf = small_sat_suite[1]
         for topo in (Torus((3, 3)), Torus((2, 2, 2)), Hypercube(4)):
-            assert solve_on_machine(cnf, topo, seed=1).satisfiable
+            assert execute(sat_spec(cnf, seed=1), topology=topo).verdict["sat"]
 
     def test_swap_scheduler_policy(self):
         from repro.sched import FifoPolicy, PriorityPolicy
@@ -105,14 +117,20 @@ class TestLayerInterchangeability:
 class TestScalabilityDirection:
     def test_more_cores_help_saturated_workload(self, small_sat_suite):
         cnf = small_sat_suite[0]
-        small = solve_on_machine(cnf, Torus((3, 3)), seed=1, simplify="none")
-        large = solve_on_machine(cnf, Torus((10, 10)), seed=1, simplify="none")
+        small = execute(
+            sat_spec(cnf, seed=1, simplify="none"), topology=Torus((3, 3)),
+        )
+        large = execute(
+            sat_spec(cnf, seed=1, simplify="none"), topology=Torus((10, 10)),
+        )
         assert large.report.computation_time < small.report.computation_time
 
     def test_workload_is_machine_independent(self, small_sat_suite):
         # total application messages (tree size) should not depend on the
         # machine for static RR mapping
         cnf = small_sat_suite[0]
-        a = solve_on_machine(cnf, Torus((3, 3)), seed=1, simplify="none")
-        b = solve_on_machine(cnf, Torus((12, 12)), seed=1, simplify="none")
+        a = execute(sat_spec(cnf, seed=1, simplify="none"), topology=Torus((3, 3)))
+        b = execute(
+            sat_spec(cnf, seed=1, simplify="none"), topology=Torus((12, 12)),
+        )
         assert a.report.sent_total == b.report.sent_total

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.apps.sat import solve_on_machine, uf20_91_suite
+from repro.apps.sat import uf20_91_suite
+from repro.engine import RunSpec, execute
 from repro.errors import ApplicationError, SimulationError
 from repro.netsim import ShardProgramSpec
 from repro.netsim.digest import canonical_digest as canon
@@ -31,18 +32,23 @@ SCENARIOS = {
 }
 
 
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
+
+
 def run_uf20(shards, **kw):
     cnf = uf20_91_suite(1, seed=99)[0]
     bus = TelemetryBus()
     sub = bus.attach(MetricsSubscriber())
-    res = solve_on_machine(
-        cnf, Torus((4, 4)), simplify="none", seed=2017,
-        telemetry=bus, shards=shards, **kw,
+    res = execute(
+        sat_spec(cnf, simplify="none", seed=2017, shards=shards, **kw),
+        topology=Torus((4, 4)),
+        telemetry=bus,
     )
     rep = res.report
     digest = canon({
-        "sat": res.satisfiable,
-        "assignment": sorted(res.assignment.items()) if res.assignment else None,
+        "sat": res.verdict["sat"],
+        "assignment": res.verdict["assignment"] or None,
         "sent": rep.sent_total,
         "delivered": rep.delivered_total,
         "queued": rep.queued_series.tolist(),
@@ -81,14 +87,11 @@ class TestStackParity:
 
 def solve_ckpt(shards, resume_from=None, capture=None):
     cnf = uf20_91_suite(1, seed=99)[0]
-    kw = dict(mapper="rr", simplify="none", seed=2017, shards=shards,
-              checkpoint_every=50)
-    kw["checkpoint_sink"] = capture.append if capture is not None else (
-        lambda c: None
-    )
-    if resume_from is not None:
-        kw["resume_from"] = resume_from
-    return solve_on_machine(cnf, Torus((4, 4)), **kw)
+    spec = sat_spec(cnf, mapper="rr", simplify="none", seed=2017, shards=shards,
+                    checkpoint_every=50)
+    sink = capture.append if capture is not None else (lambda c: None)
+    return execute(spec, topology=Torus((4, 4)), checkpoint_sink=sink,
+                   resume_from=resume_from)
 
 
 class TestCheckpointAcrossShardCounts:
@@ -114,7 +117,7 @@ class TestCheckpointAcrossShardCounts:
         ]:
             resumed = solve_ckpt(resume_shards, resume_from=ckpt)
             assert resumed.state_digest == ref.state_digest
-            assert resumed.satisfiable == ref.satisfiable
+            assert resumed.verdict["sat"] == ref.verdict["sat"]
 
 
 class TestShardingGuards:
@@ -130,7 +133,9 @@ class TestShardingGuards:
     def test_random_heuristic_rejected(self):
         cnf = uf20_91_suite(1, seed=99)[0]
         with pytest.raises(ApplicationError, match="random"):
-            solve_on_machine(cnf, Torus((4, 4)), heuristic="random", shards=2)
+            execute(
+                sat_spec(cnf, heuristic="random", shards=2), topology=Torus((4, 4)),
+            )
 
     def test_fn_spec_threads_through_run_recursive(self):
         # run_recursive accepts an explicit picklable recipe for closures

@@ -8,11 +8,15 @@ machine reuse across many runs.
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.sat import solve_on_machine, uf20_91_suite
 from repro.apps.sumrec import calculate_sum, closed_form_sum
 from repro.apps.traversal import run_traversal, visited_nodes
+from repro.engine import RunSpec, execute
 from repro.recursion import Call, Result, Sync
 from repro.topology import FullyConnected, Hypercube, Ring, Torus
+
+
+def sat_spec(cnf, **knobs):
+    return RunSpec(workload="sat", workload_params=cnf.to_params(), **knobs)
 
 
 class TestLargeMachines:
@@ -30,18 +34,22 @@ class TestLargeMachines:
         assert report.steps <= 10 + 10 + 1
 
     def test_sat_on_1024_node_hypercube(self, small_sat_suite):
-        res = solve_on_machine(
-            small_sat_suite[0], Hypercube(10), mapper="lbn", seed=1,
-            simplify="none",
+        res = execute(
+            sat_spec(small_sat_suite[0], mapper="lbn", seed=1, simplify="none"),
+            topology=Hypercube(10),
         )
-        assert res.satisfiable and res.verified
+        assert res.verdict["sat"]
+        assert small_sat_suite[0].is_satisfied_by(dict(res.verdict["assignment"]))
 
     def test_sat_on_1000_node_fully_connected(self, small_sat_suite):
-        res = solve_on_machine(
-            small_sat_suite[0], FullyConnected(1000), mapper="random", seed=1,
-            simplify="none",
+        res = execute(
+            sat_spec(
+                small_sat_suite[0], mapper="random", seed=1, simplify="none",
+            ),
+            topology=FullyConnected(1000),
         )
-        assert res.satisfiable and res.verified
+        assert res.verdict["sat"]
+        assert small_sat_suite[0].is_satisfied_by(dict(res.verdict["assignment"]))
 
 
 class TestDeepRecursion:

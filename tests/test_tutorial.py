@@ -105,3 +105,70 @@ class TestTutorialSolver:
             stack = HyperspaceStack(Torus((3, 3)), **kw)
             best, _ = stack.run_recursive(mis, graph)
             assert len(best) == 3
+
+
+class TestTutorialWorkloadRecord:
+    """Section 8: MIS registered as a workload record, run via execute()."""
+
+    @pytest.fixture
+    def mis_workload(self):
+        from repro.workloads import WORKLOADS, Program, Workload
+
+        def check_mis_params(params):
+            if isinstance(params.get("n"), int) and isinstance(params.get("edges"), list):
+                return None
+            return (
+                "workload 'mis' needs workload_params {'n', 'edges'}, "
+                f"got {sorted(params)}"
+            )
+
+        def build_mis(spec, **_attachments):
+            n = spec.workload_params["n"]
+            edges = tuple(tuple(e) for e in spec.workload_params["edges"])
+            return Program(fn=mis, args=MisProblem(n, edges, alive=tuple(range(n))))
+
+        def reference_mis(params, _topology):
+            best = sequential_mis(params["n"], [tuple(e) for e in params["edges"]])
+            return {"kind": "mis", "size": len(best)}
+
+        WORKLOADS["mis"] = Workload(
+            name="mis",
+            default_params={"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
+            check_params=check_mis_params,
+            build=build_mis,
+            verdict=lambda raw: {"chosen": sorted(raw)},
+            coarse=lambda verdict: {"kind": "mis", "size": len(verdict["chosen"])},
+            reference=reference_mis,
+        )
+        try:
+            yield WORKLOADS["mis"]
+        finally:
+            del WORKLOADS["mis"]
+
+    def test_record_runs_serial_and_sharded(self, mis_workload):
+        from repro import RunSpec, execute
+
+        spec = RunSpec(workload="mis", workload_params=mis_workload.default_params,
+                       topology="torus2d:4x4", mapper="lbn")
+        serial = execute(spec)
+        sharded = execute(spec.with_(shards=2, shard_backend="inline"))
+        assert serial.verdict == sharded.verdict
+        assert serial.verdict["kind"] == "mis" and len(serial.verdict["chosen"]) == 2
+        assert serial.schedule_digest() == sharded.schedule_digest()
+        assert mis_workload.verify(spec.workload_params, None, serial.verdict) is None
+
+    def test_validator_speaks_for_the_record(self, mis_workload):
+        from repro import RunSpec
+        from repro.engine import violations
+
+        bad = violations(RunSpec(workload="mis", workload_params={"n": 5},
+                                 topology="ring:4"))
+        assert bad[0][0] == "workload-params"
+        assert "needs workload_params" in bad[0][1]
+
+    def test_unregistered_name_is_unknown_again(self):
+        from repro import RunSpec
+        from repro.engine import violations
+
+        codes = [code for code, _ in violations(RunSpec(workload="mis"))]
+        assert codes[0] == "workload"

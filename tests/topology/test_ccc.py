@@ -83,12 +83,15 @@ class TestCubeRelation:
 
 class TestSolverOnCcc:
     def test_sat_solves(self, small_sat_suite):
-        from repro.apps.sat import solve_on_machine
+        from repro.engine import RunSpec, execute
 
-        res = solve_on_machine(
-            small_sat_suite[0], CubeConnectedCycles(4), mapper="lbn", seed=1
+        cnf = small_sat_suite[0]
+        spec = RunSpec(
+            workload="sat", workload_params=cnf.to_params(), mapper="lbn", seed=1
         )
-        assert res.satisfiable and res.verified
+        res = execute(spec, topology=CubeConnectedCycles(4))
+        assert res.verdict["sat"]
+        assert cnf.is_satisfied_by(dict(res.verdict["assignment"]))
 
     def test_traversal(self):
         from repro.apps.traversal import run_traversal, visited_nodes

@@ -115,9 +115,12 @@ class TestFromNetworkx:
             from_networkx(nx.DiGraph([(0, 1)]))
 
     def test_solver_on_petersen(self):
-        from repro.apps.sat import solve_on_machine, uf20_91_suite
+        from repro.apps.sat import uf20_91_suite
+        from repro.engine import RunSpec, execute
 
         topo = from_networkx(nx.petersen_graph(), name="petersen")
         cnf = uf20_91_suite(1, seed=55)[0]
-        res = solve_on_machine(cnf, topo, seed=1)
-        assert res.satisfiable and res.verified
+        spec = RunSpec(workload="sat", workload_params=cnf.to_params(), seed=1)
+        res = execute(spec, topology=topo)
+        assert res.verdict["sat"]
+        assert cnf.is_satisfied_by(dict(res.verdict["assignment"]))

@@ -1,22 +1,25 @@
-"""Entry-point lint: machines are assembled only inside ``repro.engine``.
+"""Entry-point lint: every machine is assembled on the one path.
 
-The engine refactor funnels every run — CLI, library shim, conformance
-oracle, benches, trace capture — through one place:
-``repro.engine.execute`` is the only production code allowed to build a
-:class:`~repro.stack.HyperspaceStack` or a
-:class:`~repro.netsim.sharded.ShardedMachine`.  Any other construction
-site silently forks the capability rules (which knob combinations are
-legal, how defaults are resolved, what the checkpoint header records), so
-this lint walks the AST of every production Python file and fails on a
-call to either constructor outside a short allowlist.
+A run is assembled in exactly one sequence — ``repro.engine.execute``
+builds a :class:`~repro.stack.HyperspaceStack`, and the stack's single
+machine builder constructs the layer-1
+:class:`~repro.netsim.Machine` or
+:class:`~repro.netsim.sharded.ShardedMachine` under it.  Any other
+construction site silently forks the capability rules (which knob
+combinations are legal, how defaults are resolved, what the checkpoint
+header records, who closes the shard workers), so this lint walks the
+AST of every production Python file and fails on a call to one of the
+three constructors outside that constructor's own short allowlist
+(see ``ALLOWED``):
 
-Allowlisted (see ``ALLOWED``):
-
-* ``src/repro/engine.py`` — the funnel itself;
-* ``src/repro/stack.py`` — defines ``HyperspaceStack`` (its docstring
-  examples construct one);
-* ``benchmarks/record_baseline.py`` — measures the raw sharded
-  *coordinator loop* (a layer-1 microbenchmark below the spec level).
+* ``HyperspaceStack(`` — ``src/repro/engine.py``, the funnel itself;
+* ``ShardedMachine(`` — ``src/repro/stack.py`` (the machine builder) and
+  ``benchmarks/record_baseline.py``, which measures the raw sharded
+  *coordinator loop* (a layer-1 microbenchmark below the spec level);
+* ``Machine(`` — ``src/repro/stack.py`` (the machine builder),
+  ``src/repro/apps/traversal.py`` (the Listing-1 teaching helper) and
+  the layer-1 microbenchmarks ``benchmarks/record_baseline.py`` /
+  ``benchmarks/bench_microbenchmarks.py``.
 
 Tests and ``examples/`` are out of scope: they exercise the stack
 directly on purpose (white-box digests, teaching material).
@@ -39,15 +42,21 @@ from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: constructors that assemble a machine
-FORBIDDEN = ("HyperspaceStack", "ShardedMachine")
-
-#: production files allowed to construct them, relative to the root
-ALLOWED = (
-    "src/repro/engine.py",
-    "src/repro/stack.py",
-    "benchmarks/record_baseline.py",
-)
+#: constructor -> the production files allowed to call it (relative to
+#: the root); anything that assembles a machine is listed here
+ALLOWED = {
+    "HyperspaceStack": ("src/repro/engine.py",),
+    "ShardedMachine": (
+        "src/repro/stack.py",
+        "benchmarks/record_baseline.py",
+    ),
+    "Machine": (
+        "src/repro/stack.py",
+        "src/repro/apps/traversal.py",
+        "benchmarks/record_baseline.py",
+        "benchmarks/bench_microbenchmarks.py",
+    ),
+}
 
 #: production trees the lint walks (tests/ and examples/ are exempt)
 SCANNED = ("src/repro", "benchmarks", "tools")
@@ -64,7 +73,7 @@ def _called_name(node: ast.Call) -> str:
 
 
 def scan_file(path: Path) -> Iterator[Tuple[int, str]]:
-    """Yield ``(lineno, constructor)`` for each forbidden call in ``path``."""
+    """Yield ``(lineno, constructor)`` for each constructor call in ``path``."""
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
     except SyntaxError as exc:  # a broken file is its own CI failure
@@ -72,25 +81,25 @@ def scan_file(path: Path) -> Iterator[Tuple[int, str]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = _called_name(node)
-            if name in FORBIDDEN:
+            if name in ALLOWED:
                 yield node.lineno, name
 
 
 def check(root: Path) -> List[str]:
     """All violations under ``root``, as ready-to-print strings."""
-    allowed = {root / rel for rel in ALLOWED}
     violations: List[str] = []
     for tree in SCANNED:
         base = root / tree
         if not base.exists():
             continue
         for path in sorted(base.rglob("*.py")):
-            if path in allowed:
-                continue
+            rel = path.relative_to(root).as_posix()
             for lineno, name in scan_file(path):
+                if rel in ALLOWED[name]:
+                    continue
                 violations.append(
-                    f"{path.relative_to(root)}:{lineno}: {name}(...) constructed "
-                    "outside repro.engine — route this run through "
+                    f"{rel}:{lineno}: {name}(...) constructed off the one "
+                    "assembly path — route this run through "
                     "repro.engine.execute (or extend ALLOWED in "
                     "tools/check_entrypoints.py with a justification)"
                 )
@@ -112,7 +121,7 @@ def main(argv=None) -> int:
             f"entry-point lint: {len(violations)} violation(s)", file=sys.stderr
         )
         return 1
-    print("entry-point lint: ok (machines assembled only in repro.engine)")
+    print("entry-point lint: ok (machines assembled only on the engine's path)")
     return 0
 
 

@@ -28,8 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.apps.sat import solve_on_machine
 from repro.apps.sat.generator import uf20_91_suite
+from repro.engine import RunSpec, execute
 from repro.netsim.digest import canonical_digest
 from repro.topology import Torus
 
@@ -45,8 +45,8 @@ CHECKPOINT_EVERY = 10
 def fingerprint(res) -> str:
     """Everything a resumed run must reproduce, as one short digest."""
     return canonical_digest({
-        "sat": res.satisfiable,
-        "model": sorted(res.assignment.items()) if res.assignment else None,
+        "sat": res.verdict["sat"],
+        "model": res.verdict["assignment"] or None,
         "steps": res.report.steps,
         "sent": res.report.sent_total,
         "delivered": res.report.delivered_total,
@@ -56,15 +56,17 @@ def fingerprint(res) -> str:
 
 def run_config(name: str, overrides: dict, workdir: Path) -> int:
     cnf = uf20_91_suite(1, seed=2017)[0]
-    kwargs = dict(
-        topology=Torus((6, 6)), simplify="none", seed=1, **overrides
+    spec = RunSpec(
+        workload="sat", workload_params=cnf.to_params(), simplify="none", seed=1,
+        **overrides,
     )
+    topology = Torus((6, 6))
     ckpt_dir = workdir / name
-    ref = solve_on_machine(
-        cnf, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=ckpt_dir,
-        **kwargs,
+    ref = execute(
+        spec.with_(checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=str(ckpt_dir)),
+        topology=topology,
     )
-    if not ref.verified:
+    if not cnf.is_satisfied_by(dict(ref.verdict["assignment"])):
         print(f"[FAIL] {name}: reference model does not satisfy the formula")
         return 1
     want = fingerprint(ref)
@@ -76,7 +78,7 @@ def run_config(name: str, overrides: dict, workdir: Path) -> int:
 
     failures = 0
     for label, path in picks.items():
-        resumed = solve_on_machine(cnf, resume_from=path, **kwargs)
+        resumed = execute(spec, topology=topology, resume_from=path)
         got = fingerprint(resumed)
         ok = got == want
         status = "ok" if ok else "FAIL"
