@@ -43,14 +43,13 @@ from .fuzzer import (
 )
 from .oracle import MODE_NAMES, CheckResult, Discrepancy, check_config
 from .shrink import shrink_config
-from .space import DEFAULT_CONFIG, FuzzConfig, sample_configs
+from .space import DEFAULT_CONFIG, sample_configs
 
 __all__ = [
     "ArtifactError",
     "CheckResult",
     "DEFAULT_CONFIG",
     "Discrepancy",
-    "FuzzConfig",
     "FuzzReport",
     "MODE_NAMES",
     "check_config",

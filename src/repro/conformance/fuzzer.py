@@ -6,7 +6,8 @@ any discrepancy to a minimal config (re-checking that the *same* mode
 and comparison kind still fail, so shrinking cannot drift onto a
 different bug) and write it as a replayable JSON artifact.
 
-An artifact is self-contained: the exact :class:`FuzzConfig`, the mode
+An artifact is self-contained: the exact fuzz point (a
+:class:`~repro.engine.RunSpec` as ``to_dict()``), the mode
 and comparison that disagreed, and the mode restriction in effect — so
 ``repro fuzz --replay <artifact>`` re-runs the oracle on precisely that
 configuration, deterministically, on any machine.  The pinned corpus
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..engine import RunSpec, validate
 from ..errors import ReproError
 from .oracle import CheckResult, Discrepancy, check_config
 from .shrink import shrink_config
-from .space import FuzzConfig, sample_configs
+from .space import sample_configs
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -37,7 +39,8 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "repro-conformance-repro"
-ARTIFACT_VERSION = 1
+#: 2: the embedded config is a ``RunSpec.to_dict()`` payload
+ARTIFACT_VERSION = 2
 
 
 class ArtifactError(ReproError):
@@ -52,7 +55,7 @@ def save_artifact(
     discrepancy: Discrepancy,
     *,
     modes: Optional[Sequence[str]] = None,
-    original: Optional[FuzzConfig] = None,
+    original: Optional[RunSpec] = None,
 ) -> Path:
     """Write a replayable artifact for ``discrepancy``; returns the path.
 
@@ -122,11 +125,9 @@ def replay_artifact(
     ``repro solve`` and :func:`repro.engine.execute` would give, instead
     of being reported as a mode "crash" discrepancy.
     """
-    from ..engine import validate
-
     payload = load_artifact(path)
     disc: Discrepancy = payload["discrepancy"]
-    validate(disc.config.to_runspec().with_(shards=1, checkpoint_every=None))
+    validate(disc.config.with_(shards=1, checkpoint_every=None))
     return check_config(
         disc.config, modes=payload.get("modes"), shard_backend=shard_backend
     )
@@ -228,7 +229,7 @@ def run_fuzz(
         if shrink:
             matches = _same_failure(disc)
 
-            def still_fails(candidate: FuzzConfig) -> bool:
+            def still_fails(candidate: RunSpec) -> bool:
                 return matches(
                     check(candidate, modes=modes, shard_backend=shard_backend)
                 )

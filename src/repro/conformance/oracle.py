@@ -1,6 +1,6 @@
 """The differential oracle: run every applicable mode, demand agreement.
 
-For one sampled :class:`~repro.conformance.space.FuzzConfig` the oracle
+For one sampled fuzz point (a :class:`~repro.engine.RunSpec`) the oracle
 runs the serial baseline and then every other applicable execution mode,
 asserting per mode:
 
@@ -35,7 +35,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .space import FuzzConfig
+from ..engine import RunSpec
 from .workloads import RunOutcome, applicable_modes, check_reference, run_mode
 
 __all__ = ["CheckResult", "Discrepancy", "MODE_NAMES", "check_config"]
@@ -48,7 +48,7 @@ MODE_NAMES = ("serial", "sharded", "resume", "fault_free", "reference")
 class Discrepancy:
     """One observed disagreement between execution modes (plain data)."""
 
-    config: FuzzConfig
+    config: RunSpec
     #: the mode that disagreed with the serial baseline
     mode: str
     #: what disagreed: verdict | schedule_digest | state_digest |
@@ -67,7 +67,7 @@ class Discrepancy:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Discrepancy":
         return cls(
-            config=FuzzConfig.from_dict(data["config"]),
+            config=RunSpec.from_dict(data["config"]),
             mode=data["mode"],
             kind=data["kind"],
             detail=data["detail"],
@@ -78,7 +78,7 @@ class Discrepancy:
 class CheckResult:
     """Everything one oracle invocation learned about one config."""
 
-    config: FuzzConfig
+    config: RunSpec
     #: modes that actually ran/compared (skipped modes excluded)
     modes_run: List[str] = field(default_factory=list)
     discrepancy: Optional[Discrepancy] = None
@@ -101,7 +101,7 @@ def _dict_diff(want: Dict[str, Any], got: Dict[str, Any], limit: int = 4) -> str
 
 
 def _compare(
-    config: FuzzConfig, baseline: RunOutcome, other: RunOutcome, *, counters: bool
+    config: RunSpec, baseline: RunOutcome, other: RunOutcome, *, counters: bool
 ) -> Optional[Discrepancy]:
     """Full-equality comparison of one mode against the serial baseline."""
     if other.verdict != baseline.verdict:
@@ -131,7 +131,7 @@ def _compare(
 
 
 def check_config(
-    config: FuzzConfig,
+    config: RunSpec,
     *,
     modes: Optional[Sequence[str]] = None,
     shard_backend: str = "inline",

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from ..engine import RunSpec
 from ..workloads import WORKLOADS
-from .space import DEFAULT_CONFIG, DIMENSIONS, FuzzConfig
+from .space import DEFAULT_CONFIG, DIMENSIONS
 
 __all__ = ["shrink_config"]
 
@@ -37,7 +38,7 @@ __all__ = ["shrink_config"]
 class _Budget:
     """Counts predicate evaluations; the shrinker stops when exhausted."""
 
-    def __init__(self, failing: Callable[[FuzzConfig], bool], max_evals: int) -> None:
+    def __init__(self, failing: Callable[[RunSpec], bool], max_evals: int) -> None:
         self._failing = failing
         self.remaining = max_evals
 
@@ -45,14 +46,14 @@ class _Budget:
     def exhausted(self) -> bool:
         return self.remaining <= 0
 
-    def fails(self, config: FuzzConfig) -> bool:
+    def fails(self, config: RunSpec) -> bool:
         if self.exhausted:
             return False
         self.remaining -= 1
         return bool(self._failing(config))
 
 
-def _default_candidate(config: FuzzConfig, dim: str) -> Optional[FuzzConfig]:
+def _default_candidate(config: RunSpec, dim: str) -> Optional[RunSpec]:
     """``config`` with ``dim`` moved to its default, or None if already there."""
     default = getattr(DEFAULT_CONFIG, dim)
     if getattr(config, dim) == default:
@@ -64,7 +65,7 @@ def _default_candidate(config: FuzzConfig, dim: str) -> Optional[FuzzConfig]:
     return config.with_(**changes)
 
 
-def _sweep_dimensions(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
+def _sweep_dimensions(config: RunSpec, budget: _Budget) -> RunSpec:
     changed = True
     while changed and not budget.exhausted:
         changed = False
@@ -79,7 +80,7 @@ def _sweep_dimensions(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
 # -- size minimisation ------------------------------------------------------
 
 
-def _shrink_size(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
+def _shrink_size(config: RunSpec, budget: _Budget) -> RunSpec:
     # a canonical repro beats a merely small one: params already at (or
     # movable to) the workload default end the size phase right there
     record = WORKLOADS[config.workload]
@@ -98,11 +99,11 @@ def _shrink_size(config: FuzzConfig, budget: _Budget) -> FuzzConfig:
 
 
 def shrink_config(
-    config: FuzzConfig,
-    failing: Callable[[FuzzConfig], bool],
+    config: RunSpec,
+    failing: Callable[[RunSpec], bool],
     *,
     max_evals: int = 400,
-) -> FuzzConfig:
+) -> RunSpec:
     """Reduce ``config`` to a minimal configuration still satisfying
     ``failing``.
 

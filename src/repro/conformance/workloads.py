@@ -1,4 +1,4 @@
-"""Mode adapters: run one :class:`FuzzConfig` in one execution mode.
+"""Mode adapters: run one fuzz point in one execution mode.
 
 Every adapter returns a :class:`RunOutcome` with the four comparands the
 oracle differences across modes:
@@ -19,7 +19,7 @@ oracle differences across modes:
   registry (shard-only partition counters removed, gauge ``last`` popped).
 
 The serial adapter doubles as the checkpoint producer: when the config
-carries a ``ckpt_step`` it captures the in-flight checkpoints so the
+carries a ``checkpoint_every`` it captures the in-flight checkpoints so the
 resume adapter can restart from the first one and the oracle can demand
 the resumed run land on the identical final outcome.
 """
@@ -29,13 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .. import engine
-from ..engine import INCOMPLETE, execute
+from ..engine import INCOMPLETE, RunSpec, checkpointable, execute, shardable
 from ..telemetry import TelemetryBus
 from ..telemetry.metrics import MetricsSubscriber
 from ..topology import topology_from_spec
 from ..workloads import WORKLOADS
-from .space import FuzzConfig
 
 __all__ = [
     "RunOutcome",
@@ -78,40 +76,21 @@ class RunOutcome:
 # -- applicability ----------------------------------------------------------
 
 
-def checkpointable(config: FuzzConfig) -> bool:
-    """Can this config run under checkpoint/resume?
-
-    Delegates to the capability-rule table in :mod:`repro.engine` — the
-    same rules that reject the combination with an exit-2 error in
-    ``repro solve`` and a :class:`~repro.errors.SpecError` in the library
-    (``traversal`` is a bare layer-1 program outside the layer-2 snapshot
-    protocol; the ``"random"`` SAT heuristic shares one RNG stream).
-    """
-    return engine.checkpointable(config.to_runspec())
-
-
-def shardable(config: FuzzConfig) -> bool:
-    """Can this config run on the sharded backend?
-
-    Delegates to :func:`repro.engine.shardable`: everything except the
-    shared-RNG ``"random"`` SAT heuristic (each worker would hold its own
-    copy and the draws would diverge).
-    """
-    return engine.shardable(config.to_runspec())
-
-
-def applicable_modes(config: FuzzConfig) -> List[str]:
+def applicable_modes(config: RunSpec) -> List[str]:
     """The execution modes the oracle will run for ``config``.
 
     ``serial`` is always first (it is the baseline the others are compared
     against).  ``fault_free`` and ``reference`` are comparison runs, not
     alternate backends: the former re-runs a reliability-protected faulty
     config on clean links, the latter consults the sequential solver.
+    Whether ``sharded`` and ``resume`` apply is the engine's capability
+    table's call — the same rules that reject the combination with an
+    exit-2 error in ``repro solve``.
     """
     modes = ["serial"]
     if config.shards > 1 and shardable(config):
         modes.append("sharded")
-    if config.ckpt_step is not None and checkpointable(config):
+    if config.checkpoint_every is not None and checkpointable(config):
         modes.append("resume")
     faulty = config.drop > 0.0 or config.duplicate > 0.0
     if faulty and config.reliable:
@@ -140,7 +119,7 @@ def _filter_counters(sub: MetricsSubscriber) -> Dict[str, Dict[str, Any]]:
 # -- the sequential references ---------------------------------------------
 
 
-def check_reference(config: FuzzConfig, outcome: RunOutcome) -> Optional[str]:
+def check_reference(config: RunSpec, outcome: RunOutcome) -> Optional[str]:
     """Compare a completed clean/protected run against ground truth.
 
     Returns an error string on mismatch, None when the run agrees (or no
@@ -160,7 +139,7 @@ def check_reference(config: FuzzConfig, outcome: RunOutcome) -> Optional[str]:
 
 
 def run_mode(
-    config: FuzzConfig,
+    config: RunSpec,
     mode: str,
     *,
     shard_backend: str = "inline",
@@ -173,16 +152,16 @@ def run_mode(
     first checkpoint boundary yields no checkpoint, and the mode returns
     None).  ``fault_free`` reruns the config serially on clean links.
 
-    The mode pins the backend knobs on top of the config's canonical run
-    (``to_runspec``) and decides whether this run *produces* checkpoints:
-    only the serial baseline captures them, and only when the capability
+    The mode pins the backend knobs on top of the config and decides
+    whether this run *produces* checkpoints: only the serial baseline
+    captures them, and only when the capability
     rules allow it (a spec carrying ``checkpoint_every`` for an
     uncheckpointable workload is rejected by
     :func:`~repro.engine.validate`, by design).
     """
     shards, capture, resume_from = 1, False, None
     if mode == "serial":
-        capture = config.ckpt_step is not None and checkpointable(config)
+        capture = config.checkpoint_every is not None and checkpointable(config)
     elif mode == "sharded":
         shards = config.shards
     elif mode == "resume":
@@ -193,10 +172,10 @@ def run_mode(
         config = config.with_(drop=0.0, duplicate=0.0, reliable=False)
     else:
         raise ValueError(f"unknown execution mode {mode!r}")
-    spec = config.to_runspec().with_(
+    spec = config.with_(
         shards=shards,
         shard_backend=shard_backend,
-        checkpoint_every=config.ckpt_step if capture else None,
+        checkpoint_every=config.checkpoint_every if capture else None,
     )
     bus = TelemetryBus()
     sub = bus.attach(MetricsSubscriber())

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import SpecError, TopologyError
 from .netsim.digest import canonical_digest
+from .netsim.sharded import FIFO_ONLY_MSG
 from .stack import HyperspaceStack
 from .state import state_digest_of
 from .topology import Topology, topology_from_spec
@@ -239,6 +240,8 @@ def shard_blockers(spec: RunSpec) -> List[str]:
         blockers.append(reason)
     if spec.share_threshold is not None:
         blockers.append(_SHARE_SHARD_MSG)
+    if spec.queue_policy != "fifo" or spec.queue_capacity is not None:
+        blockers.append(FIFO_ONLY_MSG)
     return blockers
 
 
@@ -394,7 +397,8 @@ RULES: Tuple[Rule, ...] = (
     Rule("shard-backend", "shard_backend is auto/process/inline",
          lambda s: _enum(s.shard_backend, _SHARD_BACKENDS, "shard_backend")),
     Rule("shard-capability",
-         "sharding excludes the shared-RNG 'random' heuristic and work sharing",
+         "sharding excludes the shared-RNG 'random' heuristic, work sharing "
+         "and non-default inboxes",
          _check_shard_capability),
 )
 

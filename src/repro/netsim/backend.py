@@ -11,7 +11,7 @@ Semantics implemented here (and verified by tests):
 
 * one message popped per *non-empty-at-step-start* queue per step;
 * messages sent while handling step *t* are enqueued immediately but cannot
-  be popped before step *t+1*;
+  be popped before step *t+1*, whatever the inbox's pop order;
 * sends are restricted to topology neighbours (the paper assumes "messages
   can be communicated between adjacent cores only") unless the topology is
   fully connected — violations raise :class:`AdjacencyError`;
@@ -147,6 +147,13 @@ class Machine:
         else:
             self._push_fns = None
             self._pop_fns = [inbox.pop for inbox in self._inboxes]
+        #: LIFO/random inboxes are sealed when a step snapshots them, so they
+        #: cannot pop a message pushed during that step's delivery round;
+        #: FIFO's oldest message always predates it
+        self._seal_fns = (
+            None if queue_policy == "fifo"
+            else [inbox.seal for inbox in self._inboxes]
+        )
         self._faults = faults
         self._size_fn = size_fn
         self._enforce_adjacency = enforce_adjacency
@@ -434,8 +441,7 @@ class Machine:
         if self._poll_requests:
             polled = sorted(self._poll_requests)
             self._poll_requests.clear()
-            for node in polled:
-                self.program.on_step(self._contexts[node])
+            self._poll_round(step, polled)
         # Snapshot which queues may deliver this step (sends during the step
         # must wait until the next one).  The active list is only re-sorted
         # when nodes were added since the last step; handler order within a
@@ -444,55 +450,21 @@ class Machine:
         if self._active_dirty:
             active.sort()
             self._active_dirty = False
-        # The first n0 entries are this step's snapshot; sends made while
-        # handling it append past n0.  Survivors compact in place below the
-        # read cursor, then the drained gap is deleted — no list churn.
+        # The first n0 entries are this step's delivery set (one pop per
+        # non-empty-at-step-start queue, ascending node id); sends made
+        # while handling it append past n0.
         n0 = len(active)
         tel = self._telemetry
         if n0:
-            pop_fns = self._pop_fns
-            contexts = self._contexts
-            depths = self._depths
-            on_message = self.program.on_message
-            if tel is None or not tel.want_events:
-                # Batched kernel: the snapshot slice *is* this step's
-                # delivery set (one pop per non-empty-at-step-start queue,
-                # ascending node id), so per-delivery trace bookkeeping is
-                # hoisted into one on_deliver_batch call after the pass.
-                delivered = active[:n0]
-                write = 0
-                for node in delivered:
-                    env = pop_fns[node]()
-                    depth = depths[node] - 1
-                    depths[node] = depth
-                    if depth:
-                        active[write] = node
-                        write += 1
-                    on_message(contexts[node], env.src, env.payload)
-                if write != n0:
-                    del active[write:n0]
-                self.trace.on_deliver_batch(delivered, step)
-            else:
-                # Faithful kernel: a subscriber retains events, so the
-                # per-delivery record must interleave with handler sends to
-                # keep the published stream causally ordered (the order the
-                # trace-subsumption tests pin).
-                on_deliver = self.trace.on_deliver
-                record = tel.record
-                write = 0
-                for read in range(n0):
-                    node = active[read]
-                    env = pop_fns[node]()
-                    depth = depths[node] - 1
-                    depths[node] = depth
-                    if depth:
-                        active[write] = node
-                        write += 1
-                    on_deliver(node, step)
-                    record(step, 1, "deliver", node)
-                    on_message(contexts[node], env.src, env.payload)
-                if write != n0:
-                    del active[write:n0]
+            delivered = active[:n0]
+            if self._seal_fns is not None:
+                self._seal_snapshot(delivered)
+            # a subscriber that retains events gets one record per delivery,
+            # ahead of that handler's sends, so the published stream stays
+            # causally ordered; everyone else gets the per-step counter below
+            record = tel.record if tel is not None and tel.want_events else None
+            self._delivery_round(step, delivered, record)
+            self.trace.on_deliver_batch(delivered, step)
             self._queued_count -= n0
         # Flush deferred protocol acknowledgements (piggyback window closes
         # with the step; standalone acks keep the same next-step arrival as
@@ -521,6 +493,56 @@ class Machine:
             tel.flush()
         return n0
 
+    def _seal_snapshot(self, nodes: List[NodeId]) -> None:
+        """Fix what each snapshot inbox may pop this step (non-FIFO orders
+        could otherwise pick a message sent during the delivery round)."""
+        seal_fns = self._seal_fns
+        for node in nodes:
+            seal_fns[node]()
+
+    # The two handler rounds of a step.  Everything else in ``step`` is
+    # layer-1 state kept here; a backend that runs handlers elsewhere (the
+    # sharded coordinator) overrides these two and nothing more.
+
+    def _poll_round(self, step: int, polled: List[NodeId]) -> None:
+        """Run ``program.on_step`` for the nodes that asked to be polled."""
+        on_step = self.program.on_step
+        contexts = self._contexts
+        for node in polled:
+            on_step(contexts[node])
+
+    def _delivery_round(
+        self,
+        step: int,
+        delivered: List[NodeId],
+        record: Optional[Callable[..., None]],
+    ) -> None:
+        """Pop one message per node of ``delivered`` and run its handler.
+
+        Survivors (inboxes still non-empty) compact in place below the read
+        cursor of the active list, then the drained gap is deleted — no
+        list churn.  ``record`` is the bus's per-event hook, or None.
+        """
+        active = self._active
+        pop_fns = self._pop_fns
+        contexts = self._contexts
+        depths = self._depths
+        on_message = self.program.on_message
+        write = 0
+        for node in delivered:
+            env = pop_fns[node]()
+            depth = depths[node] - 1
+            depths[node] = depth
+            if depth:
+                active[write] = node
+                write += 1
+            if record is not None:
+                record(step, 1, "deliver", node)
+            on_message(contexts[node], env.src, env.payload)
+        n0 = len(delivered)
+        if write != n0:
+            del active[write:n0]
+
     def run(
         self,
         max_steps: int = 1_000_000,
@@ -533,17 +555,34 @@ class Machine:
         With ``checkpoint_every=k``, ``checkpoint_sink(self)`` is called at
         every k-th step boundary (after the step completed, before the
         next begins) — the hook the stack uses to snapshot every layer.
-        The default (``None``) keeps the original tight loop: checkpointing
-        off adds zero per-step cost on the batched kernel path.
+        Checkpointing adds no per-step test: the loop below runs to the
+        next boundary (or to ``max_steps``) and the sink is called between
+        boundaries.
         """
         if max_steps < 0:
             raise SimulationError(f"max_steps must be >= 0, got {max_steps}")
+        if checkpoint_every is not None:
+            if checkpoint_every < 1:
+                raise SimulationError(
+                    f"checkpoint_every must be >= 1 or None, got {checkpoint_every}"
+                )
+            if checkpoint_sink is None:
+                raise SimulationError("checkpoint_every requires a checkpoint_sink")
         executed = self.current_step + 1
         step = self.step
         rel = self._reliability
-        if checkpoint_every is None:
+        while True:
+            # step numbering is absolute (resumes continue it), so a run
+            # resumed from step k checkpoints at the same boundaries the
+            # uninterrupted run would
+            boundary = (
+                max_steps
+                if checkpoint_every is None
+                else executed - executed % checkpoint_every + checkpoint_every
+            )
+            stop = min(boundary, max_steps)
             while (
-                executed < max_steps
+                executed < stop
                 and not self._halted
                 and (
                     self._queued_count
@@ -554,31 +593,9 @@ class Machine:
             ):
                 step()
                 executed += 1
-            return self.report()
-        if checkpoint_every < 1:
-            raise SimulationError(
-                f"checkpoint_every must be >= 1 or None, got {checkpoint_every}"
-            )
-        if checkpoint_sink is None:
-            raise SimulationError("checkpoint_every requires a checkpoint_sink")
-        while (
-            executed < max_steps
-            and not self._halted
-            and (
-                self._queued_count
-                or self._in_flight_count
-                or self._poll_requests
-                or (rel is not None and rel.pending)
-            )
-        ):
-            step()
-            executed += 1
-            # step numbering is absolute (resumes continue it), so a run
-            # resumed from step k checkpoints at the same boundaries the
-            # uninterrupted run would
-            if (self.current_step + 1) % checkpoint_every == 0:
-                checkpoint_sink(self)
-        return self.report()
+            if checkpoint_every is None or executed < boundary:
+                return self.report()
+            checkpoint_sink(self)
 
     def report(self) -> SimulationReport:
         """Snapshot the current trace into a :class:`SimulationReport`."""

@@ -79,20 +79,36 @@ class FifoInbox(Inbox):
         return iter(self._q)
 
 
-class LifoInbox(Inbox):
-    """Last-in first-out inbox — depth-first-flavoured delivery order."""
+class _SealableInbox(Inbox):
+    """List-backed inbox whose pop order is not arrival order.
 
-    __slots__ = ("_q",)
+    Pushes append, so the messages present when :meth:`seal` was called
+    are the first ``_sealed`` entries, and the next pop takes one of
+    those: the machine seals an inbox at the start of a step's delivery
+    round, which keeps "sent during step *t*, deliverable from *t+1*"
+    true whatever the pop order.  An unsealed inbox pops among everything
+    it holds.
+    """
+
+    __slots__ = ("_q", "_sealed")
 
     def __init__(self, capacity: Optional[int] = None, overflow: str = "raise") -> None:
         super().__init__(capacity, overflow)
         self._q: List[Envelope] = []
+        self._sealed = 0
+
+    def seal(self) -> None:
+        """Restrict the next pop to the messages queued right now."""
+        self._sealed = len(self._q)
+
+    def _newest_eligible(self) -> int:
+        """Index of the newest message the next pop may take (one pop per seal)."""
+        newest = (self._sealed or len(self._q)) - 1
+        self._sealed = 0
+        return newest
 
     def _store(self, env: Envelope) -> None:
         self._q.append(env)
-
-    def pop(self) -> Envelope:
-        return self._q.pop()
 
     def __len__(self) -> int:
         return len(self._q)
@@ -101,10 +117,19 @@ class LifoInbox(Inbox):
         return iter(self._q)
 
 
-class RandomInbox(Inbox):
+class LifoInbox(_SealableInbox):
+    """Last-in first-out inbox — depth-first-flavoured delivery order."""
+
+    __slots__ = ()
+
+    def pop(self) -> Envelope:
+        return self._q.pop(self._newest_eligible())
+
+
+class RandomInbox(_SealableInbox):
     """Uniform-random pop order (seeded) — models unordered networks."""
 
-    __slots__ = ("_q", "_rng")
+    __slots__ = ("_rng",)
 
     def __init__(
         self,
@@ -113,22 +138,14 @@ class RandomInbox(Inbox):
         overflow: str = "raise",
     ) -> None:
         super().__init__(capacity, overflow)
-        self._q: List[Envelope] = []
         self._rng = rng
 
-    def _store(self, env: Envelope) -> None:
-        self._q.append(env)
-
     def pop(self) -> Envelope:
-        i = self._rng.randrange(len(self._q))
-        self._q[i], self._q[-1] = self._q[-1], self._q[i]
-        return self._q.pop()
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __iter__(self) -> Iterator[Envelope]:
-        return iter(self._q)
+        q = self._q
+        newest = self._newest_eligible()
+        i = self._rng.randrange(newest + 1)
+        q[i], q[newest] = q[newest], q[i]
+        return q.pop(newest)
 
 
 def make_inbox(

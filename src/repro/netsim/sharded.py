@@ -8,8 +8,9 @@ the reliability protocol, the trace recorder, message-id allocation and
 the machine RNG.  Workers own only what the node *programs* store in
 their contexts (layers 2-5).
 
-The design is function shipping, not state exchange.  Each step runs the
-same two phases as :meth:`repro.netsim.Machine.step`:
+The design is function shipping, not state exchange.  The step kernel is
+:meth:`repro.netsim.Machine.step` itself; the coordinator overrides only
+its two handler rounds:
 
 1. **poll round** — nodes that requested a step callback are dispatched
    to their owning shards; workers run ``program.on_step`` and return the
@@ -68,12 +69,20 @@ from .partition import edge_cut, make_partition
 from .program import NodeContext
 
 __all__ = [
+    "FIFO_ONLY_MSG",
     "SHARDS_ENV_VAR",
     "ShardProgramSpec",
     "ShardWorkerError",
     "ShardedMachine",
     "resolve_shards",
 ]
+
+#: why a non-default inbox cannot be sharded (the constructor guard and the
+#: engine's ``shard-capability`` rule reject with the same words)
+FIFO_ONLY_MSG = (
+    "the sharded backend supports only the default unbounded "
+    "FIFO inboxes (queue_policy='fifo', queue_capacity=None)"
+)
 
 #: Environment variable consulted when ``shards`` is not given explicitly
 #: (the sharded sibling of the executor's ``REPRO_JOBS``).
@@ -288,9 +297,13 @@ class _ShardCore:
         nodes: Sequence[NodeId],
         program: Any,
         enforce_adjacency: bool,
+        collector: Optional[_EventCollector] = None,
     ) -> None:
         self.facade = _WorkerMachineFacade(topology, enforce_adjacency)
         self.program = program
+        #: retains worker-bus events for the relay; None in the inline cell,
+        #: whose handlers publish straight to the coordinator bus
+        self.collector = collector
         self.facade.set_program(program)
         self.contexts: Dict[NodeId, NodeContext] = {}
         for node in nodes:
@@ -333,6 +346,19 @@ class _ShardCore:
             )
         return out
 
+    def handle(self, msg: Tuple[Any, ...]) -> Any:
+        """Answer one coordinator request (everything after the init handshake)."""
+        kind = msg[0]
+        if kind == "poll":
+            return self.poll(msg[1], msg[2])
+        if kind == "deliver":
+            return self.deliver(msg[1], msg[2])
+        if kind == "map":
+            return self.map_nodes(msg[1], msg[2], msg[3])
+        if kind == "telemetry":
+            return self.collector.drain() if self.collector is not None else []
+        raise SimulationError(f"unknown shard request {kind!r}")
+
 
 def _exception_if_picklable(exc: BaseException) -> Optional[BaseException]:
     try:
@@ -351,9 +377,8 @@ def _shard_worker_main(
     telemetry_on: bool,
 ) -> None:
     """Entry point of one persistent shard worker process."""
-    collector: Optional[_EventCollector] = None
     try:
-        bus = None
+        bus = collector = None
         if telemetry_on:
             from ..telemetry import TelemetryBus
 
@@ -364,7 +389,7 @@ def _shard_worker_main(
             if isinstance(program_source, ShardProgramSpec)
             else program_source
         )
-        core = _ShardCore(topology, nodes, program, enforce_adjacency)
+        core = _ShardCore(topology, nodes, program, enforce_adjacency, collector)
         if telemetry_on:
             from ..telemetry.probe import install_probes, uninstall_probes
 
@@ -388,42 +413,25 @@ def _shard_worker_main(
             conn.close()
             return
         try:
-            if kind == "poll":
-                result = core.poll(msg[1], msg[2])
-            elif kind == "deliver":
-                result = core.deliver(msg[1], msg[2])
-            elif kind == "map":
-                result = core.map_nodes(msg[1], msg[2], msg[3])
-            elif kind == "telemetry":
-                result = collector.drain() if collector is not None else []
-            else:
-                raise SimulationError(f"unknown shard request {kind!r}")
-            conn.send(("ok", result))
+            conn.send(("ok", core.handle(msg)))
         except BaseException as exc:  # noqa: BLE001 - relayed to the coordinator
             conn.send(("err", traceback.format_exc(), _exception_if_picklable(exc)))
 
 
 class _InlineCell:
-    """In-process shard cell (K=1 and the non-picklable fallback)."""
+    """In-process shard cell (K=1 and the non-picklable fallback).
+
+    Speaks the worker protocol without the pipe: the first response is
+    the init handshake, every later one answers the preceding request.
+    """
 
     def __init__(self, core: _ShardCore) -> None:
         self._core = core
         self.nodes = sorted(core.contexts)
-        self._reply: Any = None
+        self._reply: Any = core.init()
 
     def request(self, msg: Tuple[Any, ...]) -> None:
-        kind = msg[0]
-        if kind == "poll":
-            self._reply = self._core.poll(msg[1], msg[2])
-        elif kind == "deliver":
-            self._reply = self._core.deliver(msg[1], msg[2])
-        elif kind == "map":
-            self._reply = self._core.map_nodes(msg[1], msg[2], msg[3])
-        elif kind == "telemetry":
-            # inline handlers publish straight to the coordinator bus
-            self._reply = []
-        else:  # pragma: no cover - coordinator never sends others
-            raise SimulationError(f"unknown shard request {kind!r}")
+        self._reply = self._core.handle(msg)
 
     def response(self) -> Any:
         reply = self._reply
@@ -532,8 +540,6 @@ class ShardedMachine(Machine):
         (in-process cells — the serial fallback with identical
         semantics), or ``"auto"`` (default: ``process`` when K > 1 and
         the program + topology pickle, else ``inline``).
-    partition_seed:
-        Seed for the ``greedy`` partitioner's visit order.
     mp_context:
         A :mod:`multiprocessing` context or start-method name
         (``"fork"``/``"spawn"``/``"forkserver"``); default is the
@@ -554,7 +560,6 @@ class ShardedMachine(Machine):
         shards: Any = None,
         partitioner: str = "strip",
         shard_backend: str = "auto",
-        partition_seed: int = 0,
         mp_context: Any = None,
         **machine_kwargs: Any,
     ) -> None:
@@ -565,12 +570,11 @@ class ShardedMachine(Machine):
                 f"got {shard_backend!r}"
             )
         k = min(resolve_shards(shards), topology.n_nodes)
-        source = program
         spec = program if isinstance(program, ShardProgramSpec) else None
         if shard_backend == "auto":
             backend = (
                 "process"
-                if k > 1 and _shippable((source, topology))
+                if k > 1 and _shippable((program, topology))
                 else "inline"
             )
         else:
@@ -586,61 +590,54 @@ class ShardedMachine(Machine):
             local_program = program
         super().__init__(topology, local_program, **machine_kwargs)
         if not self._unbounded_fifo:
-            raise SimulationError(
-                "the sharded backend supports only the default unbounded "
-                "FIFO inboxes (queue_policy='fifo', queue_capacity=None)"
-            )
+            raise SimulationError(FIFO_ONLY_MSG)
         self.shards = k
         self.shard_backend = backend
         self.partitioner = partitioner
-        self.partition = make_partition(topology, k, partitioner, seed=partition_seed)
+        self.partition = make_partition(topology, k, partitioner)
         self.edge_cut = edge_cut(topology, self.partition)
         #: owning cell index per node
         self._cell_of: List[int] = [0] * topology.n_nodes
-        if backend == "inline":
-            core = _ShardCore(
-                topology, list(topology.nodes()), local_program,
-                self._enforce_adjacency,
-            )
-            self._cells = [_InlineCell(core)]
-        else:
-            if isinstance(mp_context, str) or mp_context is None:
-                mp_context = multiprocessing.get_context(mp_context)
-            payload = spec if spec is not None else program
-            if not _shippable((payload, topology)):
-                raise SimulationError(
-                    "shard_backend='process' needs a picklable program and "
-                    "topology; wrap unpicklable programs in a ShardProgramSpec "
-                    "or use shard_backend='inline'"
+        try:
+            if backend == "inline":
+                # one in-process cell owns every node
+                core = _ShardCore(
+                    topology, list(topology.nodes()), local_program,
+                    self._enforce_adjacency,
                 )
-            cells: List[Any] = []
-            try:
+                self._cells.append(_InlineCell(core))
+            else:
+                if isinstance(mp_context, str) or mp_context is None:
+                    mp_context = multiprocessing.get_context(mp_context)
+                if not _shippable((program, topology)):
+                    raise SimulationError(
+                        "shard_backend='process' needs a picklable program and "
+                        "topology; wrap unpicklable programs in a ShardProgramSpec "
+                        "or use shard_backend='inline'"
+                    )
                 for shard, nodes in enumerate(self.partition):
-                    cells.append(
+                    self._cells.append(
                         _ProcessCell(
                             shard,
                             mp_context,
                             topology,
                             nodes,
-                            payload,
+                            program,
                             self._enforce_adjacency,
                             telemetry is not None,
                         )
                     )
-                self._cells = cells
-                for node_list, index in (
-                    (cell.nodes, i) for i, cell in enumerate(cells)
-                ):
-                    for node in node_list:
-                        self._cell_of[node] = index
-                self._replay_init(self._gather_init())
-            except BaseException:
-                self._cells = cells
-                self.close()
-                raise
-        if backend == "inline":
-            # the single inline cell owns every node (_cell_of stays 0)
-            self._replay_init(self._gather_init())
+            for index, cell in enumerate(self._cells):
+                for node in cell.nodes:
+                    self._cell_of[node] = index
+            # every cell's first reply is its init-time intents (the
+            # handshake doubles as readiness); serial init runs nodes in
+            # ascending order, each node's sends inline
+            intents = self._gather(range(len(self._cells)))
+            self._replay(self.current_step, sorted(intents[0]), intents)
+        except BaseException:
+            self.close()
+            raise
         tel = self._telemetry
         if tel is not None:
             # counters, not events: events_emitted must stay bit-equal to a
@@ -649,27 +646,6 @@ class ShardedMachine(Machine):
             tel.count(1, "shard_edge_cut", self.edge_cut)
 
     # -- worker lifecycle ------------------------------------------------
-
-    def _gather_init(self):
-        """Collect init-time intents (the handshake doubles as readiness)."""
-        if self.shard_backend == "inline":
-            return [self._cells[0]._core.init()]
-        return [cell.response() for cell in self._cells]
-
-    def _replay_init(self, replies) -> None:
-        sends: List[Tuple[NodeId, NodeId, Any]] = []
-        for cell_sends, polls, halted in replies:
-            sends.extend(cell_sends)
-            if polls:
-                self._poll_requests.update(polls)
-            if halted:
-                self._halted = True
-        # serial init runs nodes in ascending order, each node's sends
-        # inline; a stable sort on the source node reproduces that order
-        sends.sort(key=lambda intent: intent[0])
-        send_from = self._send_from
-        for src, dst, payload in sends:
-            send_from(src, dst, payload)
 
     def close(self) -> None:
         """Shut down the shard workers (idempotent)."""
@@ -695,15 +671,20 @@ class ShardedMachine(Machine):
     # -- dispatch --------------------------------------------------------
 
     def _dispatch(self, kind: str, step: int, per_cell: Dict[int, list]):
-        """Ship one round to the owning cells; merge intents.
+        """Ship one round to the owning cells; return their merged intents."""
+        cells = self._cells
+        order = sorted(per_cell)
+        for index in order:
+            cells[index].request((kind, step, per_cell[index]))
+        return self._gather(order)
+
+    def _gather(self, order: Sequence[int]):
+        """Merge the pending replies of the cells in ``order``.
 
         Returns ``(groups, polls, halted)`` where ``groups`` maps source
         node to its send intents in execution order.
         """
         cells = self._cells
-        order = sorted(per_cell)
-        for index in order:
-            cells[index].request((kind, step, per_cell[index]))
         groups: Dict[NodeId, List[Tuple[NodeId, Any]]] = {}
         polls: List[NodeId] = []
         halted = False
@@ -719,139 +700,78 @@ class ShardedMachine(Machine):
             halted = halted or cell_halted
         return groups, polls, halted
 
-    def _group_by_cell(self, nodes: Sequence[NodeId]) -> Dict[int, List[NodeId]]:
-        cell_of = self._cell_of
-        per: Dict[int, List[NodeId]] = {}
-        for node in nodes:
-            index = cell_of[node]
-            bucket = per.get(index)
-            if bucket is None:
-                per[index] = [node]
-            else:
-                bucket.append(node)
-        return per
+    def _replay(
+        self,
+        step: int,
+        nodes: Sequence[NodeId],
+        intents: Tuple[Dict[NodeId, List[Tuple[NodeId, Any]]], List[NodeId], bool],
+        record: Optional[Callable[..., None]] = None,
+    ) -> None:
+        """Apply one round's merged intents on the coordinator, in serial order.
 
-    # -- the event loop (mirrors Machine.step exactly) -------------------
-
-    def step(self) -> int:
-        """One simulation step; bit-identical side effects to serial.
-
-        Every coordinator-side mutation below is the serial kernel's code
-        in the serial kernel's order — only the handler *execution* moves
-        into the shards, and their sends come back as intents replayed in
-        ascending-node order (which is exactly where the serial loop would
-        have made them).
+        ``nodes`` are the round's handlers in ascending order; each node's
+        sends go through the real ``_send_from`` exactly where the serial
+        round would have made them (after that node's ``deliver`` record,
+        when a subscriber retains events), so message ids, fault draws,
+        trace records and the event stream come out bit-identical.
         """
-        self.current_step += 1
-        step = self.current_step
-        rel = self._reliability
-        if rel is not None:
-            rel.on_step(step)
-        if self._in_flight_count:
-            matured = self._in_flight.pop(step, None)
-            if matured is not None:
-                self._in_flight_count -= len(matured)
-                for dst, env in matured:
-                    self._enqueue(dst, env)
-        # -- poll round (sends made here deliver within this step) -------
-        if self._poll_requests:
-            polled = sorted(self._poll_requests)
-            self._poll_requests.clear()
-            per_cell = self._group_by_cell(polled)
-            groups, polls, halted = self._dispatch("poll", step, per_cell)
-            send_from = self._send_from
-            for node in polled:
-                intents = groups.get(node)
-                if intents:
-                    for dst, payload in intents:
-                        send_from(node, dst, payload)
-            if polls:
-                self._poll_requests.update(polls)
-            if halted:
-                self._halted = True
-        # -- delivery round ----------------------------------------------
-        active = self._active
-        if self._active_dirty:
-            active.sort()
-            self._active_dirty = False
-        n0 = len(active)
-        tel = self._telemetry
-        if n0:
-            pop_fns = self._pop_fns
-            depths = self._depths
-            delivered = active[:n0]
-            write = 0
-            triples: List[Tuple[NodeId, NodeId, Any]] = []
-            for node in delivered:
-                env = pop_fns[node]()
-                depth = depths[node] - 1
-                depths[node] = depth
-                if depth:
-                    active[write] = node
-                    write += 1
-                triples.append((node, env.src, env.payload))
-            if write != n0:
-                del active[write:n0]
-            per_cell: Dict[int, List[Tuple[NodeId, NodeId, Any]]] = {}
-            cell_of = self._cell_of
-            for triple in triples:
-                index = cell_of[triple[0]]
-                bucket = per_cell.get(index)
-                if bucket is None:
-                    per_cell[index] = [triple]
-                else:
-                    bucket.append(triple)
-            groups, polls, halted = self._dispatch("deliver", step, per_cell)
-            send_from = self._send_from
-            if tel is None or not tel.want_events:
-                # batched kernel order: all handler sends, then the batch
-                # trace record — exactly Machine.step's batched path
-                for node in delivered:
-                    intents = groups.get(node)
-                    if intents:
-                        for dst, payload in intents:
-                            send_from(node, dst, payload)
-                self.trace.on_deliver_batch(delivered, step)
-            else:
-                # faithful kernel order: per node, deliver record then its
-                # handler's sends, keeping the published stream causal
-                on_deliver = self.trace.on_deliver
-                record = tel.record
-                for node in delivered:
-                    on_deliver(node, step)
-                    record(step, 1, "deliver", node)
-                    intents = groups.get(node)
-                    if intents:
-                        for dst, payload in intents:
-                            send_from(node, dst, payload)
-            if polls:
-                self._poll_requests.update(polls)
-            if halted:
-                self._halted = True
-            self._queued_count -= n0
-        if rel is not None:
-            rel.end_step()
-        self.trace.on_step_end(
-            step,
-            self._queued_count,
-            n0,
-            self.queue_depths() if self.trace.record_queue_depths else None,
-        )
-        if tel is not None:
-            sends = self._tel_sends
+        groups, polls, halted = intents
+        send_from = self._send_from
+        for node in nodes:
+            if record is not None:
+                record(step, 1, "deliver", node)
+            sends = groups.get(node)
             if sends:
-                self._tel_sends = 0
-                tel.count(1, "send", sends)
-            if n0:
-                tel.count(1, "deliver", n0)
-            tel.emit(
-                1,
-                "queued",
-                step,
-                attrs={"value": self._queued_count, "delivered": n0},
+                for dst, payload in sends:
+                    send_from(node, dst, payload)
+        if polls:
+            self._poll_requests.update(polls)
+        if halted:
+            self._halted = True
+
+    # -- the two handler rounds (the rest of the step is Machine.step) ---
+
+    # benchmarks/e2e/tracer.py wraps ShardedMachine.__dict__["step"] to time
+    # the coordinator step apart from the serial machine's
+    step = Machine.step
+
+    def _poll_round(self, step: int, polled: List[NodeId]) -> None:
+        cell_of = self._cell_of
+        per_cell: Dict[int, List[NodeId]] = {}
+        for node in polled:
+            per_cell.setdefault(cell_of[node], []).append(node)
+        self._replay(step, polled, self._dispatch("poll", step, per_cell))
+
+    def _delivery_round(
+        self,
+        step: int,
+        delivered: List[NodeId],
+        record: Optional[Callable[..., None]],
+    ) -> None:
+        # the serial round's pops, all taken before the handlers run (order-
+        # equivalent for unbounded FIFO, the only discipline accepted here)
+        active = self._active
+        pop_fns = self._pop_fns
+        depths = self._depths
+        cell_of = self._cell_of
+        per_cell: Dict[int, List[Tuple[NodeId, NodeId, Any]]] = {}
+        write = 0
+        for node in delivered:
+            env = pop_fns[node]()
+            depth = depths[node] - 1
+            depths[node] = depth
+            if depth:
+                active[write] = node
+                write += 1
+            per_cell.setdefault(cell_of[node], []).append(
+                (node, env.src, env.payload)
             )
-            tel.flush()
-        return n0
+        n0 = len(delivered)
+        if write != n0:
+            del active[write:n0]
+        self._replay(
+            step, delivered, self._dispatch("deliver", step, per_cell), record
+        )
 
     def run(self, *args: Any, **kwargs: Any):
         report = super().run(*args, **kwargs)

@@ -126,20 +126,12 @@ class TraceRecorder:
             if self.first_activity_step is None:
                 self.first_activity_step = step
 
-    def on_deliver(self, dst: int, step: int) -> None:
-        self.delivered_total += 1
-        self.node_delivered[dst] += 1
-        if self.first_activity_step is None:
-            self.first_activity_step = step
-        self.last_activity_step = step
-
     def on_deliver_batch(self, nodes: Sequence[int], step: int) -> None:
-        """Bulk equivalent of :meth:`on_deliver` for one step's deliveries.
+        """Account one step's deliveries: one message to each of ``nodes``.
 
-        The backend's batched kernel calls this once per step with the
+        The step kernel calls this once per non-empty step with the
         delivery snapshot instead of once per message.  ``nodes`` must be
-        non-empty; the resulting counters are identical to calling
-        :meth:`on_deliver` for each node in order.
+        non-empty.
         """
         self.delivered_total += len(nodes)
         node_delivered = self.node_delivered

@@ -50,7 +50,7 @@ from .probe import (
     set_probe_node,
     uninstall_probes,
 )
-from .recorder import EventLog, TraceRecorderFeed
+from .recorder import EventLog
 
 __all__ = [
     "TelemetryBus",
@@ -67,7 +67,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSubscriber",
     "EventLog",
-    "TraceRecorderFeed",
     "ChromeTraceExporter",
     "write_metrics",
     "write_metrics_json",

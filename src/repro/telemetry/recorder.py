@@ -1,24 +1,20 @@
-"""In-memory subscribers: the event log and the TraceRecorder adapter.
+"""In-memory subscriber: the event log.
 
 :class:`EventLog` records every event for queries in tests and notebooks.
-:class:`TraceRecorderFeed` demonstrates that layer 1's pre-existing
-:class:`~repro.netsim.trace.TraceRecorder` is *subsumed* by the bus: a
-recorder driven purely from ``send`` / ``deliver`` / ``drop`` / ``queued``
-bus events reproduces the paper's three §V-C metrics (computation time,
-interconnect activity, node activity) without touching the machine.  The
-machine still drives its own recorder directly on the hot path — that is a
-performance choice, not an information one, and
-``tests/telemetry/test_bus.py`` pins the equivalence.
+Layer 1's :class:`~repro.netsim.trace.TraceRecorder` is *not* a bus
+subscriber: it is the always-on accountant of the paper's three §V-C
+metrics, driven directly by the machine so that a run needs no bus to
+have a report (``tests/telemetry/test_bus.py`` pins that the layer-1
+event stream carries the same totals).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..netsim.trace import TraceRecorder
-from .events import L1_NETSIM, TelemetryEvent
+from .events import TelemetryEvent
 
-__all__ = ["EventLog", "TraceRecorderFeed"]
+__all__ = ["EventLog"]
 
 
 class EventLog:
@@ -71,39 +67,3 @@ class EventLog:
 
     def filter(self, predicate: Callable[[TelemetryEvent], bool]) -> List[TelemetryEvent]:
         return [ev for ev in self.events if predicate(ev)]
-
-
-class TraceRecorderFeed:
-    """Drive a :class:`TraceRecorder` from layer-1 bus events.
-
-    The adapter consumes the layer-1 taxonomy only; all other layers'
-    events pass through untouched.  Message-size accounting rides on the
-    ``size`` attr of ``send`` events; per-payload-type counters are the one
-    recorder feature the bus does not reproduce (events carry sizes, not
-    payload objects).
-    """
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder: Optional[TraceRecorder] = None, n_nodes: int = 0) -> None:
-        if recorder is None:
-            recorder = TraceRecorder(n_nodes)
-        self.recorder = recorder
-
-    def on_event(self, event: TelemetryEvent) -> None:
-        if event.layer != L1_NETSIM:
-            return
-        name = event.name
-        attrs = event.attrs
-        if name == "send":
-            size = attrs.get("size", 1) if attrs else 1
-            self.recorder.on_send(event.node, event.step, None, size)
-        elif name == "deliver":
-            self.recorder.on_deliver(event.node, event.step)
-        elif name == "drop":
-            self.recorder.on_drop(event.node, event.step)
-        elif name == "queued":
-            assert attrs is not None
-            self.recorder.on_step_end(
-                event.step, attrs["value"], attrs.get("delivered", 0)
-            )

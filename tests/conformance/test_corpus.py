@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.conformance import check_config
-from repro.conformance.space import FuzzConfig
+from repro.engine import RunSpec
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
@@ -22,8 +22,8 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 def load_corpus(path):
     payload = json.loads(path.read_text())
     assert payload["format"] == "repro-conformance-corpus"
-    assert payload["version"] == 1
-    return [FuzzConfig.from_dict(d) for d in payload["configs"]]
+    assert payload["version"] == 2
+    return [RunSpec.from_dict(d) for d in payload["configs"]]
 
 
 def corpus_cases():
@@ -41,7 +41,7 @@ def test_corpus_exists_and_is_nontrivial():
     assert any(c.reliable and (c.drop or c.duplicate) for c in configs)
     assert any(not c.reliable and (c.drop or c.duplicate) for c in configs)
     assert any(c.shards > 1 for c in configs)
-    assert any(c.ckpt_step is not None for c in configs)
+    assert any(c.checkpoint_every is not None for c in configs)
 
 
 @pytest.mark.parametrize("config", corpus_cases())

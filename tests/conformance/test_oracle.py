@@ -9,12 +9,8 @@ import pytest
 
 from repro.conformance.oracle import MODE_NAMES, Discrepancy, check_config
 from repro.conformance.space import DEFAULT_CONFIG
-from repro.conformance.workloads import (
-    RunOutcome,
-    applicable_modes,
-    checkpointable,
-    shardable,
-)
+from repro.conformance.workloads import RunOutcome, applicable_modes
+from repro.engine import checkpointable, shardable
 
 SAT = DEFAULT_CONFIG.with_(
     workload="sat",
@@ -55,7 +51,7 @@ class TestApplicability:
         assert "sharded" in applicable_modes(DEFAULT_CONFIG.with_(shards=2))
 
     def test_random_heuristic_is_serial_only(self):
-        config = SAT.with_(heuristic="random", shards=4, ckpt_step=5)
+        config = SAT.with_(heuristic="random", shards=4, checkpoint_every=5)
         assert not shardable(config)
         assert not checkpointable(config)
         modes = applicable_modes(config)
@@ -63,14 +59,14 @@ class TestApplicability:
 
     def test_traversal_never_resumes(self):
         config = DEFAULT_CONFIG.with_(
-            workload="traversal", workload_params={}, ckpt_step=5
+            workload="traversal", workload_params={}, checkpoint_every=5
         )
         assert not checkpointable(config)
         assert "resume" not in applicable_modes(config)
 
     def test_resume_needs_a_checkpoint_step(self):
         assert "resume" not in applicable_modes(DEFAULT_CONFIG)
-        assert "resume" in applicable_modes(DEFAULT_CONFIG.with_(ckpt_step=5))
+        assert "resume" in applicable_modes(DEFAULT_CONFIG.with_(checkpoint_every=5))
 
     def test_fault_free_needs_protected_faults(self):
         assert "fault_free" not in applicable_modes(DEFAULT_CONFIG)
@@ -88,7 +84,7 @@ class TestApplicability:
 
 
 class TestComparisons:
-    CONFIG = DEFAULT_CONFIG.with_(shards=2, ckpt_step=5)
+    CONFIG = DEFAULT_CONFIG.with_(shards=2, checkpoint_every=5)
 
     def check(self, runner, modes=None):
         return check_config(self.CONFIG, modes=modes, runner=runner)

@@ -1,11 +1,10 @@
-"""``FuzzConfig.to_runspec()`` over the full pinned conformance corpus.
+"""The pinned conformance corpus as engine specs.
 
-Every corpus config must map to a RunSpec that (a) survives a JSON
-round-trip identically, (b) passes the engine's capability table once
-normalised to its serial baseline, and (c) executes to the *same
-observable schedule* whether built from the original spec or from its
-JSON round-trip — the property that makes checkpoint headers and replay
-artifacts trustworthy.
+Every corpus point must (a) survive a JSON round-trip identically,
+(b) pass the engine's capability table once normalised to its serial
+baseline, and (c) execute to the *same observable schedule* whether built
+from the original spec or from its JSON round-trip — the property that
+makes checkpoint headers and replay artifacts trustworthy.
 """
 
 import json
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.conformance.space import FuzzConfig
 from repro.engine import RunSpec, execute, violations
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -25,7 +23,7 @@ def corpus_cases():
         payload = json.loads(path.read_text())
         for index, data in enumerate(payload["configs"]):
             yield pytest.param(
-                FuzzConfig.from_dict(data), id=f"{path.stem}-{index:02d}"
+                RunSpec.from_dict(data), id=f"{path.stem}-{index:02d}"
             )
 
 
@@ -33,13 +31,12 @@ def _serial_spec(config):
     # shards and checkpoint cadence are per-mode knobs; the canonical
     # serial baseline drops both (exactly what the oracle's serial mode
     # runs when the config is not checkpointable)
-    return config.to_runspec().with_(shards=1, checkpoint_every=None)
+    return config.with_(shards=1, checkpoint_every=None)
 
 
 @pytest.mark.parametrize("config", corpus_cases())
 def test_corpus_to_runspec_round_trips(config):
-    spec = config.to_runspec()
-    assert RunSpec.from_json(spec.to_json()) == spec
+    assert RunSpec.from_json(config.to_json()) == config
     assert violations(_serial_spec(config)) == []
 
 

@@ -7,11 +7,8 @@ except the ones the bug actually needs.
 """
 
 from repro.conformance.shrink import shrink_config
-from repro.conformance.space import (
-    DEFAULT_CONFIG,
-    DEFAULT_WORKLOAD_PARAMS,
-    build_cnf,
-)
+from repro.conformance.space import DEFAULT_CONFIG, DEFAULT_WORKLOAD_PARAMS
+from repro.engine import cnf_of
 
 
 def elaborate(**changes):
@@ -29,7 +26,7 @@ def elaborate(**changes):
         reliable=True,
         shards=3,
         partitioner="greedy",
-        ckpt_step=10,
+        checkpoint_every=10,
     )
     return base.with_(**changes)
 
@@ -83,12 +80,11 @@ class TestSizeMinimisation:
         # contain (so "canonical params win outright" cannot short-circuit
         # the ddmin path this test is about); all seeds are pinned, so the
         # choice is deterministic
-        default_cnf = build_cnf(DEFAULT_CONFIG.with_(
-            workload="sat", workload_params=DEFAULT_WORKLOAD_PARAMS["sat"]))
+        default_cnf = cnf_of(DEFAULT_WORKLOAD_PARAMS["sat"])
         default_clauses = {tuple(sorted(c)) for c in default_cnf.clauses}
         default_clauses |= {compact(c) for c in default_cnf.clauses}
         target = next(
-            tuple(c) for c in build_cnf(config).clauses
+            tuple(c) for c in cnf_of(config.workload_params).clauses
             if tuple(sorted(c)) not in default_clauses
             and compact(c) not in default_clauses
         )
@@ -96,7 +92,8 @@ class TestSizeMinimisation:
         def failing(c):
             if c.workload != "sat":
                 return False
-            clauses = {tuple(sorted(cl)) for cl in build_cnf(c).clauses}
+            clauses = {tuple(sorted(cl))
+                       for cl in cnf_of(c.workload_params).clauses}
             # "the bug" trips while the guilty clause is present, exactly
             # or in variable-compacted form
             return tuple(sorted(target)) in clauses or compact(target) in clauses

@@ -8,11 +8,10 @@ from repro.conformance.space import (
     DEFAULT_CONFIG,
     DEFAULT_WORKLOAD_PARAMS,
     DIMENSIONS,
-    FuzzConfig,
-    build_cnf,
     sample_configs,
     sample_list,
 )
+from repro.engine import RunSpec, cnf_of
 from repro.errors import ApplicationError
 from repro.topology import topology_from_spec
 
@@ -44,7 +43,7 @@ class TestSampledConfigsAreValid:
             assert 0.0 <= config.duplicate <= 0.5
             assert config.workload in DEFAULT_WORKLOAD_PARAMS
             if config.workload == "sat":
-                cnf = build_cnf(config)
+                cnf = cnf_of(config.workload_params)
                 assert cnf.clauses
 
     def test_faulty_reliable_combinations_all_appear(self):
@@ -59,19 +58,19 @@ class TestSampledConfigsAreValid:
         configs = sample_list(5, 120)
         assert {c.workload for c in configs} == set(DEFAULT_WORKLOAD_PARAMS)
         assert any(c.shards > 1 for c in configs)
-        assert any(c.ckpt_step is not None for c in configs)
+        assert any(c.checkpoint_every is not None for c in configs)
 
 
-class TestFuzzConfigSerialisation:
+class TestFuzzPointSerialisation:
     def test_round_trip_identity(self):
         for config in sample_list(11, 40):
-            assert FuzzConfig.from_dict(config.to_dict()) == config
+            assert RunSpec.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
         data = DEFAULT_CONFIG.to_dict()
         data["warp_factor"] = 9
         with pytest.raises(ApplicationError):
-            FuzzConfig.from_dict(data)
+            RunSpec.from_dict(data)
 
     def test_with_replaces_only_named_fields(self):
         changed = DEFAULT_CONFIG.with_(mapper="lbn")
@@ -94,36 +93,23 @@ class TestFuzzConfigSerialisation:
 
 class TestBuildCnf:
     def test_recipe_is_deterministic(self):
-        config = DEFAULT_CONFIG.with_(
-            workload="sat",
-            workload_params={"num_vars": 6, "num_clauses": 14, "formula_seed": 3},
-        )
-        a, b = build_cnf(config), build_cnf(config)
+        params = {"num_vars": 6, "num_clauses": 14, "formula_seed": 3}
+        a, b = cnf_of(params), cnf_of(params)
         assert a.clauses == b.clauses
         assert a.num_vars == b.num_vars == 6
 
     def test_formula_seed_changes_the_formula(self):
         base = {"num_vars": 6, "num_clauses": 14}
-        one = build_cnf(DEFAULT_CONFIG.with_(
-            workload="sat", workload_params={**base, "formula_seed": 1}))
-        two = build_cnf(DEFAULT_CONFIG.with_(
-            workload="sat", workload_params={**base, "formula_seed": 2}))
+        one = cnf_of({**base, "formula_seed": 1})
+        two = cnf_of({**base, "formula_seed": 2})
         assert one.clauses != two.clauses
 
     def test_explicit_clauses_pass_through(self):
-        config = DEFAULT_CONFIG.with_(
-            workload="sat",
-            workload_params={"clauses": [[1, -2], [2]], "num_vars": 2},
-        )
-        cnf = build_cnf(config)
+        cnf = cnf_of({"clauses": [[1, -2], [2]], "num_vars": 2})
         assert list(cnf.clauses) == [(1, -2), (2,)]
         assert cnf.num_vars == 2
 
     def test_tiny_var_count_clamps_clause_width(self):
-        config = DEFAULT_CONFIG.with_(
-            workload="sat",
-            workload_params={"num_vars": 2, "num_clauses": 6, "formula_seed": 0},
-        )
-        cnf = build_cnf(config)
+        cnf = cnf_of({"num_vars": 2, "num_clauses": 6, "formula_seed": 0})
         assert all(len(c) <= 2 for c in cnf.clauses)
         assert all(abs(l) <= 2 for c in cnf.clauses for l in c)

@@ -118,6 +118,47 @@ class TestMachineQueuePolicies:
         m.run()
         assert log == ["c", "b", "a"]
 
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+    def test_no_policy_delivers_a_message_in_the_step_it_was_sent(self, policy):
+        # node 0 (handled first) sends to node 1 during step 0; node 1's pop
+        # in that same step must choose among what was queued at step start
+        from repro.netsim import Machine
+        from repro.topology import Ring
+
+        received = []
+
+        class Relay:
+            def init(self, ctx):
+                ctx.state = None
+
+            def on_message(self, ctx, sender, payload):
+                if payload == "go":
+                    ctx.send(1, "fresh")
+                elif ctx.node == 1:
+                    received.append((ctx.machine.current_step, payload))
+
+        for seed in range(8):  # the random policy draws from the machine seed
+            received.clear()
+            m = Machine(Ring(4), Relay(), queue_policy=policy, seed=seed)
+            m.inject(1, "old")
+            m.inject(1, "old2")
+            m.inject(0, "go")
+            m.run()
+            assert sorted(p for _, p in received) == ["fresh", "old", "old2"]
+            assert {p: step for step, p in received}["fresh"] >= 1
+            if policy == "fifo":
+                assert [p for _, p in received] == ["old", "old2", "fresh"]
+
+    def test_sealed_pop_ignores_later_pushes(self):
+        for inbox in (LifoInbox(), RandomInbox(random.Random(3))):
+            inbox.push(env(1))
+            inbox.push(env(2))
+            inbox.seal()
+            inbox.push(env(3))
+            assert inbox.pop().payload in (1, 2)
+            # one pop per seal: the next unsealed pop sees everything
+            assert len(inbox) == 2
+
     def test_capacity_drop_in_machine(self):
         from repro.netsim import Machine
         from repro.topology import Ring

@@ -29,7 +29,7 @@ class TestTraceRecorder:
 
     def test_deliver_updates_counters(self):
         t = TraceRecorder(4)
-        t.on_deliver(3, 7)
+        t.on_deliver_batch([3], 7)
         assert t.delivered_total == 1
         assert t.node_delivered[3] == 1
         assert t.last_activity_step == 7
@@ -58,7 +58,7 @@ class TestSimulationReport:
         t = TraceRecorder(4)
         t.on_send(-1, -1, "trigger")
         for step, n in enumerate([0, 1, 2]):
-            t.on_deliver(n, step)
+            t.on_deliver_batch([n], step)
             t.on_step_end(step, 2 - step, 1)
         return SimulationReport(t, steps=3, quiescent=True)
 

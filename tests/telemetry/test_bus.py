@@ -4,12 +4,7 @@ import pytest
 
 from repro.netsim import EMPTY_MSG, Machine
 from repro.netsim.trace import TraceRecorder
-from repro.telemetry import (
-    EventLog,
-    TelemetryBus,
-    TelemetryEvent,
-    TraceRecorderFeed,
-)
+from repro.telemetry import EventLog, TelemetryBus, TelemetryEvent
 from repro.topology import Torus
 
 
@@ -137,21 +132,29 @@ class TestDisabledMode:
 
 
 class TestTraceRecorderSubsumption:
-    """A recorder fed only from bus events reproduces the §V-C metrics."""
+    """The layer-1 event stream alone reproduces the recorder's §V-C metrics."""
 
     def test_feed_matches_machine_recorder(self):
         topo = Torus((4, 4))
         bus = TelemetryBus()
-        feed = bus.attach(TraceRecorderFeed(n_nodes=topo.n_nodes))
+        log = bus.attach(EventLog())
         m = Machine(topo, _Forwarder(), telemetry=bus)
         m.inject(0, EMPTY_MSG)
         m.run(max_steps=50)
         machine_rec: TraceRecorder = m.trace
-        bus_rec = feed.recorder
-        assert bus_rec.sent_total == machine_rec.sent_total
-        assert bus_rec.delivered_total == machine_rec.delivered_total
-        assert bus_rec.dropped_total == machine_rec.dropped_total
-        assert bus_rec.node_delivered == machine_rec.node_delivered
-        assert bus_rec.queued_series == machine_rec.queued_series
-        assert bus_rec.first_activity_step == machine_rec.first_activity_step
-        assert bus_rec.last_activity_step == machine_rec.last_activity_step
+        sends, delivers, drops = (
+            log.by_name(name, layer=1) for name in ("send", "deliver", "drop")
+        )
+        node_delivered = [0] * topo.n_nodes
+        for ev in delivers:
+            node_delivered[ev.node] += 1
+        activity = [ev.step for ev in sends + delivers + drops]
+        assert len(sends) == machine_rec.sent_total
+        assert len(delivers) == machine_rec.delivered_total
+        assert len(drops) == machine_rec.dropped_total
+        assert node_delivered == machine_rec.node_delivered
+        assert [
+            ev.attrs["value"] for ev in log.by_name("queued", layer=1)
+        ] == machine_rec.queued_series
+        assert min(activity) == machine_rec.first_activity_step
+        assert max(activity) == machine_rec.last_activity_step

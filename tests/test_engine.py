@@ -158,6 +158,15 @@ def test_capability_messages_are_the_historical_ones():
         validate(random_sat.with_(shards=2))
     with pytest.raises(SpecError, match="reads live inbox depths"):
         validate(RunSpec(topology="ring:4", share_threshold=4, shards=2))
+    for inbox in ({"queue_policy": "lifo"}, {"queue_policy": "random"},
+                  {"queue_capacity": 50}):
+        # the constructor guard's words, before any machine is built
+        spec = RunSpec(workload="fib", workload_params={"n": 6},
+                       topology="ring:4", shards=2, **inbox)
+        assert [code for code, _ in violations(spec)] == ["shard-capability"]
+        with pytest.raises(SpecError, match="only the default unbounded FIFO"):
+            execute(spec)
+        assert violations(spec.with_(shards=1)) == []
     assert not checkpointable(random_sat)
     assert not shardable(random_sat)
     assert checkpointable(RunSpec(topology="ring:4"))

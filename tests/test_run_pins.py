@@ -14,7 +14,10 @@ justify the difference.
 
 import pytest
 
+from repro.conformance.space import sample_list
 from repro.engine import RunSpec, execute
+from repro.netsim.digest import canonical_digest
+from repro.telemetry import EventLog, TelemetryBus
 
 SAT = {"num_vars": 12, "num_clauses": 40, "formula_seed": 5}
 
@@ -73,6 +76,60 @@ def test_resumed_sat_lands_on_the_uninterrupted_digests():
     assert digests(run) == PINNED["sat"]
 
 
+# -- the published event stream ---------------------------------------------
+#
+# Recorded before the step kernel's batched and per-event delivery loops
+# (and the sharded coordinator's copy of both) became one loop plus two
+# overridable handler rounds: with a subscriber that retains events, the
+# stream is causally ordered — each deliver record, then that handler's
+# sends, per node ascending — and every backend must reproduce it bit for
+# bit, not just the totals.
+
+STREAM_BASES = {
+    "uf20": RunSpec(workload="sat",
+                    workload_params={"num_vars": 20, "num_clauses": 91,
+                                     "formula_seed": 1},
+                    topology="torus2d:4x4", mapper="lbn", status=4, seed=3),
+    "fib": RunSpec(workload="fib", workload_params={"n": 10},
+                   topology="ring:6", seed=1),
+}
+
+STREAM_VARIANTS = {
+    "serial": {},
+    "shards2": {"shards": 2, "shard_backend": "inline"},
+    "lossy": {"drop": 0.05, "duplicate": 0.02, "reliable": True},
+}
+
+#: (base, variant) -> (digest of the event dicts in order, event count)
+STREAM_PINNED = {
+    ("uf20", "serial"): ("6ce0e73afd88db1b", 1210),
+    ("uf20", "shards2"): ("f0bb9e0d56a0780d", 1210),
+    ("uf20", "lossy"): ("2ecaef1616bd167d", 1752),
+    ("fib", "serial"): ("bd5ea98033f048ed", 2461),
+    ("fib", "shards2"): ("11474aa3b4d17214", 2461),
+    ("fib", "lossy"): ("c6342a89982241c3", 3247),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_VARIANTS))
+@pytest.mark.parametrize("base", sorted(STREAM_BASES))
+def test_event_stream_pinned(base, variant):
+    bus = TelemetryBus()
+    log = bus.attach(EventLog())
+    run = execute(STREAM_BASES[base].with_(**STREAM_VARIANTS[variant]),
+                  telemetry=bus)
+    assert run.completed
+    stream = [event.as_dict() for event in log.events]
+    assert (canonical_digest(stream), len(stream)) == STREAM_PINNED[base, variant]
+
+
+def test_sampler_stream_pinned():
+    # "seed 9 names the same 200 configs" — recorded while the sampler
+    # still returned its own config dataclass rather than a RunSpec
+    described = [config.describe() for config in sample_list(9, 200)]
+    assert canonical_digest(described) == "33fc8368f4db3f2f"
+
+
 #: schedule/semantic digests of the corpus' traversal configs, recorded on
 #: the bare-machine path the single assembly path replaced
 CORPUS_TRAVERSALS = {
@@ -88,18 +145,15 @@ def test_corpus_traversal_digests_pinned():
     import json
     from pathlib import Path
 
-    from repro.conformance.space import FuzzConfig
-
     corpus = Path(__file__).parent / "conformance" / "corpus"
     seen = set()
     for path in sorted(corpus.glob("*.json")):
         for index, entry in enumerate(json.loads(path.read_text())["configs"]):
-            config = FuzzConfig.from_dict(entry.get("config", entry))
+            config = RunSpec.from_dict(entry.get("config", entry))
             if config.workload != "traversal":
                 continue
             seen.add((path.name, index))
-            base = config.to_runspec().with_(checkpoint_every=None,
-                                             shard_backend="inline")
+            base = config.with_(checkpoint_every=None, shard_backend="inline")
             for shards in (1, config.shards):
                 run = execute(base.with_(shards=shards), want_state_digest=True)
                 assert run.completed
