@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_table, sat_suite
-from repro.parallel import SatTask, solve_sat_tasks
+from repro.parallel import sat_cell, solve_sat_tasks
 from repro.topology import Torus
 
 DIMS = (10, 10)
@@ -22,7 +22,7 @@ CONFIGS = (("ignore (paper)", False), ("cancel", True))
 def run_cancellation_sweep(preset, jobs=None):
     problems = sat_suite(preset)
     tasks = [
-        SatTask(
+        sat_cell(
             cnf,
             Torus(DIMS),
             cancellation=cancellation,

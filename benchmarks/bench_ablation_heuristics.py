@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps.sat import dpll_solve
 from repro.bench import format_table, sat_suite
-from repro.parallel import SatTask, solve_sat_tasks
+from repro.parallel import sat_cell, solve_sat_tasks
 from repro.topology import Torus
 
 HEURISTICS = ("first", "max_occurrence", "jeroslow_wang", "moms")
@@ -25,7 +25,7 @@ DIMS = (10, 10)
 def run_heuristic_sweep(preset, jobs=None):
     problems = sat_suite(preset)
     tasks = [
-        SatTask(
+        sat_cell(
             cnf,
             Torus(DIMS),
             heuristic=heuristic,

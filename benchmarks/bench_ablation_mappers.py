@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench import format_table, sat_suite
 from repro.engine import RunSpec, execute
-from repro.parallel import SatTask, solve_sat_tasks
+from repro.parallel import sat_cell, solve_sat_tasks
 from repro.topology import Torus
 
 DIMS = (12, 12)
@@ -47,7 +47,7 @@ def run_fib_sweep(n=15):
 def run_sat_sweep(preset, jobs=None):
     problems = sat_suite(preset)
     tasks = [
-        SatTask(
+        sat_cell(
             cnf,
             Torus(DIMS),
             mapper=mapper,

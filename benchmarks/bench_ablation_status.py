@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_table, sat_suite
-from repro.parallel import SatTask, solve_sat_tasks
+from repro.parallel import sat_cell, solve_sat_tasks
 from repro.topology import Torus
 
 THRESHOLDS = (None, 32, 16, 8, 4)
@@ -33,7 +33,7 @@ def run_status_sweep(preset, jobs=None):
         for threshold in THRESHOLDS
     ]
     tasks = [
-        SatTask(
+        sat_cell(
             cnf,
             Torus(dims),
             mapper="lbn",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_table, sat_suite
-from repro.parallel import SatTask, solve_sat_tasks
+from repro.parallel import sat_cell, solve_sat_tasks
 from repro.topology import CubeConnectedCycles, FullyConnected, Grid, Hypercube, Ring, Torus
 
 MACHINES = [
@@ -32,7 +32,7 @@ MACHINES = [
 def run_topology_sweep(preset, jobs=None):
     problems = sat_suite(preset)
     tasks = [
-        SatTask(
+        sat_cell(
             cnf,
             topo,
             mapper="random" if topo.kind == "full" else "lbn",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel import SatTask, solve_sat_tasks
+from ..parallel import sat_cell, solve_sat_tasks
 from .report import format_table
 from .suites import BenchPreset, QUICK, figure4_grid, mesh_for, sat_suite, with_seed
 
@@ -169,7 +169,7 @@ def run_figure4(
 
         trace_topo = mesh_for("torus2d", max(preset.core_counts))
         result.trace_summary = capture_sat_trace(
-            SatTask(
+            sat_cell(
                 sat_suite(preset)[0],
                 trace_topo,
                 mapper="lbn",

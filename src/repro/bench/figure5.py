@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..parallel import SatTask, solve_sat_tasks
+from ..parallel import SatCell, sat_cell, solve_sat_tasks
 from ..topology import Torus
 from .report import format_series_block, format_table, heatmap_ascii
 from .suites import FIGURE5_TORUS_DIMS, BenchPreset, QUICK, sat_suite, with_seed
@@ -94,13 +94,13 @@ def run_figure5(
     preset = with_seed(preset, seed)
     problems = sat_suite(preset)
     topo = Torus(FIGURE5_TORUS_DIMS)
-    tasks: List[SatTask] = []
+    tasks: List[SatCell] = []
     task_keys: List[tuple] = []  # (mapper, problem index)
     for mapper in FIGURE5_MAPPERS:
         status = status_threshold if mapper == "lbn" else None
         for i, cnf in enumerate(problems):
             tasks.append(
-                SatTask(
+                sat_cell(
                     cnf,
                     topo,
                     mapper=mapper,
@@ -129,7 +129,7 @@ def run_figure5(
         from ..telemetry import capture_sat_trace
 
         result.trace_summary = capture_sat_trace(
-            SatTask(
+            sat_cell(
                 problems[0],
                 topo,
                 mapper="lbn",

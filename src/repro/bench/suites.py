@@ -129,17 +129,17 @@ def figure4_grid(
     square/cube mesh are deduplicated), one task per ``(cell, problem)``.
     Returns ``(cells, tasks, task_cells)`` where ``cells`` is a list of
     ``(label, kind, mapper, requested_cores, topology)`` tuples, ``tasks``
-    the :class:`~repro.parallel.SatTask` list in deterministic order and
+    the :class:`~repro.parallel.SatCell` list in deterministic order and
     ``task_cells`` the ``(cell index, problem index)`` pair for each task.
 
     This is the single place the preset's workload is spelled out; the
     figure bench executes it and :func:`preset_runspecs` names it.
     """
-    from ..parallel import SatTask
+    from ..parallel import SatCell, sat_cell
 
     problems = sat_suite(preset)
     cells: List[Tuple[str, str, str, int, object]] = []
-    tasks: List[SatTask] = []
+    tasks: List[SatCell] = []
     task_cells: List[Tuple[int, int]] = []
     for label, kind, mapper in figure4_series():
         status = status_threshold if mapper == "lbn" else None
@@ -154,7 +154,7 @@ def figure4_grid(
             cells.append((label, kind, mapper, n_cores, topo))
             for i, cnf in enumerate(problems):
                 tasks.append(
-                    SatTask(
+                    sat_cell(
                         cnf,
                         topo,
                         mapper=mapper,
@@ -178,7 +178,7 @@ def preset_runspecs(preset: BenchPreset, **grid_kwargs):
     cell runs through :func:`repro.engine.execute`.
     """
     _cells, tasks, _task_cells = figure4_grid(preset, **grid_kwargs)
-    return [task.to_runspec() for task in tasks]
+    return [task.spec for task in tasks]
 
 
 def preset_fingerprint(preset: BenchPreset, **grid_kwargs) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "RunOutcome",
     "SHARD_ONLY_METRICS",
     "applicable_modes",
+    "comparable_metrics",
     "run_mode",
 ]
 
@@ -103,16 +104,18 @@ def applicable_modes(config: RunSpec) -> List[str]:
 # -- shared plumbing --------------------------------------------------------
 
 
-def _filter_counters(sub: MetricsSubscriber) -> Dict[str, Dict[str, Any]]:
+def comparable_metrics(sub: MetricsSubscriber) -> Dict[str, Dict[str, Any]]:
+    """What a sharded run's metrics must share with its serial twin's."""
     metrics: Dict[str, Dict[str, Any]] = {}
-    for name, value in sub.as_dict().items():
+    for name, entry in sub.as_dict().items():
         if name in SHARD_ONLY_METRICS:
             continue
-        value = dict(value)
-        # a gauge's *last seen* value depends on event-relay interleaving
-        # (documented relaxation); counters/histograms/peaks must match
-        value.pop("last", None)
-        metrics[name] = value
+        if entry["kind"] == "gauge":
+            # the documented relaxation: worker events are relayed per
+            # worker, so the last ``l2.run_queue`` sample need not be the
+            # serial run's; peak, low and updates must match
+            entry = {k: v for k, v in entry.items() if k != "value"}
+        metrics[name] = entry
     return metrics
 
 
@@ -193,6 +196,6 @@ def run_mode(
         verdict=run.verdict,
         schedule_digest=run.schedule_digest(),
         state_digest=run.semantic_digest,
-        counters=_filter_counters(sub),
+        counters=comparable_metrics(sub),
         checkpoints=checkpoints,
     )

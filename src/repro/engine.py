@@ -359,10 +359,8 @@ RULES: Tuple[Rule, ...] = (
          _check_topology),
     Rule("mapper", "mapper is a known registry name",
          lambda s: _enum(s.mapper, ("rr", "lbn", "random", "hint"), "mapper")),
-    Rule("status", "status is None or an int threshold",
-         lambda s: None if s.status is None or
-         (isinstance(s.status, int) and not isinstance(s.status, bool))
-         else f"status must be None or an int threshold, got {s.status!r}"),
+    Rule("status", "status is None or an int threshold >= 1",
+         _check_positive("status", optional=True)),
     Rule("sat-knobs", "heuristic/simplify/hint_mode are valid (sat only)",
          lambda s: _ask_workload(s, "check_knobs")),
     Rule("share-load", "share_load is 'queue' or 'invocations'",
@@ -373,8 +371,8 @@ RULES: Tuple[Rule, ...] = (
          _check_positive("queue_capacity", optional=True)),
     Rule("scheduler-budget", "scheduler_budget is None or >= 1",
          _check_positive("scheduler_budget", optional=True)),
-    Rule("share-threshold", "share_threshold is None or >= 0",
-         _check_positive("share_threshold", optional=True, floor=0)),
+    Rule("share-threshold", "share_threshold is None or >= 1",
+         _check_positive("share_threshold", optional=True)),
     Rule("forward-hops", "forward_hops is >= 0",
          _check_positive("forward_hops", floor=0)),
     Rule("latency", "latency is >= 0", _check_positive("latency", floor=0)),

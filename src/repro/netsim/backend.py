@@ -594,6 +594,9 @@ class Machine:
                 step()
                 executed += 1
             if checkpoint_every is None or executed < boundary:
+                if self._telemetry is not None:
+                    # publications made outside any step (a drop at inject())
+                    self._telemetry.flush()
                 return self.report()
             checkpoint_sink(self)
 

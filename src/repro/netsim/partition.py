@@ -22,8 +22,9 @@ provided, in increasing order of cut quality (and cost):
 All three are deterministic: same topology, same ``k`` (and, for
 ``greedy``, same ``seed``) give the identical partition.  Every shard is
 balanced within one node of ``n / k``.  The resulting ``edge_cut`` is
-reported in telemetry by the sharded machine — it bounds the per-step
-boundary traffic the coordinator must exchange.
+reported in telemetry but measures no traffic: layer-1 state lives on the
+coordinator, so every delivery is shipped to its owner and every send comes
+back as an intent whatever the cut (measured in ``docs/parallelism.md``).
 """
 
 from __future__ import annotations

@@ -177,19 +177,21 @@ class ShardProgramSpec:
 
 
 class _EventCollector:
-    """Worker-bus subscriber that retains events as relay-ready tuples."""
+    """Worker-bus subscriber that keeps events as relay-ready tuples."""
 
-    needs_events = True
+    __slots__ = ("bus", "events")
 
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
+    def __init__(self, bus: Any) -> None:
+        self.bus = bus
         self.events: List[Tuple[Any, ...]] = []
+        bus.attach(self)
 
     def on_event(self, ev: Any) -> None:
         self.events.append((ev.step, ev.layer, ev.name, ev.node, ev.dur, ev.attrs))
 
     def drain(self) -> List[Tuple[Any, ...]]:
+        # the worker's last partial batch is still in its ring
+        self.bus.flush()
         out = self.events
         self.events = []
         return out
@@ -383,7 +385,7 @@ def _shard_worker_main(
             from ..telemetry import TelemetryBus
 
             bus = TelemetryBus()
-            collector = bus.attach(_EventCollector())
+            collector = _EventCollector(bus)
         program = (
             program_source.build(bus)
             if isinstance(program_source, ShardProgramSpec)
@@ -818,16 +820,15 @@ class ShardedMachine(Machine):
         tel = self._telemetry
         if tel is None or not self._cells:
             return 0
-        from ..telemetry.events import TelemetryEvent
-
         cells = self._cells
         for cell in cells:
             cell.request(("telemetry",))
         relayed = 0
         for cell in cells:
             for step_, layer, name, node, dur, attrs in cell.response():
-                tel.emit_event(TelemetryEvent(step_, layer, name, node, dur, attrs))
+                tel.emit(layer, name, step_, node, dur, attrs)
                 relayed += 1
+        tel.flush()
         return relayed
 
     def state_of(self, node: NodeId) -> Any:

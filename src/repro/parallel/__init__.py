@@ -14,15 +14,16 @@ process pool while keeping results bit-identical to a serial run:
 """
 
 from .executor import JOBS_ENV_VAR, WorkerError, resolve_jobs, run_tasks
-from .sat import SatOutcome, SatTask, run_sat_task, solve_sat_tasks
+from .sat import SatCell, SatOutcome, run_sat_task, sat_cell, solve_sat_tasks
 
 __all__ = [
     "JOBS_ENV_VAR",
     "WorkerError",
     "resolve_jobs",
     "run_tasks",
+    "SatCell",
     "SatOutcome",
-    "SatTask",
     "run_sat_task",
+    "sat_cell",
     "solve_sat_tasks",
 ]

@@ -1,73 +1,66 @@
-"""Picklable SAT-sweep tasks for the parallel executor.
+"""Picklable SAT-sweep cells for the parallel executor.
 
 The figure and ablation benches all reduce to the same cell: solve one CNF
 on one simulated machine with some knob settings and keep a handful of
-scalar metrics.  :class:`SatTask` captures that cell as a value,
-:func:`run_sat_task` executes it (in this process or a pool worker), and
-:class:`SatOutcome` carries back only what the benches aggregate — scalars
-plus the optional activity trace / heatmap arrays Figure 5 needs — instead
-of the full report object graph.
+scalar metrics.  A :class:`SatCell` is that cell as a value — the run's
+:class:`~repro.engine.RunSpec` plus the machine's topology object —
+:func:`sat_cell` builds one, :func:`run_sat_task` executes it (in this
+process or a pool worker), and :class:`SatOutcome` carries back only what
+the benches aggregate — scalars plus the optional activity trace / heatmap
+arrays Figure 5 needs — instead of the full report object graph.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..apps.sat.cnf import CNF
-from ..topology import Topology
+from ..engine import RunSpec, execute
+from ..topology import Topology, spec_of
+from ..workloads import WORKLOADS
 from .executor import resolve_jobs, run_tasks
 
-__all__ = ["SatTask", "SatOutcome", "run_sat_task", "solve_sat_tasks"]
+__all__ = ["SatCell", "SatOutcome", "sat_cell", "run_sat_task", "solve_sat_tasks"]
 
 
-class SatTask(NamedTuple):
-    """One sweep cell: formula + machine + solver/stack knobs.
+class SatCell(NamedTuple):
+    """One sweep cell: the spec to execute and the machine to execute it on.
 
-    Field defaults mirror :class:`repro.engine.RunSpec` (except
-    ``simplify``: sweeps reproduce the paper's unfolding scale);
-    ``collect_activity`` / ``collect_heatmap`` opt into the Figure-5
-    arrays (omitted from the result otherwise to keep IPC cheap).
+    The topology rides along as an *object* (sweeps build exotic meshes
+    directly); ``collect_activity`` / ``collect_heatmap`` opt into the
+    Figure-5 arrays (omitted from the outcome otherwise to keep IPC cheap).
     """
 
-    cnf: CNF
+    spec: RunSpec
     topology: Topology
-    mapper: str = "rr"
-    status: Optional[int] = None
-    heuristic: str = "max_occurrence"
-    cancellation: bool = False
-    hint_mode: Optional[str] = None
-    simplify: str = "none"
-    seed: int = 0
-    max_steps: int = 1_000_000
-    drain: bool = True
-    share_threshold: Optional[int] = None
-    sat_sizing: bool = False
     collect_activity: bool = False
     collect_heatmap: bool = False
 
-    def to_runspec(self):
-        """The canonical :class:`repro.engine.RunSpec` for this cell.
 
-        The topology rides along as an *object* (sweeps build exotic
-        meshes directly), so :func:`run_sat_task` passes it to
-        :func:`~repro.engine.execute` explicitly; the spec's topology
-        string is best-effort via :func:`~repro.topology.spec_of`.
-        """
-        from ..engine import RunSpec
-        from ..topology import spec_of
+def sat_cell(
+    cnf: CNF,
+    topology: Topology,
+    *,
+    collect_activity: bool = False,
+    collect_heatmap: bool = False,
+    **knobs: Any,
+) -> SatCell:
+    """The cell solving ``cnf`` on ``topology``; ``knobs`` are RunSpec fields.
 
-        # the solver/stack knobs are RunSpec fields of the same name
-        knobs = self._asdict()
-        for own in ("cnf", "topology", "collect_activity", "collect_heatmap"):
-            del knobs[own]
-        return RunSpec(
-            workload="sat",
-            workload_params=self.cnf.to_params(),
-            topology=spec_of(self.topology),
-            **knobs,
-        )
+    Sweeps default to ``simplify="none"`` (the paper's unfolding scale);
+    the spec's topology string is best-effort via
+    :func:`~repro.topology.spec_of`, the object is what runs.
+    """
+    knobs.setdefault("simplify", "none")
+    spec = RunSpec(
+        workload="sat",
+        workload_params=cnf.to_params(),
+        topology=spec_of(topology),
+        **knobs,
+    )
+    return SatCell(spec, topology, collect_activity, collect_heatmap)
 
 
 class SatOutcome(NamedTuple):
@@ -87,19 +80,15 @@ class SatOutcome(NamedTuple):
     heatmap: Optional[np.ndarray] = None
 
 
-def run_sat_task(task: SatTask) -> SatOutcome:
+def run_sat_task(cell: SatCell) -> SatOutcome:
     """Execute one sweep cell; the pool's worker function."""
-    from ..engine import execute
-
-    run = execute(task.to_runspec(), topology=task.topology)
+    run = execute(cell.spec, topology=cell.topology)
     report = run.report
     stats = run.engine_stats
-    satisfiable = bool(run.verdict["sat"])
-    if satisfiable:
-        model = dict(run.verdict["assignment"])
-        verified = task.cnf.is_satisfied_by(model)
-    else:
-        verified = True  # UNSAT verdicts are verified against dpll elsewhere
+    # a claimed model must satisfy the formula (UNSAT verdicts are verified
+    # against dpll elsewhere)
+    params = cell.spec.workload_params
+    verified = WORKLOADS["sat"].check_witness(params, run.verdict) is None
     return SatOutcome(
         computation_time=report.computation_time,
         sent_total=report.sent_total,
@@ -107,17 +96,17 @@ def run_sat_task(task: SatTask) -> SatOutcome:
         traffic_total=report.traffic_total,
         peak_queued=report.peak_queued,
         active_nodes=report.active_node_count,
-        satisfiable=satisfiable,
+        satisfiable=bool(run.verdict["sat"]),
         verified=verified,
         invocations=stats.invocations if stats is not None else 0,
         completions=stats.completions if stats is not None else 0,
-        activity=report.interconnect_activity if task.collect_activity else None,
-        heatmap=report.heatmap() if task.collect_heatmap else None,
+        activity=report.interconnect_activity if cell.collect_activity else None,
+        heatmap=report.heatmap() if cell.collect_heatmap else None,
     )
 
 
 def solve_sat_tasks(
-    tasks: Sequence[SatTask],
+    tasks: Sequence[SatCell],
     *,
     jobs: Optional[int] = None,
     chunksize: Optional[int] = None,

@@ -7,48 +7,43 @@ Design constraints (in priority order):
    ``if self._telemetry is not None`` — no bus, no event objects, no calls.
    The layer-1 fast send path (see ``repro/netsim/backend.py``) stays the
    PR-1 optimized code with exactly one extra local ``is None`` test.
-2. **Cheap when enabled.**  The bus exposes two publishing surfaces:
-
-   * ``emit`` — the original per-event path: allocate one
-     :class:`~repro.telemetry.events.TelemetryEvent` and call every
-     subscriber's handler (bound methods cached at subscribe time).  Used
-     for rare events (drops, probes, layer 2-5 lifecycle) where per-event
-     dispatch cost is irrelevant.
-   * the **hot-path batch surface** — ``count`` / ``observe`` coalesce
-     per-message increments into per-step deltas delivered to aggregating
-     subscribers in one call per step, and ``record`` appends event
-     *tuples* to a preallocated ring buffer that is materialised into
-     :class:`TelemetryEvent` objects only when flushed to subscribers that
-     actually retain events.  ``flush`` (called by the machine at every
-     step boundary) drains all three.  No per-message event object, no
-     per-message handler call, no per-message metric-name formatting.
-
+2. **Cheap when enabled.**  There is one publishing path and it is
+   buffered: nothing a publisher calls reaches a subscriber.  ``emit``
+   publishes one whole event into the per-step buffers — a counter delta
+   (an instant) or a span-length observation delta (``dur``), a gauge
+   delta ``[last, peak, low, n]`` for a numeric ``attrs["value"]``, and,
+   only when :attr:`want_events`, the event tuple in a preallocated ring.
+   ``count`` / ``observe`` / ``record`` are ``emit`` taken apart, for
+   publishers that can do better than one call per event: layer 1 counts a
+   step's sends once, and a publisher that would have to *build* ``attrs``
+   pairs a ``count`` with a ``record`` guarded by :attr:`want_events`.
+   ``flush`` (called by the machine at every step boundary and at the end
+   of a run) is the one place a subscriber is called, so subscribers see a
+   step's publications at its boundary (a full ring goes out earlier).
+   No per-publication event object, handler call or metric-name formatting.
 3. **Deterministic.**  Subscribers are invoked in subscription order,
    synchronously, on the simulation thread; the event stream is a pure
    function of the run (same seed => same events), which is what lets the
-   exporter golden tests pin byte-identical traces.  ``emit`` flushes the
-   ring first, so the merged stream seen by event subscribers stays in
-   publication order.
+   exporter golden tests pin byte-identical traces.  There is one ring, so
+   the subscribers that keep events see them in publication order.
 
-Subscriber classification
--------------------------
+Subscriber contract
+-------------------
 
-At attach time the bus inspects each subscriber once:
+The bus inspects a subscriber once, at attach; it may implement any of:
 
-* ``needs_events`` (class attribute, default ``True``) — subscribers that
-  declare ``needs_events = False`` (e.g.
-  :class:`~repro.telemetry.MetricsSubscriber`) are *not* fed ring-buffered
-  events; they consume the coalesced deltas instead.  ``emit`` still
-  reaches every subscriber.
-* ``on_counters(deltas)`` — receives the ``{(layer, name): n}`` counter
-  deltas at every flush;
-* ``on_observations(deltas)`` — receives the
-  ``{(layer, name, value): n}`` coalesced histogram observations.
+* ``on_event(event)`` (or be a plain callable of one event) — it *keeps
+  events*: every ring tuple reaches it as a
+  :class:`~repro.telemetry.events.TelemetryEvent`, and its presence turns
+  :attr:`want_events` on;
+* ``on_counters(deltas)`` — the ``{(layer, name): n}`` counter deltas;
+* ``on_observations(deltas)`` — the ``{(layer, name, value): n}``
+  coalesced histogram observations;
+* ``on_gauges(deltas)`` — the ``{(layer, name): [last, peak, low, n]}``
+  coalesced gauge samples.
 
-A publisher must route each observation through *either* ``emit`` *or* the
-batch surface, never both — ``count``/``record`` form one logical event
-split across the two audiences (aggregators see the count, event retainers
-see the tuple).
+A pure aggregator (:class:`~repro.telemetry.MetricsSubscriber`) implements
+only the last three, so with it alone no event is ever built.
 
 Sampling
 --------
@@ -68,13 +63,16 @@ from .events import TelemetryEvent
 
 __all__ = ["TelemetryBus", "Subscriber"]
 
-#: A subscriber: any callable taking one event, or an object with
-#: ``on_event(event)`` (the bound method is extracted at subscribe time).
+#: What a subscriber that keeps events is called with: any callable taking
+#: one event, or the bound ``on_event`` of an object that has one.
 Subscriber = Callable[[TelemetryEvent], None]
+
+#: the methods of the subscriber contract (a plain callable is ``on_event``)
+_HOOKS = ("on_event", "on_counters", "on_observations", "on_gauges")
 
 
 class TelemetryBus:
-    """Synchronous publish/subscribe hub for :class:`TelemetryEvent`.
+    """Buffered publish/subscribe hub for :class:`TelemetryEvent`.
 
     Typical assembly::
 
@@ -87,26 +85,27 @@ class TelemetryBus:
     ----------
     sample_every:
         Keep one in every ``sample_every`` ``record`` calls (default 1 =
-        keep all).  Deterministic; applies only to the ring-buffered event
-        stream, never to counters/observations.
+        keep all).  Deterministic; applies only to ``record``, never to
+        ``emit`` or to counters/observations.
     ring_size:
         Capacity of the preallocated event-tuple ring.  The ring flushes
-        when full and at every ``flush``/``emit``, so the size only tunes
-        batching granularity, never drops events.
+        when full and at every ``flush``, so the size only tunes batching
+        granularity, never drops events.
     """
 
     __slots__ = (
         "_subscribers",
-        "_handlers",
         "_event_handlers",
         "_counter_subs",
         "_observation_subs",
+        "_gauge_subs",
         "events_emitted",
         "sample_every",
         "_sample_skip",
         "want_events",
         "_counts",
         "_observations",
+        "_gauges",
         "_ring",
         "_ring_n",
     )
@@ -118,26 +117,27 @@ class TelemetryBus:
             raise ValueError(f"ring_size must be >= 1, got {ring_size}")
         #: attached subscriber objects/callables, in subscription order
         self._subscribers: List[Any] = []
-        #: resolved per-event handlers (parallel to ``_subscribers``)
-        self._handlers: List[Subscriber] = []
-        #: handlers of subscribers that retain events (``needs_events``)
+        #: handlers of the subscribers that keep events
         self._event_handlers: List[Subscriber] = []
-        #: bound ``on_counters`` methods of aggregating subscribers
+        #: bound ``on_counters`` / ``on_observations`` / ``on_gauges``
+        #: methods of the aggregating subscribers
         self._counter_subs: List[Callable] = []
-        #: bound ``on_observations`` methods of aggregating subscribers
         self._observation_subs: List[Callable] = []
-        #: total events published (cheap health/overhead indicator);
-        #: coalesced counter deltas are not events and do not count
+        self._gauge_subs: List[Callable] = []
+        #: total events published (``emit`` calls plus kept ``record``
+        #: calls); coalesced counter deltas are not events and do not count
         self.events_emitted = 0
         self.sample_every = sample_every
         self._sample_skip = 0
-        #: True when at least one subscriber retains events — publishers
+        #: True when at least one subscriber keeps events — publishers
         #: check this before building ``record`` arguments
         self.want_events = False
         #: coalesced counter deltas: (layer, name) -> n since last flush
         self._counts: Dict[Tuple[int, str], int] = {}
         #: coalesced histogram observations: (layer, name, value) -> n
         self._observations: Dict[Tuple[int, str, int], int] = {}
+        #: coalesced gauge samples: (layer, name) -> [last, peak, low, n]
+        self._gauges: Dict[Tuple[int, str], List[Any]] = {}
         #: preallocated ring of event tuples (step, layer, name, node,
         #: dur, attrs); ``_ring_n`` is the fill level
         self._ring: List[Any] = [None] * ring_size
@@ -148,45 +148,37 @@ class TelemetryBus:
     def attach(self, subscriber: Any) -> Any:
         """Subscribe and return ``subscriber`` (chains into assignments).
 
-        ``subscriber`` is either a callable of one event or an object
-        exposing ``on_event(event)``.
+        ``subscriber`` is a callable of one event, or an object exposing
+        ``on_event(event)`` and/or the aggregator hooks ``on_counters`` /
+        ``on_observations`` / ``on_gauges``.
         """
-        handler = getattr(subscriber, "on_event", None)
-        if handler is None:
-            if not callable(subscriber):
-                raise TypeError(
-                    f"subscriber {subscriber!r} is neither callable nor has on_event"
-                )
-            handler = subscriber
+        if not (callable(subscriber) or any(hasattr(subscriber, h) for h in _HOOKS)):
+            raise TypeError(
+                f"subscriber {subscriber!r} is neither callable nor has any of {_HOOKS}"
+            )
         self._subscribers.append(subscriber)
-        self._handlers.append(handler)
         self._reclassify()
         return subscriber
 
     def detach(self, subscriber: Any) -> None:
         """Remove a previously attached subscriber (no-op if absent)."""
-        try:
-            i = self._subscribers.index(subscriber)
-        except ValueError:
-            return
-        del self._subscribers[i]
-        del self._handlers[i]
-        self._reclassify()
+        if subscriber in self._subscribers:
+            self._subscribers.remove(subscriber)
+            self._reclassify()
 
     def _reclassify(self) -> None:
         """Rebuild the per-audience dispatch lists from the subscriber set."""
-        self._event_handlers = []
-        self._counter_subs = []
-        self._observation_subs = []
-        for sub, handler in zip(self._subscribers, self._handlers):
-            if getattr(sub, "needs_events", True):
-                self._event_handlers.append(handler)
-            on_counters = getattr(sub, "on_counters", None)
-            if on_counters is not None:
-                self._counter_subs.append(on_counters)
-            on_observations = getattr(sub, "on_observations", None)
-            if on_observations is not None:
-                self._observation_subs.append(on_observations)
+        subs = self._subscribers
+        self._event_handlers = [
+            getattr(s, "on_event", s)
+            for s in subs
+            if hasattr(s, "on_event") or callable(s)
+        ]
+        self._counter_subs = [s.on_counters for s in subs if hasattr(s, "on_counters")]
+        self._observation_subs = [
+            s.on_observations for s in subs if hasattr(s, "on_observations")
+        ]
+        self._gauge_subs = [s.on_gauges for s in subs if hasattr(s, "on_gauges")]
         self.want_events = bool(self._event_handlers)
 
     @property
@@ -194,7 +186,7 @@ class TelemetryBus:
         """Attached subscribers (subscription order, read-only copy)."""
         return list(self._subscribers)
 
-    # -- publishing: per-event path -------------------------------------
+    # -- publishing -----------------------------------------------------
 
     def emit(
         self,
@@ -205,23 +197,40 @@ class TelemetryBus:
         dur: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Publish one event to every subscriber, in subscription order."""
-        if self._ring_n:
-            self._flush_ring()
-        ev = TelemetryEvent(step, layer, name, node, dur, attrs)
-        self.events_emitted += 1
-        for handler in self._handlers:
-            handler(ev)
+        """Publish one event: buffered like everything else until flush.
 
-    def emit_event(self, event: TelemetryEvent) -> None:
-        """Publish a pre-built event (relays, adapters)."""
-        if self._ring_n:
-            self._flush_ring()
+        An instant is counted, a span (``dur``) is observed, a numeric
+        ``attrs["value"]`` is a gauge sample; the event tuple itself is
+        staged only for an audience that keeps events.
+        """
         self.events_emitted += 1
-        for handler in self._handlers:
-            handler(event)
-
-    # -- publishing: hot-path batch surface ------------------------------
+        key = (layer, name)
+        if dur is None:
+            counts = self._counts
+            counts[key] = counts.get(key, 0) + 1
+        else:
+            span = (layer, name, dur)
+            obs = self._observations
+            obs[span] = obs.get(span, 0) + 1
+        if attrs is not None:
+            value = attrs.get("value")
+            if value is not None:
+                gauge = self._gauges.get(key)
+                if gauge is None:
+                    self._gauges[key] = [value, value, value, 1]
+                else:
+                    gauge[0] = value
+                    if value > gauge[1]:
+                        gauge[1] = value
+                    elif value < gauge[2]:
+                        gauge[2] = value
+                    gauge[3] += 1
+        if self.want_events:
+            n = self._ring_n
+            self._ring[n] = (step, layer, name, node, dur, attrs)
+            self._ring_n = n + 1
+            if n + 1 == len(self._ring):
+                self._flush_ring()
 
     def count(self, layer: int, name: str, n: int = 1) -> None:
         """Coalesce ``n`` occurrences of ``l{layer}.{name}`` until flush."""
@@ -233,8 +242,7 @@ class TelemetryBus:
         """Coalesce ``n`` histogram observations of ``value`` until flush.
 
         The matching counter ``l{layer}.{name}`` is bumped implicitly by
-        the aggregating subscriber, mirroring how a span ``emit`` both
-        counts and observes.
+        the aggregating subscriber, exactly as for a span ``emit``.
         """
         key = (layer, name, value)
         obs = self._observations
@@ -249,52 +257,43 @@ class TelemetryBus:
         dur: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Append one event tuple to the ring (subject to sampling).
+        """Stage one event tuple in the ring (subject to sampling).
 
-        Only meaningful when :attr:`want_events` — publishers guard the
-        call (and the ``attrs`` construction) behind that flag.
+        The event half of a ``count`` + ``record`` pair: only meaningful
+        when :attr:`want_events` — publishers guard the call (and the
+        ``attrs`` construction) behind that flag.
         """
         skip = self._sample_skip
         if skip:
             self._sample_skip = skip - 1
             return
         self._sample_skip = self.sample_every - 1
-        ring = self._ring
+        self.events_emitted += 1
         n = self._ring_n
-        ring[n] = (step, layer, name, node, dur, attrs)
-        n += 1
-        if n == len(ring):
-            self._ring_n = n
+        self._ring[n] = (step, layer, name, node, dur, attrs)
+        self._ring_n = n + 1
+        if n + 1 == len(self._ring):
             self._flush_ring()
-        else:
-            self._ring_n = n
 
     def _flush_ring(self) -> None:
-        """Materialise ring tuples into events for the retaining audience."""
+        """Materialise ring tuples into events for the audience that keeps them."""
         n = self._ring_n
         self._ring_n = 0
-        self.events_emitted += n
         handlers = self._event_handlers
-        if not handlers:
-            return
         ring = self._ring
-        if len(handlers) == 1:
-            handler = handlers[0]
-            for i in range(n):
-                t = ring[i]
-                handler(TelemetryEvent(t[0], t[1], t[2], t[3], t[4], t[5]))
-        else:
-            for i in range(n):
-                t = ring[i]
-                ev = TelemetryEvent(t[0], t[1], t[2], t[3], t[4], t[5])
-                for handler in handlers:
-                    handler(ev)
+        for i in range(n):
+            ev = TelemetryEvent(*ring[i])
+            for handler in handlers:
+                handler(ev)
 
     def flush(self) -> None:
-        """Drain the ring, counter deltas and observations to subscribers.
+        """Hand everything published since the last flush to the subscribers.
 
-        The machine calls this at every step boundary; direct users of the
-        batch surface call it before reading aggregated state.
+        The only place a subscriber is called: the ring goes to those that
+        keep events, the counter / observation / gauge deltas to the
+        aggregators.  The machine calls this at every step boundary and at
+        the end of a run; direct users of the bus call it before reading a
+        subscriber.
         """
         if self._ring_n:
             self._flush_ring()
@@ -308,6 +307,11 @@ class TelemetryBus:
             for fn in self._observation_subs:
                 fn(obs)
             obs.clear()
+        gauges = self._gauges
+        if gauges:
+            for fn in self._gauge_subs:
+                fn(gauges)
+            gauges.clear()
 
     # -- snapshot / restore (repro.state protocol) ---------------------
 
@@ -341,4 +345,5 @@ class TelemetryBus:
         self._sample_skip = data["sample_skip"]
         self._counts.clear()
         self._observations.clear()
+        self._gauges.clear()
         self._ring_n = 0

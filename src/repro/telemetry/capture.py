@@ -151,15 +151,15 @@ def capture_sat_trace(
 ) -> Dict[str, Any]:
     """Trace one SAT sweep cell (the figure benches' representative run).
 
-    Runs the :class:`~repro.parallel.SatTask`'s canonical
+    Runs the :class:`~repro.parallel.SatCell`'s
     :class:`repro.engine.RunSpec` with a fresh telemetry pipeline and
     writes the Chrome trace — the profiling lens of the paper's §V-C,
     per event instead of per aggregate.
     """
-    run, artifacts = _run_traced(task.to_runspec(), task.topology, out, metrics_path)
+    run, artifacts = _run_traced(task.spec, task.topology, out, metrics_path)
     return {
         "topology": task.topology.describe(),
-        "mapper": task.mapper,
+        "mapper": task.spec.mapper,
         "satisfiable": bool(run.verdict["sat"]),
         "computation_time": run.report.computation_time,
         **artifacts,

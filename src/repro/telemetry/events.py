@@ -8,14 +8,13 @@ simulation with **no** bus attached pays exactly one ``is None`` check per
 potential event (see ``docs/observability.md`` and ``docs/performance.md``
 for measured overhead).
 
-Hot-path events (layer-1 ``send`` / ``deliver`` and the reliability
-counters) do not pass through ``__init__`` individually: publishers stage
-them as plain ``(step, layer, name, node, dur, attrs)`` tuples in the bus's
-ring buffer — the slot order matches this class's constructor — and the bus
-materialises :class:`TelemetryEvent` objects in batches, only when a
-subscriber actually retains events.  Aggregating subscribers (metrics)
-never see per-message objects at all; they consume coalesced per-step
-deltas (see :mod:`repro.telemetry.bus`).
+No publisher builds one: every publication is staged as a plain
+``(step, layer, name, node, dur, attrs)`` tuple in the bus's ring buffer —
+the slot order matches this class's constructor — and the bus materialises
+:class:`TelemetryEvent` objects at ``flush``, only for subscribers that
+keep events.  Aggregating subscribers (metrics) never see per-message
+objects at all; they consume coalesced per-step deltas (see
+:mod:`repro.telemetry.bus`).
 
 Taxonomy (the full per-layer list lives in ``docs/observability.md``):
 

@@ -2,14 +2,14 @@
 
 :class:`MetricsRegistry` is the standalone container — any component may
 create and update metrics directly.  :class:`MetricsSubscriber` derives a
-standard set of metrics *from the event stream*, so attaching it to a
-:class:`~repro.telemetry.bus.TelemetryBus` yields per-layer counters, span
-histograms and counter-track gauges with no per-layer code:
+standard set of metrics from the bus's per-step deltas, so attaching it to
+a :class:`~repro.telemetry.bus.TelemetryBus` yields per-layer counters,
+span histograms and counter-track gauges with no per-layer code:
 
 * every event increments the counter ``l{layer}.{name}``;
 * span events (``dur`` set) feed the histogram ``l{layer}.{name}.steps``;
 * counter-style events (``value`` attr) update the gauge
-  ``l{layer}.{name}`` (last value + peak).
+  ``l{layer}.{name}.level`` (last value, peak, low).
 
 Dumps: :meth:`MetricsRegistry.as_dict`, plus CSV/JSON writers in
 :mod:`repro.telemetry.export`.
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from typing import Any, Dict, List, Optional
-
-from .events import TelemetryEvent
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsSubscriber"]
 
@@ -188,20 +186,15 @@ class MetricsSubscriber:
     feed ``l{layer}.{name}.steps`` (histogram); counter-style events update
     the gauge ``l{layer}.{name}.level``.
 
-    This subscriber is a pure aggregator: it declares
-    ``needs_events = False``, so the bus excludes it from the ring-buffered
-    event stream and instead delivers the coalesced per-step counter and
-    observation deltas through :meth:`on_counters` /
-    :meth:`on_observations` — one call and one cached metric lookup per
-    distinct name per step, instead of an f-string plus registry lookup
-    per message.  ``emit``-published events still arrive via
-    :meth:`on_event` exactly as before.
+    This subscriber is a pure aggregator: it has no ``on_event``, so the
+    bus builds no event for it and delivers the coalesced per-step counter,
+    observation and gauge deltas through :meth:`on_counters` /
+    :meth:`on_observations` / :meth:`on_gauges` — one call and one cached
+    metric lookup per distinct name per step, instead of an f-string plus
+    registry lookup per message.
     """
 
-    __slots__ = ("registry", "_counter_cache", "_hist_cache")
-
-    #: aggregates deltas; never needs the materialised event stream
-    needs_events = False
+    __slots__ = ("registry", "_counter_cache", "_hist_cache", "_gauge_cache")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -209,17 +202,8 @@ class MetricsSubscriber:
         self._counter_cache: Dict[Any, Counter] = {}
         #: (layer, name) -> (Counter, Histogram) for observation keys
         self._hist_cache: Dict[Any, Any] = {}
-
-    def on_event(self, event: TelemetryEvent) -> None:
-        base = f"l{event.layer}.{event.name}"
-        self.registry.counter(base).inc()
-        if event.dur is not None:
-            self.registry.histogram(base + ".steps").observe(event.dur)
-        attrs = event.attrs
-        if attrs is not None:
-            value = attrs.get("value")
-            if value is not None:
-                self.registry.gauge(base + ".level").set(value)
+        #: (layer, name) -> Gauge
+        self._gauge_cache: Dict[Any, Gauge] = {}
 
     def on_counters(self, deltas: Dict[Any, int]) -> None:
         """Apply one step's coalesced ``{(layer, name): n}`` deltas."""
@@ -235,8 +219,8 @@ class MetricsSubscriber:
     def on_observations(self, deltas: Dict[Any, int]) -> None:
         """Apply coalesced ``{(layer, name, value): n}`` span observations.
 
-        Mirrors the ``emit`` span treatment: each observation bumps the
-        base counter and feeds the ``.steps`` histogram.
+        Each observation bumps the base counter and feeds the ``.steps``
+        histogram.
         """
         cache = self._hist_cache
         for (layer, name, value), n in deltas.items():
@@ -249,6 +233,22 @@ class MetricsSubscriber:
                 )
             pair[0].value += n
             pair[1].observe_n(value, n)
+
+    def on_gauges(self, deltas: Dict[Any, List[Any]]) -> None:
+        """Apply coalesced ``{(layer, name): [last, peak, low, n]}`` samples."""
+        cache = self._gauge_cache
+        for key, (last, peak, low, n) in deltas.items():
+            gauge = cache.get(key)
+            if gauge is None:
+                gauge = cache[key] = self.registry.gauge(
+                    f"l{key[0]}.{key[1]}.level"
+                )
+            gauge.value = last
+            if peak > gauge.peak:
+                gauge.peak = peak
+            if low < gauge.low:
+                gauge.low = low
+            gauge.updates += n
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         return self.registry.as_dict()

@@ -4,26 +4,27 @@ import pickle
 
 from repro.apps.sat import uf20_91_suite
 from repro.bench import BenchPreset, figure4_to_dict, figure5_to_dict, run_figure4, run_figure5
-from repro.engine import RunSpec, execute
-from repro.parallel import SatTask, run_sat_task, solve_sat_tasks
+from repro.engine import RunSpec, cnf_of, execute
+from repro.parallel import run_sat_task, sat_cell, solve_sat_tasks
 from repro.topology import Torus
 
 #: small enough for CI, big enough to exercise every series
 TINY = BenchPreset("tiny", 2, (9, 27))
 
 
-class TestSatTask:
+class TestSatCell:
     def test_task_pickles(self):
         cnf = uf20_91_suite(1)[0]
-        task = SatTask(cnf, Torus((3, 3)), mapper="lbn", status=8, seed=3)
+        task = sat_cell(cnf, Torus((3, 3)), mapper="lbn", status=8, seed=3)
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.cnf == cnf
+        spec = clone.spec
+        assert cnf_of(spec.workload_params) == cnf
         assert clone.topology.n_nodes == 9
-        assert clone.mapper == "lbn" and clone.status == 8 and clone.seed == 3
+        assert spec.mapper == "lbn" and spec.status == 8 and spec.seed == 3
 
     def test_outcome_matches_direct_solve(self):
         cnf = uf20_91_suite(1)[0]
-        task = SatTask(cnf, Torus((4, 4)), simplify="none", seed=1)
+        task = sat_cell(cnf, Torus((4, 4)), simplify="none", seed=1)
         out = run_sat_task(task)
         spec = RunSpec(
             workload="sat", workload_params=cnf.to_params(), simplify="none", seed=1
@@ -37,7 +38,7 @@ class TestSatTask:
 
     def test_collect_flags_ship_arrays(self):
         cnf = uf20_91_suite(1)[0]
-        task = SatTask(
+        task = sat_cell(
             cnf, Torus((4, 4)), seed=1, collect_activity=True, collect_heatmap=True
         )
         out = run_sat_task(task)
@@ -47,7 +48,7 @@ class TestSatTask:
     def test_pool_matches_serial(self):
         problems = uf20_91_suite(3)
         tasks = [
-            SatTask(cnf, Torus((3, 3)), simplify="none", seed=i)
+            sat_cell(cnf, Torus((3, 3)), simplify="none", seed=i)
             for i, cnf in enumerate(problems)
         ]
         assert solve_sat_tasks(tasks, jobs=3) == solve_sat_tasks(tasks, jobs=1)

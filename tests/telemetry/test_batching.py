@@ -1,7 +1,8 @@
-"""The hot-path batch surface: coalesced counters, the event ring, sampling."""
+"""The buffered publishing path: coalesced deltas, the event ring, sampling."""
 
 from repro.netsim import EMPTY_MSG, Machine
 from repro.telemetry import EventLog, MetricsSubscriber, TelemetryBus
+from repro.telemetry import bus as bus_module
 from repro.topology import Torus
 
 
@@ -15,23 +16,24 @@ class _Forwarder:
 
 
 class _DeltaSpy:
-    """Aggregating subscriber that snapshots every batch it is handed."""
+    """Aggregating subscriber that snapshots every batch it is handed.
 
-    needs_events = False
+    No ``on_event``: a pure aggregator, so the bus keeps no events for it.
+    """
 
     def __init__(self):
         self.counter_batches = []
         self.observation_batches = []
-        self.emitted = []  # emit() reaches every subscriber, ring must not
-
-    def on_event(self, event):
-        self.emitted.append(event)
+        self.gauge_batches = []
 
     def on_counters(self, deltas):
         self.counter_batches.append(dict(deltas))
 
     def on_observations(self, deltas):
         self.observation_batches.append(dict(deltas))
+
+    def on_gauges(self, deltas):
+        self.gauge_batches.append({key: tuple(d) for key, d in deltas.items()})
 
 
 class TestCoalescing:
@@ -57,6 +59,46 @@ class TestCoalescing:
         assert spy.observation_batches == [
             {(1, "link_retries", 0): 6, (1, "link_retries", 2): 1}
         ]
+
+    def test_gauge_samples_coalesce_to_last_peak_low_n(self):
+        bus = TelemetryBus()
+        spy = bus.attach(_DeltaSpy())
+        for value in (3, 9, 1, 4):
+            bus.emit(2, "run_queue", 0, 5, attrs={"value": value})
+        bus.emit(1, "queued", 0, attrs={"value": 7, "delivered": 2})
+        bus.emit(3, "ticket_issue", 0, 5, attrs={"dst": 4})  # no sample
+        assert spy.gauge_batches == []
+        bus.flush()
+        assert spy.gauge_batches == [
+            {(2, "run_queue"): (4, 9, 1, 4), (1, "queued"): (7, 7, 7, 1)}
+        ]
+        bus.emit(2, "run_queue", 1, 5, attrs={"value": 2})
+        bus.flush()
+        bus.flush()  # empty flush delivers nothing
+        assert spy.gauge_batches[1:] == [{(2, "run_queue"): (2, 2, 2, 1)}]
+
+    def test_emit_is_counted_or_observed_like_the_batch_calls(self):
+        bus = TelemetryBus()
+        spy = bus.attach(_DeltaSpy())
+        bus.emit(3, "ticket_issue", 0, 5)
+        bus.count(3, "ticket_issue", 2)
+        bus.emit(4, "invocation", 0, 5, dur=6)
+        bus.observe(4, "invocation", 6)
+        bus.flush()
+        assert spy.counter_batches == [{(3, "ticket_issue"): 3}]
+        assert spy.observation_batches == [{(4, "invocation", 6): 2}]
+
+    def test_metrics_gauge_equals_per_sample_updates(self):
+        bus = TelemetryBus()
+        metrics = bus.attach(MetricsSubscriber())
+        for step, batch in enumerate([(5, 2), (8,), (3, 6)]):
+            for value in batch:
+                bus.emit(2, "run_queue", step, attrs={"value": value})
+            bus.flush()
+        assert metrics.as_dict()["l2.run_queue.level"] == {
+            "kind": "gauge", "value": 6, "peak": 8, "low": 2, "updates": 5,
+        }
+        assert metrics.as_dict()["l2.run_queue"]["value"] == 5
 
     def test_machine_flushes_at_every_step_boundary(self):
         bus = TelemetryBus()
@@ -98,17 +140,28 @@ class TestRing:
         assert [e.node for e in events] == list(range(10))
         assert bus.events_emitted == 10
 
-    def test_emit_flushes_ring_first(self):
-        # the merged stream event subscribers see stays in publication order
+    def test_emit_and_record_share_one_ring_in_publication_order(self):
+        # one ring: the stream event subscribers see is publication order
         bus = TelemetryBus()
         log = bus.attach(EventLog())
         bus.record(step=0, layer=1, name="send", node=3)
         bus.emit(1, "drop", step=0, node=4)
         bus.record(step=0, layer=1, name="send", node=5)
+        assert log.events == []  # nothing reaches a subscriber before flush
         bus.flush()
         assert [(e.name, e.node) for e in log.events] == [
             ("send", 3), ("drop", 4), ("send", 5),
         ]
+        assert bus.events_emitted == 3
+
+    def test_full_ring_flushes_emits_too(self):
+        bus = TelemetryBus(ring_size=4)
+        log = bus.attach(EventLog())
+        for i in range(10):
+            bus.emit(3, "ticket_issue", i, i)
+        assert len(log) == 8  # two full rings went out, two events staged
+        bus.flush()
+        assert [e.node for e in log.events] == list(range(10))
 
     def test_ring_skipped_for_aggregating_audience(self):
         # with no event-retaining subscriber the tuples still count as
@@ -116,11 +169,33 @@ class TestRing:
         bus = TelemetryBus()
         bus.attach(_DeltaSpy())
         assert not bus.want_events
-        spy = bus.subscribers[0]
         bus.record(step=0, layer=1, name="send", node=1)
         bus.flush()
         assert bus.events_emitted == 1
-        assert spy.emitted == []
+
+    def test_emit_to_aggregators_only_builds_no_event(self, monkeypatch):
+        built = []
+
+        class _CountingEvent(bus_module.TelemetryEvent):
+            def __init__(self, *fields):
+                built.append(fields)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(bus_module, "TelemetryEvent", _CountingEvent)
+        bus = TelemetryBus()
+        metrics = bus.attach(MetricsSubscriber())
+        bus.emit(3, "ticket_issue", 0, 5, attrs={"dst": 4})
+        bus.emit(4, "invocation", 0, 5, dur=6)
+        assert not bus.want_events
+        bus.flush()
+        assert built == []
+        assert bus.events_emitted == 2
+        assert metrics.as_dict()["l3.ticket_issue"]["value"] == 1
+        # the same publications with an audience that keeps events
+        log = bus.attach(EventLog())
+        bus.emit(3, "ticket_issue", 1, 5)
+        bus.flush()
+        assert len(built) == len(log) == 1
 
 
 class TestSampling:

@@ -21,6 +21,7 @@ def _tiny_bus():
     bus.emit(1, "queued", 0, attrs={"value": 1, "delivered": 0})
     bus.emit(4, "invocation", 1, 3, dur=4, attrs={"inv": 0})
     bus.emit(5, "dpll.branch", -1, 2, attrs={"var": 7})
+    bus.flush()
     return exporter
 
 
@@ -77,6 +78,7 @@ class TestChromeTraceExporter:
         bus = TelemetryBus()
         exporter = bus.attach(ChromeTraceExporter())
         bus.emit(1, "send", -1, -1)
+        bus.flush()
         (entry,) = [e for e in exporter.to_chrome_trace()["traceEvents"]
                     if e["ph"] != "M"]
         assert entry["ts"] == 0 and entry["tid"] == 0
@@ -85,6 +87,7 @@ class TestChromeTraceExporter:
         bus = TelemetryBus()
         exporter = bus.attach(ChromeTraceExporter())
         bus.emit(3, "ticket_issue", 0, 1, attrs={"ticket": object()})
+        bus.flush()
         trace = exporter.to_chrome_trace()
         json.dumps(trace)  # must not raise
         (entry,) = [e for e in trace["traceEvents"] if e["ph"] != "M"]
@@ -97,6 +100,7 @@ def _metrics_registry():
     bus.emit(1, "send", 0, 2)
     bus.emit(1, "queued", 0, attrs={"value": 5})
     bus.emit(4, "invocation", 0, 1, dur=3)
+    bus.flush()
     return sub.registry
 
 

@@ -88,6 +88,7 @@ class TestMetricsSubscriber:
         bus.emit(1, "send", 1, 3)
         bus.emit(4, "invocation", 0, 2, dur=7)
         bus.emit(1, "queued", 0, attrs={"value": 12})
+        bus.flush()
         reg = sub.registry
         assert reg["l1.send"].value == 2
         assert reg["l4.invocation"].value == 1
@@ -104,6 +105,7 @@ class TestMetricsSubscriber:
         bus = TelemetryBus()
         sub = bus.attach(MetricsSubscriber())
         bus.emit(2, "context_switch", 0, 1)
+        bus.flush()
         d = sub.as_dict()
         assert d["l2.context_switch"]["value"] == 1
         assert not math.isnan(d["l2.context_switch"]["value"])

@@ -34,6 +34,7 @@ class TestProbeLifecycle:
         install_probes(bus, step_fn=lambda: 42)
         set_probe_node(7)
         probe("dpll.branch", var=3)
+        bus.flush()
         (ev,) = log.events
         assert (ev.layer, ev.name, ev.step, ev.node) == (5, "dpll.branch", 42, 7)
         assert ev.attrs == {"var": 3}
@@ -44,6 +45,7 @@ class TestProbeLifecycle:
         install_probes(bus)
         uninstall_probes()
         probe("x")
+        bus.flush()
         assert len(log) == 0
 
     def test_no_step_fn_defaults_to_zero(self):
@@ -51,6 +53,7 @@ class TestProbeLifecycle:
         log = bus.attach(EventLog())
         install_probes(bus)
         probe("x")
+        bus.flush()
         assert log.events[0].step == 0
         assert log.events[0].node == -1
 
@@ -70,6 +73,7 @@ class TestProbeLifecycle:
         with probes_to(bus):
             probe("inside")
         probe("outside")
+        bus.flush()
         assert [e.name for e in log.events] == ["inside"]
 
     def test_empty_attrs_stay_none(self):
@@ -77,4 +81,5 @@ class TestProbeLifecycle:
         log = bus.attach(EventLog())
         install_probes(bus)
         probe("bare")
+        bus.flush()
         assert log.events[0].attrs is None

@@ -124,6 +124,25 @@ RULE_VIOLATIONS = {
 }
 
 
+#: values layer 3's constructors refuse with a MappingError: the table must
+#: refuse them first, so execute() never gets that far
+LAYER3_REFUSALS = {
+    "share_threshold=0": ("share-threshold", {"share_threshold": 0}),
+    "status=0": ("status", {"status": 0}),
+    "status=-3": ("status", {"status": -3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER3_REFUSALS))
+def test_thresholds_layer3_refuses_are_spec_errors(case):
+    code, knobs = LAYER3_REFUSALS[case]
+    spec = RunSpec(workload="fib", workload_params={"n": 5}, topology="ring:4",
+                   **knobs)
+    assert [c for c, _ in violations(spec)] == [code]
+    with pytest.raises(SpecError):
+        execute(spec)
+
+
 def test_every_rule_has_a_violation_case():
     assert sorted(RULE_VIOLATIONS) == sorted(r.code for r in RULES)
 

@@ -17,7 +17,7 @@ import pytest
 from repro.conformance.space import sample_list
 from repro.engine import RunSpec, execute
 from repro.netsim.digest import canonical_digest
-from repro.telemetry import EventLog, TelemetryBus
+from repro.telemetry import EventLog, MetricsSubscriber, TelemetryBus
 
 SAT = {"num_vars": 12, "num_clauses": 40, "formula_seed": 5}
 
@@ -121,6 +121,46 @@ def test_event_stream_pinned(base, variant):
     assert run.completed
     stream = [event.as_dict() for event in log.events]
     assert (canonical_digest(stream), len(stream)) == STREAM_PINNED[base, variant]
+
+
+# -- what the aggregators count ---------------------------------------------
+#
+# Recorded before the bus's eager per-event dispatch was folded into the
+# buffered path: every counter, histogram and gauge a MetricsSubscriber
+# derives, and the bus's own events_emitted, per backend — once with the
+# aggregator alone and once with an EventLog beside it.  The second audience
+# changes how many events are *published* (layer 1 and the reliability layer
+# only build per-message records for a subscriber that keeps them), never
+# what is counted.
+
+METRICS_VARIANTS = dict(
+    STREAM_VARIANTS, process2={"shards": 2, "shard_backend": "process"}
+)
+
+#: (base, variant) -> (digest of MetricsSubscriber.as_dict(),
+#:                     events_emitted alone, events_emitted beside an EventLog)
+METRICS_PINNED = {
+    ("uf20", "serial"): ("bb7e7b2484d433fc", 792, 1210),
+    ("uf20", "shards2"): ("a21d97167d5ca23a", 792, 1210),
+    ("uf20", "process2"): ("a21d97167d5ca23a", 792, 1210),
+    ("uf20", "lossy"): ("229f0669b9b42c11", 838, 1752),
+    ("fib", "serial"): ("a0f5e02a8e67821b", 1755, 2461),
+}
+
+
+@pytest.mark.parametrize("with_log", [False, True])
+@pytest.mark.parametrize("base,variant", sorted(METRICS_PINNED))
+def test_metrics_pinned(base, variant, with_log):
+    bus = TelemetryBus()
+    metrics = bus.attach(MetricsSubscriber())
+    if with_log:
+        bus.attach(EventLog())
+    run = execute(STREAM_BASES[base].with_(**METRICS_VARIANTS[variant]),
+                  telemetry=bus)
+    assert run.completed
+    digest, alone, beside_log = METRICS_PINNED[base, variant]
+    assert canonical_digest(metrics.as_dict()) == digest
+    assert bus.events_emitted == (beside_log if with_log else alone)
 
 
 def test_sampler_stream_pinned():

@@ -12,18 +12,15 @@ import random
 import pytest
 
 from repro.apps.sat import uf20_91_suite
+from repro.conformance.workloads import comparable_metrics
 from repro.engine import RunSpec, execute
 from repro.errors import ApplicationError, SimulationError
 from repro.netsim import ShardProgramSpec
 from repro.netsim.digest import canonical_digest as canon
 from repro.stack import HyperspaceStack
-from repro.telemetry import TelemetryBus
+from repro.telemetry import EventLog, TelemetryBus
 from repro.telemetry.metrics import MetricsSubscriber
 from repro.topology import Torus
-
-# the coordinator reports its partition through these counters; a serial
-# run has no partition, so parity comparisons must ignore them
-SHARD_ONLY_METRICS = ("l1.shard_count", "l1.shard_edge_cut")
 
 SCENARIOS = {
     "plain": dict(mapper="rr"),
@@ -55,16 +52,7 @@ def run_uf20(shards, **kw):
         "steps": rep.steps,
     })
     stats = {s: getattr(res.engine_stats, s) for s in res.engine_stats.__slots__}
-    metrics = {}
-    for name, value in sub.as_dict().items():
-        if name in SHARD_ONLY_METRICS:
-            continue
-        value = dict(value)
-        # a gauge's *last seen* value depends on event-relay interleaving
-        # (a documented relaxation); counters/histograms/peaks must match
-        value.pop("last", None)
-        metrics[name] = value
-    return digest, stats, metrics
+    return digest, stats, comparable_metrics(sub)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +71,49 @@ class TestStackParity:
         assert digest == want_digest
         assert stats == want_stats
         assert metrics == want_metrics
+
+
+class TestRelayedEvents:
+    def test_coordinator_event_log_has_every_worker_event_after_run(self):
+        # nothing may stay behind in a worker's ring (its last partial
+        # batch) or in the coordinator's once run() has returned
+        def events(**knobs):
+            cnf = uf20_91_suite(1, seed=99)[0]
+            bus = TelemetryBus()
+            log = bus.attach(EventLog())
+            execute(
+                sat_spec(cnf, mapper="lbn", status=4, simplify="none",
+                         seed=2017, **knobs),
+                topology=Torus((4, 4)),
+                telemetry=bus,
+            )
+            assert len(log) == bus.events_emitted
+            return sorted(canon(event.as_dict()) for event in log.events)
+
+        serial = events()
+        assert len(serial) > 1000
+        assert events(shards=2, shard_backend="process") == serial
+
+
+class TestComparableMetrics:
+    def test_only_a_gauges_last_value_is_relaxed(self):
+        bus = TelemetryBus()
+        sub = bus.attach(MetricsSubscriber())
+        bus.emit(2, "run_queue", 0, 1, attrs={"value": 3})
+        bus.emit(2, "run_queue", 0, 2, attrs={"value": 1})
+        bus.emit(4, "invocation", 0, 1, dur=5)
+        bus.count(1, "shard_count", 2)
+        bus.flush()
+        full = sub.as_dict()
+        assert comparable_metrics(sub) == {
+            "l2.run_queue": full["l2.run_queue"],
+            "l2.run_queue.level": {
+                "kind": "gauge", "peak": 3, "low": 1, "updates": 2,
+            },
+            "l4.invocation": full["l4.invocation"],
+            "l4.invocation.steps": full["l4.invocation.steps"],
+        }
+        assert full["l2.run_queue.level"]["value"] == 1
 
 
 def solve_ckpt(shards, resume_from=None, capture=None):
