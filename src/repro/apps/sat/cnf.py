@@ -125,17 +125,33 @@ class CNF:
     def __hash__(self) -> int:
         return hash((self.clauses, self.num_vars))
 
+    def occurrences(self) -> Dict[Literal, List[int]]:
+        """Literal -> ascending positions of the clauses containing it.
+
+        Built in one pass and cached (read it, never mutate it); a literal
+        repeated inside a clause repeats the position, so ``len`` counts it.
+        """
+        index = self._lit_cache
+        if index is None:
+            index = {}
+            get = index.get
+            for pos, clause in enumerate(self.clauses):
+                for l in clause:
+                    where = get(l)
+                    if where is None:
+                        index[l] = [pos]
+                    else:
+                        where.append(pos)
+            object.__setattr__(self, "_lit_cache", index)
+        return index
+
     def literals(self) -> FrozenSet[Literal]:
-        """The set of literals appearing in the formula (cached)."""
-        cached = self._lit_cache
-        if cached is None:
-            cached = frozenset(l for c in self.clauses for l in c)
-            object.__setattr__(self, "_lit_cache", cached)
-        return cached
+        """The set of literals appearing in the formula."""
+        return frozenset(self.occurrences())
 
     def variables(self) -> FrozenSet[int]:
         """Variables appearing in the formula."""
-        return frozenset(var_of(l) for l in self.literals())
+        return frozenset(var_of(l) for l in self.occurrences())
 
     # -- solver predicates -------------------------------------------------
 
@@ -147,7 +163,7 @@ class CNF:
     @property
     def has_empty_clause(self) -> bool:
         """Paper's ``exist_empty_clause``: some clause is unsatisfiable."""
-        return any(not c for c in self.clauses)
+        return () in self.clauses
 
     def unit_literals(self) -> List[Literal]:
         """Literals forced by unit clauses, in clause order, deduplicated.
@@ -166,9 +182,9 @@ class CNF:
 
     def pure_literals(self) -> List[Literal]:
         """Literals that occur in only one polarity, ascending by variable."""
-        lits = self.literals()
+        occ = self.occurrences()
         return sorted(
-            (l for l in lits if negate(l) not in lits), key=lambda l: (var_of(l), l < 0)
+            (l for l in occ if -l not in occ), key=lambda l: (var_of(l), l < 0)
         )
 
     # -- transformation ------------------------------------------------------
@@ -178,18 +194,31 @@ class CNF:
 
         Clauses containing ``lit`` are satisfied (dropped); occurrences of
         ``-lit`` are falsified (removed, possibly leaving an empty clause).
+        With :meth:`occurrences` already cached only the clauses mentioning
+        the variable are touched; a formula assigned once is scanned instead.
         """
         if lit == 0:
             raise ApplicationError("cannot assign literal 0")
         neg = -lit
-        new_clauses: List[Clause] = []
-        for c in self.clauses:
-            if lit in c:
-                continue
-            if neg in c:
-                new_clauses.append(tuple(l for l in c if l != neg))
-            else:
-                new_clauses.append(c)
+        occ = self._lit_cache
+        if occ is None:
+            new_clauses: List[Clause] = []
+            for c in self.clauses:
+                if lit in c:
+                    continue
+                if neg in c:
+                    new_clauses.append(tuple([l for l in c if l != neg]))
+                else:
+                    new_clauses.append(c)
+        else:
+            new_clauses = list(self.clauses)
+            for pos in occ.get(neg, ()):
+                new_clauses[pos] = tuple([l for l in new_clauses[pos] if l != neg])
+            last = -1
+            for pos in reversed(occ.get(lit, ())):  # ascending, repeats adjacent
+                if pos != last:
+                    del new_clauses[pos]
+                    last = pos
         return CNF._from_trusted(tuple(new_clauses), self.num_vars)
 
     def assign_all(self, lits: Sequence[Literal]) -> "CNF":

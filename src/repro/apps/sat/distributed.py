@@ -24,7 +24,7 @@ from ...recursion import Call, Choice, Result, Sync
 from ...telemetry.probe import probe, probe_enabled
 from .cnf import CNF, var_of
 from .dpll import assign_pures, propagate_units
-from .heuristics import Heuristic, make_heuristic
+from .heuristics import Heuristic, make_heuristic, require_occurring
 
 __all__ = [
     "SatProblem",
@@ -129,19 +129,19 @@ def make_solve_sat(
         """Paper Listing 4: the DPLL step executed at each node."""
         if isinstance(problem, CNF):
             problem = SatProblem(problem)
-        cnf = problem.cnf
-        model = problem.as_dict()
+        cnf, assignment = problem
         # lines 2-5: terminal checks
         if cnf.is_consistent:
-            yield Result(model)
+            yield Result(dict(assignment))
             return
         if cnf.has_empty_clause:
             if probe_enabled():
-                probe("dpll.backtrack", depth=len(model), reason="empty_clause")
+                probe("dpll.backtrack", depth=len(assignment), reason="empty_clause")
             yield Result(None)
             return
         # lines 6-8: unit propagation / lines 9-11: pure literal assignment
         if not no_simplify:
+            model = dict(assignment)
             cnf = propagate_units(cnf, model, fixpoint=fixpoint)
             if not cnf.has_empty_clause:
                 cnf = assign_pures(cnf, model)
@@ -154,19 +154,20 @@ def make_solve_sat(
             if cnf.is_consistent:
                 yield Result(model)
                 return
+            assignment = tuple(model.items())
         # lines 12-14: branch on a selected literal
         lit = heuristic(cnf)
+        require_occurring(cnf, lit)
         var, value = var_of(lit), lit > 0
         if probe_enabled():
             probe(
                 "dpll.branch",
                 var=var,
-                depth=len(model),
+                depth=len(assignment),
                 clauses=cnf.num_clauses,
             )
-        base = SatProblem(cnf, tuple(model.items()))
-        sub1 = SatProblem(cnf.assign(lit), base.assignment + ((var, value),))
-        sub2 = SatProblem(cnf.assign(-lit), base.assignment + ((var, not value),))
+        sub1 = SatProblem(cnf.assign(lit), assignment + ((var, value),))
+        sub2 = SatProblem(cnf.assign(-lit), assignment + ((var, not value),))
         # line 15: concurrent evaluation with non-deterministic choice
         yield Choice(
             is_sat,

@@ -20,7 +20,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from .cnf import CNF, Literal, var_of
-from .heuristics import Heuristic, make_heuristic
+from .heuristics import Heuristic, make_heuristic, require_occurring
 
 __all__ = ["SolveStats", "SatResult", "dpll_solve", "propagate_units", "assign_pures"]
 
@@ -107,8 +107,8 @@ def assign_pures(
     """Assign pure literals (paper Listing 4 lines 9-11), one sweep."""
     for lit in cnf.pure_literals():
         # purity can change as clauses vanish; re-check before each assign
-        lits_now = cnf.literals()
-        if lit in lits_now and -lit not in lits_now:
+        occ = cnf.occurrences()
+        if lit in occ and -lit not in occ:
             cnf = cnf.assign(lit)
             assignment[var_of(lit)] = lit > 0
             if stats is not None:
@@ -153,6 +153,7 @@ def dpll_solve(
         if problem.is_consistent:
             return assignment
         lit = heuristic(problem)
+        require_occurring(problem, lit)
         stats.decisions += 1
         for chosen in (lit, -lit):
             trial = dict(assignment)

@@ -33,8 +33,18 @@ Heuristic = Callable[[CNF], Literal]
 
 
 def _require_literals(cnf: CNF) -> None:
-    if not cnf.literals():
+    if not cnf.occurrences():
         raise ApplicationError("cannot select a literal from an empty formula")
+
+
+def require_occurring(cnf: CNF, lit: Literal) -> None:
+    """Reject a branching literal whose variable is gone from ``cnf``."""
+    occ = cnf.occurrences()
+    if lit not in occ and -lit not in occ:
+        raise ApplicationError(
+            f"heuristic chose literal {lit}, whose variable does not occur "
+            "in the formula (both children would equal their parent)"
+        )
 
 
 def first_literal(cnf: CNF) -> Literal:
@@ -49,8 +59,8 @@ def max_occurrence(cnf: CNF) -> Literal:
     """The literal occurring in the most clauses (ties: smallest var, then
     positive polarity).  A solid general-purpose default."""
     _require_literals(cnf)
-    counts: Counter[Literal] = Counter(l for c in cnf.clauses for l in c)
-    return max(counts, key=lambda l: (counts[l], -var_of(l), l > 0))
+    # (count, -var, literal) orders exactly as (count, -var, positive first)
+    return max([(len(where), -abs(l), l) for l, where in cnf.occurrences().items()])[2]
 
 
 def jeroslow_wang(cnf: CNF) -> Literal:
@@ -67,7 +77,7 @@ def jeroslow_wang(cnf: CNF) -> Literal:
         w = 2.0 ** (-len(clause))
         for l in clause:
             scores[l] = scores.get(l, 0.0) + w
-    return max(scores, key=lambda l: (scores[l], -var_of(l), l > 0))
+    return max([(score, -abs(l), l) for l, score in scores.items()])[2]
 
 
 def moms(cnf: CNF) -> Literal:
@@ -79,14 +89,14 @@ def moms(cnf: CNF) -> Literal:
     counts: Counter[Literal] = Counter(
         l for c in cnf.clauses if len(c) == min_len for l in c
     )
-    return max(counts, key=lambda l: (counts[l], -var_of(l), l > 0))
+    return max([(n, -abs(l), l) for l, n in counts.items()])[2]
 
 
 def make_random_heuristic(rng: random.Random) -> Heuristic:
     """Uniform random literal (seeded) — the no-information baseline."""
 
     def random_literal(cnf: CNF) -> Literal:
-        lits = sorted(cnf.literals(), key=lambda l: (var_of(l), l < 0))
+        lits = sorted(cnf.occurrences(), key=lambda l: (var_of(l), l < 0))
         if not lits:
             raise ApplicationError("cannot select a literal from an empty formula")
         return lits[rng.randrange(len(lits))]

@@ -160,17 +160,18 @@ class LeastBusyNeighbourMapper(_MapperBase):
         self.track_outstanding = track_outstanding
         self._outstanding: Dict[NodeId, int] = {}
 
-    def _score(self, view: MapperView, n: NodeId) -> float:
-        score = float(view.known_count(n))
-        if self.track_outstanding:
-            score += self._outstanding.get(n, 0)
-        return score
-
     def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
         if not view.neighbours:
             raise MappingError(f"node {view.node} has no neighbours to map work to")
-        best = min(self._score(view, n) for n in view.neighbours)
-        candidates = [n for n in view.neighbours if self._score(view, n) == best]
+        # without track_outstanding nothing is ever recorded as outstanding
+        known, outstanding = view.neighbour_counts.get, self._outstanding.get
+        best, candidates = None, []
+        for n in view.neighbours:
+            score = known(n, 0) + outstanding(n, 0)
+            if best is None or score < best:
+                best, candidates = score, [n]
+            elif score == best:
+                candidates.append(n)
         if len(candidates) == 1:
             return candidates[0]
         return candidates[view.rng.randrange(len(candidates))]
@@ -228,12 +229,14 @@ class HintAwareMapper(_MapperBase):
     def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
         if not view.neighbours:
             raise MappingError(f"node {view.node} has no neighbours to map work to")
-
-        def score(n: NodeId) -> float:
-            return view.known_count(n) + self.alpha * self._outstanding.get(n, 0.0)
-
-        best = min(score(n) for n in view.neighbours)
-        candidates = [n for n in view.neighbours if score(n) == best]
+        known, outstanding, alpha = view.neighbour_counts.get, self._outstanding.get, self.alpha
+        best, candidates = None, []
+        for n in view.neighbours:
+            score = known(n, 0) + alpha * outstanding(n, 0.0)
+            if best is None or score < best:
+                best, candidates = score, [n]
+            elif score == best:
+                candidates.append(n)
         if len(candidates) == 1:
             return candidates[0]
         return candidates[view.rng.randrange(len(candidates))]

@@ -348,12 +348,13 @@ class MappingService:
         # they counted, a status threshold at or below the node degree would
         # make broadcasts self-sustaining (every status volley triggers the
         # next one) and the machine would never go quiescent.
-        if not isinstance(payload, (StatusMsg, CancelMsg)):
+        kind = payload.__class__
+        if kind is not StatusMsg and kind is not CancelMsg:
             view.received_count += 1
         mctx = mstate.mctx
         assert mctx is not None
 
-        if isinstance(payload, WorkMsg):
+        if kind is WorkMsg:
             if sender is not None:
                 view.observe(sender.node, payload.sender_count)
             if payload.hops_left > 0:
@@ -378,12 +379,15 @@ class MappingService:
                     payload.ticket, tuple(reversed(payload.path))
                 )
                 self.app.on_work(mctx, handle, payload.payload, payload.hint)
-        elif isinstance(payload, ReplyMsg):
+        elif kind is ReplyMsg:
             if sender is not None:
                 view.observe(sender.node, payload.sender_count)
             if payload.route:
                 # relay toward the issuer; retire our forwarding-table entry
+                # and the load _forward_work put on that neighbour
                 mstate.forward_table.pop(payload.ticket, None)
+                if sender is not None:
+                    mstate.mapper.on_reply(view, sender.node)
                 fwd = ReplyMsg(
                     payload.ticket,
                     payload.payload,
@@ -410,10 +414,10 @@ class MappingService:
                         attrs={"ticket": str(payload.ticket)},
                     )
                 self.app.on_reply(mctx, payload.ticket, payload.payload)
-        elif isinstance(payload, StatusMsg):
+        elif kind is StatusMsg:
             if sender is not None:
                 view.observe(sender.node, payload.sender_count)
-        elif isinstance(payload, CancelMsg):
+        elif kind is CancelMsg:
             if sender is not None:
                 view.observe(sender.node, payload.sender_count)
             next_hop = mstate.forward_table.get(payload.ticket)
@@ -429,7 +433,8 @@ class MappingService:
             # raw payload: an external trigger for the application
             self.app.on_work(mctx, None, payload, None)
 
-        self._maybe_broadcast_status(pctx, mstate)
+        if mstate.status.should_broadcast(view.received_count):
+            self._broadcast_status(pctx, mstate)
 
     # -- internals -------------------------------------------------------
 
@@ -477,21 +482,20 @@ class MappingService:
                 },
             )
 
-    def _maybe_broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
-        if mstate.status.should_broadcast(mstate.view.received_count):
-            count = mstate.view.received_count
-            for n in pctx.neighbours:
-                pctx.send(Address(n, pctx.pid), StatusMsg(count))
-            mstate.status.on_broadcast(count)
-            tel = self._telemetry
-            if tel is not None:
-                tel.emit(
-                    3,
-                    "status_broadcast",
-                    pctx.step,
-                    pctx.node,
-                    attrs={"count": count, "fanout": len(pctx.neighbours)},
-                )
+    def _broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
+        count = mstate.view.received_count
+        for n in pctx.neighbours:
+            pctx.send(Address(n, pctx.pid), StatusMsg(count))
+        mstate.status.on_broadcast(count)
+        tel = self._telemetry
+        if tel is not None:
+            tel.emit(
+                3,
+                "status_broadcast",
+                pctx.step,
+                pctx.node,
+                attrs={"count": count, "fanout": len(pctx.neighbours)},
+            )
 
     # -- snapshot / restore (repro.state protocol) ------------------------
 

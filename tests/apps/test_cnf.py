@@ -70,7 +70,7 @@ class TestQueries:
 
     def test_literals_cached(self):
         cnf = CNF([(1,)])
-        assert cnf.literals() is cnf.literals()
+        assert cnf.occurrences() is cnf.occurrences()
 
     def test_variables(self):
         cnf = CNF([(1, -2), (-3,)])

@@ -165,3 +165,43 @@ class TestSimplifyModesWorkload:
             res = solve(cnf, Torus((6, 6)), simplify=mode, seed=1)
             sent[mode] = res.report.sent_total
         assert sent["none"] > sent["single"] > sent["fixpoint"]
+
+
+class TestCustomHeuristicGuard:
+    """A branching literal whose variable is gone used to unfold forever:
+    both children equalled their parent."""
+
+    PARAMS = {"clauses": [[1, 2], [-1, 2], [3, -2]], "num_vars": 4}
+
+    def run(self, heuristic_fn):
+        spec = RunSpec(workload="sat", workload_params=self.PARAMS,
+                       topology="ring:4", heuristic="custom", simplify="none",
+                       max_steps=2000)
+        return execute(spec, heuristic_fn=heuristic_fn)
+
+    def test_absent_variable_raises_within_one_branch_step(self):
+        calls = []
+
+        def absent(cnf):
+            calls.append(cnf)
+            return 4
+
+        with pytest.raises(ApplicationError, match="literal 4, whose variable"):
+            self.run(absent)
+        assert len(calls) == 1
+
+    def test_absent_polarity_of_a_present_variable_is_legal(self):
+        # the complement of a pure literal never occurs; its variable does
+        chosen_absent = []
+
+        def contrary(cnf):
+            pures = cnf.pure_literals()
+            if pures:
+                chosen_absent.append(-pures[0])
+                return -pures[0]
+            return min(cnf.occurrences(), key=abs)
+
+        run = self.run(contrary)
+        assert chosen_absent
+        assert run.completed and run.verdict["sat"]
+        assert CNF(**self.PARAMS).is_satisfied_by(dict(run.verdict["assignment"]))

@@ -12,6 +12,7 @@ from repro.apps.sat import (
     propagate_units,
     uniform_random_ksat,
 )
+from repro.errors import ApplicationError
 
 
 class TestPropagateUnits:
@@ -152,3 +153,15 @@ class TestDpllSolve:
             for s3 in (1, -1)
         ]
         assert not dpll_solve(CNF(clauses)).satisfiable
+
+    def test_heuristic_choosing_an_absent_variable_is_rejected(self, small_sat_suite):
+        # used to recurse on an unchanged formula until RecursionError
+        calls = []
+
+        def absent(cnf):
+            calls.append(cnf)
+            return 99
+
+        with pytest.raises(ApplicationError, match="literal 99, whose variable"):
+            dpll_solve(small_sat_suite[0], heuristic=absent)
+        assert len(calls) == 1

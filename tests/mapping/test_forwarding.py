@@ -89,6 +89,30 @@ class TestForwardedPaths:
         assert result == closed_form_sum(40)
 
 
+class TestRelaysRetireTheirLoad:
+    """``_forward_work`` records load against the next hop on the relay's
+    mapper; the relayed reply must retire it, or every relay's estimate of
+    "sent but not yet answered" only ever grows."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"forward_hops": 0}, {"forward_hops": 1}, {"forward_hops": 2},
+         {"share_threshold": 2}],
+        ids=["hops0", "hops1", "hops2", "share2"],
+    )
+    @pytest.mark.parametrize("mapper", ["lbn", "hint"])
+    def test_nothing_outstanding_after_a_drained_run(self, mapper, knobs):
+        stack = HyperspaceStack(Torus((4, 4)), mapper=mapper, seed=1, **knobs)
+        result, report = stack.run_recursive(fib, 10, halt_on_result=False)
+        assert result == sequential_fib(10)
+        assert report.quiescent
+        run = stack.last_run
+        for node in stack.topology.nodes():
+            mapper_obj = run.scheduler.process_state(run.machine, node).mapper
+            assert mapper_obj._outstanding == {}
+            assert getattr(mapper_obj, "_sent_order", []) == []
+
+
 class TestCancelThroughRelays:
     def test_cancel_chases_forwarded_work(self):
         # issuer forwards work 2 hops, then cancels the ticket; the cancel

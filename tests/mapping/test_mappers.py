@@ -180,3 +180,67 @@ class TestFactory:
     def test_kwargs_forwarded(self):
         factory = make_mapper_factory("hint", alpha=2.5)
         assert factory().alpha == 2.5
+
+
+# -- one-pass ``choose`` against the two-pass code it replaced -----------------
+
+
+def two_pass_choose(score, view):
+    """The replaced shape: ``min`` over the scores, then rescore for ties."""
+    best = min(score(n) for n in view.neighbours)
+    candidates = [n for n in view.neighbours if score(n) == best]
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[view.rng.randrange(len(candidates))]
+
+
+def lbn_reference(mapper, view):
+    def score(n):
+        pending = mapper._outstanding.get(n, 0) if mapper.track_outstanding else 0
+        return float(view.known_count(n)) + pending
+
+    return two_pass_choose(score, view)
+
+
+def hint_reference(mapper, view):
+    def score(n):
+        return view.known_count(n) + mapper.alpha * mapper._outstanding.get(n, 0.0)
+
+    return two_pass_choose(score, view)
+
+
+class TestOnePassChooseMatchesTwoPass:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "make,reference",
+        [
+            (lambda: LeastBusyNeighbourMapper(track_outstanding=True), lbn_reference),
+            (lambda: LeastBusyNeighbourMapper(track_outstanding=False), lbn_reference),
+            (lambda: HintAwareMapper(alpha=0.5), hint_reference),
+        ],
+        ids=["lbn", "lbn-naive", "hint"],
+    )
+    def test_same_destination_and_same_rng_draws(self, make, reference, seed):
+        history = random.Random(seed)
+        neighbours = tuple(history.sample(range(1, 40), history.randint(1, 6)))
+        mapper = make()
+        # two views fed identically, with equally seeded tie-break streams
+        view, shadow = make_view(neighbours, seed=seed), make_view(neighbours, seed=seed)
+        for _ in range(300):
+            event = history.random()
+            n = history.choice(neighbours)
+            if event < 0.3:
+                count = history.randint(0, 6)  # small range: ties are common
+                view.observe(n, count)
+                shadow.observe(n, count)
+            elif event < 0.45:
+                mapper.on_reply(view, n)
+            else:
+                hint = history.choice([None, 1.0, 2.0, 4.0])
+                expected = reference(mapper, shadow)
+                dst = mapper.choose(view, hint)
+                assert dst == expected
+                mapper.on_sent(view, dst, hint)
+        assert view.rng.getstate() == shadow.rng.getstate()
+        if len(neighbours) > 1:  # ties were drawn for, not merely possible
+            assert view.rng.getstate() != random.Random(seed).getstate()

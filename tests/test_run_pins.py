@@ -123,6 +123,50 @@ def test_event_stream_pinned(base, variant):
     assert (canonical_digest(stream), len(stream)) == STREAM_PINNED[base, variant]
 
 
+# -- the benchmark's own configuration ---------------------------------------
+#
+# ``PINNED["sat"]`` runs ``simplify="single"``; the end-to-end benchmark and
+# the paper's Figure 5 run ``simplify="none"``.  Recorded on the commit
+# before one occurrence index replaced the per-branch formula scans and
+# one-pass ``choose`` replaced the two-pass one: the uf20 stream base under
+# three mappers and the four deterministic heuristics, identical serial and
+# on two inline shards.
+
+UNFOLD_MAPPERS = {
+    "lbn": {"mapper": "lbn", "status": 4},
+    "rr": {"mapper": "rr", "status": None},
+    "hint": {"mapper": "hint", "status": None, "hint_mode": "vars"},
+}
+
+#: (mapper, heuristic) -> (schedule_digest, semantic_digest)
+UNFOLD_PINNED = {
+    ("lbn", "max_occurrence"): ("fff744ab2bf8d778", "6a9d22f8e15eb69b"),
+    ("lbn", "moms"): ("4f35768bc16214ea", "5a411ee40dae84ae"),
+    ("lbn", "jeroslow_wang"): ("80bf424816d6bf79", "ef2a014d91c4014e"),
+    ("lbn", "first"): ("d6f28984d5c8347f", "0fd5bae38cb51a29"),
+    ("rr", "max_occurrence"): ("85f160e614de660e", "e58f7a6512631c54"),
+    ("rr", "moms"): ("2fca7817d55c7518", "afbd904cc98dc49b"),
+    ("rr", "jeroslow_wang"): ("4219207a59b2359a", "ab1f717eaaf8d856"),
+    ("rr", "first"): ("a8f79ef9c3aa2e83", "947ee9295c3d0d39"),
+    ("hint", "max_occurrence"): ("3e0b86a7294a44de", "01e96a9356ba9f71"),
+    ("hint", "moms"): ("607c70d43c8a9add", "715699b98b1c1afd"),
+    ("hint", "jeroslow_wang"): ("667c89824f16fda9", "46c365da37029549"),
+    ("hint", "first"): ("4d0f59bb28d97a44", "1bdd74d6814476a6"),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("mapper,heuristic", sorted(UNFOLD_PINNED))
+def test_unfolding_sat_digests_pinned(mapper, heuristic, shards):
+    spec = STREAM_BASES["uf20"].with_(
+        simplify="none", heuristic=heuristic, shards=shards,
+        shard_backend="inline", **UNFOLD_MAPPERS[mapper]
+    )
+    run = execute(spec, want_state_digest=True)
+    assert run.completed
+    assert digests(run) == UNFOLD_PINNED[mapper, heuristic]
+
+
 # -- what the aggregators count ---------------------------------------------
 #
 # Recorded before the bus's eager per-event dispatch was folded into the
