@@ -9,9 +9,9 @@ pairwise equivalence used to be pinned only by hand-written parity tests
 at a handful of configurations; this package turns the layer-substitution
 claim into a continuously fuzzed invariant:
 
-* :mod:`repro.conformance.space` — a seeded sampler over the configuration
-  space (topology x workload x mapper x heuristic x fault schedule x
-  reliability x shard count x checkpoint-resume point);
+* :mod:`repro.conformance.space` — the configuration space as one table
+  (``RunSpec`` field -> the values it is drawn from) and a seeded
+  sampler over it;
 * :mod:`repro.conformance.workloads` — adapters that run one sampled
   configuration through one execution mode and report a comparable
   :class:`~repro.conformance.workloads.RunOutcome` (verdict, schedule

@@ -172,7 +172,9 @@ def run_mode(
             return None
         resume_from = baseline.checkpoints[0]
     elif mode == "fault_free":
-        config = config.with_(drop=0.0, duplicate=0.0, reliable=False)
+        config = config.with_(
+            drop=0.0, duplicate=0.0, reliable=False, retry_limit=None
+        )
     else:
         raise ValueError(f"unknown execution mode {mode!r}")
     spec = config.with_(

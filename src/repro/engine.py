@@ -70,6 +70,8 @@ _SHARE_LOADS = ("queue", "invocations")
 _QUEUE_POLICIES = ("fifo", "lifo", "random")
 _PARTITIONER_NAMES = ("strip", "grid", "greedy")
 _SHARD_BACKENDS = ("auto", "process", "inline")
+#: what ``RunSpec.describe()`` leads with, value only
+_DESCRIBED_FIRST = ("workload", "workload_params", "topology")
 
 
 # -- the spec ---------------------------------------------------------------
@@ -183,24 +185,14 @@ class RunSpec:
         return replace(self, **changes)
 
     def describe(self) -> str:
-        """One-line human summary (fuzz-loop progress, artifacts, errors)."""
+        """One-line human summary (fuzz-loop progress, artifacts, errors):
+        workload, params, topology, then every field off its default."""
         parts = [f"{self.workload}{self.workload_params}",
-                 self.topology or "<topology object>", f"mapper={self.mapper}"]
-        if self.status is not None:
-            parts.append(f"status={self.status}")
-        knobs = _ask_workload(self, "describe_knobs")
-        if knobs:
-            parts.append(knobs)
-        if self.drop or self.duplicate:
-            guard = "reliable" if self.reliable else "unprotected"
-            parts.append(f"faults={self.drop}/{self.duplicate}({guard})")
-        elif self.reliable:
-            parts.append("reliable")
-        if self.shards > 1:
-            parts.append(f"shards={self.shards}({self.partitioner})")
-        if self.checkpoint_every is not None:
-            parts.append(f"ckpt@{self.checkpoint_every}")
-        parts.append(f"seed={self.seed}")
+                 self.topology or "<topology object>"]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _DESCRIBED_FIRST and value != f.default:
+                parts.append(f"{f.name}={value}")
         return " ".join(parts)
 
 
@@ -297,7 +289,8 @@ def _check_topology(spec: RunSpec) -> Optional[str]:
 def _check_probability(name: str) -> Callable[[RunSpec], Optional[str]]:
     def check(spec: RunSpec) -> Optional[str]:
         value = getattr(spec, name)
-        if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0.0 <= value <= 1.0):
             return f"{name} must be a probability in [0, 1], got {value!r}"
         return None
 
@@ -339,14 +332,14 @@ def _check_shard_capability(spec: RunSpec) -> Optional[str]:
     return blockers[0] if blockers else None
 
 
+_retry_limit_value = _check_positive("retry_limit", optional=True, floor=0)
+
+
 def _check_retry_limit(spec: RunSpec) -> Optional[str]:
-    if spec.retry_limit is None:
-        return None
-    if not isinstance(spec.retry_limit, int) or spec.retry_limit < 0:
-        return f"retry_limit must be None or an int >= 0, got {spec.retry_limit!r}"
-    if not spec.reliable:
+    message = _retry_limit_value(spec)
+    if message is None and spec.retry_limit is not None and not spec.reliable:
         return "retry_limit needs reliable=True (it configures the layer-1.5 protocol)"
-    return None
+    return message
 
 
 #: the one capability-rule table: every entry point rejects through this
@@ -499,7 +492,6 @@ def execute(
     telemetry: Any = None,
     size_fn: Optional[Callable[[Any], int]] = None,
     checkpoint_sink: Optional[Callable[[Any], None]] = None,
-    checkpoint_meta: Optional[Dict[str, Any]] = None,
     resume_from: Any = None,
     reliability: Any = None,
     heuristic_fn: Any = None,
@@ -523,8 +515,6 @@ def execute(
       standard SAT envelope sizer when this is omitted);
     * ``checkpoint_sink`` / ``resume_from`` — in-memory checkpoint
       capture and resume (file-based policy is in the spec);
-    * ``checkpoint_meta`` — extra header entries merged next to the
-      canonical ``runspec`` header;
     * ``reliability`` — a configured
       :class:`~repro.reliability.ReliabilityConfig` overriding the
       spec's ``reliable``/``retry_limit`` pair;
@@ -602,9 +592,8 @@ def execute(
         # from this spec through this same function.  The shard layout is
         # normalised away: checkpoints never record the shard count, a
         # sharded run resumes serially and vice versa
-        meta = dict(checkpoint_meta or {})
         header = spec.with_(shards=1, partitioner="strip", shard_backend="auto")
-        meta.setdefault("runspec", header.to_dict())
+        meta = {"runspec": header.to_dict()}
     try:
         if program.node_program is not None:
             report = stack.run_program(

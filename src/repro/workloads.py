@@ -94,8 +94,6 @@ class Workload:
     shrink_params: Optional[Callable[[Params, Callable[[Params], bool]], Params]] = None
     #: ``spec -> error or None`` for spec fields only this workload reads
     check_knobs: Callable[[Any], Optional[str]] = _nothing
-    #: ``spec -> text or None``: those fields, for one-line summaries
-    describe_knobs: Callable[[Any], Optional[str]] = _nothing
     #: ``spec -> reason or None``: why it cannot checkpoint / run sharded
     checkpoint_blocker: Callable[[Any], Optional[str]] = _nothing
     shard_blocker: Callable[[Any], Optional[str]] = _nothing
@@ -377,7 +375,6 @@ WORKLOADS: Dict[str, Workload] = {
             sample_params=_sample_sat,
             shrink_params=_shrink_sat,
             check_knobs=_check_sat_knobs,
-            describe_knobs=lambda spec: f"heur={spec.heuristic}/{spec.simplify}",
             checkpoint_blocker=_random_heuristic(_RANDOM_CKPT_MSG),
             shard_blocker=_random_heuristic(_RANDOM_SHARD_MSG),
         ),
@@ -425,6 +422,8 @@ WORKLOADS: Dict[str, Workload] = {
             reference=lambda params, _topo: {
                 "kind": "sumrec", "value": closed_form_sum(params["n"]),
             },
+            sample_params=lambda rng: {"n": rng.randrange(1, 13)},
+            shrink_params=_walk_n_down(0),
         ),
         Workload(
             name="traversal",

@@ -37,7 +37,8 @@ def test_corpus_exists_and_is_nontrivial():
     configs = [c for path in CORPUS_FILES for c in load_corpus(path)]
     assert len(configs) >= 20
     # the corpus must keep exercising every workload and both fault kinds
-    assert {c.workload for c in configs} == {"sat", "fib", "nqueens", "traversal"}
+    assert {c.workload for c in configs} == {
+        "sat", "fib", "nqueens", "traversal", "sumrec"}
     assert any(c.reliable and (c.drop or c.duplicate) for c in configs)
     assert any(not c.reliable and (c.drop or c.duplicate) for c in configs)
     assert any(c.shards > 1 for c in configs)

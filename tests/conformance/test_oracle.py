@@ -207,6 +207,14 @@ class TestFaultFreeComparison:
         assert result.ok
         assert "fault_free" not in result.modes_run
 
+    def test_clean_link_twin_drops_the_retry_cap_with_the_protocol(self):
+        # the real runner: retry_limit without reliable=True is a SpecError,
+        # so the derived clean-link spec must clear both
+        result = check_config(
+            DEFAULT_CONFIG.with_(drop=0.05, reliable=True, retry_limit=30))
+        assert result.ok, result.discrepancy
+        assert "fault_free" in result.modes_run
+
 
 class TestDiscrepancySerialisation:
     def test_round_trip(self):

@@ -7,8 +7,9 @@ except the ones the bug actually needs.
 """
 
 from repro.conformance.shrink import shrink_config
-from repro.conformance.space import DEFAULT_CONFIG, DEFAULT_WORKLOAD_PARAMS
+from repro.conformance.space import DEFAULT_CONFIG, sample_list
 from repro.engine import cnf_of
+from repro.workloads import WORKLOADS
 
 
 def elaborate(**changes):
@@ -41,6 +42,15 @@ class TestDimensionMinimisation:
         failing = lambda c: c.shards == 3 and c.partitioner == "greedy"
         shrunk = shrink_config(elaborate(), failing)
         assert shrunk == DEFAULT_CONFIG.with_(shards=3, partitioner="greedy")
+
+    def test_a_sampled_point_shrinks_on_the_rows_the_sampler_used_to_skip(self):
+        # every row is a dimension: a whole-spec point collapses to the
+        # default config plus exactly the two fields the "bug" reads
+        failing = lambda c: c.latency > 0 and c.scheduler_budget == 1
+        point = next(c for c in sample_list(9, 200) if failing(c))
+        shrunk = shrink_config(point, failing)
+        assert shrunk == DEFAULT_CONFIG.with_(
+            latency=point.latency, scheduler_budget=1)
 
     def test_default_config_failure_shrinks_to_default(self):
         shrunk = shrink_config(elaborate(), lambda c: True)
@@ -80,7 +90,7 @@ class TestSizeMinimisation:
         # contain (so "canonical params win outright" cannot short-circuit
         # the ddmin path this test is about); all seeds are pinned, so the
         # choice is deterministic
-        default_cnf = cnf_of(DEFAULT_WORKLOAD_PARAMS["sat"])
+        default_cnf = cnf_of(WORKLOADS["sat"].default_params)
         default_clauses = {tuple(sorted(c)) for c in default_cnf.clauses}
         default_clauses |= {compact(c) for c in default_cnf.clauses}
         target = next(

@@ -1,19 +1,23 @@
 """Config-space sampler: determinism, serialisation, formula building."""
 
-import random
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from repro.conformance.space import (
     DEFAULT_CONFIG,
-    DEFAULT_WORKLOAD_PARAMS,
     DIMENSIONS,
+    SPACE,
+    UNSAMPLED,
     sample_configs,
     sample_list,
 )
-from repro.engine import RunSpec, cnf_of
+from repro.conformance.workloads import applicable_modes
+from repro.engine import RunSpec, cnf_of, violations
 from repro.errors import ApplicationError
 from repro.topology import topology_from_spec
+from repro.workloads import WORKLOADS
 
 
 class TestSamplerDeterminism:
@@ -33,6 +37,45 @@ class TestSamplerDeterminism:
         assert len(list(gen)) == 10
 
 
+class TestTheTableIsTheWholeSpec:
+    def test_every_field_is_a_row_or_has_a_reason(self):
+        # a new RunSpec field fails here until someone classifies it
+        assert set(SPACE) | set(UNSAMPLED) == {f.name for f in fields(RunSpec)}
+        assert not set(SPACE) & set(UNSAMPLED)
+        assert DIMENSIONS == tuple(SPACE)
+        assert all(UNSAMPLED.values())
+
+    def test_every_value_alone_breaks_no_rule(self):
+        for name, values in SPACE.items():
+            for value in set(values):
+                changes = {name: value}
+                if name == "workload":
+                    changes["workload_params"] = WORKLOADS[value].default_params
+                if name == "retry_limit":
+                    changes["reliable"] = True  # the one two-row rule
+                assert violations(DEFAULT_CONFIG.with_(**changes)) == [], changes
+
+    def test_every_point_breaks_no_rule_but_the_two_the_oracle_owns(self):
+        for seed in (5, 9):
+            for point in sample_list(seed, 200):
+                serial = point.with_(shards=1, checkpoint_every=None)
+                assert violations(serial) == [], point.describe()
+
+    def test_seed_9_reaches_every_value_of_every_row(self):
+        points = sample_list(9, 200)
+        for name, values in SPACE.items():
+            if name != "seed":
+                assert {getattr(p, name) for p in points} == set(values), name
+
+    def test_seed_9_keeps_every_mode_busy(self):
+        # what blocks sharding (work sharing, non-FIFO inboxes) is weighted
+        # down in the table so the mode pairs keep their share of points
+        modes = Counter(m for p in sample_list(9, 200) for m in applicable_modes(p))
+        assert modes["serial"] == 200
+        assert min(modes["sharded"], modes["resume"], modes["fault_free"]) >= 60
+        assert modes["reference"] >= 150
+
+
 class TestSampledConfigsAreValid:
     def test_every_sample_is_buildable(self):
         for config in sample_list(5, 60):
@@ -41,7 +84,7 @@ class TestSampledConfigsAreValid:
             assert config.shards >= 1
             assert 0.0 <= config.drop <= 0.5
             assert 0.0 <= config.duplicate <= 0.5
-            assert config.workload in DEFAULT_WORKLOAD_PARAMS
+            assert config.workload in SPACE["workload"]
             if config.workload == "sat":
                 cnf = cnf_of(config.workload_params)
                 assert cnf.clauses
@@ -56,7 +99,7 @@ class TestSampledConfigsAreValid:
 
     def test_every_workload_and_mode_dimension_is_reached(self):
         configs = sample_list(5, 120)
-        assert {c.workload for c in configs} == set(DEFAULT_WORKLOAD_PARAMS)
+        assert {c.workload for c in configs} == set(SPACE["workload"])
         assert any(c.shards > 1 for c in configs)
         assert any(c.checkpoint_every is not None for c in configs)
 
@@ -82,6 +125,11 @@ class TestFuzzPointSerialisation:
             text = config.describe()
             assert config.workload in text
             assert config.topology in text
+        # generated from the dataclass defaults: name=value, off-default only
+        assert "=" not in RunSpec().describe()
+        named = RunSpec().with_(latency=3, cancellation=True).describe()
+        assert sorted(p for p in named.split() if "=" in p) == [
+            "cancellation=True", "latency=3"]
 
     def test_default_config_sits_at_every_dimension_default(self):
         # the shrinker's fixpoint target: defaulting any dimension of the

@@ -89,7 +89,8 @@ def test_runspec_missing_fields_take_defaults():
 # -- the validation table --------------------------------------------------
 
 
-#: one violating spec per rule code (every row of the table fires)
+#: violating specs keyed by rule code (every row of the table fires); a
+#: second case for a rule is keyed ``code/what``
 RULE_VIOLATIONS = {
     "workload": RunSpec(workload="bogus"),
     "workload-params": RunSpec(workload="fib", workload_params={}),
@@ -112,6 +113,9 @@ RULE_VIOLATIONS = {
     "drop": RunSpec(drop=1.5),
     "duplicate": RunSpec(duplicate=-0.1),
     "retry-limit": RunSpec(retry_limit=3),  # needs reliable=True
+    # a bool is an int to isinstance(); no numeric rule may take one
+    "drop/bool": RunSpec(drop=True),
+    "retry-limit/bool": RunSpec(reliable=True, retry_limit=True),
     "checkpoint-every": RunSpec(checkpoint_every=0),
     "checkpoint-policy": RunSpec(checkpoint_dir="ckpts"),
     "checkpoint-capability": RunSpec(
@@ -144,13 +148,14 @@ def test_thresholds_layer3_refuses_are_spec_errors(case):
 
 
 def test_every_rule_has_a_violation_case():
-    assert sorted(RULE_VIOLATIONS) == sorted(r.code for r in RULES)
+    covered = {case.split("/")[0] for case in RULE_VIOLATIONS}
+    assert sorted(covered) == sorted(r.code for r in RULES)
 
 
-@pytest.mark.parametrize("code", sorted(RULE_VIOLATIONS))
-def test_rule_fires_and_validate_raises(code):
-    spec = RULE_VIOLATIONS[code]
-    assert code in [c for c, _ in violations(spec)]
+@pytest.mark.parametrize("case", sorted(RULE_VIOLATIONS))
+def test_rule_fires_and_validate_raises(case):
+    spec = RULE_VIOLATIONS[case]
+    assert case.split("/")[0] in [c for c, _ in violations(spec)]
     with pytest.raises(SpecError):
         validate(spec)
 
@@ -274,8 +279,9 @@ def test_every_workload_name_has_a_record():
     assert set(WORKLOAD_NAMES) == set(WORKLOADS)
     assert all(WORKLOADS[name].name == name for name in WORKLOAD_NAMES)
     # the sampler draws only workloads the table knows and can sample
-    assert set(space._WORKLOADS) <= set(WORKLOADS)
-    assert all(WORKLOADS[n].sample_params is not None for n in space._WORKLOADS)
+    sampled = space.SPACE["workload"]
+    assert set(sampled) <= set(WORKLOADS)
+    assert all(WORKLOADS[n].sample_params is not None for n in sampled)
 
 
 @pytest.mark.parametrize("name", ["sat", "fib", "nqueens", "sumrec", "traversal"])
