@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import random
 from functools import partial
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -160,14 +161,14 @@ class Machine:
         self._full = topology.kind == "full"
         #: adjacency must be checked per send (non-full topology, not opted out)
         self._check_neighbours = enforce_adjacency and not self._full
-        if isinstance(latency, int):
-            if latency < 0:
-                raise SimulationError(f"latency must be >= 0, got {latency}")
-            self._latency_fn: Optional[Callable[[NodeId, NodeId], int]] = (
-                None if latency == 0 else (lambda s, d: latency)
+        if callable(latency):
+            self._latency_fn: Optional[Callable[[NodeId, NodeId], int]] = latency
+        elif type(latency) is not int or latency < 0:
+            raise SimulationError(
+                f"latency must be an int >= 0 or a callable, got {latency!r}"
             )
         else:
-            self._latency_fn = latency
+            self._latency_fn = None if latency == 0 else (lambda s, d: latency)
         if reliability:
             from ..reliability import ReliabilityConfig, ReliableDelivery
 
@@ -189,7 +190,6 @@ class Machine:
         self._tel_sends = 0
         #: messages maturing at a future step: step -> [(dst, envelope)]
         self._in_flight: Dict[int, List[Tuple[NodeId, Envelope]]] = {}
-        self._in_flight_count = 0
         self._queued_count = 0
         self.current_step = -1
         self._next_msg_id = 0
@@ -287,8 +287,10 @@ class Machine:
             self._next_msg_id += 1
             if self._latency_fn is not None:
                 delay = self._latency_fn(src, dst) if src != EXTERNAL else 0
-                if delay < 0:
-                    raise SimulationError(f"negative latency {delay} for {src}->{dst}")
+                if type(delay) is not int or delay < 0:
+                    raise SimulationError(
+                        f"latency of link {src}->{dst} must be an int >= 0, got {delay!r}"
+                    )
             else:
                 delay = 0
             if delay == 0:
@@ -296,7 +298,6 @@ class Machine:
             else:
                 mature = self.current_step + 1 + delay
                 self._in_flight.setdefault(mature, []).append((dst, env))
-                self._in_flight_count += 1
 
     def _enqueue(self, dst: NodeId, env: Envelope) -> None:
         if self._unbounded_fifo:
@@ -361,7 +362,7 @@ class Machine:
         (including unacknowledged frames held by the reliability layer)."""
         return (
             self._queued_count == 0
-            and self._in_flight_count == 0
+            and not self._in_flight
             and not self._poll_requests
             and (self._reliability is None or not self._reliability.pending)
         )
@@ -427,15 +428,12 @@ class Machine:
         if rel is not None:
             rel.on_step(step)
         # Mature in-flight messages first: they were sent at least one full
-        # step ago, so they are deliverable within this step.  The count
+        # step ago, so they are deliverable within this step.  The emptiness
         # guard keeps the default (zero-latency) configuration from paying
         # a dict lookup per step.
-        if self._in_flight_count:
-            matured = self._in_flight.pop(step, None)
-            if matured is not None:
-                self._in_flight_count -= len(matured)
-                for dst, env in matured:
-                    self._enqueue(dst, env)
+        if self._in_flight:
+            for dst, env in self._in_flight.pop(step, ()):
+                self._enqueue(dst, env)
         # Poll nodes that requested a step callback (snapshot: re-requests
         # made during the callback land on the following step).
         if self._poll_requests:
@@ -558,6 +556,11 @@ class Machine:
         Checkpointing adds no per-step test: the loop below runs to the
         next boundary (or to ``max_steps``) and the sink is called between
         boundaries.
+
+        One clock: while no inbox holds a message and no node asked to be
+        polled, nothing happens before :meth:`_next_event_step`, so the clock
+        jumps there (or to the boundary) and the steps in between are
+        accounted, not executed — trace, report and bus read as if stepped.
         """
         if max_steps < 0:
             raise SimulationError(f"max_steps must be >= 0, got {max_steps}")
@@ -570,7 +573,6 @@ class Machine:
                 raise SimulationError("checkpoint_every requires a checkpoint_sink")
         executed = self.current_step + 1
         step = self.step
-        rel = self._reliability
         while True:
             # step numbering is absolute (resumes continue it), so a run
             # resumed from step k checkpoints at the same boundaries the
@@ -581,16 +583,16 @@ class Machine:
                 else executed - executed % checkpoint_every + checkpoint_every
             )
             stop = min(boundary, max_steps)
-            while (
-                executed < stop
-                and not self._halted
-                and (
-                    self._queued_count
-                    or self._in_flight_count
-                    or self._poll_requests
-                    or (rel is not None and rel.pending)
-                )
-            ):
+            while executed < stop and not self._halted:
+                if not (self._queued_count or self._poll_requests):
+                    due = self._next_event_step()
+                    if due is None:
+                        break  # quiescent
+                    gap = min(due, stop) - executed
+                    if gap > 0:
+                        self._skip_empty_steps(gap)
+                        executed += gap
+                        continue
                 step()
                 executed += 1
             if checkpoint_every is None or executed < boundary:
@@ -599,6 +601,27 @@ class Machine:
                     self._telemetry.flush()
                 return self.report()
             checkpoint_sink(self)
+
+    def _next_event_step(self) -> Optional[float]:
+        """Step of the earliest scheduled event (a maturing message, a frame
+        arrival, a timer); None when nothing is outstanding.  ``inf`` is the
+        protocol holding frames with nothing scheduled: run out the clock."""
+        rel = self._reliability
+        if rel is not None and rel.pending:
+            return min(min(self._in_flight, default=inf), rel.next_event_step())
+        return min(self._in_flight, default=None)
+
+    def _skip_empty_steps(self, gap: int) -> None:
+        """Account ``gap`` steps with nothing queued, polled or due as ``step()``
+        would, one by one: a bus still gets each step's sample and flush."""
+        self.trace.on_empty_steps(gap)
+        tel = self._telemetry
+        if tel is not None:
+            first = self.current_step + 1
+            for step in range(first, first + gap):
+                tel.emit(1, "queued", step, attrs={"value": 0, "delivered": 0})
+                tel.flush()
+        self.current_step += gap
 
     def report(self) -> SimulationReport:
         """Snapshot the current trace into a :class:`SimulationReport`."""
@@ -698,7 +721,6 @@ class Machine:
         self._in_flight = {
             step: list(pairs) for step, pairs in data["in_flight"].items()
         }
-        self._in_flight_count = sum(len(p) for p in self._in_flight.values())
         self._poll_requests = set(data["poll_requests"])
         self._tel_sends = 0
         self.trace.restore(data["trace"])

@@ -153,6 +153,14 @@ class TraceRecorder:
         if self.record_queue_depths and queue_depths is not None:
             self.queue_depth_rows.append(list(queue_depths))
 
+    def on_empty_steps(self, n: int) -> None:
+        """Account ``n`` steps that queued and delivered nothing, in bulk."""
+        zeros = [0] * n
+        self.queued_series += zeros
+        self.delivered_series += zeros
+        if self.record_queue_depths:
+            self.queue_depth_rows.extend([0] * self.n_nodes for _ in range(n))
+
     # -- snapshot / restore (repro.state protocol) ---------------------
 
     def snapshot(self) -> Dict[str, Any]:

@@ -53,6 +53,7 @@ machine's seeded fault model.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import ReliabilityError
@@ -277,6 +278,16 @@ class ReliableDelivery:
         """
         return self._unacked_total + self._frames_in_flight
 
+    def next_event_step(self) -> float:
+        """Earliest step ``on_step`` has work at: a frame landing, a timer
+        bucket (a stale one fires as a no-op, as when stepped through) or a
+        virtual retirement; ``inf`` when nothing is scheduled."""
+        return min(
+            min(self._frames, default=inf),
+            min(self._timers, default=inf),
+            min(self._retire, default=inf),
+        )
+
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Accept one logical send from the machine's send path."""
         m = self._machine
@@ -488,6 +499,10 @@ class ReliableDelivery:
         latency_fn = self._latency_fn
         # external endpoints (src/dst -1) have no physical link to model
         delay = 0 if (latency_fn is None or src < 0 or dst < 0) else latency_fn(src, dst)
+        if type(delay) is not int or delay < 0:
+            raise ReliabilityError(
+                f"latency of link {src}->{dst} must be an int >= 0, got {delay!r}"
+            )
         frames = self._frames
         key = m.current_step + 1 + delay
         bucket = frames.get(key)

@@ -421,7 +421,7 @@ class HyperspaceStack:
         if bus is not None:
             install_probes(bus, step_fn=lambda: machine.current_step)
         try:
-            machine.run(
+            report = machine.run(
                 max_steps=max_steps,
                 checkpoint_every=checkpoint_every,
                 checkpoint_sink=machine_sink,
@@ -442,7 +442,7 @@ class HyperspaceStack:
                 engine_stats = EngineStats()
                 for node in self.topology.nodes():
                     engine_stats.merge(per_node[node][1])
-        run = StackRun(machine, machine.report(), results, engine_stats, scheduler)
+        run = StackRun(machine, report, results, engine_stats, scheduler)
         self.last_run = run
         return run
 

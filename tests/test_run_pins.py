@@ -76,6 +76,23 @@ def test_resumed_sat_lands_on_the_uninterrupted_digests():
     assert digests(run) == PINNED["sat"]
 
 
+# -- a run that is mostly waiting ---------------------------------------------
+#
+# Recorded on the commit before ``Machine.run`` learned to jump over empty
+# time (every one of the 793 steps executed by ``step()``): at ``latency=32``
+# all but 25 of them deliver nothing, and the jump must not show — not in
+# the schedule, not in the step count.
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_wide_gap_sumrec_pinned(shards):
+    spec = SPECS["sumrec"].with_(latency=32, shards=shards, shard_backend="inline")
+    run = execute(spec, want_state_digest=True)
+    assert run.completed
+    assert digests(run) == ("53db32f11e121385", "3076a89b343dd556")
+    assert (run.report.steps, run.report.sent_total) == (793, 25)
+
+
 # -- the published event stream ---------------------------------------------
 #
 # Recorded before the step kernel's batched and per-event delivery loops
