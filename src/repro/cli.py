@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
              "schedule, verdict and digests are identical for any shard "
              "count (docs/parallelism.md)",
     )
-    solve.add_argument(
-        "--shard-partitioner", default="strip",
-        choices=["strip", "grid", "greedy"],
-        help="how --shards splits nodes across workers (default: strip)",
-    )
 
     gen = sub.add_parser("generate", help="write random 3-SAT benchmark files")
     gen.add_argument("out_dir", help="output directory")
@@ -276,7 +271,6 @@ def _cmd_solve(args) -> int:
         # count, so a run may be checkpointed sharded and resumed serially
         spec = header_spec.with_(
             shards=n_shards,
-            partitioner=args.shard_partitioner,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
         )
@@ -297,7 +291,6 @@ def _cmd_solve(args) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
             shards=n_shards,
-            partitioner=args.shard_partitioner,
         )
     try:
         run = execute(spec, topology=topo, resume_from=resume_ckpt)
@@ -323,10 +316,7 @@ def _cmd_solve(args) -> int:
         rep = run.report
         print(f"c machine            {topo.describe()} ({spec.mapper})")
         if n_shards > 1:
-            print(
-                f"c sharded backend    {n_shards} worker processes "
-                f"({spec.partitioner} partition)"
-            )
+            print(f"c sharded backend    {n_shards} worker processes")
         if spec.drop or spec.duplicate:
             guard = (
                 "reliable delivery on"

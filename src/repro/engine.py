@@ -68,7 +68,8 @@ INCOMPLETE: Tuple[str] = ("incomplete",)
 
 _SHARE_LOADS = ("queue", "invocations")
 _QUEUE_POLICIES = ("fifo", "lifo", "random")
-_PARTITIONER_NAMES = ("strip", "grid", "greedy")
+#: one legal value; the field goes with shard_backend (ROADMAP items 3, 4)
+_PARTITIONER_NAMES = ("strip",)
 _SHARD_BACKENDS = ("auto", "process", "inline")
 #: what ``RunSpec.describe()`` leads with, value only
 _DESCRIBED_FIRST = ("workload", "workload_params", "topology")
@@ -383,7 +384,7 @@ RULES: Tuple[Rule, ...] = (
          "checkpointing excludes traversal and the shared-RNG 'random' heuristic",
          _check_checkpoint_capability),
     Rule("shards", "shards is >= 1", _check_positive("shards")),
-    Rule("partitioner", "partitioner is a known registry name",
+    Rule("partitioner", "partitioner is 'strip'",
          lambda s: _enum(s.partitioner, _PARTITIONER_NAMES, "partitioner")),
     Rule("shard-backend", "shard_backend is auto/process/inline",
          lambda s: _enum(s.shard_backend, _SHARD_BACKENDS, "shard_backend")),
@@ -583,7 +584,6 @@ def execute(
         reliable=_resolve_reliability(spec, reliability),
         telemetry=telemetry,
         shards=min(spec.shards, topo.n_nodes),
-        shard_partitioner=spec.partitioner,
         shard_backend=spec.shard_backend,
     )
     meta: Optional[Dict[str, Any]] = None
@@ -592,7 +592,7 @@ def execute(
         # from this spec through this same function.  The shard layout is
         # normalised away: checkpoints never record the shard count, a
         # sharded run resumes serially and vice versa
-        header = spec.with_(shards=1, partitioner="strip", shard_backend="auto")
+        header = spec.with_(shards=1, shard_backend="auto")
         meta = {"runspec": header.to_dict()}
     try:
         if program.node_program is not None:

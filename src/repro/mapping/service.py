@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = ["MappedApp", "MappingContext", "MappingService", "queue_depth_load"]
 
+#: most detour hops work sharing adds to one work item (issuer included)
+MAX_SHARE_HOPS = 4
+
 
 def queue_depth_load(pctx: ProcessContext, app_state: Any) -> int:
     """Work-sharing load probe: this node's current inbox backlog.
@@ -273,13 +276,13 @@ class MappingService:
     halt_on_result:
         Stop the whole machine once any external (root) result is delivered
         — how the solver stack terminates without draining speculative work.
-    share_threshold / load_fn / max_share_hops:
+    share_threshold / load_fn:
         Work sharing (extension; paper Figure 2 lists "work
         sharing/stealing" as a layer-3 mechanism): when incoming work
         arrives at a node whose load — ``load_fn(pctx, app_state)`` — is
         at least ``share_threshold``, the work is pushed onward to a
         mapper-chosen neighbour instead of executing locally, up to
-        ``max_share_hops`` total detour hops per work item.  Disabled when
+        :data:`MAX_SHARE_HOPS` total detour hops per work item.  Disabled when
         ``share_threshold`` or ``load_fn`` is ``None``.
         :func:`queue_depth_load` (this node's inbox backlog) is the load
         probe that measures actual pressure in the one-pop-per-step
@@ -303,7 +306,6 @@ class MappingService:
         halt_on_result: bool = False,
         share_threshold: Optional[int] = None,
         load_fn: Optional[Callable[[Any], int]] = None,
-        max_share_hops: int = 4,
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
         if forward_hops < 0:
@@ -312,8 +314,6 @@ class MappingService:
             raise MappingError(
                 f"share_threshold must be >= 1 or None, got {share_threshold}"
             )
-        if max_share_hops < 1:
-            raise MappingError(f"max_share_hops must be >= 1, got {max_share_hops}")
         if share_threshold is not None and load_fn is None:
             raise MappingError("work sharing needs a load_fn to measure load")
         self.app = app
@@ -324,7 +324,6 @@ class MappingService:
         self.halt_on_result = halt_on_result
         self.share_threshold = share_threshold
         self.load_fn = load_fn
-        self.max_share_hops = max_share_hops
         self._telemetry = telemetry
 
     # -- layer-2 Process interface --------------------------------------
@@ -444,7 +443,7 @@ class MappingService:
         if self.share_threshold is None or self.load_fn is None:
             return False
         # path holds the issuer plus every relay so far; cap the detour
-        if len(msg.path) > self.max_share_hops:
+        if len(msg.path) > MAX_SHARE_HOPS:
             return False
         return self.load_fn(pctx, mstate.app_state) >= self.share_threshold
 

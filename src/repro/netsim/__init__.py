@@ -14,7 +14,7 @@ Public surface:
 from .backend import EXTERNAL, Machine
 from .faults import FaultModel, ReliableLinks
 from .message import EMPTY_MSG, Envelope
-from .partition import PARTITIONERS, edge_cut, make_partition
+from .partition import edge_cut, partition_strip
 from .program import FunctionalProgram, NodeContext, NodeProgram, SendFn
 from .queues import FifoInbox, Inbox, LifoInbox, RandomInbox, make_inbox
 from .sharded import (
@@ -34,8 +34,7 @@ __all__ = [
     "ShardWorkerError",
     "SHARDS_ENV_VAR",
     "resolve_shards",
-    "PARTITIONERS",
-    "make_partition",
+    "partition_strip",
     "edge_cut",
     "EXTERNAL",
     "EMPTY_MSG",

@@ -13,12 +13,12 @@ Semantics implemented here (and verified by tests):
 * messages sent while handling step *t* are enqueued immediately but cannot
   be popped before step *t+1*, whatever the inbox's pop order;
 * sends are restricted to topology neighbours (the paper assumes "messages
-  can be communicated between adjacent cores only") unless the topology is
-  fully connected — violations raise :class:`AdjacencyError`;
+  can be communicated between adjacent cores only"); on the fully connected
+  topology every pair is adjacent — violations raise :class:`AdjacencyError`;
 * node handler order within a step is ascending node id (deterministic);
 * queues are unbounded FIFO by default (the paper's assumption); finite
-  capacities, other pop orders, link latency and fault injection are
-  opt-in extensions.
+  capacities (overflow raises :class:`~repro.errors.QueueOverflowError`),
+  other pop orders, link latency and fault injection are opt-in extensions.
 """
 
 from __future__ import annotations
@@ -62,14 +62,12 @@ class Machine:
     trace:
         Optional pre-configured :class:`TraceRecorder` (e.g. with queue-depth
         recording on).  A default one is created when omitted.
-    queue_policy / queue_capacity / queue_overflow:
-        Inbox discipline; defaults match the paper (unbounded FIFO).
+    queue_policy / queue_capacity:
+        Inbox discipline; defaults match the paper (unbounded FIFO).  A
+        full finite inbox raises :class:`~repro.errors.QueueOverflowError`.
     latency:
         Extra in-flight steps per message: an int or ``f(src, dst) -> int``.
         Default 0 (delivered the following step).
-    enforce_adjacency:
-        Raise on sends to non-neighbours.  On by default; the fully connected
-        baseline simply has every pair adjacent.
     faults:
         Optional :class:`FaultModel` for drop/duplicate injection.
     reliability:
@@ -105,9 +103,7 @@ class Machine:
         trace: Optional[TraceRecorder] = None,
         queue_policy: str = "fifo",
         queue_capacity: Optional[int] = None,
-        queue_overflow: str = "raise",
         latency: LatencyFn = 0,
-        enforce_adjacency: bool = True,
         faults: FaultModel = ReliableLinks,
         reliability: Union[None, bool, "ReliabilityConfig"] = None,
         seed: int = 0,
@@ -125,7 +121,7 @@ class Machine:
             )
         self._rng = random.Random(seed)
         self._inboxes: List[Inbox] = [
-            make_inbox(queue_policy, self._rng, queue_capacity, queue_overflow)
+            make_inbox(queue_policy, self._rng, queue_capacity)
             for _ in range(topology.n_nodes)
         ]
         #: ids of nodes with non-empty inboxes; kept sorted lazily — new
@@ -138,7 +134,7 @@ class Machine:
         #: call per message on the hot path
         self._depths: List[int] = [0] * topology.n_nodes
         # The paper's default discipline (unbounded FIFO) needs none of the
-        # Inbox wrapper's policy/overflow logic, so the hot path binds the
+        # Inbox wrapper's policy/capacity logic, so the hot path binds the
         # underlying deque methods directly (C level); any other policy or
         # a finite capacity goes through Inbox.push/Inbox.pop.
         self._unbounded_fifo = queue_policy == "fifo" and queue_capacity is None
@@ -157,10 +153,7 @@ class Machine:
         )
         self._faults = faults
         self._size_fn = size_fn
-        self._enforce_adjacency = enforce_adjacency
         self._full = topology.kind == "full"
-        #: adjacency must be checked per send (non-full topology, not opted out)
-        self._check_neighbours = enforce_adjacency and not self._full
         if callable(latency):
             self._latency_fn: Optional[Callable[[NodeId, NodeId], int]] = latency
         elif type(latency) is not int or latency < 0:
@@ -222,13 +215,13 @@ class Machine:
         if not (0 <= dst < self.topology.n_nodes):
             raise SimulationError(f"send to invalid node {dst} from node {src}")
         if src != EXTERNAL:
-            if self._check_neighbours:
+            if not self._full:
                 if dst not in self._neighbour_sets[src]:
                     raise AdjacencyError(
                         f"node {src} attempted to send to non-neighbour {dst} "
                         f"(topology {self.topology.describe()})"
                     )
-            elif self._full and src == dst:
+            elif src == dst:
                 raise AdjacencyError(f"node {src} attempted to send to itself")
         size_fn = self._size_fn
         size = size_fn(payload) if size_fn is not None else 1
@@ -253,9 +246,8 @@ class Machine:
             env = Envelope(src, dst, payload, self.current_step, msg_id)
             if self._unbounded_fifo:
                 self._push_fns[dst](env)
-            elif not self._inboxes[dst].push(env):
-                self._record_drop(dst, "overflow")
-                return
+            else:
+                self._inboxes[dst].push(env)
             self._queued_count += 1
             depth = self._depths[dst]
             self._depths[dst] = depth + 1
@@ -302,9 +294,8 @@ class Machine:
     def _enqueue(self, dst: NodeId, env: Envelope) -> None:
         if self._unbounded_fifo:
             self._push_fns[dst](env)
-        elif not self._inboxes[dst].push(env):
-            self._record_drop(dst, "overflow")
-            return
+        else:
+            self._inboxes[dst].push(env)
         self._queued_count += 1
         depth = self._depths[dst]
         self._depths[dst] = depth + 1

@@ -22,26 +22,20 @@ __all__ = ["Inbox", "FifoInbox", "LifoInbox", "RandomInbox", "make_inbox"]
 class Inbox:
     """Abstract per-node inbox."""
 
-    __slots__ = ("capacity", "overflow")
+    __slots__ = ("capacity",)
 
-    def __init__(self, capacity: Optional[int], overflow: str) -> None:
+    def __init__(self, capacity: Optional[int]) -> None:
         if capacity is not None and capacity < 1:
             raise SimulationError(f"inbox capacity must be >= 1, got {capacity}")
-        if overflow not in ("raise", "drop"):
-            raise SimulationError(f"overflow policy must be 'raise' or 'drop', got {overflow!r}")
         self.capacity = capacity
-        self.overflow = overflow
 
-    def push(self, env: Envelope) -> bool:
-        """Enqueue; returns False if the message was dropped on overflow."""
+    def push(self, env: Envelope) -> None:
+        """Enqueue; raises :class:`QueueOverflowError` when full."""
         if self.capacity is not None and len(self) >= self.capacity:
-            if self.overflow == "raise":
-                raise QueueOverflowError(
-                    f"inbox of node {env.dst} overflowed (capacity {self.capacity})"
-                )
-            return False
+            raise QueueOverflowError(
+                f"inbox of node {env.dst} overflowed (capacity {self.capacity})"
+            )
         self._store(env)
-        return True
 
     def pop(self) -> Envelope:
         """Dequeue one message according to this inbox's policy."""
@@ -62,8 +56,8 @@ class FifoInbox(Inbox):
 
     __slots__ = ("_q",)
 
-    def __init__(self, capacity: Optional[int] = None, overflow: str = "raise") -> None:
-        super().__init__(capacity, overflow)
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        super().__init__(capacity)
         self._q: deque[Envelope] = deque()
 
     def _store(self, env: Envelope) -> None:
@@ -92,8 +86,8 @@ class _SealableInbox(Inbox):
 
     __slots__ = ("_q", "_sealed")
 
-    def __init__(self, capacity: Optional[int] = None, overflow: str = "raise") -> None:
-        super().__init__(capacity, overflow)
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        super().__init__(capacity)
         self._q: List[Envelope] = []
         self._sealed = 0
 
@@ -135,9 +129,8 @@ class RandomInbox(_SealableInbox):
         self,
         rng: random.Random,
         capacity: Optional[int] = None,
-        overflow: str = "raise",
     ) -> None:
-        super().__init__(capacity, overflow)
+        super().__init__(capacity)
         self._rng = rng
 
     def pop(self) -> Envelope:
@@ -152,13 +145,12 @@ def make_inbox(
     policy: str,
     rng: random.Random,
     capacity: Optional[int] = None,
-    overflow: str = "raise",
 ) -> Inbox:
     """Build an inbox for the given pop ``policy`` (fifo / lifo / random)."""
     if policy == "fifo":
-        return FifoInbox(capacity, overflow)
+        return FifoInbox(capacity)
     if policy == "lifo":
-        return LifoInbox(capacity, overflow)
+        return LifoInbox(capacity)
     if policy == "random":
-        return RandomInbox(rng, capacity, overflow)
+        return RandomInbox(rng, capacity)
     raise SimulationError(f"unknown queue policy {policy!r}")

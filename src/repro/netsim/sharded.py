@@ -1,8 +1,8 @@
 """Sharded multi-process simulation backend (bit-identical to serial).
 
-:class:`ShardedMachine` splits the topology's nodes into K shards (see
-:mod:`repro.netsim.partition`) and runs each shard's node handlers in a
-persistent worker process, while keeping **every piece of layer-1 state on
+:class:`ShardedMachine` splits the topology's nodes into K contiguous
+shards (:func:`repro.netsim.partition.partition_strip`) and runs each
+shard's node handlers in a persistent worker process, while keeping **every piece of layer-1 state on
 the coordinator**: inboxes, in-flight messages, fault/latency machinery,
 the reliability protocol, the trace recorder, message-id allocation and
 the machine RNG.  Workers own only what the node *programs* store in
@@ -65,7 +65,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import AdjacencyError, SimulationError
 from ..topology import NodeId, Topology
 from .backend import Machine
-from .partition import edge_cut, make_partition
+from .partition import edge_cut, partition_strip
 from .program import NodeContext
 
 __all__ = [
@@ -210,7 +210,6 @@ class _WorkerMachineFacade:
         "topology",
         "current_step",
         "_full",
-        "_check_neighbours",
         "_neighbour_sets",
         "_has_on_step",
         "_program_name",
@@ -219,11 +218,10 @@ class _WorkerMachineFacade:
         "halted",
     )
 
-    def __init__(self, topology: Topology, enforce_adjacency: bool) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self.current_step = -1
         self._full = topology.kind == "full"
-        self._check_neighbours = enforce_adjacency and not self._full
         self._neighbour_sets = [
             frozenset(topology.neighbours(n)) for n in topology.nodes()
         ]
@@ -244,13 +242,13 @@ class _WorkerMachineFacade:
         def send(dst: NodeId, payload: Any) -> None:
             if not (0 <= dst < self.topology.n_nodes):
                 raise SimulationError(f"send to invalid node {dst} from node {src}")
-            if self._check_neighbours:
+            if not self._full:
                 if dst not in self._neighbour_sets[src]:
                     raise AdjacencyError(
                         f"node {src} attempted to send to non-neighbour {dst} "
                         f"(topology {self.topology.describe()})"
                     )
-            elif self._full and src == dst:
+            elif src == dst:
                 raise AdjacencyError(f"node {src} attempted to send to itself")
             sends.append((src, dst, payload))
 
@@ -298,10 +296,9 @@ class _ShardCore:
         topology: Topology,
         nodes: Sequence[NodeId],
         program: Any,
-        enforce_adjacency: bool,
         collector: Optional[_EventCollector] = None,
     ) -> None:
-        self.facade = _WorkerMachineFacade(topology, enforce_adjacency)
+        self.facade = _WorkerMachineFacade(topology)
         self.program = program
         #: retains worker-bus events for the relay; None in the inline cell,
         #: whose handlers publish straight to the coordinator bus
@@ -375,7 +372,6 @@ def _shard_worker_main(
     topology: Topology,
     nodes: Tuple[NodeId, ...],
     program_source: Any,
-    enforce_adjacency: bool,
     telemetry_on: bool,
 ) -> None:
     """Entry point of one persistent shard worker process."""
@@ -391,7 +387,7 @@ def _shard_worker_main(
             if isinstance(program_source, ShardProgramSpec)
             else program_source
         )
-        core = _ShardCore(topology, nodes, program, enforce_adjacency, collector)
+        core = _ShardCore(topology, nodes, program, collector)
         if telemetry_on:
             from ..telemetry.probe import install_probes, uninstall_probes
 
@@ -454,7 +450,6 @@ class _ProcessCell:
         topology: Topology,
         nodes: Sequence[NodeId],
         program_source: Any,
-        enforce_adjacency: bool,
         telemetry_on: bool,
     ) -> None:
         self.shard = shard
@@ -467,7 +462,6 @@ class _ProcessCell:
                 topology,
                 tuple(self.nodes),
                 program_source,
-                enforce_adjacency,
                 telemetry_on,
             ),
             daemon=True,
@@ -532,11 +526,10 @@ class ShardedMachine(Machine):
     shards:
         Shard count request (``None`` → :data:`SHARDS_ENV_VAR` → 1;
         ``"auto"``/``0`` → CPU count).  Clamped to ``n_nodes``.
-    partitioner:
-        ``"strip"`` (default), ``"grid"``, or ``"greedy"`` — see
-        :mod:`repro.netsim.partition`.  The resulting edge cut is exposed
-        as :attr:`edge_cut` and reported on the telemetry bus as the
-        ``l1.shard_edge_cut`` / ``l1.shard_count`` counters.
+        Nodes are split into contiguous ``strip`` ranges; the resulting
+        edge cut is exposed as :attr:`edge_cut` and reported on the
+        telemetry bus as the ``l1.shard_edge_cut`` / ``l1.shard_count``
+        counters.
     shard_backend:
         ``"process"`` (persistent worker processes), ``"inline"``
         (in-process cells — the serial fallback with identical
@@ -560,7 +553,6 @@ class ShardedMachine(Machine):
         program: Any,
         *,
         shards: Any = None,
-        partitioner: str = "strip",
         shard_backend: str = "auto",
         mp_context: Any = None,
         **machine_kwargs: Any,
@@ -595,18 +587,14 @@ class ShardedMachine(Machine):
             raise SimulationError(FIFO_ONLY_MSG)
         self.shards = k
         self.shard_backend = backend
-        self.partitioner = partitioner
-        self.partition = make_partition(topology, k, partitioner)
+        self.partition = partition_strip(topology, k)
         self.edge_cut = edge_cut(topology, self.partition)
         #: owning cell index per node
         self._cell_of: List[int] = [0] * topology.n_nodes
         try:
             if backend == "inline":
                 # one in-process cell owns every node
-                core = _ShardCore(
-                    topology, list(topology.nodes()), local_program,
-                    self._enforce_adjacency,
-                )
+                core = _ShardCore(topology, list(topology.nodes()), local_program)
                 self._cells.append(_InlineCell(core))
             else:
                 if isinstance(mp_context, str) or mp_context is None:
@@ -625,7 +613,6 @@ class ShardedMachine(Machine):
                             topology,
                             nodes,
                             program,
-                            self._enforce_adjacency,
                             telemetry is not None,
                         )
                     )

@@ -109,18 +109,15 @@ class TraceRecorder:
             self.first_activity_step = step
         self.last_activity_step = step
 
-    def on_drop(self, dst: int = -1, step: int = -1) -> None:
+    def on_drop(self, dst: int, step: int) -> None:
         """Account one dropped message.
 
         ``dst`` is the node the message was addressed to and ``step`` the
-        step it was dropped at, so reports can attribute losses (fault
-        injection, queue overflow) spatially.  Both default to ``-1`` for
-        backward compatibility with pre-telemetry callers; unattributed
-        drops still count toward ``dropped_total``.
+        step it was dropped at (``-1`` before the first step), so reports
+        can attribute losses (fault injection, retry exhaustion) spatially.
         """
         self.dropped_total += 1
-        if 0 <= dst < self.n_nodes:
-            self.node_dropped[dst] += 1
+        self.node_dropped[dst] += 1
         if step >= 0:
             self.last_activity_step = step
             if self.first_activity_step is None:
@@ -241,9 +238,8 @@ class SimulationReport:
         self.delivered_series = np.asarray(trace.delivered_series, dtype=np.int64)
         self.node_delivered = np.asarray(trace.node_delivered, dtype=np.int64)
         self.node_sent = np.asarray(trace.node_sent, dtype=np.int64)
-        #: messages dropped per addressed node (fault injection / overflow);
-        #: drops recorded through the legacy no-argument ``on_drop()`` are
-        #: unattributed and appear only in ``dropped_total``
+        #: messages dropped per addressed node (fault injection / retry
+        #: exhaustion); sums to ``dropped_total``
         self.node_dropped = np.asarray(trace.node_dropped, dtype=np.int64)
         self.traffic_total = trace.traffic_total
         self.node_traffic = np.asarray(trace.node_traffic, dtype=np.int64)

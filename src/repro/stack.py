@@ -224,10 +224,6 @@ class HyperspaceStack:
         and telemetry counters; see ``docs/parallelism.md``.  Work sharing
         (``share_threshold``) and :meth:`run_ticketed` require the serial
         backend.
-    shard_partitioner:
-        Node partitioning strategy for sharded runs: ``"strip"``
-        (default), ``"grid"``, or ``"greedy"`` — see
-        :mod:`repro.netsim.partition`.
     shard_backend:
         ``"auto"`` (default), ``"process"``, or ``"inline"`` — forwarded
         to :class:`~repro.netsim.ShardedMachine`.
@@ -255,7 +251,6 @@ class HyperspaceStack:
         reliable: Union[bool, ReliabilityConfig] = False,
         telemetry: Union[None, bool, TelemetryBus] = None,
         shards: Any = None,
-        shard_partitioner: str = "strip",
         shard_backend: str = "auto",
     ) -> None:
         self.topology = topology
@@ -289,7 +284,6 @@ class HyperspaceStack:
         self.telemetry: Optional[TelemetryBus] = telemetry
         #: shard count resolved once (explicit arg, then REPRO_SHARDS, then 1)
         self.shards = min(resolve_shards(shards), topology.n_nodes)
-        self.shard_partitioner = shard_partitioner
         self.shard_backend = shard_backend
         if self.shards > 1 and self.share_threshold is not None:
             raise SimulationError(
@@ -363,7 +357,6 @@ class HyperspaceStack:
                 self.topology,
                 source,
                 shards=self.shards,
-                partitioner=self.shard_partitioner,
                 shard_backend=self.shard_backend,
                 **layer1,
             )

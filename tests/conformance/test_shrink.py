@@ -26,7 +26,7 @@ def elaborate(**changes):
         duplicate=0.02,
         reliable=True,
         shards=3,
-        partitioner="greedy",
+        cancellation=True,
         checkpoint_every=10,
     )
     return base.with_(**changes)
@@ -39,9 +39,9 @@ class TestDimensionMinimisation:
         assert shrunk == DEFAULT_CONFIG.with_(mapper="lbn")
 
     def test_two_interacting_dimensions_both_survive(self):
-        failing = lambda c: c.shards == 3 and c.partitioner == "greedy"
+        failing = lambda c: c.shards == 3 and c.cancellation
         shrunk = shrink_config(elaborate(), failing)
-        assert shrunk == DEFAULT_CONFIG.with_(shards=3, partitioner="greedy")
+        assert shrunk == DEFAULT_CONFIG.with_(shards=3, cancellation=True)
 
     def test_a_sampled_point_shrinks_on_the_rows_the_sampler_used_to_skip(self):
         # every row is a dimension: a whole-spec point collapses to the

@@ -27,16 +27,6 @@ class TestConfiguration:
                 load_fn=queue_depth_load,
             )
 
-    def test_invalid_max_share_hops(self):
-        with pytest.raises(MappingError):
-            MappingService(
-                RecursionEngine(fib),
-                RoundRobinMapper,
-                share_threshold=1,
-                load_fn=queue_depth_load,
-                max_share_hops=0,
-            )
-
     def test_stack_rejects_bad_share_load(self):
         with pytest.raises(ValueError):
             HyperspaceStack(Ring(4), share_load="vibes")
@@ -83,7 +73,7 @@ class TestSharingBehaviour:
 
     def test_detour_is_bounded(self):
         # even with threshold 1 on a saturated ring the run terminates —
-        # the max_share_hops cap prevents work from bouncing forever
+        # the MAX_SHARE_HOPS cap prevents work from bouncing forever
         stack = HyperspaceStack(Ring(4), share_threshold=1, seed=1)
         result, report = stack.run_recursive(fib, 9, halt_on_result=False)
         assert result == 34

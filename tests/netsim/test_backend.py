@@ -155,24 +155,6 @@ class TestAdjacencyEnforcement:
         with pytest.raises(AdjacencyError):
             m.run()
 
-    def test_enforcement_can_be_disabled(self):
-        log = []
-
-        class FarSend:
-            def init(self, ctx):
-                ctx.state = None
-
-            def on_message(self, ctx, sender, payload):
-                if payload:
-                    ctx.send(3, False)
-                else:
-                    log.append(ctx.node)
-
-        m = Machine(Ring(6), FarSend(), enforce_adjacency=False)
-        m.inject(0, True)
-        m.run()
-        assert log == [3]
-
 
 class TestRunControl:
     def test_quiescence_detection(self):

@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.netsim import EMPTY_MSG, FaultModel, Machine, TraceRecorder
-from repro.topology import FullyConnected, Line, Ring, Torus
+from repro.errors import QueueOverflowError
+from repro.netsim import FaultModel, Machine, TraceRecorder
+from repro.topology import FullyConnected
 
 
 class Recorder:
@@ -35,9 +35,10 @@ class Recorder:
                 ctx.send(dst, payload)
 
 
-def make_machine(topology, plan=None, **kw):
+def make_machine(n_nodes, plan=None, **kw):
+    """A fully connected machine: any plan may send to any other node."""
     program = Recorder(plan)
-    m = Machine(topology, program, enforce_adjacency=False, **kw)
+    m = Machine(FullyConnected(n_nodes), program, **kw)
     return m, program.log
 
 
@@ -45,7 +46,7 @@ class TestDeliveryOrderPinned:
     def test_out_of_order_activations_deliver_ascending(self):
         # node 0 activates 5, 3, 1 (in that send order); the next step must
         # still deliver in ascending node-id order
-        m, log = make_machine(Ring(6), plan={0: [5, 3, 1]})
+        m, log = make_machine(6, plan={0: [5, 3, 1]})
         m.inject(0, "x")
         m.run()
         assert [n for _, n, _ in log] == [0, 1, 3, 5]
@@ -54,7 +55,7 @@ class TestDeliveryOrderPinned:
     def test_mid_sweep_sends_never_jump_the_current_step(self):
         # node 1 sends to node 4 while node 4's queue is already being
         # drained this step; the new message must wait for the next step
-        m, log = make_machine(Ring(6), plan={1: [4]})
+        m, log = make_machine(6, plan={1: [4]})
         m.inject(1, "a")
         m.inject(4, "b")
         m.run()
@@ -66,7 +67,7 @@ class TestDeliveryOrderPinned:
         rng = random.Random(7)
         n = 25
         plan = {i: [rng.randrange(n)] for i in range(n)}
-        m, log = make_machine(Torus((5, 5)), plan=plan)
+        m, log = make_machine(n, plan=plan)
         for node in (17, 3, 11):
             m.inject(node, "w")
         m.run()
@@ -79,7 +80,7 @@ class TestDeliveryOrderPinned:
 
 class TestQueueDepthMirror:
     def test_depths_track_backlog(self):
-        m, _ = make_machine(Ring(4))
+        m, _ = make_machine(4)
         for _ in range(3):
             m.inject(0, "x")
         m.inject(1, "y")
@@ -91,7 +92,7 @@ class TestQueueDepthMirror:
         assert m.queue_depths() == [0, 0, 0, 0]
 
     def test_depths_include_fresh_sends(self):
-        m, _ = make_machine(Ring(4), plan={0: [2, 2]})
+        m, _ = make_machine(4, plan={0: [2, 2]})
         m.inject(0, "x")
         m.step()
         assert m.queue_depth_of(2) == 2
@@ -101,7 +102,7 @@ class TestQueueDepthMirror:
 class TestTraceCountersPinned:
     def test_counters_simple_chain(self):
         trace = TraceRecorder(4)
-        m, _ = make_machine(Ring(4), plan={0: [1], 1: [2], 2: [3]}, trace=trace)
+        m, _ = make_machine(4, plan={0: [1], 1: [2], 2: [3]}, trace=trace)
         m.inject(0, "go")
         report = m.run()
         assert report.sent_total == 4  # inject + 3 forwards
@@ -115,7 +116,7 @@ class TestTraceCountersPinned:
     def test_counters_with_latency_and_in_flight(self):
         trace = TraceRecorder(4)
         m, log = make_machine(
-            Ring(4), plan={0: [1], 1: [2]}, trace=trace, latency=2
+            4, plan={0: [1], 1: [2]}, trace=trace, latency=2
         )
         m.inject(0, "go")
         assert not m.is_quiescent
@@ -131,7 +132,7 @@ class TestTraceCountersPinned:
     def test_counters_with_duplicating_faults(self):
         trace = TraceRecorder(4)
         faults = FaultModel(duplicate_probability=1.0, rng=random.Random(1))
-        m, log = make_machine(Ring(4), plan={0: [1]}, trace=trace, faults=faults)
+        m, log = make_machine(4, plan={0: [1]}, trace=trace, faults=faults)
         m.inject(0, "go")
         report = m.run()
         # both the injection and the forward are duplicated: node 0 gets two
@@ -143,7 +144,7 @@ class TestTraceCountersPinned:
     def test_counters_with_dropping_faults(self):
         trace = TraceRecorder(4)
         faults = FaultModel(drop_probability=1.0, rng=random.Random(1))
-        m, log = make_machine(Ring(4), plan={0: [1]}, trace=trace, faults=faults)
+        m, log = make_machine(4, plan={0: [1]}, trace=trace, faults=faults)
         m.inject(0, "go")
         report = m.run()
         # faults apply to external injections too: the kickstart is dropped
@@ -155,38 +156,17 @@ class TestTraceCountersPinned:
 
 
 class TestFiniteCapacity:
-    def test_overflow_drop_policy_counts_drops(self):
-        trace = TraceRecorder(6)
+    def test_overflow_raise_policy(self):
         # nodes 0 and 1 both send to node 5 in the same step; capacity 1
         # admits only the first (lowest-id sender runs first)
-        m, log = make_machine(
-            FullyConnected(6),
-            plan={0: [5], 1: [5]},
-            trace=trace,
-            queue_capacity=1,
-            queue_overflow="drop",
-        )
+        m, _ = make_machine(6, plan={0: [5], 1: [5]}, queue_capacity=1)
         m.inject(0, "a")
         m.inject(1, "b")
-        report = m.run()
-        assert report.dropped_total == 1
-        assert report.delivered_total == 3
-        assert (1, 5, "a") in log and all(p != "b" or n != 5 for _, n, p in log)
-
-    def test_overflow_raise_policy(self):
-        m, _ = make_machine(
-            FullyConnected(6),
-            plan={0: [5], 1: [5]},
-            queue_capacity=1,
-            queue_overflow="raise",
-        )
-        m.inject(0, "a")
-        m.inject(1, "b")
-        with pytest.raises(SimulationError):
+        with pytest.raises(QueueOverflowError):
             m.run()
 
     def test_bounded_fifo_preserves_order_and_depths(self):
-        m, log = make_machine(Line(3), plan={0: [1], 2: [1]}, queue_capacity=4)
+        m, log = make_machine(3, plan={0: [1], 2: [1]}, queue_capacity=4)
         m.inject(0, "a")
         m.inject(2, "b")
         m.run()

@@ -1,19 +1,17 @@
-"""Shard partitioners: validity, balance, edge-cut quality, determinism."""
+"""The shard partitioner: validity, balance, exact edge cut, determinism.
+
+Written against every entry of ``PARTITIONERS``; ``strip`` (contiguous
+node-id ranges) is the only partitioner the sharded backend has.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.partition import (
-    PARTITIONERS,
-    edge_cut,
-    make_partition,
-    partition_greedy,
-    partition_grid_block,
-    partition_strip,
-    validate_partition,
-)
+from repro.netsim.partition import edge_cut, partition_strip
 from repro.topology import FullyConnected, Grid, Hypercube, Line, Ring, Torus
 
+
+PARTITIONERS = {"strip": partition_strip}
 
 TOPOLOGIES = [
     Torus((4, 4)),
@@ -28,9 +26,13 @@ TOPOLOGIES = [
 SHARD_COUNTS = [1, 2, 3, 4, 7]
 
 
-def every_node_once(topology, parts):
+def assert_valid(topology, parts, shards):
+    """Every node in exactly one of ``shards`` shards, sizes within one."""
+    assert len(parts) == shards
     seen = sorted(n for part in parts for n in part)
-    return seen == list(topology.nodes())
+    assert seen == list(topology.nodes())
+    sizes = [len(p) for p in parts]
+    assert max(sizes) - min(sizes) <= 1, (topology.describe(), sizes)
 
 
 class TestValidity:
@@ -40,35 +42,20 @@ class TestValidity:
         for topo in TOPOLOGIES:
             if shards > topo.n_nodes:
                 continue
-            parts = make_partition(topo, shards, name)
-            assert len(parts) == shards
-            assert every_node_once(topo, parts)
-            sizes = [len(p) for p in parts]
-            assert max(sizes) - min(sizes) <= 1, (name, topo.describe(), sizes)
-            validate_partition(topo, parts)  # must not raise
+            assert_valid(topo, PARTITIONERS[name](topo, shards), shards)
 
     def test_single_shard_owns_everything(self):
         topo = Torus((4, 4))
-        for name in PARTITIONERS:
-            parts = make_partition(topo, 1, name)
-            assert parts == [list(topo.nodes())]
+        for partition in PARTITIONERS.values():
+            assert partition(topo, 1) == [list(topo.nodes())]
 
     def test_shards_exceeding_nodes_rejected(self):
         with pytest.raises(SimulationError, match="shard"):
-            make_partition(Line(4), 5)
+            partition_strip(Line(4), 5)
 
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(SimulationError, match="partitioner"):
-            make_partition(Torus((4, 4)), 2, "voronoi")
-
-    def test_validate_rejects_missing_and_duplicate_nodes(self):
-        topo = Line(4)
-        with pytest.raises(SimulationError):
-            validate_partition(topo, [[0, 1], [2]])  # node 3 missing
-        with pytest.raises(SimulationError):
-            validate_partition(topo, [[0, 1], [1, 2, 3]])  # node 1 twice
-        with pytest.raises(SimulationError):
-            validate_partition(topo, [[0], [1, 2, 3]])  # unbalanced
+    def test_zero_shards_rejected(self):
+        with pytest.raises(SimulationError, match="shards must be >= 1"):
+            partition_strip(Line(4), 0)
 
 
 class TestEdgeCut:
@@ -84,99 +71,60 @@ class TestEdgeCut:
         parts = partition_strip(topo, 4)
         assert edge_cut(topo, parts) == 16
 
-    @pytest.mark.parametrize("topo", [Torus((6, 6)), Grid((6, 6)), Grid((8, 3))])
-    @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_greedy_never_worse_than_strip(self, topo, shards):
-        strip_cut = edge_cut(topo, partition_strip(topo, shards))
-        greedy_cut = edge_cut(topo, partition_greedy(topo, shards))
-        assert greedy_cut <= strip_cut
-
-    def test_grid_block_beats_strip_on_wide_grid(self):
-        # splitting a 6x6 grid into 4 quadrant blocks (cut 12) beats four
-        # 9-node strips (cut 18)
-        topo = Grid((6, 6))
-        strip_cut = edge_cut(topo, partition_strip(topo, 4))
-        block_cut = edge_cut(topo, partition_grid_block(topo, 4))
-        assert block_cut < strip_cut
-
-    def test_grid_block_falls_back_on_one_dimensional_topologies(self):
-        # no second axis to block over: grid-block must still return a
-        # valid balanced partition
-        for topo in (Ring(10), Line(10), Hypercube(3)):
-            parts = partition_grid_block(topo, 2)
-            validate_partition(topo, parts)
-
 
 class TestDeterminism:
-    def test_same_seed_same_partition(self):
-        topo = Torus((6, 6))
-        a = partition_greedy(topo, 4, seed=7)
-        b = partition_greedy(topo, 4, seed=7)
-        assert a == b
-
     def test_all_partitioners_are_pure_functions(self):
         topo = Grid((5, 7))
-        for name in PARTITIONERS:
-            assert make_partition(topo, 3, name) == make_partition(topo, 3, name)
+        for partition in PARTITIONERS.values():
+            assert partition(topo, 3) == partition(topo, 3)
 
-    def test_greedy_seed_changes_at_most_the_layout_not_validity(self):
-        topo = Torus((6, 6))
-        for seed in range(4):
-            parts = partition_greedy(topo, 4, seed=seed)
-            validate_partition(topo, parts)
+    def test_strip_ranges_are_contiguous_larger_first(self):
+        assert partition_strip(Grid((5, 7)), 3) == [
+            list(range(0, 12)), list(range(12, 24)), list(range(24, 35))
+        ]
 
 
 class TestDegenerateTopologies:
     """1-node, single-row, and fully-connected machines.
 
-    These shapes break the assumptions partitioners like to make — a
-    second grid axis to block over, more nodes than shards, a sparse
-    neighbourhood for greedy growth — and are exactly where the
-    conformance fuzzer's hand-picked corpus lives.
+    These shapes have no second grid axis, no more nodes than shards, or
+    no sparse neighbourhood — and are exactly where the conformance
+    fuzzer's hand-picked corpus lives.
     """
 
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     @pytest.mark.parametrize("topo", [Line(1), Ring(1)], ids=["line1", "ring1"])
     def test_one_node_one_shard(self, name, topo):
-        parts = make_partition(topo, 1, name)
+        parts = PARTITIONERS[name](topo, 1)
         assert parts == [[0]]
-        validate_partition(topo, parts)
         assert edge_cut(topo, parts) == 0
 
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     def test_one_node_cannot_split(self, name):
         with pytest.raises(SimulationError, match="1 nodes into 2 shards"):
-            make_partition(Line(1), 2, name)
+            PARTITIONERS[name](Line(1), 2)
 
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     @pytest.mark.parametrize("shards", [1, 2, 3, 8])
     def test_single_row_grid(self, name, shards):
         topo = Grid((1, 8))
-        parts = make_partition(topo, shards, name)
-        assert len(parts) == shards
-        assert every_node_once(topo, parts)
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1, (name, sizes)
-        validate_partition(topo, parts)
+        assert_valid(topo, PARTITIONERS[name](topo, shards), shards)
 
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
     def test_fully_connected(self, name, shards):
         # every split of a complete graph cuts the same number of links;
-        # balance and validity are all a partitioner can offer here
+        # balance and validity are all a partition can offer here
         topo = FullyConnected(7)
-        parts = make_partition(topo, shards, name)
-        assert every_node_once(topo, parts)
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1, (name, sizes)
-        validate_partition(topo, parts)
+        parts = PARTITIONERS[name](topo, shards)
+        assert_valid(topo, parts, shards)
         total = topo.n_nodes
-        within = sum(s * (s - 1) // 2 for s in sizes)
+        within = sum(len(p) * (len(p) - 1) // 2 for p in parts)
         assert edge_cut(topo, parts) == total * (total - 1) // 2 - within
 
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     def test_degenerate_shapes_are_deterministic(self, name):
+        partition = PARTITIONERS[name]
         for topo in (Line(1), Grid((1, 8)), FullyConnected(7)):
             shards = min(3, topo.n_nodes)
-            assert (make_partition(topo, shards, name)
-                    == make_partition(topo, shards, name))
+            assert partition(topo, shards) == partition(topo, shards)

@@ -70,20 +70,9 @@ class TestCapacity:
         with pytest.raises(QueueOverflowError):
             q.push(env(3))
 
-    def test_overflow_drop_policy(self):
-        q = FifoInbox(capacity=2, overflow="drop")
-        assert q.push(env(1))
-        assert q.push(env(2))
-        assert not q.push(env(3))
-        assert len(q) == 2
-
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):
             FifoInbox(capacity=0)
-
-    def test_invalid_overflow_policy(self):
-        with pytest.raises(SimulationError):
-            FifoInbox(capacity=1, overflow="explode")
 
 
 class TestFactory:
@@ -158,21 +147,3 @@ class TestMachineQueuePolicies:
             assert inbox.pop().payload in (1, 2)
             # one pop per seal: the next unsealed pop sees everything
             assert len(inbox) == 2
-
-    def test_capacity_drop_in_machine(self):
-        from repro.netsim import Machine
-        from repro.topology import Ring
-
-        class Quiet:
-            def init(self, ctx):
-                ctx.state = None
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-        m = Machine(Ring(3), Quiet(), queue_capacity=2, queue_overflow="drop")
-        for i in range(5):
-            m.inject(0, i)
-        report = m.run()
-        assert report.delivered_total == 2
-        assert report.dropped_total == 3

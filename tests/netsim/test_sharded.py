@@ -131,14 +131,6 @@ class TestPinnedParity:
         with sharded(Storm(), backend, 4, reliability=True) as m:
             assert machine_digest(m, 60) == PROTECTED_STORM_DIGEST
 
-    @pytest.mark.parametrize("partitioner", ["strip", "grid", "greedy"])
-    def test_partitioner_choice_is_semantics_neutral(self, partitioner):
-        with ShardedMachine(
-            Torus((6, 6)), Storm(), shards=4, shard_backend="inline",
-            partitioner=partitioner,
-        ) as m:
-            assert machine_digest(m, 60) == PLAIN_STORM_DIGEST
-
     def test_poll_round_parity(self):
         serial = Machine(Torus((6, 6)), PollingCounter())
         want = machine_digest(serial, 30)

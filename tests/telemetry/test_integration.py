@@ -134,14 +134,6 @@ class TestDropAccounting:
         def on_message(self, ctx, sender, payload):
             ctx.send(ctx.neighbours[0], payload)
 
-    class _Spam:
-        def init(self, ctx):
-            pass
-
-        def on_message(self, ctx, sender, payload):
-            for n in ctx.neighbours:
-                ctx.send(n, payload)
-
     def test_fault_drops_attributed_to_nodes(self):
         bus = TelemetryBus()
         log = bus.attach(EventLog())
@@ -157,30 +149,14 @@ class TestDropAccounting:
         assert drops and all(e.attrs["reason"] == "fault" for e in drops)
         assert rep.dropped_total == len(drops) == int(rep.node_dropped.sum())
 
-    def test_overflow_drops_attributed_to_nodes(self):
-        bus = TelemetryBus()
-        log = bus.attach(EventLog())
-        m = Machine(
-            Torus((4, 4)),
-            self._Spam(),
-            queue_capacity=1,
-            queue_overflow="drop",
-            telemetry=bus,
-        )
-        m.inject(0, EMPTY_MSG)
-        rep = m.run(max_steps=40)
-        drops = log.by_name("drop", layer=1)
-        assert drops and all(e.attrs["reason"] == "overflow" for e in drops)
-        assert rep.dropped_total == len(drops) == int(rep.node_dropped.sum())
-
-    def test_legacy_no_arg_on_drop_still_counts(self):
+    def test_on_drop_counts_against_the_destination(self):
         from repro.netsim.trace import TraceRecorder
 
         rec = TraceRecorder(4)
-        rec.on_drop()  # pre-telemetry call shape
         rec.on_drop(2, 5)
-        assert rec.dropped_total == 2
+        assert rec.dropped_total == 1
         assert rec.node_dropped == [0, 0, 1, 0]
+        assert rec.first_activity_step == rec.last_activity_step == 5
 
 
 class TestWorkloadResolution:

@@ -45,7 +45,7 @@ SPEC_SAMPLES = [
             topology="ring:4", simplify="none", checkpoint_every=5,
             checkpoint_dir="ckpts"),
     RunSpec(workload="traversal", workload_params={}, topology="hypercube:3",
-            shards=2, partitioner="greedy", shard_backend="inline"),
+            shards=2, shard_backend="inline"),
     RunSpec(workload="nqueens", workload_params={"n": 5}, topology="grid:2x4",
             drain=False, strict=False, max_steps=500, retry_limit=3,
             reliable=True),
@@ -123,6 +123,8 @@ RULE_VIOLATIONS = {
     ),
     "shards": RunSpec(shards=0),
     "partitioner": RunSpec(partitioner="bogus"),
+    # a name the partitioner rule no longer accepts
+    "partitioner/grid": RunSpec(partitioner="grid"),
     "shard-backend": RunSpec(shard_backend="bogus"),
     "shard-capability": RunSpec(share_threshold=4, shards=2),
 }
@@ -158,6 +160,12 @@ def test_rule_fires_and_validate_raises(case):
     assert case.split("/")[0] in [c for c, _ in violations(spec)]
     with pytest.raises(SpecError):
         validate(spec)
+
+
+def test_partitioner_rule_names_the_one_legal_value():
+    [(code, message)] = violations(RunSpec(topology="ring:4", partitioner="grid"))
+    assert code == "partitioner"
+    assert message == "unknown partitioner 'grid'; expected one of ('strip',)"
 
 
 def test_valid_default_spec_passes():
