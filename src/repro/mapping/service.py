@@ -173,12 +173,14 @@ class MappingContext:
         """
         st = self._mstate
         view = st.view
-        ticket = Ticket(self.node, st.next_seq)
+        pctx = self._pctx
+        node, pid = pctx.address
+        ticket = Ticket(node, st.next_seq)
         st.next_seq += 1
         dst = st.mapper.choose(view, hint)
-        if dst not in self._pctx.neighbours:
+        if dst not in pctx.neighbours:
             raise MappingError(
-                f"mapper chose {dst}, not a neighbour of node {self.node}"
+                f"mapper chose {dst}, not a neighbour of node {node}"
             )
         st.mapper.on_sent(view, dst, hint)
         st.forward_table[ticket] = dst
@@ -186,18 +188,18 @@ class MappingContext:
             ticket,
             payload,
             hint,
-            path=(self.node,),
+            path=(node,),
             hops_left=self._service.forward_hops,
             sender_count=view.received_count,
         )
-        self._pctx.send(Address(dst, self._pctx.pid), msg)
+        pctx.send(Address(dst, pid), msg)
         tel = self._service._telemetry
         if tel is not None:
             tel.emit(
                 3,
                 "ticket_issue",
-                self._pctx.step,
-                self.node,
+                pctx.step,
+                node,
                 attrs={"ticket": str(ticket), "dst": dst, "hint": hint},
             )
         return ticket

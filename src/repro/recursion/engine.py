@@ -191,7 +191,7 @@ class RecursionEngine:
             return
         inv, record = entry
         resolved_now = record.deliver(ticket, payload)
-        if resolved_now and record.is_choice:
+        if resolved_now and record.is_valid is not None:
             if record.value is None:
                 st.stats.choice_exhausted += 1
                 if tel is not None:
@@ -264,10 +264,28 @@ class RecursionEngine:
                 # `return value` sugar for `yield Result(value)`
                 self._finish(mctx, st, inv, stop.value)
                 return
-            op = coerce_op(yielded)
-            if isinstance(op, Call):
-                to_send = self._issue_call(mctx, st, inv, op)
-            elif isinstance(op, Choice):
+            op = yielded
+            kind = op.__class__
+            if not (kind is Call or kind is Sync or kind is Result or kind is Choice):
+                # the list form, or a subclass of an op
+                op = coerce_op(op)
+                kind = next(k for k in (Call, Choice, Sync, Result) if isinstance(op, k))
+            if kind is Call:
+                ticket = mctx.call(op.args, op.hint)
+                record = CallRecord([ticket], None)
+                st.pending[ticket] = (inv, record)
+                inv.batch.append(record)
+                st.stats.calls_made += 1
+                if tel is not None:
+                    tel.emit(
+                        4,
+                        "call",
+                        mctx.step,
+                        mctx.node,
+                        attrs={"inv": inv.inv_id, "ticket": str(ticket)},
+                    )
+                to_send = ticket
+            elif kind is Choice:
                 record = CallRecord([], op.is_valid)
                 for call in op.calls:
                     ticket = mctx.call(call.args, call.hint)
@@ -285,7 +303,7 @@ class RecursionEngine:
                         attrs={"inv": inv.inv_id, "calls": len(op.calls)},
                     )
                 to_send = tuple(record.tickets)
-            elif isinstance(op, Sync):
+            elif kind is Sync:
                 st.stats.syncs += 1
                 if inv.batch_resolved():
                     to_send = inv.sync_value()
@@ -304,33 +322,10 @@ class RecursionEngine:
                         },
                     )
                 return
-            elif isinstance(op, Result):
+            else:
                 self._finish(mctx, st, inv, op.value)
                 gen.close()
                 return
-
-    def _issue_call(
-        self,
-        mctx: MappingContext,
-        st: _EngineState,
-        inv: Invocation,
-        op: Call,
-    ) -> Ticket:
-        ticket = mctx.call(op.args, op.hint)
-        record = CallRecord([ticket], None)
-        st.pending[ticket] = (inv, record)
-        inv.batch.append(record)
-        st.stats.calls_made += 1
-        tel = self._telemetry
-        if tel is not None:
-            tel.emit(
-                4,
-                "call",
-                mctx.step,
-                mctx.node,
-                attrs={"inv": inv.inv_id, "ticket": str(ticket)},
-            )
-        return ticket
 
     def _finish(
         self, mctx: MappingContext, st: _EngineState, inv: Invocation, value: Any
@@ -342,11 +337,12 @@ class RecursionEngine:
         inv.done = True
         st.stats.completions += 1
         # retire any still-outstanding speculative subcalls
-        for t in inv.outstanding_tickets():
-            st.pending.pop(t, None)
-            if self.cancellation:
-                mctx.cancel(t)
-                st.stats.cancels_sent += 1
+        if inv.batch:
+            for t in inv.outstanding_tickets():
+                st.pending.pop(t, None)
+                if self.cancellation:
+                    mctx.cancel(t)
+                    st.stats.cancels_sent += 1
         st.invocations.pop(inv.inv_id, None)
         if inv.reply is not None:
             st.by_reply_ticket.pop(inv.reply.ticket, None)

@@ -108,8 +108,10 @@ class SchedulerProgram:
     ) -> None:
         if not processes:
             raise SchedulingError("scheduler needs at least one process template")
-        if budget is not None and budget < 1:
-            raise SchedulingError(f"budget must be >= 1 or None, got {budget}")
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
+        ):
+            raise SchedulingError(f"budget must be None or an int >= 1, got {budget!r}")
         self._templates = list(processes)
         if policy_factory is None:
             from .policies import RoundRobinPolicy
@@ -118,6 +120,8 @@ class SchedulerProgram:
         self._policy_factory = policy_factory
         self._budget = budget
         self._telemetry = telemetry
+        #: one process and no budget: _drain pops queues[0] directly
+        self._solo = len(self._templates) == 1 and budget is None
 
     # -- layer-1 NodeProgram interface ----------------------------------
 
@@ -151,16 +155,21 @@ class SchedulerProgram:
     # -- internals -------------------------------------------------------
 
     def _make_send(self, node_ctx: NodeContext, src: Address):
+        n_pids = len(self._templates)
+        src_node, src_pid = src
+
         def send(dst: Address, payload: Any) -> None:
-            dst = Address(*dst)
-            if dst.pid < 0 or dst.pid >= len(self._templates):
-                raise SchedulingError(f"no process with pid {dst.pid}")
-            if dst.node == src.node:
+            if dst.__class__ is not Address:
+                dst = Address(*dst)
+            node, pid = dst
+            if pid < 0 or pid >= n_pids:
+                raise SchedulingError(f"no process with pid {pid}")
+            if node == src_node:
                 sched: _NodeSched = node_ctx.state
-                self._enqueue(node_ctx, sched, dst.pid, src, payload)
+                self._enqueue(node_ctx, sched, pid, src, payload)
                 self._schedule_poll(node_ctx, sched)
             else:
-                node_ctx.send(dst.node, Packet(dst.pid, src.pid, payload))
+                node_ctx.send(node, Packet(pid, src_pid, payload))
 
         return send
 
@@ -205,6 +214,26 @@ class SchedulerProgram:
                 ctx.node,
                 attrs={"value": sum(len(q) for q in sched.queues.values())},
             )
+        if self._solo:
+            # The general loop below, specialised to one pid with no budget:
+            # select((0,)) still runs per message so policy state (a round-
+            # robin cursor, a random policy's draws) ends exactly as there.
+            queue = sched.queues[0]
+            while queue:
+                sched.policy.select((0,))
+                sender, payload, _seq = queue.popleft()
+                sched.budget_used += 1
+                if tel is not None and sched.last_pid != 0:
+                    tel.emit(
+                        2,
+                        "context_switch",
+                        step,
+                        ctx.node,
+                        attrs={"from_pid": sched.last_pid, "to_pid": 0},
+                    )
+                    sched.last_pid = 0
+                self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)
+            return
         while True:
             runnable = self._runnable(sched)
             if not runnable:

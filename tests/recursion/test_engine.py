@@ -275,6 +275,79 @@ class TestEngineStats:
         assert a.as_dict()["invocations"] == 7
 
 
+class _MyCall(Call):
+    __slots__ = ()
+
+
+class _MySync(Sync):
+    __slots__ = ()
+
+
+class _MyResult(Result):
+    __slots__ = ()
+
+
+class _MyChoice(Choice):
+    __slots__ = ()
+
+
+def _tree_with(call, sync, result):
+    def tree(n):
+        if n == 0:
+            yield result(1)
+        else:
+            yield call(n - 1)
+            yield call(n - 1)
+            a, b = yield sync()
+            yield result(a + b)
+
+    return tree
+
+
+def _race_with(choice):
+    def race(task):
+        if task == "root":
+            yield choice(lambda r: r == "b", Call("a"), Call("b"))
+            got = yield Sync()
+            yield Result(got)
+        else:
+            yield Result(task)
+
+    return race
+
+
+def _outcome(fn, args):
+    stack = HyperspaceStack(Torus((4, 4)))
+    result, report = stack.run_recursive(fn, args, halt_on_result=False)
+    return result, stack.last_run.engine_stats.as_dict(), report.steps, report.sent_total
+
+
+class TestOpDispatch:
+    """The engine dispatches a yield by its exact class; anything else — a
+    subclass of an op, the paper's list form — must take the same path."""
+
+    @pytest.mark.parametrize(
+        "ops",
+        [(_MyCall, Sync, Result), (Call, _MySync, Result), (Call, Sync, _MyResult)],
+        ids=["call", "sync", "result"],
+    )
+    def test_op_subclass_behaves_like_the_op(self, ops):
+        plain = _outcome(_tree_with(Call, Sync, Result), 3)
+        assert plain[0] == 8
+        assert _outcome(_tree_with(*ops), 3) == plain
+
+    @pytest.mark.parametrize(
+        "choice",
+        [_MyChoice, lambda is_valid, *calls: [is_valid, *calls]],
+        ids=["subclass", "list_form"],
+    )
+    def test_choice_forms_behave_like_choice(self, choice):
+        plain = _outcome(_race_with(Choice), "root")
+        assert plain[0] == "b"
+        assert plain[1]["choice_groups"] == 1
+        assert _outcome(_race_with(choice), "root") == plain
+
+
 class TestStrictMode:
     def test_strict_raises_on_timeout(self):
         def forever(x):

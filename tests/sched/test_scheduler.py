@@ -1,10 +1,22 @@
 """Tests for the layer-2 process scheduler."""
 
+import random
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.netsim import Machine
-from repro.sched import Address, FunctionalProcess, SchedulerProgram
+from repro.sched import (
+    Address,
+    FifoPolicy,
+    FunctionalProcess,
+    PriorityPolicy,
+    RandomPolicy,
+    RoundRobinPolicy,
+    SchedulerProgram,
+)
+from repro.state import normalize
+from repro.telemetry import TelemetryBus
 from repro.topology import Ring, Torus
 
 
@@ -91,6 +103,12 @@ class TestBudget:
     def test_invalid_budget(self):
         with pytest.raises(SchedulingError):
             SchedulerProgram([collector([])], budget=0)
+
+    @pytest.mark.parametrize("budget", [True, 1.5, "2"])
+    def test_budget_must_be_an_int(self, budget):
+        # the same rule as RunSpec.scheduler_budget: bool and non-int refused
+        with pytest.raises(SchedulingError, match="an int >= 1"):
+            SchedulerProgram([collector([])], budget=budget)
 
     def test_budget_one_spreads_local_work_across_steps(self):
         done_steps = []
@@ -193,6 +211,92 @@ class TestPolicies:
             make_policy("banana")
         with pytest.raises(SchedulingError):
             make_policy("random")  # missing rng
+
+
+def _random_policy():
+    return RandomPolicy(random.Random(7))
+
+
+def _priority_policy():
+    return PriorityPolicy({0: 3})
+
+
+class TestOneProcessPath:
+    """A one-process, unbudgeted node drains ``queues[0]`` directly; its
+    twin with an idle second process takes the general ``_runnable`` loop.
+    Both must leave the same pid-0 state behind."""
+
+    @staticmethod
+    def _run(policy_factory, n_processes, bus):
+        def countdown(ctx, sender, payload):
+            ctx.state = (ctx.state or 0) + 1
+            if payload:
+                ctx.send(Address(ctx.node, 0), payload - 1)
+                if payload % 3 == 0:
+                    ctx.send((ctx.node, 0), 0)  # the plain-tuple address form
+
+        idle = FunctionalProcess(lambda ctx, sender, payload: None)
+        prog = SchedulerProgram(
+            [FunctionalProcess(countdown)] + [idle] * (n_processes - 1),
+            policy_factory=policy_factory,
+            telemetry=bus,
+        )
+        m = Machine(Torus((3, 3)), prog, telemetry=bus)
+        for node in (0, 4, 8):
+            m.inject(node, 7 + node)
+        m.run()
+        m.inject(4, 5)  # a second drain on a node whose policy has run
+        m.run()
+        return prog.snapshot(m).data["nodes"]
+
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [RoundRobinPolicy, FifoPolicy, _priority_policy, _random_policy],
+        ids=["round_robin", "fifo", "priority", "random"],
+    )
+    @pytest.mark.parametrize("with_bus", [False, True], ids=["bare", "bus"])
+    def test_same_state_as_the_general_path(self, policy_factory, with_bus, monkeypatch):
+        runnable_calls = []
+        general = SchedulerProgram._runnable
+        monkeypatch.setattr(
+            SchedulerProgram,
+            "_runnable",
+            lambda self, sched: runnable_calls.append(1) or general(self, sched),
+        )
+        bus = TelemetryBus() if with_bus else None
+        solo = self._run(policy_factory, 1, bus)
+        assert not runnable_calls  # the one-process path never builds a list
+        bus = TelemetryBus() if with_bus else None
+        twin = self._run(policy_factory, 2, bus)
+        assert runnable_calls
+        for mine, theirs in zip(solo, twin):
+            for key in ("arrival_seq", "budget_step", "budget_used", "poll_pending", "last_pid"):
+                assert mine[key] == theirs[key], key
+            assert normalize(mine["policy"]) == normalize(theirs["policy"])
+            assert mine["procs"][0] == theirs["procs"][0]
+            assert mine["queues"][0] == theirs["queues"][0] == []
+        # node 4 handled 11..0 plus three extra zeros, then 5..0 plus one
+        assert solo[4]["procs"][0] == ("raw", 15 + 7)
+        assert solo[4]["last_pid"] == (0 if with_bus else -1)
+
+    def test_round_robin_cursor_after_a_drain(self):
+        prog = SchedulerProgram([collector([])])
+        m = Machine(Ring(3), prog)
+        m.inject(1, "x")
+        m.run()
+        assert m.state_of(1).policy._last == 0
+        assert m.state_of(0).policy._last == -1  # never ran
+
+    def test_random_policy_draws_once_per_message(self):
+        prog = SchedulerProgram([collector([])], policy_factory=_random_policy)
+        m = Machine(Ring(3), prog)
+        for payload in range(4):
+            m.inject(1, payload)
+        m.run()
+        expected = random.Random(7)
+        for _ in range(4):
+            expected.randrange(1)
+        assert m.state_of(1).policy._rng.getstate() == expected.getstate()
 
 
 class TestInspection:
