@@ -195,13 +195,16 @@ class MappingContext:
         pctx.send(Address(dst, pid), msg)
         tel = self._service._telemetry
         if tel is not None:
-            tel.emit(
-                3,
-                "ticket_issue",
-                pctx.step,
-                node,
-                attrs={"ticket": str(ticket), "dst": dst, "hint": hint},
-            )
+            if tel.want_events:
+                tel.emit(
+                    3,
+                    "ticket_issue",
+                    pctx.step,
+                    node,
+                    attrs={"ticket": str(ticket), "dst": dst, "hint": hint},
+                )
+            else:
+                tel.emit(3, "ticket_issue", 0)
         return ticket
 
     def reply(self, handle: Optional[ReplyHandle], payload: Any) -> None:
@@ -216,7 +219,10 @@ class MappingContext:
         if handle is None:
             self._mstate.results.append(payload)
             if tel is not None:
-                tel.emit(3, "external_result", self._pctx.step, self.node)
+                if tel.want_events:
+                    tel.emit(3, "external_result", self._pctx.step, self.node)
+                else:
+                    tel.emit(3, "external_result", 0)
             if self._service.halt_on_result:
                 self._pctx.machine.halt()
             return
@@ -228,13 +234,16 @@ class MappingContext:
         )
         self._pctx.send(Address(route[0], self._pctx.pid), msg)
         if tel is not None:
-            tel.emit(
-                3,
-                "reply_sent",
-                self._pctx.step,
-                self.node,
-                attrs={"ticket": str(handle.ticket), "route_len": len(route)},
-            )
+            if tel.want_events:
+                tel.emit(
+                    3,
+                    "reply_sent",
+                    self._pctx.step,
+                    self.node,
+                    attrs={"ticket": str(handle.ticket), "route_len": len(route)},
+                )
+            else:
+                tel.emit(3, "reply_sent", 0)
 
     def cancel(self, ticket: Ticket) -> None:
         """Cancel previously delegated work (extension; see §IV-C).
@@ -249,13 +258,16 @@ class MappingContext:
         self._pctx.send(Address(dst, self._pctx.pid), msg)
         tel = self._service._telemetry
         if tel is not None:
-            tel.emit(
-                3,
-                "cancel_sent",
-                self._pctx.step,
-                self.node,
-                attrs={"ticket": str(ticket), "dst": dst},
-            )
+            if tel.want_events:
+                tel.emit(
+                    3,
+                    "cancel_sent",
+                    self._pctx.step,
+                    self.node,
+                    attrs={"ticket": str(ticket), "dst": dst},
+                )
+            else:
+                tel.emit(3, "cancel_sent", 0)
 
 
 class MappingService:
@@ -366,16 +378,19 @@ class MappingService:
             else:
                 tel = self._telemetry
                 if tel is not None:
-                    tel.emit(
-                        3,
-                        "ticket_claim",
-                        pctx.step,
-                        pctx.node,
-                        attrs={
-                            "ticket": str(payload.ticket),
-                            "hops": len(payload.path),
-                        },
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            3,
+                            "ticket_claim",
+                            pctx.step,
+                            pctx.node,
+                            attrs={
+                                "ticket": str(payload.ticket),
+                                "hops": len(payload.path),
+                            },
+                        )
+                    else:
+                        tel.emit(3, "ticket_claim", 0)
                 handle = ReplyHandle(
                     payload.ticket, tuple(reversed(payload.path))
                 )
@@ -407,13 +422,16 @@ class MappingService:
                 mstate.forward_table.pop(payload.ticket, None)
                 tel = self._telemetry
                 if tel is not None:
-                    tel.emit(
-                        3,
-                        "reply_delivered",
-                        pctx.step,
-                        pctx.node,
-                        attrs={"ticket": str(payload.ticket)},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            3,
+                            "reply_delivered",
+                            pctx.step,
+                            pctx.node,
+                            attrs={"ticket": str(payload.ticket)},
+                        )
+                    else:
+                        tel.emit(3, "reply_delivered", 0)
                 self.app.on_reply(mctx, payload.ticket, payload.payload)
         elif kind is StatusMsg:
             if sender is not None:
@@ -471,17 +489,20 @@ class MappingService:
         pctx.send(Address(dst, pctx.pid), fwd)
         tel = self._telemetry
         if tel is not None:
-            tel.emit(
-                3,
-                "ticket_forward",
-                pctx.step,
-                pctx.node,
-                attrs={
-                    "ticket": str(msg.ticket),
-                    "dst": dst,
-                    "shared": not consume_hop,
-                },
-            )
+            if tel.want_events:
+                tel.emit(
+                    3,
+                    "ticket_forward",
+                    pctx.step,
+                    pctx.node,
+                    attrs={
+                        "ticket": str(msg.ticket),
+                        "dst": dst,
+                        "shared": not consume_hop,
+                    },
+                )
+            else:
+                tel.emit(3, "ticket_forward", 0)
 
     def _broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
         count = mstate.view.received_count
@@ -490,13 +511,16 @@ class MappingService:
         mstate.status.on_broadcast(count)
         tel = self._telemetry
         if tel is not None:
-            tel.emit(
-                3,
-                "status_broadcast",
-                pctx.step,
-                pctx.node,
-                attrs={"count": count, "fanout": len(pctx.neighbours)},
-            )
+            if tel.want_events:
+                tel.emit(
+                    3,
+                    "status_broadcast",
+                    pctx.step,
+                    pctx.node,
+                    attrs={"count": count, "fanout": len(pctx.neighbours)},
+                )
+            else:
+                tel.emit(3, "status_broadcast", 0)
 
     # -- snapshot / restore (repro.state protocol) ------------------------
 

@@ -150,14 +150,18 @@ class RecursionEngine:
             # parent would shrug the second off as a late reply, but the
             # wasted subtree can be large — suppress at the door instead.
             st.stats.dup_work += 1
-            if self._telemetry is not None:
-                self._telemetry.emit(
-                    4,
-                    "dup_work",
-                    mctx.step,
-                    mctx.node,
-                    attrs={"ticket": str(reply.ticket)},
-                )
+            tel = self._telemetry
+            if tel is not None:
+                if tel.want_events:
+                    tel.emit(
+                        4,
+                        "dup_work",
+                        mctx.step,
+                        mctx.node,
+                        attrs={"ticket": str(reply.ticket)},
+                    )
+                else:
+                    tel.emit(4, "dup_work", 0)
             return
         gen = self.fn(payload)
         if not hasattr(gen, "send"):
@@ -181,13 +185,16 @@ class RecursionEngine:
             # evaluation for a retired/cancelled subcall; drop it
             st.stats.late_replies += 1
             if tel is not None:
-                tel.emit(
-                    4,
-                    "late_reply",
-                    mctx.step,
-                    mctx.node,
-                    attrs={"ticket": str(ticket)},
-                )
+                if tel.want_events:
+                    tel.emit(
+                        4,
+                        "late_reply",
+                        mctx.step,
+                        mctx.node,
+                        attrs={"ticket": str(ticket)},
+                    )
+                else:
+                    tel.emit(4, "late_reply", 0)
             return
         inv, record = entry
         resolved_now = record.deliver(ticket, payload)
@@ -195,23 +202,29 @@ class RecursionEngine:
             if record.value is None:
                 st.stats.choice_exhausted += 1
                 if tel is not None:
-                    tel.emit(
-                        4,
-                        "choice_exhausted",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"inv": inv.inv_id},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            4,
+                            "choice_exhausted",
+                            mctx.step,
+                            mctx.node,
+                            attrs={"inv": inv.inv_id},
+                        )
+                    else:
+                        tel.emit(4, "choice_exhausted", 0)
             else:
                 st.stats.choice_wins += 1
                 if tel is not None:
-                    tel.emit(
-                        4,
-                        "choice_win",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"inv": inv.inv_id, "ticket": str(ticket)},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            4,
+                            "choice_win",
+                            mctx.step,
+                            mctx.node,
+                            attrs={"inv": inv.inv_id, "ticket": str(ticket)},
+                        )
+                    else:
+                        tel.emit(4, "choice_win", 0)
                 # losing evaluations are no longer needed
                 for t in record.outstanding():
                     st.pending.pop(t, None)
@@ -246,9 +259,10 @@ class RecursionEngine:
     ) -> None:
         """Drive ``inv``'s generator until it suspends or finishes."""
         tel = self._telemetry
-        if tel is not None:
+        if tel is not None and tel.want_events:
             # keep the layer-5 probe clock pointed at the node whose
-            # generator is about to run (generators have no ctx handle)
+            # generator is about to run (generators have no ctx handle);
+            # only an audience that keeps events reads it
             set_probe_node(mctx.node)
         to_send: Any = None if first else resume_value
         gen = inv.gen
@@ -277,13 +291,16 @@ class RecursionEngine:
                 inv.batch.append(record)
                 st.stats.calls_made += 1
                 if tel is not None:
-                    tel.emit(
-                        4,
-                        "call",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"inv": inv.inv_id, "ticket": str(ticket)},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            4,
+                            "call",
+                            mctx.step,
+                            mctx.node,
+                            attrs={"inv": inv.inv_id, "ticket": str(ticket)},
+                        )
+                    else:
+                        tel.emit(4, "call", 0)
                 to_send = ticket
             elif kind is Choice:
                 record = CallRecord([], op.is_valid)
@@ -295,13 +312,16 @@ class RecursionEngine:
                 inv.batch.append(record)
                 st.stats.choice_groups += 1
                 if tel is not None:
-                    tel.emit(
-                        4,
-                        "choice",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"inv": inv.inv_id, "calls": len(op.calls)},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            4,
+                            "choice",
+                            mctx.step,
+                            mctx.node,
+                            attrs={"inv": inv.inv_id, "calls": len(op.calls)},
+                        )
+                    else:
+                        tel.emit(4, "choice", 0)
                 to_send = tuple(record.tickets)
             elif kind is Sync:
                 st.stats.syncs += 1
@@ -311,16 +331,19 @@ class RecursionEngine:
                     continue
                 inv.waiting_sync = True
                 if tel is not None:
-                    tel.emit(
-                        4,
-                        "sync",
-                        mctx.step,
-                        mctx.node,
-                        attrs={
-                            "inv": inv.inv_id,
-                            "pending": len(inv.outstanding_tickets()),
-                        },
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            4,
+                            "sync",
+                            mctx.step,
+                            mctx.node,
+                            attrs={
+                                "inv": inv.inv_id,
+                                "pending": len(inv.outstanding_tickets()),
+                            },
+                        )
+                    else:
+                        tel.emit(4, "sync", 0)
                 return
             else:
                 self._finish(mctx, st, inv, op.value)
@@ -350,15 +373,14 @@ class RecursionEngine:
         if tel is not None:
             step = mctx.step
             start = inv.start_step if inv.start_step >= 0 else step
-            tel.emit(
-                4,
-                "invocation",
-                start,
-                mctx.node,
-                dur=max(step - start, 0),
-                attrs={"inv": inv.inv_id},
-            )
-            tel.emit(4, "result", step, mctx.node, attrs={"inv": inv.inv_id})
+            dur = max(step - start, 0)
+            if tel.want_events:
+                node = mctx.node
+                tel.emit(4, "invocation", start, node, dur, {"inv": inv.inv_id})
+                tel.emit(4, "result", step, node, attrs={"inv": inv.inv_id})
+            else:
+                tel.emit(4, "invocation", 0, dur=dur)
+                tel.emit(4, "result", 0)
         mctx.reply(inv.reply, value)
 
     def _cancel_invocation(
@@ -373,13 +395,16 @@ class RecursionEngine:
         inv.gen.close()
         tel = self._telemetry
         if tel is not None:
-            tel.emit(
-                4,
-                "cancelled",
-                mctx.step,
-                mctx.node,
-                attrs={"inv": inv.inv_id},
-            )
+            if tel.want_events:
+                tel.emit(
+                    4,
+                    "cancelled",
+                    mctx.step,
+                    mctx.node,
+                    attrs={"inv": inv.inv_id},
+                )
+            else:
+                tel.emit(4, "cancelled", 0)
 
     # -- snapshot / restore (repro.state protocol) --------------------------
 

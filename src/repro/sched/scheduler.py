@@ -206,41 +206,41 @@ class SchedulerProgram:
         if sched.budget_step != step:
             sched.budget_step = step
             sched.budget_used = 0
-        if tel is not None:
-            tel.emit(
-                2,
-                "run_queue",
-                step,
-                ctx.node,
-                attrs={"value": sum(len(q) for q in sched.queues.values())},
-            )
         if self._solo:
             # The general loop below, specialised to one pid with no budget:
             # select((0,)) still runs per message so policy state (a round-
             # robin cursor, a random policy's draws) ends exactly as there.
             queue = sched.queues[0]
+            if tel is not None:
+                tel.emit(2, "run_queue", step, ctx.node, attrs={"value": len(queue)})
             while queue:
                 sched.policy.select((0,))
                 sender, payload, _seq = queue.popleft()
                 sched.budget_used += 1
                 if tel is not None and sched.last_pid != 0:
-                    tel.emit(
-                        2,
-                        "context_switch",
-                        step,
-                        ctx.node,
-                        attrs={"from_pid": sched.last_pid, "to_pid": 0},
-                    )
+                    if tel.want_events:
+                        tel.emit(
+                            2,
+                            "context_switch",
+                            step,
+                            ctx.node,
+                            attrs={"from_pid": sched.last_pid, "to_pid": 0},
+                        )
+                    else:
+                        tel.emit(2, "context_switch", 0)
                     sched.last_pid = 0
                 self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)
             return
+        if tel is not None:
+            queued = sum(len(q) for q in sched.queues.values())
+            tel.emit(2, "run_queue", step, ctx.node, attrs={"value": queued})
         while True:
             runnable = self._runnable(sched)
             if not runnable:
                 return
             if self._budget is not None and sched.budget_used >= self._budget:
                 # Out of budget: finish remaining work on a later step.
-                if tel is not None:
+                if tel is not None and tel.want_events:
                     tel.emit(
                         2,
                         "budget_exhausted",
@@ -248,19 +248,24 @@ class SchedulerProgram:
                         ctx.node,
                         attrs={"pending": sum(len(q) for q in sched.queues.values())},
                     )
+                elif tel is not None:
+                    tel.emit(2, "budget_exhausted", 0)
                 self._schedule_poll(ctx, sched)
                 return
             pid = sched.policy.select(runnable)
             sender, payload, _seq = sched.queues[pid].popleft()
             sched.budget_used += 1
             if tel is not None and pid != sched.last_pid:
-                tel.emit(
-                    2,
-                    "context_switch",
-                    step,
-                    ctx.node,
-                    attrs={"from_pid": sched.last_pid, "to_pid": pid},
-                )
+                if tel.want_events:
+                    tel.emit(
+                        2,
+                        "context_switch",
+                        step,
+                        ctx.node,
+                        attrs={"from_pid": sched.last_pid, "to_pid": pid},
+                    )
+                else:
+                    tel.emit(2, "context_switch", 0)
                 sched.last_pid = pid
             self._templates[pid].on_message(sched.proc_ctxs[pid], sender, payload)
 

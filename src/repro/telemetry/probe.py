@@ -85,6 +85,10 @@ def probe(name: str, **attrs: Any) -> None:
     bus = _state[0]
     if bus is None:
         return
+    if not bus.want_events:
+        # an aggregator reads only (layer, name): no clock, node or attrs
+        bus.emit(L5_APP, name, 0)
+        return
     step_fn = _state[1]
     bus.emit(
         L5_APP,
