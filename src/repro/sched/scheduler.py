@@ -213,22 +213,23 @@ class SchedulerProgram:
             queue = sched.queues[0]
             if tel is not None:
                 tel.emit(2, "run_queue", step, ctx.node, attrs={"value": len(queue)})
+            if queue and sched.last_pid != 0:
+                # only the first message can switch: every one runs pid 0
+                if tel is not None and tel.want_events:
+                    tel.emit(
+                        2,
+                        "context_switch",
+                        step,
+                        ctx.node,
+                        attrs={"from_pid": sched.last_pid, "to_pid": 0},
+                    )
+                elif tel is not None:
+                    tel.emit(2, "context_switch", 0)
+                sched.last_pid = 0
             while queue:
                 sched.policy.select((0,))
                 sender, payload, _seq = queue.popleft()
                 sched.budget_used += 1
-                if tel is not None and sched.last_pid != 0:
-                    if tel.want_events:
-                        tel.emit(
-                            2,
-                            "context_switch",
-                            step,
-                            ctx.node,
-                            attrs={"from_pid": sched.last_pid, "to_pid": 0},
-                        )
-                    else:
-                        tel.emit(2, "context_switch", 0)
-                    sched.last_pid = 0
                 self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)
             return
         if tel is not None:
@@ -255,8 +256,8 @@ class SchedulerProgram:
             pid = sched.policy.select(runnable)
             sender, payload, _seq = sched.queues[pid].popleft()
             sched.budget_used += 1
-            if tel is not None and pid != sched.last_pid:
-                if tel.want_events:
+            if pid != sched.last_pid:
+                if tel is not None and tel.want_events:
                     tel.emit(
                         2,
                         "context_switch",
@@ -264,7 +265,7 @@ class SchedulerProgram:
                         ctx.node,
                         attrs={"from_pid": sched.last_pid, "to_pid": pid},
                     )
-                else:
+                elif tel is not None:
                     tel.emit(2, "context_switch", 0)
                 sched.last_pid = pid
             self._templates[pid].on_message(sched.proc_ctxs[pid], sender, payload)

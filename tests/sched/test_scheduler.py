@@ -277,7 +277,7 @@ class TestOneProcessPath:
             assert mine["queues"][0] == theirs["queues"][0] == []
         # node 4 handled 11..0 plus three extra zeros, then 5..0 plus one
         assert solo[4]["procs"][0] == ("raw", 15 + 7)
-        assert solo[4]["last_pid"] == (0 if with_bus else -1)
+        assert solo[4]["last_pid"] == 0  # kept with or without a bus
 
     def test_round_robin_cursor_after_a_drain(self):
         prog = SchedulerProgram([collector([])])

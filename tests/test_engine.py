@@ -216,11 +216,6 @@ def test_execute_fib():
     assert run.result == 13
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known bug: _NodeSched.last_pid is in every node snapshot but the "
-    "scheduler updates it only when a bus is attached",
-)
 def test_semantic_digest_does_not_depend_on_an_attached_bus():
     from repro.telemetry import MetricsSubscriber, TelemetryBus
 
