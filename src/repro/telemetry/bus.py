@@ -111,10 +111,10 @@ class TelemetryBus:
     )
 
     def __init__(self, *, sample_every: int = 1, ring_size: int = 1024) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        if ring_size < 1:
-            raise ValueError(f"ring_size must be >= 1, got {ring_size}")
+        # a float phase never returns to 0 and a bool is not a count
+        for name, value in (("sample_every", sample_every), ("ring_size", ring_size)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         #: attached subscriber objects/callables, in subscription order
         self._subscribers: List[Any] = []
         #: handlers of the subscribers that keep events
