@@ -17,6 +17,9 @@ Design constraints (in priority order):
    publishers that can do better than one call per event: layer 1 counts a
    step's sends once, and a publisher that would have to *build* ``attrs``
    pairs a ``count`` with a ``record`` guarded by :attr:`want_events`.
+   Layers 2-5 keep one ``emit`` per event and read its step, node and
+   ``attrs`` only when :attr:`want_events` (``emit(layer, name, 0)``, plus
+   ``dur`` for a span, otherwise).
    ``flush`` (called by the machine at every step boundary and at the end
    of a run) is the one place a subscriber is called, so subscribers see a
    step's publications at its boundary (a full ring goes out earlier).
