@@ -496,8 +496,6 @@ def execute(
     resume_from: Any = None,
     reliability: Any = None,
     heuristic_fn: Any = None,
-    mapper_factory: Any = None,
-    status_factory: Any = None,
     fn: Any = None,
     args: Any = None,
     fn_spec: Any = None,
@@ -519,9 +517,8 @@ def execute(
     * ``reliability`` — a configured
       :class:`~repro.reliability.ReliabilityConfig` overriding the
       spec's ``reliable``/``retry_limit`` pair;
-    * ``heuristic_fn`` / ``mapper_factory`` / ``status_factory`` —
-      callable substitutes for the registry names (the spec then says
-      ``"custom"`` / keeps its name for the record);
+    * ``heuristic_fn`` — the branching heuristic of a SAT spec whose
+      ``heuristic`` is ``"custom"``;
     * ``fn`` / ``args`` / ``fn_spec`` — the ``custom`` workload's
       generator function, root argument and picklable shard recipe;
     * ``want_state_digest`` — force state-digest computation on or off
@@ -566,8 +563,8 @@ def execute(
     )
     stack = HyperspaceStack(
         topo,
-        mapper=mapper_factory if mapper_factory is not None else spec.mapper,
-        status=status_factory if status_factory is not None else spec.status,
+        mapper=spec.mapper,
+        status=spec.status,
         cancellation=spec.cancellation,
         forward_hops=spec.forward_hops,
         share_threshold=spec.share_threshold,

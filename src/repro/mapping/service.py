@@ -322,11 +322,19 @@ class MappingService:
         load_fn: Optional[Callable[[Any], int]] = None,
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
-        if forward_hops < 0:
-            raise MappingError(f"forward_hops must be >= 0, got {forward_hops}")
-        if share_threshold is not None and share_threshold < 1:
+        if (
+            not isinstance(forward_hops, int)
+            or isinstance(forward_hops, bool)
+            or forward_hops < 0
+        ):
+            raise MappingError(f"forward_hops must be an int >= 0, got {forward_hops!r}")
+        if share_threshold is not None and (
+            not isinstance(share_threshold, int)
+            or isinstance(share_threshold, bool)
+            or share_threshold < 1
+        ):
             raise MappingError(
-                f"share_threshold must be >= 1 or None, got {share_threshold}"
+                f"share_threshold must be None or an int >= 1, got {share_threshold!r}"
             )
         if share_threshold is not None and load_fn is None:
             raise MappingError("work sharing needs a load_fn to measure load")

@@ -107,6 +107,11 @@ def resolve_shards(shards: Any = None) -> int:
         shards = raw
     if shards == "auto":
         return os.cpu_count() or 1
+    if isinstance(shards, (bool, float)):
+        # int() would truncate 2.5 to 2 and take True as 1
+        raise SimulationError(
+            f"invalid shard count {shards!r}: expected an int or 'auto'"
+        )
     try:
         n = int(shards)
     except (TypeError, ValueError):

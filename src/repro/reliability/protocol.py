@@ -104,6 +104,16 @@ class ReliabilityConfig:
         retry_limit: int = 12,
         on_exhausted: str = "raise",
     ) -> None:
+        for name, value in (
+            ("timeout", timeout),
+            ("max_timeout", max_timeout),
+            ("retry_limit", retry_limit),
+        ):
+            # a float step never comes due on the integer clock; True is not a count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ReliabilityError(f"{name} must be an int, got {value!r}")
+        if not isinstance(backoff, (int, float)) or isinstance(backoff, bool):
+            raise ReliabilityError(f"backoff must be a number, got {backoff!r}")
         if timeout < 1:
             raise ReliabilityError(f"timeout must be >= 1 step, got {timeout}")
         if backoff < 1.0:

@@ -5,17 +5,11 @@ Public surface:
 * :class:`SchedulerProgram` — hosts process templates on every node.
 * :class:`Process` / :class:`FunctionalProcess` / :class:`ProcessContext` /
   :class:`Address` — the process-level programming interface.
-* Scheduling policies: round-robin (default), priority, FIFO, random.
+* :class:`RoundRobinPolicy` — the one scheduling rule; a per-step message
+  budget is the preemption analogue.
 """
 
-from .policies import (
-    FifoPolicy,
-    PriorityPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
+from .policies import RoundRobinPolicy
 from .process import Address, FunctionalProcess, Process, ProcessContext
 from .scheduler import Packet, SchedulerProgram
 
@@ -26,10 +20,5 @@ __all__ = [
     "FunctionalProcess",
     "ProcessContext",
     "Address",
-    "SchedulingPolicy",
     "RoundRobinPolicy",
-    "PriorityPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "make_policy",
 ]

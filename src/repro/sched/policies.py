@@ -1,39 +1,23 @@
-"""Node-level scheduling policies (paper Figure 2, layer 2 concerns).
+"""The node-level scheduling rule (paper Figure 2, layer 2 concerns).
 
-When several processes on one node have pending local messages, a policy
-decides which process runs next.  The paper's layer-2 concern list names
-"round-robin" and "preemptive" as possible implementations; here a policy is
-a pure selection rule and "preemption" granularity is modelled by the
-scheduler's per-step message budget.
+When several processes on one node have pending local messages, the
+policy decides which process runs next.  The paper's layer-2 concern list
+names "round-robin" and "preemptive" scheduling; the stack runs exactly
+those two: :class:`RoundRobinPolicy` picks who runs, and "preemption"
+granularity is modelled by the scheduler's per-step message budget.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Sequence
 
 from ..errors import SchedulingError
 
-__all__ = [
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "PriorityPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "make_policy",
-]
-
-
-class SchedulingPolicy(Protocol):
-    """Selects the next runnable pid among those with pending messages."""
-
-    def select(self, runnable: Sequence[int]) -> int:
-        """Return one pid from ``runnable`` (non-empty, ascending order)."""
-        ...
+__all__ = ["RoundRobinPolicy"]
 
 
 class RoundRobinPolicy:
-    """Cycle fairly through runnable processes (default).
+    """Cycle fairly through runnable processes.
 
     Remembers the last pid run and picks the next runnable pid in cyclic
     ascending order, so no runnable process starves.
@@ -45,6 +29,7 @@ class RoundRobinPolicy:
         self._last = -1
 
     def select(self, runnable: Sequence[int]) -> int:
+        """Return one pid from ``runnable`` (non-empty, ascending order)."""
         if not runnable:
             raise SchedulingError("select() called with no runnable process")
         for pid in runnable:
@@ -53,72 +38,3 @@ class RoundRobinPolicy:
                 return pid
         self._last = runnable[0]
         return runnable[0]
-
-
-class PriorityPolicy:
-    """Always run the runnable process with the highest priority.
-
-    Priorities default to 0; ties break toward the lower pid.
-    """
-
-    __slots__ = ("_priorities",)
-
-    def __init__(self, priorities: Optional[Dict[int, int]] = None) -> None:
-        self._priorities = dict(priorities or {})
-
-    def set_priority(self, pid: int, priority: int) -> None:
-        """Assign ``priority`` to ``pid`` (higher runs first)."""
-        self._priorities[pid] = priority
-
-    def select(self, runnable: Sequence[int]) -> int:
-        if not runnable:
-            raise SchedulingError("select() called with no runnable process")
-        return max(runnable, key=lambda pid: (self._priorities.get(pid, 0), -pid))
-
-
-class FifoPolicy:
-    """Run the process whose oldest pending message arrived first.
-
-    The scheduler feeds arrival order through ``runnable`` (it passes pids
-    sorted by oldest pending arrival when this policy is active), so FIFO
-    simply takes the head.
-    """
-
-    __slots__ = ()
-
-    #: scheduler hint: order ``runnable`` by arrival, not pid
-    order_by_arrival = True
-
-    def select(self, runnable: Sequence[int]) -> int:
-        if not runnable:
-            raise SchedulingError("select() called with no runnable process")
-        return runnable[0]
-
-
-class RandomPolicy:
-    """Pick a runnable process uniformly at random (seeded)."""
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-
-    def select(self, runnable: Sequence[int]) -> int:
-        if not runnable:
-            raise SchedulingError("select() called with no runnable process")
-        return runnable[self._rng.randrange(len(runnable))]
-
-
-def make_policy(name: str, rng: Optional[random.Random] = None) -> SchedulingPolicy:
-    """Build a policy by name: ``round_robin`` / ``priority`` / ``fifo`` / ``random``."""
-    if name == "round_robin":
-        return RoundRobinPolicy()
-    if name == "priority":
-        return PriorityPolicy()
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "random":
-        if rng is None:
-            raise SchedulingError("random policy needs a seeded rng")
-        return RandomPolicy(rng)
-    raise SchedulingError(f"unknown scheduling policy {name!r}")

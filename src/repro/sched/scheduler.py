@@ -10,7 +10,7 @@ hardware threads" (paper §III-A2):
 * processes on one node exchange *local* messages without touching the
   network;
 * when several processes have pending local messages, a
-  :class:`~repro.sched.policies.SchedulingPolicy` picks who runs, limited by
+  :class:`~repro.sched.policies.RoundRobinPolicy` picks who runs, limited by
   a per-step message ``budget`` (the preemption-granularity analogue).
 
 With the default ``budget=None`` every pending message is handled in the
@@ -21,12 +21,12 @@ stack uses; finite budgets exercise genuinely interleaved schedules.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..netsim import NodeContext
 from ..topology import NodeId
-from .policies import SchedulingPolicy
+from .policies import RoundRobinPolicy
 from .process import Address, Process, ProcessContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -63,18 +63,20 @@ class _NodeSched:
         "last_pid",
     )
 
-    def __init__(self, proc_ctxs: List[ProcessContext], policy: SchedulingPolicy):
+    def __init__(self, proc_ctxs: List[ProcessContext]):
         self.proc_ctxs = proc_ctxs
+        #: per-pid queues of (sender, payload, arrival seq), in ascending
+        #: pid order; nothing reads the seq, but it is in every snapshot
         self.queues: Dict[int, Deque[Tuple[Optional[Address], Any, int]]] = {
             ctx.pid: deque() for ctx in proc_ctxs
         }
-        self.policy = policy
+        self.policy = RoundRobinPolicy()
         self.budget_step = -2  # step the budget counter refers to
         self.budget_used = 0
         self.arrival_seq = 0
         self.poll_pending = False
-        #: pid that ran most recently on this node (-1 = none yet); only
-        #: consulted when telemetry is on, to spot context switches
+        #: pid that ran most recently on this node (-1 = none yet); a change
+        #: is a context switch, published when telemetry is on
         self.last_pid = -1
 
 
@@ -87,9 +89,6 @@ class SchedulerProgram:
         Process templates; the template at index *i* serves pid *i* on every
         node.  Templates are shared objects — all per-node state must live
         in ``ctx.state`` (the contexts are per ``(node, pid)``).
-    policy_factory:
-        Builds one fresh policy instance per node (policies are stateful).
-        Defaults to round-robin.
     budget:
         Max messages a node may process per step, or ``None`` for unlimited
         (run-to-completion, the default).
@@ -102,7 +101,6 @@ class SchedulerProgram:
     def __init__(
         self,
         processes: Sequence[Process],
-        policy_factory: Optional[Callable[[], SchedulingPolicy]] = None,
         budget: Optional[int] = None,
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
@@ -113,11 +111,6 @@ class SchedulerProgram:
         ):
             raise SchedulingError(f"budget must be None or an int >= 1, got {budget!r}")
         self._templates = list(processes)
-        if policy_factory is None:
-            from .policies import RoundRobinPolicy
-
-            policy_factory = RoundRobinPolicy
-        self._policy_factory = policy_factory
         self._budget = budget
         self._telemetry = telemetry
         #: one process and no budget: _drain pops queues[0] directly
@@ -133,7 +126,7 @@ class SchedulerProgram:
                 addr, ctx.neighbours, self._make_send(ctx, addr), ctx
             )
             proc_ctxs.append(pctx)
-        ctx.state = _NodeSched(proc_ctxs, self._policy_factory())
+        ctx.state = _NodeSched(proc_ctxs)
         for pid, template in enumerate(self._templates):
             template.init(proc_ctxs[pid])
 
@@ -193,12 +186,8 @@ class SchedulerProgram:
             ctx.machine.request_poll(ctx.node)
 
     def _runnable(self, sched: _NodeSched) -> List[int]:
-        pids = [pid for pid, q in sched.queues.items() if q]
-        if getattr(sched.policy, "order_by_arrival", False):
-            pids.sort(key=lambda pid: sched.queues[pid][0][2])
-        else:
-            pids.sort()
-        return pids
+        # queues are built (and restored in place) in ascending pid order
+        return [pid for pid, q in sched.queues.items() if q]
 
     def _drain(self, ctx: NodeContext, sched: _NodeSched) -> None:
         step = ctx.step
@@ -207,9 +196,10 @@ class SchedulerProgram:
             sched.budget_step = step
             sched.budget_used = 0
         if self._solo:
-            # The general loop below, specialised to one pid with no budget:
-            # select((0,)) still runs per message so policy state (a round-
-            # robin cursor, a random policy's draws) ends exactly as there.
+            # The general loop below, specialised to one pid with no budget.
+            # Round-robin over the single pid 0 only moves its cursor on the
+            # first select, so select((0,)) runs once per node and the
+            # policy ends exactly as on the general path.
             queue = sched.queues[0]
             if tel is not None:
                 tel.emit(2, "run_queue", step, ctx.node, attrs={"value": len(queue)})
@@ -226,8 +216,8 @@ class SchedulerProgram:
                 elif tel is not None:
                     tel.emit(2, "context_switch", 0)
                 sched.last_pid = 0
-            while queue:
                 sched.policy.select((0,))
+            while queue:
                 sender, payload, _seq = queue.popleft()
                 sched.budget_used += 1
                 self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)

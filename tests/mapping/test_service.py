@@ -12,6 +12,7 @@ from repro.mapping import (
     Ticket,
     make_mapper_factory,
     make_status_factory,
+    queue_depth_load,
 )
 from repro.netsim import Machine
 from repro.sched import SchedulerProgram
@@ -254,3 +255,20 @@ class TestForwardHops:
     def test_invalid_forward_hops(self):
         with pytest.raises(MappingError):
             MappingService(EchoApp(), RoundRobinMapper, forward_hops=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"forward_hops": 1.5},
+            {"forward_hops": True},
+            {"share_threshold": 2.5},
+            {"share_threshold": True},
+        ],
+    )
+    def test_refuses_bool_and_non_int(self, kwargs):
+        # the forward-hops and share-threshold spec rules: 1.5 forwarded
+        # twice and True was taken as 1
+        with pytest.raises(MappingError, match=next(iter(kwargs))):
+            MappingService(
+                EchoApp(), RoundRobinMapper, load_fn=queue_depth_load, **kwargs
+            )

@@ -65,10 +65,20 @@ class TestConfig:
             {"max_timeout": 1, "timeout": 4},
             {"retry_limit": -1},
             {"on_exhausted": "explode"},
+            # a float max_timeout left a lossy run spinning to max_steps, a
+            # float timeout died with a TypeError, and True was taken as 1
+            {"timeout": 2.5},
+            {"timeout": True},
+            {"max_timeout": 10.5},
+            {"max_timeout": "64"},
+            {"retry_limit": True},
+            {"retry_limit": 3.0},
+            {"backoff": True},
+            {"backoff": "2"},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ReliabilityError):
+        with pytest.raises(ReliabilityError, match=next(iter(kwargs))):
             ReliabilityConfig(**kwargs)
 
 

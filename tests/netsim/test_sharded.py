@@ -192,6 +192,12 @@ class TestResolveShards:
         with pytest.raises(SimulationError):
             resolve_shards(-2)
 
+    @pytest.mark.parametrize("shards", [2.5, 2.0, True, False])
+    def test_float_and_bool_rejected(self, shards):
+        # int() would have run 2.5 as 2 shards and True as 1
+        with pytest.raises(SimulationError, match="invalid shard count"):
+            resolve_shards(shards)
+
     def test_shard_count_clamped_to_nodes(self):
         with ShardedMachine(Torus((2, 2)), Storm(), shards=9,
                             shard_backend="inline") as m:

@@ -1,11 +1,9 @@
-"""Unit tests for scheduling policies in isolation."""
-
-import random
+"""Unit tests for the round-robin scheduling rule in isolation."""
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sched import FifoPolicy, PriorityPolicy, RandomPolicy, RoundRobinPolicy
+from repro.sched import RoundRobinPolicy
 
 
 class TestRoundRobin:
@@ -36,55 +34,3 @@ class TestRoundRobin:
         for _ in range(8):
             seen.add(p.select(runnable))
         assert seen == {0, 1, 2, 3}
-
-
-class TestPriority:
-    def test_highest_priority_wins(self):
-        p = PriorityPolicy({0: 1, 1: 5, 2: 3})
-        assert p.select([0, 1, 2]) == 1
-
-    def test_default_priority_zero(self):
-        p = PriorityPolicy({2: -1})
-        assert p.select([1, 2]) == 1
-
-    def test_tie_breaks_to_lower_pid(self):
-        p = PriorityPolicy()
-        assert p.select([3, 1, 2]) == 1
-
-    def test_set_priority(self):
-        p = PriorityPolicy()
-        p.set_priority(2, 100)
-        assert p.select([0, 1, 2]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(SchedulingError):
-            PriorityPolicy().select([])
-
-
-class TestFifo:
-    def test_takes_head(self):
-        p = FifoPolicy()
-        assert p.select([2, 0, 1]) == 2
-
-    def test_orders_by_arrival_flag(self):
-        assert FifoPolicy.order_by_arrival is True
-
-    def test_empty_rejected(self):
-        with pytest.raises(SchedulingError):
-            FifoPolicy().select([])
-
-
-class TestRandomPolicy:
-    def test_deterministic_with_seed(self):
-        a = [RandomPolicy(random.Random(5)).select([0, 1, 2, 3]) for _ in range(5)]
-        b = [RandomPolicy(random.Random(5)).select([0, 1, 2, 3]) for _ in range(5)]
-        assert a == b
-
-    def test_only_picks_runnable(self):
-        p = RandomPolicy(random.Random(0))
-        for _ in range(50):
-            assert p.select([2, 5]) in (2, 5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SchedulingError):
-            RandomPolicy(random.Random(0)).select([])

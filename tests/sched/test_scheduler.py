@@ -1,17 +1,12 @@
 """Tests for the layer-2 process scheduler."""
 
-import random
-
 import pytest
 
 from repro.errors import SchedulingError
 from repro.netsim import Machine
 from repro.sched import (
     Address,
-    FifoPolicy,
     FunctionalProcess,
-    PriorityPolicy,
-    RandomPolicy,
     RoundRobinPolicy,
     SchedulerProgram,
 )
@@ -152,73 +147,21 @@ class TestBudget:
 
 
 class TestPolicies:
-    def _two_worker_machine(self, policy_factory, order_log):
+    def test_round_robin_order(self):
+        order = []
+
         def burst(ctx, sender, payload):
             # enqueue local work for pids 1 and 2 in one step
             ctx.send(Address(ctx.node, 2), "late")
             ctx.send(Address(ctx.node, 1), "early")
 
-        def worker(name):
-            def handler(ctx, sender, payload):
-                order_log.append(ctx.pid)
-
-            return FunctionalProcess(handler)
-
-        prog = SchedulerProgram(
-            [FunctionalProcess(burst), worker("a"), worker("b")],
-            policy_factory=policy_factory,
-            budget=1,
-        )
+        worker = FunctionalProcess(lambda ctx, sender, payload: order.append(ctx.pid))
+        prog = SchedulerProgram([FunctionalProcess(burst), worker, worker], budget=1)
         m = Machine(Ring(3), prog)
         m.inject(0, None)
         m.run()
-        return order_log
-
-    def test_round_robin_order(self):
-        from repro.sched import RoundRobinPolicy
-
-        order = self._two_worker_machine(RoundRobinPolicy, [])
-        assert sorted(order) == [1, 2]
-
-    def test_fifo_policy_respects_arrival(self):
-        from repro.sched import FifoPolicy
-
-        order = self._two_worker_machine(FifoPolicy, [])
-        # pid 2's message was sent first, so FIFO runs it first
-        assert order == [2, 1]
-
-    def test_priority_policy(self):
-        from repro.sched import PriorityPolicy
-
-        def factory():
-            p = PriorityPolicy()
-            p.set_priority(1, 10)
-            p.set_priority(2, 0)
-            return p
-
-        order = self._two_worker_machine(factory, [])
+        # round-robin goes by pid, not by arrival: pid 2's message came first
         assert order == [1, 2]
-
-    def test_make_policy_registry(self):
-        import random
-
-        from repro.sched import make_policy
-
-        for name in ("round_robin", "priority", "fifo"):
-            assert make_policy(name) is not None
-        assert make_policy("random", random.Random(0)) is not None
-        with pytest.raises(SchedulingError):
-            make_policy("banana")
-        with pytest.raises(SchedulingError):
-            make_policy("random")  # missing rng
-
-
-def _random_policy():
-    return RandomPolicy(random.Random(7))
-
-
-def _priority_policy():
-    return PriorityPolicy({0: 3})
 
 
 class TestOneProcessPath:
@@ -227,7 +170,7 @@ class TestOneProcessPath:
     Both must leave the same pid-0 state behind."""
 
     @staticmethod
-    def _run(policy_factory, n_processes, bus):
+    def _run(n_processes, bus):
         def countdown(ctx, sender, payload):
             ctx.state = (ctx.state or 0) + 1
             if payload:
@@ -238,7 +181,6 @@ class TestOneProcessPath:
         idle = FunctionalProcess(lambda ctx, sender, payload: None)
         prog = SchedulerProgram(
             [FunctionalProcess(countdown)] + [idle] * (n_processes - 1),
-            policy_factory=policy_factory,
             telemetry=bus,
         )
         m = Machine(Torus((3, 3)), prog, telemetry=bus)
@@ -249,13 +191,8 @@ class TestOneProcessPath:
         m.run()
         return prog.snapshot(m).data["nodes"]
 
-    @pytest.mark.parametrize(
-        "policy_factory",
-        [RoundRobinPolicy, FifoPolicy, _priority_policy, _random_policy],
-        ids=["round_robin", "fifo", "priority", "random"],
-    )
     @pytest.mark.parametrize("with_bus", [False, True], ids=["bare", "bus"])
-    def test_same_state_as_the_general_path(self, policy_factory, with_bus, monkeypatch):
+    def test_same_state_as_the_general_path(self, with_bus, monkeypatch):
         runnable_calls = []
         general = SchedulerProgram._runnable
         monkeypatch.setattr(
@@ -264,10 +201,10 @@ class TestOneProcessPath:
             lambda self, sched: runnable_calls.append(1) or general(self, sched),
         )
         bus = TelemetryBus() if with_bus else None
-        solo = self._run(policy_factory, 1, bus)
+        solo = self._run(1, bus)
         assert not runnable_calls  # the one-process path never builds a list
         bus = TelemetryBus() if with_bus else None
-        twin = self._run(policy_factory, 2, bus)
+        twin = self._run(2, bus)
         assert runnable_calls
         for mine, theirs in zip(solo, twin):
             for key in ("arrival_seq", "budget_step", "budget_used", "poll_pending", "last_pid"):
@@ -287,16 +224,25 @@ class TestOneProcessPath:
         assert m.state_of(1).policy._last == 0
         assert m.state_of(0).policy._last == -1  # never ran
 
-    def test_random_policy_draws_once_per_message(self):
-        prog = SchedulerProgram([collector([])], policy_factory=_random_policy)
+    def test_select_runs_once_per_node(self, monkeypatch):
+        selected = []
+        general = RoundRobinPolicy.select
+        monkeypatch.setattr(
+            RoundRobinPolicy,
+            "select",
+            lambda self, runnable: selected.append(runnable) or general(self, runnable),
+        )
+        log = []
+        prog = SchedulerProgram([collector(log)])
         m = Machine(Ring(3), prog)
         for payload in range(4):
             m.inject(1, payload)
         m.run()
-        expected = random.Random(7)
-        for _ in range(4):
-            expected.randrange(1)
-        assert m.state_of(1).policy._rng.getstate() == expected.getstate()
+        m.inject(1, "later")  # a second drain on the same node
+        m.run()
+        assert [entry[3] for entry in log] == [0, 1, 2, 3, "later"]
+        assert selected == [(0,)]
+        assert m.state_of(1).policy._last == 0
 
 
 class TestInspection:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import HyperspaceStack
 from repro.apps.sat import dpll_solve
-from repro.apps.sumrec import calculate_sum
 from repro.engine import RunSpec, execute
 from repro.mapping import MappingService
 from repro.topology import FullyConnected, Hypercube, Torus
@@ -81,26 +80,6 @@ class TestLayerInterchangeability:
         cnf = small_sat_suite[1]
         for topo in (Torus((3, 3)), Torus((2, 2, 2)), Hypercube(4)):
             assert execute(sat_spec(cnf, seed=1), topology=topo).verdict["sat"]
-
-    def test_swap_scheduler_policy(self):
-        from repro.sched import FifoPolicy, PriorityPolicy
-
-        for policy in (FifoPolicy, PriorityPolicy):
-            stack = HyperspaceStack(Torus((3, 3)))
-            # rebuild by hand to inject the policy
-            from repro.mapping import MappingService as MS, make_mapper_factory
-            from repro.netsim import Machine
-            from repro.recursion import RecursionEngine
-            from repro.sched import SchedulerProgram
-
-            engine = RecursionEngine(calculate_sum)
-            service = MS(engine, make_mapper_factory("rr"), halt_on_result=True)
-            sched = SchedulerProgram([service], policy_factory=policy)
-            machine = Machine(Torus((3, 3)), sched)
-            machine.inject(0, 7)
-            machine.run()
-            state = sched.process_state(machine, 0)
-            assert MS.results_of(state) == [28]
 
     def test_swap_queue_policy(self, small_sat_suite):
         cnf = small_sat_suite[2]
