@@ -201,7 +201,7 @@ def _cmd_solve(args) -> int:
     from .apps.sat import dpll_solve, load_dimacs, uf20_91_suite
     from .bench import heatmap_ascii, sparkline
     from .engine import RunSpec, cnf_of, execute
-    from .errors import ApplicationError, SimulationError, SpecError
+    from .errors import ApplicationError, CheckpointError, SimulationError, SpecError
     from .netsim import resolve_shards
     from .state import load_checkpoint
     from .topology import topology_from_spec
@@ -209,8 +209,6 @@ def _cmd_solve(args) -> int:
     resume_ckpt = None
     header_spec = None
     if args.resume is not None:
-        from .errors import CheckpointError
-
         # the checkpoint header embeds the canonical RunSpec: formula,
         # machine and solver flags all come from the original run
         try:
@@ -294,11 +292,12 @@ def _cmd_solve(args) -> int:
         )
     try:
         run = execute(spec, topology=topo, resume_from=resume_ckpt)
-    except (ApplicationError, SimulationError) as exc:
+    except (ApplicationError, CheckpointError, SimulationError) as exc:
         # contradictory flag combinations (e.g. --shards with the shared-RNG
         # 'random' heuristic) are usage errors, not crashes — and they carry
         # the same message here, in library calls and in the fuzzer,
-        # because all of them reject through engine.validate
+        # because all of them reject through engine.validate; so is a
+        # checkpoint this build cannot restore
         print(f"error: {exc}", file=sys.stderr)
         return 2
     satisfiable = run.verdict["sat"]

@@ -5,11 +5,11 @@ Public surface:
 * :class:`SchedulerProgram` — hosts process templates on every node.
 * :class:`Process` / :class:`FunctionalProcess` / :class:`ProcessContext` /
   :class:`Address` — the process-level programming interface.
-* :class:`RoundRobinPolicy` — the one scheduling rule; a per-step message
-  budget is the preemption analogue.
+
+The one scheduling rule is round-robin by pid, kept as each node's
+``last_pid`` cursor; a per-step message budget is the preemption analogue.
 """
 
-from .policies import RoundRobinPolicy
 from .process import Address, FunctionalProcess, Process, ProcessContext
 from .scheduler import Packet, SchedulerProgram
 
@@ -20,5 +20,4 @@ __all__ = [
     "FunctionalProcess",
     "ProcessContext",
     "Address",
-    "RoundRobinPolicy",
 ]

@@ -9,9 +9,10 @@ hardware threads" (paper §III-A2):
   process;
 * processes on one node exchange *local* messages without touching the
   network;
-* when several processes have pending local messages, a
-  :class:`~repro.sched.policies.RoundRobinPolicy` picks who runs, limited by
-  a per-step message ``budget`` (the preemption-granularity analogue).
+* when several processes have pending local messages, round-robin picks
+  who runs (the next pid above the last one that ran, wrapping to the
+  lowest), limited by a per-step message ``budget`` (the
+  preemption-granularity analogue).
 
 With the default ``budget=None`` every pending message is handled in the
 step it becomes deliverable (run-to-completion), which is what the solver
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tu
 from ..errors import SchedulingError
 from ..netsim import NodeContext
 from ..topology import NodeId
-from .policies import RoundRobinPolicy
 from .process import Address, Process, ProcessContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -53,30 +53,22 @@ class _NodeSched:
     """Per-node scheduler bookkeeping (stored in the layer-1 state slot)."""
 
     __slots__ = (
-        "proc_ctxs",
-        "queues",
-        "policy",
-        "budget_step",
-        "budget_used",
-        "arrival_seq",
-        "poll_pending",
-        "last_pid",
+        "proc_ctxs", "queues", "budget_step", "budget_used", "poll_pending", "last_pid"
     )
 
     def __init__(self, proc_ctxs: List[ProcessContext]):
         self.proc_ctxs = proc_ctxs
-        #: per-pid queues of (sender, payload, arrival seq), in ascending
-        #: pid order; nothing reads the seq, but it is in every snapshot
-        self.queues: Dict[int, Deque[Tuple[Optional[Address], Any, int]]] = {
+        #: per-pid queues of (sender, payload), in ascending pid order
+        self.queues: Dict[int, Deque[Tuple[Optional[Address], Any]]] = {
             ctx.pid: deque() for ctx in proc_ctxs
         }
-        self.policy = RoundRobinPolicy()
-        self.budget_step = -2  # step the budget counter refers to
+        #: step the budget counter refers to; both stay put without a budget
+        self.budget_step = -2
         self.budget_used = 0
-        self.arrival_seq = 0
         self.poll_pending = False
-        #: pid that ran most recently on this node (-1 = none yet); a change
-        #: is a context switch, published when telemetry is on
+        #: pid that ran most recently on this node (-1 = none yet): the
+        #: round-robin cursor; a change is a context switch, published when
+        #: telemetry is on
         self.last_pid = -1
 
 
@@ -177,34 +169,40 @@ class SchedulerProgram:
         queue = sched.queues.get(pid)
         if queue is None:
             raise SchedulingError(f"node {ctx.node} has no process {pid}")
-        queue.append((sender, payload, sched.arrival_seq))
-        sched.arrival_seq += 1
+        queue.append((sender, payload))
 
     def _schedule_poll(self, ctx: NodeContext, sched: _NodeSched) -> None:
         if not sched.poll_pending:
             sched.poll_pending = True
             ctx.machine.request_poll(ctx.node)
 
-    def _runnable(self, sched: _NodeSched) -> List[int]:
+    def _next_pid(self, sched: _NodeSched) -> Optional[int]:
+        """Round-robin: the first pid above ``last_pid`` with a message
+        queued, else the lowest such pid, else ``None``."""
         # queues are built (and restored in place) in ascending pid order
-        return [pid for pid, q in sched.queues.items() if q]
+        first = None
+        for pid, q in sched.queues.items():
+            if q:
+                if pid > sched.last_pid:
+                    return pid
+                if first is None:
+                    first = pid
+        return first
 
     def _drain(self, ctx: NodeContext, sched: _NodeSched) -> None:
         step = ctx.step
         tel = self._telemetry
-        if sched.budget_step != step:
+        budget = self._budget
+        if budget is not None and sched.budget_step != step:
             sched.budget_step = step
             sched.budget_used = 0
         if self._solo:
-            # The general loop below, specialised to one pid with no budget.
-            # Round-robin over the single pid 0 only moves its cursor on the
-            # first select, so select((0,)) runs once per node and the
-            # policy ends exactly as on the general path.
+            # The general loop below, specialised to one pid with no budget:
+            # every message runs pid 0, so only the first can switch.
             queue = sched.queues[0]
             if tel is not None:
                 tel.emit(2, "run_queue", step, ctx.node, attrs={"value": len(queue)})
             if queue and sched.last_pid != 0:
-                # only the first message can switch: every one runs pid 0
                 if tel is not None and tel.want_events:
                     tel.emit(
                         2,
@@ -216,20 +214,18 @@ class SchedulerProgram:
                 elif tel is not None:
                     tel.emit(2, "context_switch", 0)
                 sched.last_pid = 0
-                sched.policy.select((0,))
             while queue:
-                sender, payload, _seq = queue.popleft()
-                sched.budget_used += 1
+                sender, payload = queue.popleft()
                 self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)
             return
         if tel is not None:
             queued = sum(len(q) for q in sched.queues.values())
             tel.emit(2, "run_queue", step, ctx.node, attrs={"value": queued})
         while True:
-            runnable = self._runnable(sched)
-            if not runnable:
+            pid = self._next_pid(sched)
+            if pid is None:
                 return
-            if self._budget is not None and sched.budget_used >= self._budget:
+            if budget is not None and sched.budget_used >= budget:
                 # Out of budget: finish remaining work on a later step.
                 if tel is not None and tel.want_events:
                     tel.emit(
@@ -243,9 +239,9 @@ class SchedulerProgram:
                     tel.emit(2, "budget_exhausted", 0)
                 self._schedule_poll(ctx, sched)
                 return
-            pid = sched.policy.select(runnable)
-            sender, payload, _seq = sched.queues[pid].popleft()
-            sched.budget_used += 1
+            sender, payload = sched.queues[pid].popleft()
+            if budget is not None:
+                sched.budget_used += 1
             if pid != sched.last_pid:
                 if tel is not None and tel.want_events:
                     tel.emit(
@@ -263,7 +259,7 @@ class SchedulerProgram:
     # -- snapshot / restore (repro.state protocol) -----------------------
 
     #: snapshot-schema version of the scheduler layer state
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def _snapshot_node(self, ctx: NodeContext, _arg: Any = None) -> Dict[str, Any]:
         """Capture one node's scheduler bookkeeping + per-process state
@@ -279,10 +275,8 @@ class SchedulerProgram:
                 procs[pid] = ("raw", pstate)
         return {
             "queues": {pid: list(q) for pid, q in sched.queues.items()},
-            "policy": sched.policy,
             "budget_step": sched.budget_step,
             "budget_used": sched.budget_used,
-            "arrival_seq": sched.arrival_seq,
             "poll_pending": sched.poll_pending,
             "last_pid": sched.last_pid,
             "procs": procs,
@@ -297,10 +291,8 @@ class SchedulerProgram:
         for pid, q in sched.queues.items():
             q.clear()
             q.extend(ndata["queues"].get(pid, ()))
-        sched.policy = ndata["policy"]
         sched.budget_step = ndata["budget_step"]
         sched.budget_used = ndata["budget_used"]
-        sched.arrival_seq = ndata["arrival_seq"]
         sched.poll_pending = ndata["poll_pending"]
         sched.last_pid = ndata["last_pid"]
         for pid, (kind, pdata) in ndata["procs"].items():
@@ -351,7 +343,7 @@ class SchedulerProgram:
 
         The machine must already be initialised with this scheduler (same
         templates, same process count) — contexts and send closures are
-        kept; queues, policies, budgets and per-process state are replaced.
+        kept; queues, budgets, cursors and per-process state are replaced.
         """
         import copy
 
@@ -378,10 +370,9 @@ class SchedulerProgram:
     def process_state(self, machine: Any, node: NodeId, pid: int = 0) -> Any:
         """Read the state of process ``pid`` on ``node`` of a machine."""
         sched: _NodeSched = machine.state_of(node)
-        try:
-            return sched.proc_ctxs[pid].state
-        except IndexError as exc:
-            raise SchedulingError(f"no process {pid} on node {node}") from exc
+        if not 0 <= pid < len(sched.proc_ctxs):
+            raise SchedulingError(f"no process {pid} on node {node}")
+        return sched.proc_ctxs[pid].state
 
     @property
     def n_processes(self) -> int:

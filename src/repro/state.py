@@ -208,7 +208,13 @@ class StackCheckpoint:
     def layers(self) -> Dict[str, LayerState]:
         """Unpickle a *fresh* copy of the layer states (safe to restore
         from the same checkpoint any number of times)."""
-        return pickle.loads(self.payload)
+        try:
+            return pickle.loads(self.payload)
+        except Exception as exc:  # not a pickle, or names a class this build lacks
+            raise CheckpointError(
+                f"checkpoint payload cannot be read by this build: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     @property
     def step(self) -> Optional[int]:

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import CheckpointError, SchedulingError
 from repro.netsim import Machine
-from repro.sched import (
-    Address,
-    FunctionalProcess,
-    RoundRobinPolicy,
-    SchedulerProgram,
-)
-from repro.state import normalize
+from repro.sched import Address, FunctionalProcess, SchedulerProgram
+from repro.state import LayerState
 from repro.telemetry import TelemetryBus
 from repro.topology import Ring, Torus
 
@@ -23,6 +18,30 @@ def collector(log):
         ctx.state = payload
 
     return FunctionalProcess(handler)
+
+
+def scripted(order):
+    """Process whose payload is the local sends to make: (pid, payload)
+    pairs.  Every message with a sender logs the pid that ran it."""
+
+    def handler(ctx, sender, payload):
+        if sender is not None:
+            order.append(ctx.pid)
+        for pid, nxt in payload:
+            ctx.send(Address(ctx.node, pid), nxt)
+
+    return FunctionalProcess(handler)
+
+
+def round_robin_order(n_processes, sends):
+    """Pid order in which a ``budget=1`` node runs the local ``sends`` that
+    pid 0 makes on its trigger (one message per step after it)."""
+    order = []
+    prog = SchedulerProgram([scripted(order)] * n_processes, budget=1)
+    m = Machine(Ring(3), prog)
+    m.inject(0, sends)
+    m.run()
+    return order
 
 
 class TestBasicDelivery:
@@ -163,10 +182,32 @@ class TestPolicies:
         # round-robin goes by pid, not by arrival: pid 2's message came first
         assert order == [1, 2]
 
+    def test_cycles_through_all(self):
+        sends = [(3, ()), (1, ()), (2, ()), (3, ()), (2, ()), (1, ())]
+        assert round_robin_order(4, sends) == [1, 2, 3, 1, 2, 3]
+
+    def test_skips_non_runnable(self):
+        # pid 2 has nothing queued and is passed over, every round
+        sends = [(3, ()), (1, ()), (3, ()), (1, ())]
+        assert round_robin_order(4, sends) == [1, 3, 1, 3]
+
+    def test_wraps_after_highest(self):
+        # pid 3 queues work for pid 1 and for itself: after the highest pid
+        # the cursor wraps to the lowest runnable one, not back to pid 3
+        assert round_robin_order(4, [(3, [(1, ()), (3, ())])]) == [3, 1, 3]
+
+    def test_no_starvation_under_churn(self):
+        # pid 1 re-queues itself five times; pids 2 and 3 still get a turn
+        churn = ()
+        for _ in range(5):
+            churn = [(1, churn)]
+        sends = [(1, churn), (3, ()), (2, ())]
+        assert round_robin_order(4, sends) == [1, 2, 3, 1, 1, 1, 1, 1]
+
 
 class TestOneProcessPath:
     """A one-process, unbudgeted node drains ``queues[0]`` directly; its
-    twin with an idle second process takes the general ``_runnable`` loop.
+    twin with an idle second process takes the general ``_next_pid`` loop.
     Both must leave the same pid-0 state behind."""
 
     @staticmethod
@@ -187,29 +228,28 @@ class TestOneProcessPath:
         for node in (0, 4, 8):
             m.inject(node, 7 + node)
         m.run()
-        m.inject(4, 5)  # a second drain on a node whose policy has run
+        m.inject(4, 5)  # a second drain on a node whose cursor has moved
         m.run()
         return prog.snapshot(m).data["nodes"]
 
     @pytest.mark.parametrize("with_bus", [False, True], ids=["bare", "bus"])
     def test_same_state_as_the_general_path(self, with_bus, monkeypatch):
-        runnable_calls = []
-        general = SchedulerProgram._runnable
+        next_pid_calls = []
+        general = SchedulerProgram._next_pid
         monkeypatch.setattr(
             SchedulerProgram,
-            "_runnable",
-            lambda self, sched: runnable_calls.append(1) or general(self, sched),
+            "_next_pid",
+            lambda self, sched: next_pid_calls.append(1) or general(self, sched),
         )
         bus = TelemetryBus() if with_bus else None
         solo = self._run(1, bus)
-        assert not runnable_calls  # the one-process path never builds a list
+        assert not next_pid_calls  # the one-process path never scans queues
         bus = TelemetryBus() if with_bus else None
         twin = self._run(2, bus)
-        assert runnable_calls
+        assert next_pid_calls
         for mine, theirs in zip(solo, twin):
-            for key in ("arrival_seq", "budget_step", "budget_used", "poll_pending", "last_pid"):
+            for key in ("budget_step", "budget_used", "poll_pending", "last_pid"):
                 assert mine[key] == theirs[key], key
-            assert normalize(mine["policy"]) == normalize(theirs["policy"])
             assert mine["procs"][0] == theirs["procs"][0]
             assert mine["queues"][0] == theirs["queues"][0] == []
         # node 4 handled 11..0 plus three extra zeros, then 5..0 plus one
@@ -221,17 +261,11 @@ class TestOneProcessPath:
         m = Machine(Ring(3), prog)
         m.inject(1, "x")
         m.run()
-        assert m.state_of(1).policy._last == 0
-        assert m.state_of(0).policy._last == -1  # never ran
+        assert m.state_of(1).last_pid == 0
+        assert m.state_of(0).last_pid == -1  # never ran
 
-    def test_select_runs_once_per_node(self, monkeypatch):
-        selected = []
-        general = RoundRobinPolicy.select
-        monkeypatch.setattr(
-            RoundRobinPolicy,
-            "select",
-            lambda self, runnable: selected.append(runnable) or general(self, runnable),
-        )
+    def test_select_runs_once_per_node(self):
+        # one cursor move per node: both drains run pid 0, in arrival order
         log = []
         prog = SchedulerProgram([collector(log)])
         m = Machine(Ring(3), prog)
@@ -241,8 +275,7 @@ class TestOneProcessPath:
         m.inject(1, "later")  # a second drain on the same node
         m.run()
         assert [entry[3] for entry in log] == [0, 1, 2, 3, "later"]
-        assert selected == [(0,)]
-        assert m.state_of(1).policy._last == 0
+        assert m.state_of(1).last_pid == 0
 
 
 class TestInspection:
@@ -255,10 +288,12 @@ class TestInspection:
         assert prog.process_state(m, 0, 0) == "val"
 
     def test_process_state_bad_pid(self):
-        prog = SchedulerProgram([collector([])])
+        prog = SchedulerProgram([collector([]), collector([])])
         m = Machine(Ring(4), prog)
-        with pytest.raises(SchedulingError):
-            prog.process_state(m, 0, 5)
+        # -1 is not pid 1 read from the end of the node's contexts
+        for pid in (5, 2, -1, -2):
+            with pytest.raises(SchedulingError, match=f"no process {pid} "):
+                prog.process_state(m, 0, pid)
 
     def test_n_processes(self):
         prog = SchedulerProgram([collector([]), collector([])])
@@ -277,3 +312,29 @@ class TestInspection:
             m.inject(n, n * 10)
         m.run()
         assert states == {0: (0, 0), 1: (1, 10), 2: (2, 20), 3: (3, 30)}
+
+
+class TestSnapshot:
+    def _queued(self):
+        """A budget=1 node snapshotted with local work still queued."""
+        prog = SchedulerProgram([scripted([])] * 3, budget=1)
+        m = Machine(Ring(3), prog)
+        m.inject(0, [(2, ()), (1, ()), (2, ())])
+        m.step()
+        return prog, m
+
+    def test_node_snapshot_holds_only_what_the_scheduler_reads(self):
+        prog, m = self._queued()
+        node = prog.snapshot(m).data["nodes"][0]
+        assert set(node) == {
+            "queues", "budget_step", "budget_used", "poll_pending", "last_pid", "procs"
+        }
+        assert node["queues"] == {0: [], 1: [(Address(0, 0), ())],
+                                  2: [(Address(0, 0), ()), (Address(0, 0), ())]}
+        assert node["last_pid"] == 0
+
+    def test_version_1_snapshot_refused(self):
+        prog, m = self._queued()
+        old = LayerState("sched", 1, prog.snapshot(m).data)
+        with pytest.raises(CheckpointError, match="version 1 not supported"):
+            prog.restore(m, old)

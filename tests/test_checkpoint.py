@@ -172,6 +172,25 @@ class TestFileFormat:
         with pytest.raises(CheckpointError, match="integrity digest mismatch"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the class a version-1 sched snapshot pickled, module since deleted
+            b"crepro.sched.policies\nRoundRobinPolicy\n.",
+            b"crepro.sched.scheduler\nRoundRobinPolicy\n.",
+            b"\x00 not a pickle \xff",
+        ],
+        ids=["deleted-module", "missing-class", "garbage"],
+    )
+    def test_unreadable_payload_is_a_checkpoint_error(self, tmp_path, payload):
+        meta = dict(small_checkpoint().meta)
+        meta["payload_len"] = len(payload)
+        meta["payload_sha256"] = payload_digest(payload)
+        path = save_checkpoint(tmp_path / "c.ckpt", StackCheckpoint(meta, payload))
+        loaded = load_checkpoint(path)  # the integrity checks pass
+        with pytest.raises(CheckpointError, match="cannot be read by this build"):
+            loaded.layers()
+
     def test_unpicklable_state_rejected_at_build(self):
         with pytest.raises(CheckpointError, match="not serializable"):
             StackCheckpoint.build(

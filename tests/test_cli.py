@@ -186,6 +186,38 @@ class TestSolveCheckpointFlags:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["sched-version-1", "missing-class"])
+    def test_resume_from_an_unrestorable_checkpoint_exits_2(
+        self, tmp_path, capsys, edit
+    ):
+        import pickle
+
+        from repro.netsim.digest import payload_digest
+        from repro.state import StackCheckpoint, load_checkpoint, save_checkpoint
+
+        ckpt_dir = tmp_path / "ckpts"
+        assert main(["solve", "--topology", "torus2d:4x4", "--seed", "7",
+                     "--quiet", "--checkpoint-every", "20",
+                     "--checkpoint-dir", str(ckpt_dir)]) == 0
+        capsys.readouterr()
+        ckpt = load_checkpoint(sorted(ckpt_dir.glob("checkpoint-*.ckpt"))[0])
+        if edit == "sched-version-1":
+            layers = ckpt.layers()
+            layers["sched"].version = 1
+            payload, expected = pickle.dumps(layers), "snapshot version 1"
+        else:
+            assert ckpt.payload.count(b"LayerState") >= 1
+            payload = ckpt.payload.replace(b"LayerState", b"LayerStatX")
+            expected = "cannot be read by this build"
+        meta = dict(ckpt.meta, payload_len=len(payload),
+                    payload_sha256=payload_digest(payload))
+        edited = save_checkpoint(tmp_path / "edited.ckpt",
+                                 StackCheckpoint(meta, payload))
+        assert main(["solve", "--resume", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+        assert "Traceback" not in err
+
     def test_checkpoint_parser_defaults(self):
         args = build_parser().parse_args(["solve"])
         assert args.checkpoint_every is None

@@ -17,6 +17,15 @@ bus was attached, so a bare run's state digest differed from an observed
 one.  It now always does, and every semantic digest below that runs
 through the scheduler took the value the previous commit gave *with a bus
 attached*.  No schedule digest, event stream or metrics pin moved.
+
+Re-recorded a second time, semantic halves only, when the scheduler
+snapshot went to version 2: a node's snapshot lost the round-robin policy
+object (its cursor is ``last_pid``), the arrival counter and the sequence
+number in each queue entry, and an unbudgeted node no longer writes its
+budget counters.  The shape of every node snapshot changed, so every
+semantic digest below that runs through the scheduler moved; the
+traversal pins, which run no scheduler, did not.  Every schedule digest,
+step and message count, event stream and metrics pin is unchanged.
 """
 
 import pytest
@@ -43,10 +52,10 @@ SPECS = {
 
 #: workload -> (schedule_digest, semantic_digest), identical at any shard count
 PINNED = {
-    "sat": ("da6c35da75bd3da6", "e324f1d017379dd8"),
-    "fib": ("f3a4017c20013bb2", "85643433d1b34e2a"),
-    "nqueens": ("0774c3531c887b76", "ec1b9ddea755291e"),
-    "sumrec": ("f490c685c323e707", "cafcf89d0e571d53"),
+    "sat": ("da6c35da75bd3da6", "565ad4858a0d8bb7"),
+    "fib": ("f3a4017c20013bb2", "808714284686e81c"),
+    "nqueens": ("0774c3531c887b76", "96dc4d9a17f8630e"),
+    "sumrec": ("f490c685c323e707", "8a7cccd167f54522"),
     "traversal": ("9805b1f15002c17b", "63c678c46e272f2e"),
 }
 
@@ -69,7 +78,7 @@ def test_lossy_reliable_sat_pinned():
         drop=0.1, duplicate=0.05, reliable=True, mapper="rr", status=None
     )
     run = execute(spec, want_state_digest=True)
-    assert digests(run) == ("f91fe891ef8388e0", "364d9110649e6adf")
+    assert digests(run) == ("f91fe891ef8388e0", "78a50b2e08412d07")
     assert run.link_stats.retransmits == 10
 
 
@@ -96,7 +105,7 @@ def test_wide_gap_sumrec_pinned(shards):
     spec = SPECS["sumrec"].with_(latency=32, shards=shards, shard_backend="inline")
     run = execute(spec, want_state_digest=True)
     assert run.completed
-    assert digests(run) == ("53db32f11e121385", "eb9c51eb51902b75")
+    assert digests(run) == ("53db32f11e121385", "f0b9cc18988fd3ce")
     assert (run.report.steps, run.report.sent_total) == (793, 25)
 
 
@@ -164,18 +173,18 @@ UNFOLD_MAPPERS = {
 
 #: (mapper, heuristic) -> (schedule_digest, semantic_digest)
 UNFOLD_PINNED = {
-    ("lbn", "max_occurrence"): ("fff744ab2bf8d778", "09ed149b59f51795"),
-    ("lbn", "moms"): ("4f35768bc16214ea", "d64c7dfbf10c7618"),
-    ("lbn", "jeroslow_wang"): ("80bf424816d6bf79", "8b7bf11f6c87ec68"),
-    ("lbn", "first"): ("d6f28984d5c8347f", "3724763b24c2efc8"),
-    ("rr", "max_occurrence"): ("85f160e614de660e", "77487a2feb767f24"),
-    ("rr", "moms"): ("2fca7817d55c7518", "7931415f3f641a78"),
-    ("rr", "jeroslow_wang"): ("4219207a59b2359a", "5b1918a38aeeb115"),
-    ("rr", "first"): ("a8f79ef9c3aa2e83", "5fc295a4cd005add"),
-    ("hint", "max_occurrence"): ("3e0b86a7294a44de", "e589f7a4dcc93e56"),
-    ("hint", "moms"): ("607c70d43c8a9add", "8914131744c1c6e0"),
-    ("hint", "jeroslow_wang"): ("667c89824f16fda9", "6b99a91ea9c3ac0d"),
-    ("hint", "first"): ("4d0f59bb28d97a44", "c7a0916a2334a98b"),
+    ("lbn", "max_occurrence"): ("fff744ab2bf8d778", "c0a1f5bb8a152b4c"),
+    ("lbn", "moms"): ("4f35768bc16214ea", "40e90b0717d0d4a5"),
+    ("lbn", "jeroslow_wang"): ("80bf424816d6bf79", "86ac6b868ff60e20"),
+    ("lbn", "first"): ("d6f28984d5c8347f", "f334b03583007c37"),
+    ("rr", "max_occurrence"): ("85f160e614de660e", "f8fc6cedca86fada"),
+    ("rr", "moms"): ("2fca7817d55c7518", "7a0bb5efb73cdcce"),
+    ("rr", "jeroslow_wang"): ("4219207a59b2359a", "c46e6c46b0ad0e52"),
+    ("rr", "first"): ("a8f79ef9c3aa2e83", "57bbb089f0219839"),
+    ("hint", "max_occurrence"): ("3e0b86a7294a44de", "17d0288dc57a7ec7"),
+    ("hint", "moms"): ("607c70d43c8a9add", "5e1356ce0bb48d62"),
+    ("hint", "jeroslow_wang"): ("667c89824f16fda9", "0bb691293e197ba9"),
+    ("hint", "first"): ("4d0f59bb28d97a44", "a29494891b55aa32"),
 }
 
 
