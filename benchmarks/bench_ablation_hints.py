@@ -26,9 +26,9 @@ import random
 import pytest
 
 from repro.apps.fib import fib, fib_hinted
-from repro.apps.knapsack import make_knapsack_solver, random_knapsack_problem, sequential_knapsack
 from repro.bench import format_table
 from repro.engine import RunSpec, execute
+from zoo.knapsack import make_knapsack_solver, random_knapsack_problem, sequential_knapsack
 
 DIMS = (8, 8)
 TOPOLOGY = "torus:" + "x".join(str(d) for d in DIMS)

@@ -1,9 +1,11 @@
 """Application zoo benchmarks: every layer-5 solver timed end to end.
 
-Times each combinatorial application on the same 64-core torus with
-adaptive mapping, verifying every answer against its sequential reference.
-These are conventional pytest-benchmark timings (many rounds) of the whole
-stack, complementing the single-shot figure sweeps.
+Times each cell of ``examples/combinatorial_zoo.py`` — SAT, N-queens,
+coloring, subset sum, knapsack and TSP on the same 64-core torus with
+adaptive mapping — through the engine, verifying every answer against its
+sequential reference.  These are conventional pytest-benchmark timings
+(many rounds) of the whole stack, complementing the single-shot figure
+sweeps.
 """
 
 from __future__ import annotations
@@ -12,84 +14,16 @@ import random
 
 import pytest
 
-from repro.apps.coloring import ColoringProblem, color_graph, cycle_graph, is_valid_coloring
-from repro.apps.knapsack import knapsack, random_knapsack_problem, sequential_knapsack
-from repro.apps.nqueens import QueensProblem, is_valid_placement, nqueens
-from repro.apps.sat import SatProblem, make_solve_sat, uf20_91_suite
-from repro.apps.subsetsum import random_subset_sum_problem, subset_sum
-from repro.apps.tsp import TspProblem, random_distance_matrix, sequential_tsp, tsp
-from repro.engine import RunSpec, execute
+from combinatorial_zoo import run_cell, zoo_cells
+from repro.workloads import WORKLOADS
+from zoo import knapsack
 
-TOPO_DIMS = (8, 8)
+CELLS = zoo_cells(random.Random(7))
 
 
-def run_app(fn, args):
-    """One zoo cell: a custom layer-5 solver through the engine funnel."""
-    spec = RunSpec(
-        workload="custom", workload_params={},
-        topology="torus:" + "x".join(str(d) for d in TOPO_DIMS),
-        mapper="lbn", seed=11, drain=False,
-    )
-    return execute(spec, fn=fn, args=args).result
-
-
-def test_bench_app_sat(benchmark):
-    cnf = uf20_91_suite(1, seed=11)[0]
-    fn = make_solve_sat(simplify="single")
-
-    def run():
-        return run_app(fn, SatProblem(cnf))
-
-    model = benchmark(run)
-    assert model is not None and cnf.is_satisfied_by(dict(model))
-
-
-def test_bench_app_nqueens(benchmark):
-    def run():
-        return run_app(nqueens, QueensProblem(7))
-
-    sol = benchmark(run)
-    assert is_valid_placement(7, tuple(sol))
-
-
-def test_bench_app_coloring(benchmark):
-    edges = cycle_graph(9)
-    problem = ColoringProblem.build(9, edges, 3)
-
-    def run():
-        return run_app(color_graph, problem)
-
-    sol = benchmark(run)
-    assert is_valid_coloring(9, edges, sol, 3)
-
-
-def test_bench_app_subset_sum(benchmark):
-    problem = random_subset_sum_problem(12, random.Random(11), satisfiable=True)
-
-    def run():
-        return run_app(subset_sum, problem)
-
-    sol = benchmark(run)
-    assert sum(sol) == problem.remaining_target
-
-
-def test_bench_app_knapsack(benchmark):
-    problem = random_knapsack_problem(10, 50, random.Random(11))
-    expected = sequential_knapsack(problem.items, problem.capacity)
-
-    def run():
-        return run_app(knapsack, problem)
-
-    assert benchmark(run) == expected
-
-
-def test_bench_app_tsp(benchmark):
-    dist = random_distance_matrix(6, random.Random(11))
-    expected = sequential_tsp(dist)[0]
-    problem = TspProblem.build(dist)
-
-    def run():
-        cost, _ = run_app(tsp, problem)
-        return cost
-
-    assert benchmark(run) == expected
+@pytest.mark.parametrize("cell", CELLS, ids=[cell[0] for cell in CELLS])
+def test_bench_app(benchmark, monkeypatch, cell):
+    _label, _kind, spec, attachments, check = cell
+    monkeypatch.setitem(WORKLOADS, "knapsack", knapsack.WORKLOAD)
+    _run, verified = benchmark(run_cell, spec, attachments, check)
+    assert verified

@@ -12,10 +12,15 @@ artefacts alongside the timing numbers.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bench import FULL, QUICK, BenchPreset
+
+# the solvers outside the package import as ``zoo.*`` (examples/zoo/)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 
 
 def active_preset() -> BenchPreset:

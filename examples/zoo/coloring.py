@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import ApplicationError
-from ..recursion import Call, Choice, Result, Sync
+from repro.errors import ApplicationError
+from repro.recursion import Call, Choice, Result, Sync
 
 __all__ = [
     "ColoringProblem",

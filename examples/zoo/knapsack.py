@@ -9,14 +9,19 @@ heavier branches to quieter neighbours.
 
 Unlike SAT/N-queens this solver needs *both* branch results (it maximises),
 so it exercises the plain two-call ``Sync`` join rather than choice.
+
+:data:`WORKLOAD` is the solver as a workload record, with params
+``{"items": [[value, weight], ...], "capacity": C}``.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import ApplicationError
-from ..recursion import Call, Result, Sync
+from repro.errors import ApplicationError
+from repro.netsim import ShardProgramSpec
+from repro.recursion import Call, Result, Sync
+from repro.workloads import Program, Workload
 
 __all__ = [
     "Item",
@@ -26,6 +31,7 @@ __all__ = [
     "knapsack",
     "sequential_knapsack",
     "random_knapsack_problem",
+    "WORKLOAD",
 ]
 
 
@@ -153,5 +159,49 @@ def random_knapsack_problem(
         Item(rng.randint(1, max_value), rng.randint(1, max_weight))
         for _ in range(n_items)
     ]
-    items.sort(key=lambda it: it.value / it.weight, reverse=True)
+    return _root_problem(items, capacity)
+
+
+def _root_problem(items: Sequence[Item], capacity: int) -> KnapsackProblem:
+    """The root problem, items sorted by value density as the solver needs."""
+    items = sorted(
+        _check_items(items), key=lambda it: it.value / it.weight, reverse=True
+    )
     return KnapsackProblem(tuple(items), 0, capacity, 0)
+
+
+# -- the workload record ----------------------------------------------------
+
+
+def _check_params(params: Dict[str, Any]) -> Optional[str]:
+    items, capacity = params.get("items"), params.get("capacity")
+    if isinstance(capacity, int) and capacity >= 0 and isinstance(items, list) and all(
+        isinstance(it, list) and len(it) == 2 and all(isinstance(x, int) for x in it)
+        and it[0] >= 0 and it[1] > 0
+        for it in items
+    ):
+        return None
+    return (
+        "workload 'knapsack' needs workload_params {'items': [[value, weight], "
+        f"...], 'capacity'}} with weights > 0 and capacity >= 0, got {params!r}"
+    )
+
+
+#: knapsack as a workload record; importing this module does not register it
+WORKLOAD = Workload(
+    name="knapsack",
+    default_params={"items": [[10, 5], [40, 4], [30, 6], [50, 3]], "capacity": 10},
+    check_params=_check_params,
+    # the solver is a closure: a recipe lets shard workers rebuild it
+    build=lambda spec, **_: Program(
+        fn=ShardProgramSpec(make_knapsack_solver),
+        args=_root_problem(
+            spec.workload_params["items"], spec.workload_params["capacity"]
+        ),
+    ),
+    verdict=lambda raw: {"value": raw},
+    reference=lambda params, _topology: {
+        "kind": "knapsack",
+        "value": sequential_knapsack(params["items"], params["capacity"]),
+    },
+)

@@ -13,8 +13,8 @@ import random
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import ApplicationError
-from ..recursion import Call, Choice, Result, Sync
+from repro.errors import ApplicationError
+from repro.recursion import Call, Choice, Result, Sync
 
 __all__ = [
     "SubsetSumProblem",

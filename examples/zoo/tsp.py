@@ -13,8 +13,8 @@ import random
 from itertools import permutations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import ApplicationError
-from ..recursion import Call, Result, Sync
+from repro.errors import ApplicationError
+from repro.recursion import Call, Result, Sync
 
 __all__ = [
     "TspProblem",

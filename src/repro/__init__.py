@@ -8,7 +8,7 @@ simulated hyperspace machine:
 2. :mod:`repro.sched`    — node-level process scheduling
 3. :mod:`repro.mapping`  — ticketed destination-free sends + mesh load balancing
 4. :mod:`repro.recursion`— continuation-based fork-join recursion
-5. :mod:`repro.apps`     — applications (DPLL SAT solver, N-queens, …)
+5. :mod:`repro.apps`     — the registered workloads' applications (DPLL SAT, N-queens, …)
 
 plus :mod:`repro.topology` (tori / hypercubes / …), :mod:`repro.stack` (the
 assembled stack and its high-level ``run_recursive`` API),

@@ -1,4 +1,4 @@
-"""Layer 5 — applications built on the stack (paper §III-A5).
+"""Layer 5 — one module per registered workload (paper §III-A5).
 
 * :mod:`repro.apps.traversal` — Listing 1 (layer-1 flood fill).
 * :mod:`repro.apps.sumrec`    — Listings 2 & 3 (the running sum example).
@@ -6,7 +6,9 @@
 * :mod:`repro.apps.sat`       — the DPLL SAT solver of §V (the paper's use
   case) and its sequential/brute-force references.
 * :mod:`repro.apps.nqueens`   — N-queens via non-deterministic choice.
-* :mod:`repro.apps.knapsack`  — branch-and-bound knapsack with size hints.
+
+More solvers live in ``examples/zoo/``; its ``knapsack.py`` plugs in as
+a :class:`~repro.workloads.Workload` record from outside the package.
 """
 
-__all__ = ["traversal", "sumrec", "fib", "sat", "nqueens", "knapsack"]
+__all__ = ["traversal", "sumrec", "fib", "sat", "nqueens"]

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .errors import ReproError
+
 __all__ = ["main", "build_parser"]
 
 
@@ -201,7 +203,7 @@ def _cmd_solve(args) -> int:
     from .apps.sat import dpll_solve, load_dimacs, uf20_91_suite
     from .bench import heatmap_ascii, sparkline
     from .engine import RunSpec, cnf_of, execute
-    from .errors import ApplicationError, CheckpointError, SimulationError, SpecError
+    from .errors import CheckpointError, SpecError
     from .netsim import resolve_shards
     from .state import load_checkpoint
     from .topology import topology_from_spec
@@ -211,40 +213,29 @@ def _cmd_solve(args) -> int:
     if args.resume is not None:
         # the checkpoint header embeds the canonical RunSpec: formula,
         # machine and solver flags all come from the original run
-        try:
-            resume_ckpt = load_checkpoint(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        resume_ckpt = load_checkpoint(args.resume)
         header = resume_ckpt.meta.get("runspec")
         if not header:
-            print(
-                f"error: {args.resume} carries no runspec header "
-                "(was it written by `repro solve --checkpoint-every`?)",
-                file=sys.stderr,
+            raise CheckpointError(
+                f"{args.resume} carries no runspec header "
+                "(was it written by `repro solve --checkpoint-every`?)"
             )
-            return 2
         try:
             header_spec = RunSpec.from_dict(header)
         except SpecError as exc:
             print(f"error: {args.resume}: {exc}", file=sys.stderr)
             return 2
         if header_spec.workload != "sat":
-            print(
-                f"error: {args.resume} checkpoints a "
-                f"{header_spec.workload!r} workload; `repro solve --resume` "
-                "resumes only 'sat' runs",
-                file=sys.stderr,
+            raise CheckpointError(
+                f"{args.resume} checkpoints a {header_spec.workload!r} "
+                "workload; `repro solve --resume` resumes only 'sat' runs"
             )
-            return 2
         if header_spec.topology is None or header_spec.heuristic == "custom":
-            print(
-                f"error: {args.resume} was checkpointed from a run with a "
+            raise CheckpointError(
+                f"{args.resume} was checkpointed from a run with a "
                 "non-serialisable topology or heuristic; resume it "
-                "programmatically via repro.engine.execute",
-                file=sys.stderr,
+                "programmatically via repro.engine.execute"
             )
-            return 2
         cnf = cnf_of(header_spec.workload_params)
         if not args.quiet:
             print(
@@ -259,11 +250,7 @@ def _cmd_solve(args) -> int:
     topo = topology_from_spec(
         header_spec.topology if header_spec is not None else args.topology
     )
-    try:
-        n_shards = min(resolve_shards(args.shards), topo.n_nodes)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n_shards = min(resolve_shards(args.shards), topo.n_nodes)
     if header_spec is not None:
         # --shards is honoured on --resume too: checkpoints carry no shard
         # count, so a run may be checkpointed sharded and resumed serially
@@ -290,16 +277,7 @@ def _cmd_solve(args) -> int:
             checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
             shards=n_shards,
         )
-    try:
-        run = execute(spec, topology=topo, resume_from=resume_ckpt)
-    except (ApplicationError, CheckpointError, SimulationError) as exc:
-        # contradictory flag combinations (e.g. --shards with the shared-RNG
-        # 'random' heuristic) are usage errors, not crashes — and they carry
-        # the same message here, in library calls and in the fuzzer,
-        # because all of them reject through engine.validate; so is a
-        # checkpoint this build cannot restore
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run = execute(spec, topology=topo, resume_from=resume_ckpt)
     satisfiable = run.verdict["sat"]
     seq = dpll_solve(cnf)
     if satisfiable != seq.satisfiable:
@@ -448,17 +426,13 @@ def _cmd_figure5(args) -> int:
 def _cmd_trace(args) -> int:
     from .telemetry import LAYER_NAMES, capture_workload
 
-    try:
-        summary = capture_workload(
-            args.workload,
-            args.out,
-            metrics_path=args.metrics,
-            topology=args.topology,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = capture_workload(
+        args.workload,
+        args.out,
+        metrics_path=args.metrics,
+        topology=args.topology,
+        seed=args.seed,
+    )
     print(f"workload   {summary['workload']} — {summary['description']}")
     print(f"machine    {summary['topology']}")
     for key, value in summary["result"].items():
@@ -472,30 +446,20 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .conformance import MODE_NAMES, ArtifactError, replay_artifact, run_fuzz
+    from .conformance import MODE_NAMES, replay_artifact, run_fuzz
+    from .errors import SpecError
 
     modes = None
     if args.modes is not None:
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
         unknown = sorted(set(modes) - set(MODE_NAMES))
         if unknown:
-            print(
-                f"error: unknown modes {', '.join(unknown)} "
-                f"(known: {', '.join(MODE_NAMES)})",
-                file=sys.stderr,
+            raise SpecError(
+                f"unknown modes {', '.join(unknown)} (known: {', '.join(MODE_NAMES)})"
             )
-            return 2
 
     if args.replay is not None:
-        from .errors import SpecError
-
-        try:
-            result = replay_artifact(args.replay, shard_backend=args.shard_backend)
-        except (ArtifactError, SpecError) as exc:
-            # SpecError comes from the same engine.validate table that
-            # drives `repro solve` exit-2 paths — identical message
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = replay_artifact(args.replay, shard_backend=args.shard_backend)
         print(f"replayed   {args.replay}")
         print(f"config     {result.config.describe()}")
         print(f"modes run  {', '.join(result.modes_run)}")
@@ -508,8 +472,7 @@ def _cmd_fuzz(args) -> int:
         return 1
 
     if args.budget < 1:
-        print(f"error: --budget must be >= 1, got {args.budget}", file=sys.stderr)
-        return 2
+        raise SpecError(f"--budget must be >= 1, got {args.budget}")
     report = run_fuzz(
         args.seed,
         args.budget,
@@ -541,7 +504,15 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Every library error is a usage error at this boundary: a bad topology
+    spec, a machine the mapper cannot use, a contradictory flag combination
+    (the same message here, in library calls and in the fuzzer, because
+    all of them reject through ``engine.validate``), a checkpoint or
+    artifact this build cannot read.  It prints as ``error: ...`` and
+    exits 2; commands only catch what they can add context to.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "solve": _cmd_solve,
@@ -552,7 +523,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "fuzz": _cmd_fuzz,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -45,7 +45,6 @@ __all__ = [
     "RunSpec",
     "SCHEMA_VERSION",
     "SpecError",
-    "WORKLOAD_NAMES",
     "checkpoint_blockers",
     "checkpointable",
     "cnf_of",
@@ -59,9 +58,6 @@ __all__ = [
 
 #: the RunSpec wire-format version; bump when a field changes meaning
 SCHEMA_VERSION = 1
-
-#: the built-in workloads (see :data:`repro.workloads.WORKLOADS`)
-WORKLOAD_NAMES = tuple(WORKLOADS)
 
 #: verdict marker for runs that exhausted max_steps without an answer
 INCOMPLETE: Tuple[str] = ("incomplete",)

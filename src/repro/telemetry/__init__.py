@@ -81,12 +81,11 @@ __all__ = [
     "capture_workload",
     "capture_sat_trace",
     "resolve_workload",
-    "WORKLOADS",
 ]
 
 
 def __getattr__(name):  # lazy: capture pulls in apps/stack, avoid cycles
-    if name in ("capture_workload", "capture_sat_trace", "resolve_workload", "WORKLOADS"):
+    if name in ("capture_workload", "capture_sat_trace", "resolve_workload"):
         from . import capture
 
         return getattr(capture, name)

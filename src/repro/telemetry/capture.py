@@ -5,66 +5,27 @@ telemetry pipeline — bus + Chrome-trace exporter + metrics — and writes the
 artifacts; :func:`capture_sat_trace` does the same for a single SAT sweep
 cell (used by the figure benches and ``record_baseline.py --trace``).
 
-Workload names accept either a registry key (``sat``, ``sumrec``, ``fib``,
-``nqueens``, ``traversal``) or a path to one of the repository's example
-scripts (``examples/sat_solver.py``) — the basename is mapped to the
-workload the script demonstrates, so ``repro trace examples/<any>.py``
-always produces a representative trace.
+Workload names accept either a registry key whose record has a ``demo``
+(``sat``, ``sumrec``, ``fib``, ``nqueens``, ``traversal``) or a path to
+one of the repository's example scripts (``examples/sat_solver.py``) — the
+basename is mapped to the workload the script demonstrates, so
+``repro trace examples/<any>.py`` always produces a representative trace.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from ..apps.sat import uf20_91_suite
 from ..engine import RunSpec, execute
+from ..errors import SpecError
 from ..topology import spec_of, topology_from_spec
-from ..workloads import WORKLOADS as RECORDS
+from ..workloads import WORKLOADS
 from .bus import TelemetryBus
 from .export import ChromeTraceExporter, write_metrics
 from .metrics import MetricsSubscriber
 
-__all__ = ["WORKLOADS", "capture_workload", "capture_sat_trace"]
-
-#: name -> (description, default topology spec, ``seed -> RunSpec``); the
-#: capture fills in the spec's topology and seed
-WORKLOADS: Dict[str, Tuple[str, str, Callable[[int], RunSpec]]] = {
-    "sat": (
-        "distributed DPLL on one uf20-91 instance (all 5 layers + probes)",
-        "torus2d:14x14",
-        lambda seed: RunSpec(
-            workload="sat",
-            workload_params=uf20_91_suite(1, seed=seed)[0].to_params(),
-            mapper="lbn",
-            status=16,
-        ),
-    ),
-    "sumrec": (
-        "the paper's Listing-3 recursive sum (layers 1-4)",
-        "torus2d:8x8",
-        lambda seed: RunSpec(
-            workload="sumrec", workload_params={"n": 60}, drain=False
-        ),
-    ),
-    "fib": (
-        "fork-join Fibonacci (layers 1-4, fixed fan-out)",
-        "torus2d:8x8",
-        lambda seed: RunSpec(workload="fib", workload_params={"n": 13}, drain=False),
-    ),
-    "nqueens": (
-        "6-queens via non-deterministic choice (layers 1-4)",
-        "torus2d:8x8",
-        lambda seed: RunSpec(
-            workload="nqueens", workload_params={"n": 6}, mapper="lbn", drain=False
-        ),
-    ),
-    "traversal": (
-        "Listing-1 mesh flood fill (layer 1 only)",
-        "torus2d:20x20",
-        lambda seed: RunSpec(workload="traversal", workload_params={}),
-    ),
-}
+__all__ = ["capture_workload", "capture_sat_trace"]
 
 #: example script basename -> workload key (``repro trace examples/<any>.py``)
 _EXAMPLE_ALIASES: Dict[str, str] = {
@@ -78,18 +39,16 @@ _EXAMPLE_ALIASES: Dict[str, str] = {
     "topology_playground": "traversal",
 }
 
+
 def resolve_workload(name: str) -> str:
-    """Map a workload name or ``examples/`` path to a registry key."""
-    if name in WORKLOADS:
-        return name
+    """Map a workload name or ``examples/`` path to a key with a ``demo``."""
+    traceable = [key for key, record in WORKLOADS.items() if record.demo]
     stem = Path(name).stem
-    if stem in WORKLOADS:
-        return stem
-    alias = _EXAMPLE_ALIASES.get(stem)
-    if alias is not None:
-        return alias
-    known = ", ".join(sorted(WORKLOADS))
-    raise ValueError(f"unknown trace workload {name!r} (known: {known})")
+    for key in (name, stem, _EXAMPLE_ALIASES.get(stem)):
+        if key in traceable:
+            return key
+    known = ", ".join(sorted(traceable))
+    raise SpecError(f"unknown trace workload {name!r} (known: {known})")
 
 
 def _run_traced(spec, topology, out, metrics_path) -> Tuple[Any, Dict[str, Any]]:
@@ -123,11 +82,15 @@ def capture_workload(
     the artifact paths.
     """
     key = resolve_workload(workload)
-    description, default_topo, make_spec = WORKLOADS[key]
-    topo = topology_from_spec(topology or default_topo)
-    spec = make_spec(seed).with_(topology=spec_of(topo), seed=seed)
+    record = WORKLOADS[key]
+    description, make_fields = record.demo
+    fields = make_fields(seed)
+    topo = topology_from_spec(topology or fields["topology"])
+    spec = RunSpec(
+        **{**fields, "workload": key, "topology": spec_of(topo), "seed": seed}
+    )
     run, artifacts = _run_traced(spec, topo, out, metrics_path)
-    mismatch = RECORDS[key].verify(spec.workload_params, topo, run.verdict)
+    mismatch = record.verify(spec.workload_params, topo, run.verdict)
     return {
         "workload": key,
         "description": description,

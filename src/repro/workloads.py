@@ -3,10 +3,10 @@
 Everything that differs from one workload to the next — what its params
 must look like, how its program is built, how a raw result becomes a
 comparable verdict, what the sequential reference says, how the fuzzer
-samples and shrinks it — is one :class:`Workload` record in
-:data:`WORKLOADS`.  The engine, the conformance fuzzer and the trace
-capture look records up by ``spec.workload``; none of them compares
-workload names.  Adding a workload is adding one record — see
+samples and shrinks it, what ``repro trace`` runs — is one
+:class:`Workload` record in :data:`WORKLOADS`.  The engine, the
+conformance fuzzer and the trace capture look records up by name; none
+of them compares workload names.  Adding a workload is adding one record — see
 ``docs/writing-a-solver.md``.
 """
 
@@ -26,7 +26,7 @@ from .apps.nqueens import (
 from .apps.sat.cnf import CNF
 from .apps.sat.distributed import SatProblem, make_solve_sat
 from .apps.sat.dpll import dpll_solve
-from .apps.sat.generator import uniform_random_ksat
+from .apps.sat.generator import uf20_91_suite, uniform_random_ksat
 from .apps.sat.heuristics import HEURISTIC_NAMES
 from .apps.sumrec import calculate_sum, closed_form_sum
 from .apps.traversal import traversal_program
@@ -97,6 +97,9 @@ class Workload:
     #: ``spec -> reason or None``: why it cannot checkpoint / run sharded
     checkpoint_blocker: Callable[[Any], Optional[str]] = _nothing
     shard_blocker: Callable[[Any], Optional[str]] = _nothing
+    #: ``(description, seed -> RunSpec fields)`` for ``repro trace``; the
+    #: fields are a plain dict, ``topology`` included (None: not traceable)
+    demo: Optional[Tuple[str, Callable[[int], Params]]] = None
 
     def verdict_of(self, raw: Any) -> Dict[str, Any]:
         """Plain comparable data from the raw result, tagged with ``kind``."""
@@ -377,6 +380,11 @@ WORKLOADS: Dict[str, Workload] = {
             check_knobs=_check_sat_knobs,
             checkpoint_blocker=_random_heuristic(_RANDOM_CKPT_MSG),
             shard_blocker=_random_heuristic(_RANDOM_SHARD_MSG),
+            demo=("distributed DPLL on one uf20-91 instance (all 5 layers + probes)",
+                  lambda seed: {
+                      "workload_params": uf20_91_suite(1, seed=seed)[0].to_params(),
+                      "topology": "torus2d:14x14", "mapper": "lbn", "status": 16,
+                  }),
         ),
         Workload(
             name="fib",
@@ -390,6 +398,9 @@ WORKLOADS: Dict[str, Workload] = {
             },
             sample_params=lambda rng: {"n": rng.randrange(3, 10)},
             shrink_params=_walk_n_down(0),
+            demo=("fork-join Fibonacci (layers 1-4, fixed fan-out)", lambda seed: {
+                "workload_params": {"n": 13}, "topology": "torus2d:8x8", "drain": False,
+            }),
         ),
         Workload(
             name="nqueens",
@@ -410,6 +421,10 @@ WORKLOADS: Dict[str, Workload] = {
             # n=2/3 have no solution, n=1/4/5/6 do — both verdicts get coverage
             sample_params=lambda rng: {"n": rng.randrange(2, 7)},
             shrink_params=_walk_n_down(1),
+            demo=("6-queens via non-deterministic choice (layers 1-4)", lambda seed: {
+                "workload_params": {"n": 6}, "topology": "torus2d:8x8",
+                "mapper": "lbn", "drain": False,
+            }),
         ),
         Workload(
             name="sumrec",
@@ -424,6 +439,9 @@ WORKLOADS: Dict[str, Workload] = {
             },
             sample_params=lambda rng: {"n": rng.randrange(1, 13)},
             shrink_params=_walk_n_down(0),
+            demo=("the paper's Listing-3 recursive sum (layers 1-4)", lambda seed: {
+                "workload_params": {"n": 60}, "topology": "torus2d:8x8", "drain": False,
+            }),
         ),
         Workload(
             name="traversal",
@@ -437,6 +455,8 @@ WORKLOADS: Dict[str, Workload] = {
             },
             sample_params=lambda rng: {},
             checkpoint_blocker=lambda spec: _TRAVERSAL_CKPT_MSG,
+            demo=("Listing-1 mesh flood fill (layer 1 only)",
+                  lambda seed: {"workload_params": {}, "topology": "torus2d:20x20"}),
         ),
         Workload(
             name="custom",

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.coloring import (
+from repro.errors import ApplicationError
+from repro.topology import Torus
+from zoo.coloring import (
     ColoringProblem,
     chromatic_number,
     color_graph,
@@ -17,8 +19,6 @@ from repro.apps.coloring import (
     random_graph,
     sequential_coloring,
 )
-from repro.errors import ApplicationError
-from repro.topology import Torus
 
 
 class TestGraphConstruction:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.knapsack import (
+from repro.errors import ApplicationError
+from repro.topology import Ring, Torus
+from zoo.knapsack import (
     Item,
     KnapsackProblem,
     fractional_bound,
@@ -14,8 +16,6 @@ from repro.apps.knapsack import (
     random_knapsack_problem,
     sequential_knapsack,
 )
-from repro.errors import ApplicationError
-from repro.topology import Ring, Torus
 
 
 class TestSequentialReference:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.subsetsum import (
+from repro.errors import ApplicationError
+from repro.topology import Ring, Torus
+from zoo.subsetsum import (
     SubsetSumProblem,
     brute_force_subset_sum,
     random_subset_sum_problem,
@@ -13,8 +15,6 @@ from repro.apps.subsetsum import (
     subset_found,
     subset_sum,
 )
-from repro.errors import ApplicationError
-from repro.topology import Ring, Torus
 
 
 class TestProblemConstruction:

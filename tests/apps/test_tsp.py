@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro import HyperspaceStack
-from repro.apps.tsp import (
+from repro.errors import ApplicationError
+from repro.topology import Torus
+from zoo.tsp import (
     TspProblem,
     brute_force_tsp,
     greedy_tour,
@@ -14,8 +16,6 @@ from repro.apps.tsp import (
     tour_cost,
     tsp,
 )
-from repro.errors import ApplicationError
-from repro.topology import Torus
 
 SQUARE = (
     (0, 1, 9, 1),

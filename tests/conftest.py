@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.topology import (
     Star,
     Torus,
 )
+
+# the solvers outside the package import as ``zoo.*`` (examples/zoo/)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 
 
 @pytest.fixture

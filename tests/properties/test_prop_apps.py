@@ -7,24 +7,24 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import HyperspaceStack
-from repro.apps.coloring import (
+from repro.topology import Torus
+from zoo.coloring import (
     ColoringProblem,
     color_graph,
     is_valid_coloring,
     sequential_coloring,
 )
-from repro.apps.knapsack import (
+from zoo.knapsack import (
     Item,
     KnapsackProblem,
     make_knapsack_solver,
     sequential_knapsack,
 )
-from repro.apps.subsetsum import (
+from zoo.subsetsum import (
     SubsetSumProblem,
     sequential_subset_sum,
     subset_sum,
 )
-from repro.topology import Torus
 
 STACK_SEEDS = st.integers(0, 5)
 

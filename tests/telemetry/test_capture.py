@@ -1,11 +1,14 @@
 """Packaged traced workloads and the ``repro trace`` CLI command."""
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.telemetry
 from repro.cli import main
-from repro.telemetry import WORKLOADS, capture_workload
+from repro.telemetry import capture, capture_workload
+from repro.workloads import WORKLOADS
 
 
 class TestCaptureWorkload:
@@ -34,9 +37,22 @@ class TestCaptureWorkload:
         )
         assert summary["workload"] == "sumrec"
 
-    def test_every_workload_has_description_and_topology(self):
-        for name, (description, topo_spec, runner) in WORKLOADS.items():
-            assert description and ":" in topo_spec and callable(runner)
+    def test_every_workload_has_description_and_topology(self, tmp_path, monkeypatch):
+        # every record but 'custom' has a demo, and the capture reads it
+        # from the registry: there is no second workload table
+        assert WORKLOADS["custom"].demo is None
+        for record in WORKLOADS.values():
+            if record.name != "custom":
+                description, make_fields = record.demo
+                assert description and ":" in make_fields(2017)["topology"]
+        demo = ("patched", lambda _: {"workload_params": {"n": 3}, "topology": "ring:5"})
+        monkeypatch.setitem(
+            WORKLOADS, "sumrec", dataclasses.replace(WORKLOADS["sumrec"], demo=demo)
+        )
+        summary = capture_workload("sumrec", tmp_path / "t.json")
+        assert (summary["description"], summary["result"]["result"]) == ("patched", "6")
+        assert getattr(capture, "WORKLOADS", WORKLOADS) is WORKLOADS
+        assert "WORKLOADS" not in repro.telemetry.__all__
 
 
 class TestTraceCli:

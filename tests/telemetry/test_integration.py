@@ -7,6 +7,7 @@ import pytest
 from repro.apps.sat import uf20_91_suite
 from repro.apps.sumrec import calculate_sum
 from repro.engine import RunSpec, execute
+from repro.errors import SpecError
 from repro.netsim import EMPTY_MSG, Machine
 from repro.netsim.faults import FaultModel
 from repro.stack import HyperspaceStack
@@ -175,5 +176,5 @@ class TestWorkloadResolution:
             assert key in ("sat", "sumrec", "fib", "nqueens", "traversal")
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(ValueError, match="unknown trace workload"):
+        with pytest.raises(SpecError, match="unknown trace workload"):
             resolve_workload("nope")

@@ -186,7 +186,7 @@ class TestSolveCheckpointFlags:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["sched-version-1", "missing-class"])
+    @pytest.mark.parametrize("edit", ["sched-version-1", "missing-class", "no-runspec"])
     def test_resume_from_an_unrestorable_checkpoint_exits_2(
         self, tmp_path, capsys, edit
     ):
@@ -205,12 +205,16 @@ class TestSolveCheckpointFlags:
             layers = ckpt.layers()
             layers["sched"].version = 1
             payload, expected = pickle.dumps(layers), "snapshot version 1"
-        else:
+        elif edit == "missing-class":
             assert ckpt.payload.count(b"LayerState") >= 1
             payload = ckpt.payload.replace(b"LayerState", b"LayerStatX")
             expected = "cannot be read by this build"
+        else:
+            payload, expected = ckpt.payload, "carries no runspec header"
         meta = dict(ckpt.meta, payload_len=len(payload),
                     payload_sha256=payload_digest(payload))
+        if edit == "no-runspec":
+            del meta["runspec"]
         edited = save_checkpoint(tmp_path / "edited.ckpt",
                                  StackCheckpoint(meta, payload))
         assert main(["solve", "--resume", str(edited)]) == 2
@@ -439,3 +443,16 @@ class TestSolveUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "random" in err
+
+    @pytest.mark.parametrize("argv", [
+        "solve --topology bogus",                # TopologyError
+        "solve --topology torus2d:1x1",          # MappingError: no neighbours
+        "trace sat --topology bogus",
+        "trace sumrec --topology torus2d:1x1",
+    ])
+    def test_library_errors_exit_2_without_a_traceback(self, tmp_path, capsys, argv):
+        if argv.startswith("trace"):
+            argv += f" --out {tmp_path / 't.json'}"
+        rc = main(argv.split())
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err

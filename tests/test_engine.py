@@ -292,12 +292,13 @@ def test_execute_sharded_matches_serial():
 
 
 def test_every_workload_name_has_a_record():
+    import repro.apps
     from repro.conformance import space
-    from repro.engine import WORKLOAD_NAMES
     from repro.workloads import WORKLOADS
 
-    assert set(WORKLOAD_NAMES) == set(WORKLOADS)
-    assert all(WORKLOADS[name].name == name for name in WORKLOAD_NAMES)
+    assert all(record.name == name for name, record in WORKLOADS.items())
+    # repro.apps ships the registered workloads' modules and nothing else
+    assert set(repro.apps.__all__) == set(WORKLOADS) - {"custom"}
     # the sampler draws only workloads the table knows and can sample
     sampled = space.SPACE["workload"]
     assert set(sampled) <= set(WORKLOADS)

@@ -74,9 +74,14 @@ def test_nqueens_mesh(capsys):
 
 
 def test_combinatorial_zoo(capsys):
+    from repro.workloads import WORKLOADS
+
+    before = set(WORKLOADS)
     run_example("combinatorial_zoo.py")
+    assert set(WORKLOADS) == before  # the process-wide table, as found
     out = capsys.readouterr().out
     assert "combinatorial zoo" in out
+    assert "knapsack (11) | optimization" in out
     assert "FAIL" not in out
 
 
