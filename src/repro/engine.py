@@ -147,7 +147,8 @@ class RunSpec:
         if extra:
             raise SpecError(f"unknown RunSpec fields: {extra}")
         version = data.get("version", SCHEMA_VERSION)
-        if not isinstance(version, int) or not 1 <= version <= SCHEMA_VERSION:
+        # True == 1, but it would serialise as ``true``: a bool is no version
+        if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
             raise SpecError(
                 f"unsupported RunSpec schema version {version!r} "
                 f"(this build understands 1..{SCHEMA_VERSION})"
@@ -494,7 +495,6 @@ def execute(
     heuristic_fn: Any = None,
     fn: Any = None,
     args: Any = None,
-    fn_spec: Any = None,
     want_state_digest: Optional[bool] = None,
 ) -> RunResult:
     """Validate ``spec`` and run it; the one run entry point.
@@ -515,8 +515,9 @@ def execute(
       spec's ``reliable``/``retry_limit`` pair;
     * ``heuristic_fn`` — the branching heuristic of a SAT spec whose
       ``heuristic`` is ``"custom"``;
-    * ``fn`` / ``args`` / ``fn_spec`` — the ``custom`` workload's
-      generator function, root argument and picklable shard recipe;
+    * ``fn`` / ``args`` — the ``custom`` workload's generator function
+      (or its picklable :class:`~repro.netsim.ShardProgramSpec` recipe)
+      and root argument;
     * ``want_state_digest`` — force state-digest computation on or off
       (default: computed exactly when the run checkpoints or resumes).
 
@@ -554,9 +555,7 @@ def execute(
     want = want_state_digest if want_state_digest is not None else checkpointing
 
     workload = WORKLOADS[spec.workload]
-    program = workload.build(
-        spec, heuristic_fn=heuristic_fn, fn=fn, args=args, fn_spec=fn_spec
-    )
+    program = workload.build(spec, heuristic_fn=heuristic_fn, fn=fn, args=args)
     stack = HyperspaceStack(
         topo,
         mapper=spec.mapper,

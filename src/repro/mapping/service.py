@@ -195,16 +195,7 @@ class MappingContext:
         pctx.send(Address(dst, pid), msg)
         tel = self._service._telemetry
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    3,
-                    "ticket_issue",
-                    pctx.step,
-                    node,
-                    attrs={"ticket": str(ticket), "dst": dst, "hint": hint},
-                )
-            else:
-                tel.emit(3, "ticket_issue", 0)
+            tel.event(3, "ticket_issue", ticket, dst, hint)
         return ticket
 
     def reply(self, handle: Optional[ReplyHandle], payload: Any) -> None:
@@ -219,10 +210,7 @@ class MappingContext:
         if handle is None:
             self._mstate.results.append(payload)
             if tel is not None:
-                if tel.want_events:
-                    tel.emit(3, "external_result", self._pctx.step, self.node)
-                else:
-                    tel.emit(3, "external_result", 0)
+                tel.event(3, "external_result")
             if self._service.halt_on_result:
                 self._pctx.machine.halt()
             return
@@ -234,16 +222,7 @@ class MappingContext:
         )
         self._pctx.send(Address(route[0], self._pctx.pid), msg)
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    3,
-                    "reply_sent",
-                    self._pctx.step,
-                    self.node,
-                    attrs={"ticket": str(handle.ticket), "route_len": len(route)},
-                )
-            else:
-                tel.emit(3, "reply_sent", 0)
+            tel.event(3, "reply_sent", handle.ticket, len(route))
 
     def cancel(self, ticket: Ticket) -> None:
         """Cancel previously delegated work (extension; see §IV-C).
@@ -258,16 +237,7 @@ class MappingContext:
         self._pctx.send(Address(dst, self._pctx.pid), msg)
         tel = self._service._telemetry
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    3,
-                    "cancel_sent",
-                    self._pctx.step,
-                    self.node,
-                    attrs={"ticket": str(ticket), "dst": dst},
-                )
-            else:
-                tel.emit(3, "cancel_sent", 0)
+            tel.event(3, "cancel_sent", ticket, dst)
 
 
 class MappingService:
@@ -386,19 +356,7 @@ class MappingService:
             else:
                 tel = self._telemetry
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            3,
-                            "ticket_claim",
-                            pctx.step,
-                            pctx.node,
-                            attrs={
-                                "ticket": str(payload.ticket),
-                                "hops": len(payload.path),
-                            },
-                        )
-                    else:
-                        tel.emit(3, "ticket_claim", 0)
+                    tel.event(3, "ticket_claim", payload.ticket, len(payload.path))
                 handle = ReplyHandle(
                     payload.ticket, tuple(reversed(payload.path))
                 )
@@ -430,16 +388,7 @@ class MappingService:
                 mstate.forward_table.pop(payload.ticket, None)
                 tel = self._telemetry
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            3,
-                            "reply_delivered",
-                            pctx.step,
-                            pctx.node,
-                            attrs={"ticket": str(payload.ticket)},
-                        )
-                    else:
-                        tel.emit(3, "reply_delivered", 0)
+                    tel.event(3, "reply_delivered", payload.ticket)
                 self.app.on_reply(mctx, payload.ticket, payload.payload)
         elif kind is StatusMsg:
             if sender is not None:
@@ -497,20 +446,7 @@ class MappingService:
         pctx.send(Address(dst, pctx.pid), fwd)
         tel = self._telemetry
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    3,
-                    "ticket_forward",
-                    pctx.step,
-                    pctx.node,
-                    attrs={
-                        "ticket": str(msg.ticket),
-                        "dst": dst,
-                        "shared": not consume_hop,
-                    },
-                )
-            else:
-                tel.emit(3, "ticket_forward", 0)
+            tel.event(3, "ticket_forward", msg.ticket, dst, not consume_hop)
 
     def _broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
         count = mstate.view.received_count
@@ -519,16 +455,7 @@ class MappingService:
         mstate.status.on_broadcast(count)
         tel = self._telemetry
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    3,
-                    "status_broadcast",
-                    pctx.step,
-                    pctx.node,
-                    attrs={"count": count, "fanout": len(pctx.neighbours)},
-                )
-            else:
-                tel.emit(3, "status_broadcast", 0)
+            tel.event(3, "status_broadcast", count, len(pctx.neighbours))
 
     # -- snapshot / restore (repro.state protocol) ------------------------
 

@@ -398,8 +398,7 @@ def _shard_worker_main(
 
             # a forked worker may inherit the parent's installed probe bus
             uninstall_probes()
-            facade = core.facade
-            install_probes(bus, step_fn=lambda: facade.current_step)
+            install_probes(bus)
         conn.send(("ok", core.init()))
     except BaseException as exc:  # noqa: BLE001 - relayed to the coordinator
         conn.send(("err", traceback.format_exc(), _exception_if_picklable(exc)))

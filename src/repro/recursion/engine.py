@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tupl
 
 from ..errors import ProtocolError, RecursionLayerError
 from ..mapping import MappingContext, ReplyHandle, Ticket
-from ..telemetry.probe import set_probe_node
 from .ops import Call, Choice, Result, Sync, coerce_op
 from .records import CallRecord, Invocation
 
@@ -113,9 +112,7 @@ class RecursionEngine:
         engine publishes layer-4 events — an ``invocation`` span per
         completed activation plus ``call`` / ``choice`` / ``sync`` /
         ``result`` / ``choice_win`` / ``choice_exhausted`` / ``cancelled``
-        / ``late_reply`` / ``dup_work`` instants — and keeps the layer-5
-        probe node
-        current while driving user generators.
+        / ``late_reply`` / ``dup_work`` instants.
     """
 
     def __init__(
@@ -152,16 +149,7 @@ class RecursionEngine:
             st.stats.dup_work += 1
             tel = self._telemetry
             if tel is not None:
-                if tel.want_events:
-                    tel.emit(
-                        4,
-                        "dup_work",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"ticket": str(reply.ticket)},
-                    )
-                else:
-                    tel.emit(4, "dup_work", 0)
+                tel.event(4, "dup_work", reply.ticket)
             return
         gen = self.fn(payload)
         if not hasattr(gen, "send"):
@@ -185,16 +173,7 @@ class RecursionEngine:
             # evaluation for a retired/cancelled subcall; drop it
             st.stats.late_replies += 1
             if tel is not None:
-                if tel.want_events:
-                    tel.emit(
-                        4,
-                        "late_reply",
-                        mctx.step,
-                        mctx.node,
-                        attrs={"ticket": str(ticket)},
-                    )
-                else:
-                    tel.emit(4, "late_reply", 0)
+                tel.event(4, "late_reply", ticket)
             return
         inv, record = entry
         resolved_now = record.deliver(ticket, payload)
@@ -202,29 +181,11 @@ class RecursionEngine:
             if record.value is None:
                 st.stats.choice_exhausted += 1
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            4,
-                            "choice_exhausted",
-                            mctx.step,
-                            mctx.node,
-                            attrs={"inv": inv.inv_id},
-                        )
-                    else:
-                        tel.emit(4, "choice_exhausted", 0)
+                    tel.event(4, "choice_exhausted", inv.inv_id)
             else:
                 st.stats.choice_wins += 1
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            4,
-                            "choice_win",
-                            mctx.step,
-                            mctx.node,
-                            attrs={"inv": inv.inv_id, "ticket": str(ticket)},
-                        )
-                    else:
-                        tel.emit(4, "choice_win", 0)
+                    tel.event(4, "choice_win", inv.inv_id, ticket)
                 # losing evaluations are no longer needed
                 for t in record.outstanding():
                     st.pending.pop(t, None)
@@ -259,11 +220,6 @@ class RecursionEngine:
     ) -> None:
         """Drive ``inv``'s generator until it suspends or finishes."""
         tel = self._telemetry
-        if tel is not None and tel.want_events:
-            # keep the layer-5 probe clock pointed at the node whose
-            # generator is about to run (generators have no ctx handle);
-            # only an audience that keeps events reads it
-            set_probe_node(mctx.node)
         to_send: Any = None if first else resume_value
         gen = inv.gen
         sent_log = inv.sent_log
@@ -291,16 +247,7 @@ class RecursionEngine:
                 inv.batch.append(record)
                 st.stats.calls_made += 1
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            4,
-                            "call",
-                            mctx.step,
-                            mctx.node,
-                            attrs={"inv": inv.inv_id, "ticket": str(ticket)},
-                        )
-                    else:
-                        tel.emit(4, "call", 0)
+                    tel.event(4, "call", inv.inv_id, ticket)
                 to_send = ticket
             elif kind is Choice:
                 record = CallRecord([], op.is_valid)
@@ -312,16 +259,7 @@ class RecursionEngine:
                 inv.batch.append(record)
                 st.stats.choice_groups += 1
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            4,
-                            "choice",
-                            mctx.step,
-                            mctx.node,
-                            attrs={"inv": inv.inv_id, "calls": len(op.calls)},
-                        )
-                    else:
-                        tel.emit(4, "choice", 0)
+                    tel.event(4, "choice", inv.inv_id, len(op.calls))
                 to_send = tuple(record.tickets)
             elif kind is Sync:
                 st.stats.syncs += 1
@@ -331,19 +269,8 @@ class RecursionEngine:
                     continue
                 inv.waiting_sync = True
                 if tel is not None:
-                    if tel.want_events:
-                        tel.emit(
-                            4,
-                            "sync",
-                            mctx.step,
-                            mctx.node,
-                            attrs={
-                                "inv": inv.inv_id,
-                                "pending": len(inv.outstanding_tickets()),
-                            },
-                        )
-                    else:
-                        tel.emit(4, "sync", 0)
+                    pending = len(inv.outstanding_tickets()) if tel.want_events else 0
+                    tel.event(4, "sync", inv.inv_id, pending)
                 return
             else:
                 self._finish(mctx, st, inv, op.value)
@@ -371,16 +298,11 @@ class RecursionEngine:
             st.by_reply_ticket.pop(inv.reply.ticket, None)
         tel = self._telemetry
         if tel is not None:
-            step = mctx.step
+            step = tel.step
             start = inv.start_step if inv.start_step >= 0 else step
-            dur = max(step - start, 0)
-            if tel.want_events:
-                node = mctx.node
-                tel.emit(4, "invocation", start, node, dur, {"inv": inv.inv_id})
-                tel.emit(4, "result", step, node, attrs={"inv": inv.inv_id})
-            else:
-                tel.emit(4, "invocation", 0, dur=dur)
-                tel.emit(4, "result", 0)
+            attrs = {"inv": inv.inv_id} if tel.want_events else None
+            tel.emit(4, "invocation", start, tel.node, max(step - start, 0), attrs)
+            tel.event(4, "result", inv.inv_id)
         mctx.reply(inv.reply, value)
 
     def _cancel_invocation(
@@ -395,16 +317,7 @@ class RecursionEngine:
         inv.gen.close()
         tel = self._telemetry
         if tel is not None:
-            if tel.want_events:
-                tel.emit(
-                    4,
-                    "cancelled",
-                    mctx.step,
-                    mctx.node,
-                    attrs={"inv": inv.inv_id},
-                )
-            else:
-                tel.emit(4, "cancelled", 0)
+            tel.event(4, "cancelled", inv.inv_id)
 
     # -- snapshot / restore (repro.state protocol) --------------------------
 

@@ -87,7 +87,8 @@ class SchedulerProgram:
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryBus`; when given, the
         scheduler publishes layer-2 ``context_switch`` events, a per-drain
-        ``run_queue`` depth counter and ``budget_exhausted`` markers.
+        ``run_queue`` depth counter and ``budget_exhausted`` markers, and
+        points the bus's cursor at each node as it starts draining.
     """
 
     def __init__(
@@ -201,58 +202,42 @@ class SchedulerProgram:
             # every message runs pid 0, so only the first can switch.
             queue = sched.queues[0]
             if tel is not None:
-                tel.emit(2, "run_queue", step, ctx.node, attrs={"value": len(queue)})
+                # the cursor every publication of this drain's handlers stamps
+                tel.step = step
+                tel.node = node = ctx.node
+                tel.emit(2, "run_queue", step, node, attrs={"value": len(queue)})
             if queue and sched.last_pid != 0:
-                if tel is not None and tel.want_events:
-                    tel.emit(
-                        2,
-                        "context_switch",
-                        step,
-                        ctx.node,
-                        attrs={"from_pid": sched.last_pid, "to_pid": 0},
-                    )
-                elif tel is not None:
-                    tel.emit(2, "context_switch", 0)
+                if tel is not None:
+                    tel.event(2, "context_switch", sched.last_pid, 0)
                 sched.last_pid = 0
             while queue:
                 sender, payload = queue.popleft()
                 self._templates[0].on_message(sched.proc_ctxs[0], sender, payload)
             return
         if tel is not None:
+            tel.step = step
+            tel.node = node = ctx.node
             queued = sum(len(q) for q in sched.queues.values())
-            tel.emit(2, "run_queue", step, ctx.node, attrs={"value": queued})
+            tel.emit(2, "run_queue", step, node, attrs={"value": queued})
         while True:
             pid = self._next_pid(sched)
             if pid is None:
                 return
             if budget is not None and sched.budget_used >= budget:
                 # Out of budget: finish remaining work on a later step.
-                if tel is not None and tel.want_events:
-                    tel.emit(
-                        2,
-                        "budget_exhausted",
-                        step,
-                        ctx.node,
-                        attrs={"pending": sum(len(q) for q in sched.queues.values())},
+                if tel is not None:
+                    pending = (
+                        sum(len(q) for q in sched.queues.values()) if tel.want_events else 0
                     )
-                elif tel is not None:
-                    tel.emit(2, "budget_exhausted", 0)
+                    tel.event(2, "budget_exhausted", pending)
                 self._schedule_poll(ctx, sched)
                 return
             sender, payload = sched.queues[pid].popleft()
             if budget is not None:
                 sched.budget_used += 1
             if pid != sched.last_pid:
-                if tel is not None and tel.want_events:
-                    tel.emit(
-                        2,
-                        "context_switch",
-                        step,
-                        ctx.node,
-                        attrs={"from_pid": sched.last_pid, "to_pid": pid},
-                    )
-                elif tel is not None:
-                    tel.emit(2, "context_switch", 0)
+                if tel is not None:
+                    tel.event(2, "context_switch", sched.last_pid, pid)
                 sched.last_pid = pid
             self._templates[pid].on_message(sched.proc_ctxs[pid], sender, payload)
 

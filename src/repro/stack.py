@@ -35,7 +35,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import SimulationError
+from .errors import MappingError, SimulationError
 from .mapping import (
     MappedApp,
     MapperFactory,
@@ -264,7 +264,9 @@ class HyperspaceStack:
         self.forward_hops = forward_hops
         self.share_threshold = share_threshold
         if share_load not in ("queue", "invocations"):
-            raise ValueError(f"share_load must be 'queue' or 'invocations', got {share_load!r}")
+            raise MappingError(
+                f"share_load must be 'queue' or 'invocations', got {share_load!r}"
+            )
         self.share_load = share_load
         self.seed = seed
         self.scheduler_budget = scheduler_budget
@@ -412,7 +414,7 @@ class HyperspaceStack:
 
         bus = self.telemetry
         if bus is not None:
-            install_probes(bus, step_fn=lambda: machine.current_step)
+            install_probes(bus)
         try:
             report = machine.run(
                 max_steps=max_steps,
@@ -557,7 +559,6 @@ class HyperspaceStack:
         checkpoint_sink: Optional[Callable[["StackCheckpoint"], None]] = None,
         checkpoint_meta: Optional[Dict[str, Any]] = None,
         resume_from: Union[None, str, Path, "StackCheckpoint"] = None,
-        fn_spec: Optional[ShardProgramSpec] = None,
     ) -> Tuple[Any, SimulationReport]:
         """Run a layer-5 recursive application to completion.
 
@@ -589,8 +590,7 @@ class HyperspaceStack:
         the uninstrumented one — checkpointing off costs nothing.
 
         With ``shards > 1`` (constructor/``REPRO_SHARDS``) the run executes
-        on the sharded backend.  ``fn`` itself must then be picklable, or
-        ``fn_spec`` must supply a picklable
+        on the sharded backend.  ``fn`` must then be picklable, or be a
         :class:`~repro.netsim.ShardProgramSpec` recipe rebuilding it
         (needed for closures such as the SAT solver's); checkpoints taken
         sharded resume serially and vice versa.
@@ -609,11 +609,7 @@ class HyperspaceStack:
                 "and/or checkpoint_sink"
             )
         run = self._run(
-            self._tower(
-                fn_spec if fn_spec is not None else fn,
-                ticketed=False,
-                halt_on_result=halt_on_result,
-            ),
+            self._tower(fn, ticketed=False, halt_on_result=halt_on_result),
             args,
             trigger_node=trigger_node,
             max_steps=max_steps,

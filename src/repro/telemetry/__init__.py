@@ -47,7 +47,6 @@ from .probe import (
     probe,
     probe_enabled,
     probes_to,
-    set_probe_node,
     uninstall_probes,
 )
 from .recorder import EventLog
@@ -75,7 +74,6 @@ __all__ = [
     "probe_enabled",
     "install_probes",
     "uninstall_probes",
-    "set_probe_node",
     "active_probe_bus",
     "probes_to",
     "capture_workload",

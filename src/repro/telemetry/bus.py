@@ -17,9 +17,11 @@ Design constraints (in priority order):
    publishers that can do better than one call per event: layer 1 counts a
    step's sends once, and a publisher that would have to *build* ``attrs``
    pairs a ``count`` with a ``record`` guarded by :attr:`want_events`.
-   Layers 2-5 keep one ``emit`` per event and read its step, node and
-   ``attrs`` only when :attr:`want_events` (``emit(layer, name, 0)``, plus
-   ``dur`` for a span, otherwise).
+   Layers 2-4 publish an instant with one ``event(layer, name, *values)``
+   and never test the audience: the bus keeps a cursor (:attr:`step`,
+   :attr:`node`, set by the scheduler as a node starts draining) and names
+   the values from :data:`~repro.telemetry.events.EVENT_ATTRS`, both only
+   when :attr:`want_events`.  Layer-5 ``probe()`` stamps the same cursor.
    ``flush`` (called by the machine at every step boundary and at the end
    of a run) is the one place a subscriber is called, so subscribers see a
    step's publications at its boundary (a full ring goes out earlier).
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .events import TelemetryEvent
+from .events import EVENT_ATTRS, TelemetryEvent
 
 __all__ = ["TelemetryBus", "Subscriber"]
 
@@ -72,6 +74,9 @@ Subscriber = Callable[[TelemetryEvent], None]
 
 #: the methods of the subscriber contract (a plain callable is ``on_event``)
 _HOOKS = ("on_event", "on_counters", "on_observations", "on_gauges")
+
+#: ``event`` values kept as they are; anything else (a ``Ticket``) is ``str``-ed
+_PLAIN = (int, float, str, type(None))
 
 
 class TelemetryBus:
@@ -106,6 +111,8 @@ class TelemetryBus:
         "sample_every",
         "_sample_skip",
         "want_events",
+        "step",
+        "node",
         "_counts",
         "_observations",
         "_gauges",
@@ -127,14 +134,18 @@ class TelemetryBus:
         self._counter_subs: List[Callable] = []
         self._observation_subs: List[Callable] = []
         self._gauge_subs: List[Callable] = []
-        #: total events published (``emit`` calls plus kept ``record``
-        #: calls); coalesced counter deltas are not events and do not count
+        #: total events published (``emit`` and ``event`` calls plus kept
+        #: ``record`` calls); coalesced counter deltas are not events
         self.events_emitted = 0
         self.sample_every = sample_every
         self._sample_skip = 0
         #: True when at least one subscriber keeps events — publishers
         #: check this before building ``record`` arguments
         self.want_events = False
+        #: the cursor :meth:`event` and ``probe()`` stamp: the step and node
+        #: of the scheduler drain that is running handlers
+        self.step = 0
+        self.node = -1
         #: coalesced counter deltas: (layer, name) -> n since last flush
         self._counts: Dict[Tuple[int, str], int] = {}
         #: coalesced histogram observations: (layer, name, value) -> n
@@ -231,6 +242,28 @@ class TelemetryBus:
         if self.want_events:
             n = self._ring_n
             self._ring[n] = (step, layer, name, node, dur, attrs)
+            self._ring_n = n + 1
+            if n + 1 == len(self._ring):
+                self._flush_ring()
+
+    def event(self, layer: int, name: str, *values: Any) -> None:
+        """Publish one layer 2-4 instant at the cursor.
+
+        Counted like an ``emit`` instant; only for an audience that keeps
+        events are ``values`` named by ``EVENT_ATTRS[layer, name]`` and the
+        tuple staged at (:attr:`step`, :attr:`node`).
+        """
+        self.events_emitted += 1
+        key = (layer, name)
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
+        if self.want_events:
+            attrs = {
+                k: v if isinstance(v, _PLAIN) else str(v)
+                for k, v in zip(EVENT_ATTRS[key], values, strict=True)
+            }
+            n = self._ring_n
+            self._ring[n] = (self.step, layer, name, self.node, None, attrs or None)
             self._ring_n = n + 1
             if n + 1 == len(self._ring):
                 self._flush_ring()

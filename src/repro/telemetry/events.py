@@ -16,6 +16,10 @@ keep events.  Aggregating subscribers (metrics) never see per-message
 objects at all; they consume coalesced per-step deltas (see
 :mod:`repro.telemetry.bus`).
 
+A layer 2-4 instant is one ``bus.event(layer, name, *values)`` call: the
+bus stamps the step and node of the drain that runs the handler, and
+:data:`EVENT_ATTRS` names the values.
+
 Taxonomy (the full per-layer list lives in ``docs/observability.md``):
 
 =====  ==========  =====================================================
@@ -50,10 +54,11 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "TelemetryEvent",
+    "EVENT_ATTRS",
     "L1_NETSIM",
     "L2_SCHED",
     "L3_MAPPING",
@@ -76,6 +81,31 @@ LAYER_NAMES: Dict[int, str] = {
     L3_MAPPING: "layer 3 - mapping",
     L4_RECURSION: "layer 4 - recursion",
     L5_APP: "layer 5 - app",
+}
+
+#: The attribute names of every layer 2-4 instant, in ``attrs`` order:
+#: :meth:`~repro.telemetry.TelemetryBus.event` zips a row with the values a
+#: publisher passes.  ``docs/observability.md`` lists the same names.
+EVENT_ATTRS: Dict[Tuple[int, str], Tuple[str, ...]] = {
+    (2, "context_switch"): ("from_pid", "to_pid"),
+    (2, "budget_exhausted"): ("pending",),
+    (3, "ticket_issue"): ("ticket", "dst", "hint"),
+    (3, "ticket_claim"): ("ticket", "hops"),
+    (3, "ticket_forward"): ("ticket", "dst", "shared"),
+    (3, "reply_sent"): ("ticket", "route_len"),
+    (3, "reply_delivered"): ("ticket",),
+    (3, "external_result"): (),
+    (3, "cancel_sent"): ("ticket", "dst"),
+    (3, "status_broadcast"): ("count", "fanout"),
+    (4, "call"): ("inv", "ticket"),
+    (4, "sync"): ("inv", "pending"),
+    (4, "choice"): ("inv", "calls"),
+    (4, "choice_win"): ("inv", "ticket"),
+    (4, "choice_exhausted"): ("inv",),
+    (4, "result"): ("inv",),
+    (4, "cancelled"): ("inv",),
+    (4, "late_reply"): ("ticket",),
+    (4, "dup_work"): ("ticket",),
 }
 
 

@@ -349,13 +349,12 @@ def _build_traversal(_spec: Any, **_unused: Any) -> Program:
 
 
 def _build_custom(
-    _spec: Any, *, fn: Any = None, args: Any = None, fn_spec: Any = None,
-    **_unused: Any,
+    _spec: Any, *, fn: Any = None, args: Any = None, **_unused: Any
 ) -> Program:
     if fn is None:
         raise SpecError("workload 'custom' needs execute(fn=...)")
-    # sharded workers rebuild an unpicklable fn from its recipe
-    return Program(fn=fn_spec if fn_spec is not None else fn, args=args)
+    # an unpicklable fn reaches sharded workers as a ShardProgramSpec recipe
+    return Program(fn=fn, args=args)
 
 
 # -- the table --------------------------------------------------------------

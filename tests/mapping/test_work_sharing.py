@@ -28,7 +28,7 @@ class TestConfiguration:
             )
 
     def test_stack_rejects_bad_share_load(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MappingError, match="share_load"):
             HyperspaceStack(Ring(4), share_load="vibes")
 
 

@@ -10,7 +10,6 @@ from repro.telemetry import (
     probe,
     probe_enabled,
     probes_to,
-    set_probe_node,
     uninstall_probes,
 )
 
@@ -31,8 +30,8 @@ class TestProbeLifecycle:
     def test_install_routes_probes(self):
         bus = TelemetryBus()
         log = bus.attach(EventLog())
-        install_probes(bus, step_fn=lambda: 42)
-        set_probe_node(7)
+        install_probes(bus)
+        bus.step, bus.node = 42, 7  # the cursor a scheduler drain sets
         probe("dpll.branch", var=3)
         bus.flush()
         (ev,) = log.events

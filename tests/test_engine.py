@@ -72,9 +72,10 @@ def test_runspec_rejects_unknown_fields():
         RunSpec().with_(wokload="fib")
 
 
-def test_runspec_rejects_future_schema_version():
+@pytest.mark.parametrize("version", [999, True])
+def test_runspec_rejects_future_schema_version(version):
     data = RunSpec().to_dict()
-    data["version"] = 999
+    data["version"] = version
     with pytest.raises(SpecError, match="unsupported RunSpec schema version"):
         RunSpec.from_dict(data)
 

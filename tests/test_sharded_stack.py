@@ -168,17 +168,16 @@ class TestShardingGuards:
                 sat_spec(cnf, heuristic="random", shards=2), topology=Torus((4, 4)),
             )
 
-    def test_fn_spec_threads_through_run_recursive(self):
-        # run_recursive accepts an explicit picklable recipe for closures
+    def test_recipe_as_fn_threads_through_run_recursive(self):
+        # run_recursive takes a picklable recipe as fn for closures
         from repro.apps.sat import make_solve_sat
         from repro.apps.sat.distributed import SatProblem
 
         cnf = uf20_91_suite(1, seed=99)[0]
         stack = HyperspaceStack(Torus((4, 4)), mapper="rr", seed=2017, shards=2)
-        fn = make_solve_sat(simplify="none")
         spec = ShardProgramSpec(make_solve_sat, simplify="none")
         result, report = stack.run_recursive(
-            fn, SatProblem(cnf), halt_on_result=False, fn_spec=spec
+            spec, SatProblem(cnf), halt_on_result=False
         )
         assert result is not None
         assert report.steps > 0
