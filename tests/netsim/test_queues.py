@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.apps.sat import uf20_91_suite
+from repro.engine import RunSpec, execute
 from repro.errors import QueueOverflowError, SimulationError
 from repro.netsim import FifoInbox, LifoInbox, RandomInbox, make_inbox
 from repro.netsim.message import Envelope
@@ -147,3 +149,57 @@ class TestMachineQueuePolicies:
             assert inbox.pop().payload in (1, 2)
             # one pop per seal: the next unsealed pop sees everything
             assert len(inbox) == 2
+
+
+# -- pinned schedules of the non-FIFO disciplines ----------------------------
+#
+# The conformance corpus only checks that the execution modes *agree*; all of
+# them share one pop rule, so a changed LIFO or random pop order would pass
+# it.  These literals pin the order itself: a moved digest is a behaviour
+# change of layer 1, not a test to re-record.
+
+PIN_WORKLOADS = {
+    "sat": ({"num_vars": 12, "num_clauses": 50, "formula_seed": 3}, "torus2d:4x4"),
+    "fib": ({"n": 9}, "ring:6"),
+    "nqueens": ({"n": 5}, "grid:3x3"),
+}
+
+#: (workload, queue_policy, queue_capacity) -> (schedule, semantic digest)
+PINNED = {
+    ("sat", "lifo", None): ("a8af287403655603", "8d08ef6b478819ff"),
+    ("sat", "random", None): ("51fa52583051f4dd", "660cfd959c56c134"),
+    ("sat", "random", 64): ("51fa52583051f4dd", "660cfd959c56c134"),
+    ("fib", "lifo", None): ("f368b317e5d8222b", "c77294dc1a4b76e8"),
+    ("fib", "random", None): ("3ac1e405ab47b43a", "5d7d79a58dfa132c"),
+    ("fib", "random", 64): ("3ac1e405ab47b43a", "5d7d79a58dfa132c"),
+    ("nqueens", "lifo", None): ("9068935990200edd", "752de107d37fd890"),
+    ("nqueens", "random", None): ("5c107c83fd485e2f", "e763178e3784fe52"),
+    ("nqueens", "random", 64): ("5c107c83fd485e2f", "e763178e3784fe52"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(PINNED, key=str), ids=lambda key: "-".join(map(str, key))
+)
+def test_non_fifo_digests_pinned(key):
+    workload, policy, capacity = key
+    params, topology = PIN_WORKLOADS[workload]
+    run = execute(
+        RunSpec(workload=workload, workload_params=params, topology=topology,
+                mapper="lbn", status=4, seed=0,
+                queue_policy=policy, queue_capacity=capacity),
+        want_state_digest=True,
+    )
+    assert run.completed
+    assert (run.schedule_digest(), run.semantic_digest) == PINNED[key]
+
+
+@pytest.mark.parametrize("policy,node", [("fifo", 0), ("lifo", 30), ("random", 17)])
+def test_overflow_node_pinned(policy, node):
+    cnf = uf20_91_suite(1, 2017)[0]
+    spec = RunSpec(workload="sat", workload_params=cnf.to_params(),
+                   topology="torus2d:6x6", simplify="none", seed=1,
+                   queue_policy=policy, queue_capacity=8)
+    with pytest.raises(QueueOverflowError) as err:
+        execute(spec)
+    assert str(err.value) == f"inbox of node {node} overflowed (capacity 8)"
