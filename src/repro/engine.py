@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import SpecError, TopologyError
+from .netsim.backend import QUEUE_POLICIES
 from .netsim.digest import canonical_digest
 from .netsim.sharded import FIFO_ONLY_MSG
 from .stack import HyperspaceStack
@@ -63,7 +64,6 @@ SCHEMA_VERSION = 1
 INCOMPLETE: Tuple[str] = ("incomplete",)
 
 _SHARE_LOADS = ("queue", "invocations")
-_QUEUE_POLICIES = ("fifo", "lifo", "random")
 #: one legal value; the field goes with shard_backend (ROADMAP items 3, 4)
 _PARTITIONER_NAMES = ("strip",)
 _SHARD_BACKENDS = ("auto", "process", "inline")
@@ -99,6 +99,7 @@ class RunSpec:
     share_threshold: Optional[int] = None
     share_load: str = "queue"
     scheduler_budget: Optional[int] = None
+    # -- layer-1 inboxes: pop order, bound, per-step depth samples
     queue_policy: str = "fifo"
     queue_capacity: Optional[int] = None
     record_queue_depths: bool = False
@@ -357,7 +358,7 @@ RULES: Tuple[Rule, ...] = (
     Rule("share-load", "share_load is 'queue' or 'invocations'",
          lambda s: _enum(s.share_load, _SHARE_LOADS, "share_load")),
     Rule("queue-policy", "queue_policy is fifo/lifo/random",
-         lambda s: _enum(s.queue_policy, _QUEUE_POLICIES, "queue_policy")),
+         lambda s: _enum(s.queue_policy, QUEUE_POLICIES, "queue_policy")),
     Rule("queue-capacity", "queue_capacity is None or >= 1",
          _check_positive("queue_capacity", optional=True)),
     Rule("scheduler-budget", "scheduler_budget is None or >= 1",

@@ -145,7 +145,8 @@ class LeastBusyNeighbourMapper(_MapperBase):
     paper's one-sentence description) makes a node fire whole bursts of
     subcalls at the same stale minimum.  The corrected estimate is what
     delivers the paper's headline result that large adaptive 2D machines
-    match static 3D ones; the naive variant is kept for the ablation bench.
+    match static 3D ones; the naive variant is kept for comparison, and
+    ``tests/mapping/test_mappers.py`` pins its behaviour.
 
     Ties (common early on, when most neighbours have never been heard from)
     break by seeded random choice so work does not always pile onto the

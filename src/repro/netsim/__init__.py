@@ -6,7 +6,8 @@ Public surface:
 * :class:`NodeProgram` / :class:`FunctionalProgram` / :class:`NodeContext` —
   the node code interface.
 * :class:`TraceRecorder` / :class:`SimulationReport` — profiling (paper §V-C).
-* :class:`FaultModel`, inbox policies — documented extensions.
+* :class:`FaultModel`, LIFO/random and bounded inboxes (``Machine``'s
+  ``queue_policy`` / ``queue_capacity``) — documented extensions.
 * :class:`ShardedMachine` + :mod:`repro.netsim.partition` — the sharded
   multi-process backend (bit-identical to :class:`Machine`).
 """
@@ -16,7 +17,6 @@ from .faults import FaultModel, ReliableLinks
 from .message import EMPTY_MSG, Envelope
 from .partition import edge_cut, partition_strip
 from .program import FunctionalProgram, NodeContext, NodeProgram, SendFn
-from .queues import FifoInbox, Inbox, LifoInbox, RandomInbox, make_inbox
 from .sharded import (
     SHARDS_ENV_VAR,
     ShardProgramSpec,
@@ -49,11 +49,6 @@ __all__ = [
     "gini",
     "FaultModel",
     "ReliableLinks",
-    "Inbox",
-    "FifoInbox",
-    "LifoInbox",
-    "RandomInbox",
-    "make_inbox",
     "SizeFn",
     "unit_size",
     "generic_content_size",

@@ -25,20 +25,20 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import deque
 from functools import partial
 from math import inf
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..reliability import ReliabilityConfig, ReliableDelivery
     from ..telemetry import TelemetryBus
 
-from ..errors import AdjacencyError, SimulationError
+from ..errors import AdjacencyError, QueueOverflowError, SimulationError
 from ..topology import NodeId, Topology
 from .faults import FaultModel, ReliableLinks
 from .message import Envelope
 from .program import NodeContext, NodeProgram
-from .queues import Inbox, make_inbox
 from .trace import SimulationReport, TraceRecorder
 
 __all__ = ["Machine", "LatencyFn"]
@@ -48,6 +48,14 @@ LatencyFn = Union[int, Callable[[NodeId, NodeId], int]]
 
 #: Source id used for externally injected (kickstart) messages.
 EXTERNAL = -1
+
+#: Inbox pop orders; FIFO is the paper's.
+QUEUE_POLICIES = ("fifo", "lifo", "random")
+
+
+def _newest(n: int) -> int:
+    """LIFO's pick among ``n`` sealed messages: the newest."""
+    return n - 1
 
 
 class Machine:
@@ -63,8 +71,11 @@ class Machine:
         Optional pre-configured :class:`TraceRecorder` (e.g. with queue-depth
         recording on).  A default one is created when omitted.
     queue_policy / queue_capacity:
-        Inbox discipline; defaults match the paper (unbounded FIFO).  A
-        full finite inbox raises :class:`~repro.errors.QueueOverflowError`.
+        Each inbox's pop order (``"fifo"``, ``"lifo"`` or ``"random"``)
+        and bound (None or an int >= 1); defaults match the paper
+        (unbounded FIFO).  LIFO and random pop among the messages an inbox
+        held when the step began.  A full finite inbox raises
+        :class:`~repro.errors.QueueOverflowError`.
     latency:
         Extra in-flight steps per message: an int or ``f(src, dst) -> int``.
         Default 0 (delivered the following step).
@@ -79,7 +90,8 @@ class Machine:
         see :mod:`repro.reliability` and ``docs/robustness.md``.  Off by
         default; when off, the send path is unchanged.
     seed:
-        Seed for the machine's internal stream (random queue policy).
+        Seed for the machine's internal stream, which the random pop order
+        draws from.
     size_fn:
         Optional message-size model for bandwidth accounting (see
         :mod:`repro.netsim.sizing`); default charges one unit per message.
@@ -119,11 +131,21 @@ class Machine:
                 f"trace sized for {self.trace.n_nodes} nodes, machine has "
                 f"{topology.n_nodes}"
             )
+        if queue_policy not in QUEUE_POLICIES:
+            raise SimulationError(f"unknown queue policy {queue_policy!r}")
+        if queue_capacity is not None and (
+            type(queue_capacity) is not int or queue_capacity < 1
+        ):
+            raise SimulationError(
+                f"inbox capacity must be None or an int >= 1, got {queue_capacity!r}"
+            )
         self._rng = random.Random(seed)
-        self._inboxes: List[Inbox] = [
-            make_inbox(queue_policy, self._rng, queue_capacity)
-            for _ in range(topology.n_nodes)
+        self._queue_capacity = queue_capacity
+        #: one deque per node; every discipline pushes on the right
+        self._inboxes: List[Deque[Envelope]] = [
+            deque() for _ in range(topology.n_nodes)
         ]
+        self._push_fns = [q.append for q in self._inboxes]
         #: ids of nodes with non-empty inboxes; kept sorted lazily — new
         #: ids are appended and the dirty flag triggers one sort at the
         #: start of the next step (instead of sorting a set every step)
@@ -133,24 +155,21 @@ class Machine:
         #: machine, so tracking depths here avoids a Python-level __len__
         #: call per message on the hot path
         self._depths: List[int] = [0] * topology.n_nodes
-        # The paper's default discipline (unbounded FIFO) needs none of the
-        # Inbox wrapper's policy/capacity logic, so the hot path binds the
-        # underlying deque methods directly (C level); any other policy or
-        # a finite capacity goes through Inbox.push/Inbox.pop.
+        #: the paper's discipline; anything else sends through _enqueue
         self._unbounded_fifo = queue_policy == "fifo" and queue_capacity is None
-        if self._unbounded_fifo:
-            self._push_fns = [inbox._q.append for inbox in self._inboxes]
-            self._pop_fns = [inbox._q.popleft for inbox in self._inboxes]
+        if queue_policy == "fifo":
+            self._sealed: Optional[List[int]] = None
+            self._pop_fns = [q.popleft for q in self._inboxes]
         else:
-            self._push_fns = None
-            self._pop_fns = [inbox.pop for inbox in self._inboxes]
-        #: LIFO/random inboxes are sealed when a step snapshots them, so they
-        #: cannot pop a message pushed during that step's delivery round;
-        #: FIFO's oldest message always predates it
-        self._seal_fns = (
-            None if queue_policy == "fifo"
-            else [inbox.seal for inbox in self._inboxes]
-        )
+            # FIFO's oldest message always predates the step; LIFO/random
+            # pop among the first sealed[node] messages (the depth at the
+            # step's snapshot), never one pushed during its delivery round
+            self._sealed = [0] * topology.n_nodes
+            pick = _newest if queue_policy == "lifo" else self._rng.randrange
+            self._pop_fns = [
+                partial(self._pop_sealed, q, node, pick)
+                for node, q in enumerate(self._inboxes)
+            ]
         self._faults = faults
         self._size_fn = size_fn
         self._full = topology.kind == "full"
@@ -171,11 +190,13 @@ class Machine:
             )
         else:
             self._reliability = None
-        #: reliable zero-latency sends skip the fault/latency/protocol machinery
+        #: reliable zero-latency sends into unbounded FIFO inboxes skip the
+        #: fault/latency/protocol machinery and the capacity test
         self._fast_send = (
             faults.is_reliable
             and self._latency_fn is None
             and self._reliability is None
+            and self._unbounded_fifo
         )
         #: sends since the last step boundary, coalesced into one telemetry
         #: counter delta per step (the per-event record rides the bus ring
@@ -238,16 +259,13 @@ class Machine:
                     None, {"dst": dst, "size": size},
                 )
         if self._fast_send:
-            # common path: reliable links, zero latency — exactly one copy,
-            # deliverable next step (enqueue inlined: this runs once per
-            # message in every simulation)
+            # common path: reliable links, zero latency, unbounded FIFO —
+            # exactly one copy, deliverable next step (enqueue inlined: this
+            # runs once per message in every simulation)
             msg_id = self._next_msg_id
             self._next_msg_id = msg_id + 1
             env = Envelope(src, dst, payload, self.current_step, msg_id)
-            if self._unbounded_fifo:
-                self._push_fns[dst](env)
-            else:
-                self._inboxes[dst].push(env)
+            self._push_fns[dst](env)
             self._queued_count += 1
             depth = self._depths[dst]
             self._depths[dst] = depth + 1
@@ -265,7 +283,8 @@ class Machine:
             tel.emit(1, "drop", self.current_step, dst, attrs={"reason": reason})
 
     def _send_slow(self, src: NodeId, dst: NodeId, payload: Any) -> None:
-        """Fault-injection / link-latency send path (opt-in extensions)."""
+        """Fault-injection / link-latency / bounded or non-FIFO inbox send
+        path (opt-in extensions)."""
         rel = self._reliability
         if rel is not None:
             rel.send(src, dst, payload)
@@ -292,12 +311,14 @@ class Machine:
                 self._in_flight.setdefault(mature, []).append((dst, env))
 
     def _enqueue(self, dst: NodeId, env: Envelope) -> None:
-        if self._unbounded_fifo:
-            self._push_fns[dst](env)
-        else:
-            self._inboxes[dst].push(env)
-        self._queued_count += 1
         depth = self._depths[dst]
+        capacity = self._queue_capacity
+        if capacity is not None and depth >= capacity:
+            raise QueueOverflowError(
+                f"inbox of node {dst} overflowed (capacity {capacity})"
+            )
+        self._push_fns[dst](env)
+        self._queued_count += 1
         self._depths[dst] = depth + 1
         if depth == 0:
             self._active.append(dst)
@@ -446,8 +467,11 @@ class Machine:
         tel = self._telemetry
         if n0:
             delivered = active[:n0]
-            if self._seal_fns is not None:
-                self._seal_snapshot(delivered)
+            sealed = self._sealed
+            if sealed is not None:
+                depths = self._depths
+                for node in delivered:
+                    sealed[node] = depths[node]
             # a subscriber that retains events gets one record per delivery,
             # ahead of that handler's sends, so the published stream stays
             # causally ordered; everyone else gets the per-step counter below
@@ -482,12 +506,17 @@ class Machine:
             tel.flush()
         return n0
 
-    def _seal_snapshot(self, nodes: List[NodeId]) -> None:
-        """Fix what each snapshot inbox may pop this step (non-FIFO orders
-        could otherwise pick a message sent during the delivery round)."""
-        seal_fns = self._seal_fns
-        for node in nodes:
-            seal_fns[node]()
+    def _pop_sealed(
+        self, q: Deque[Envelope], node: NodeId, pick: Callable[[int], int]
+    ) -> Envelope:
+        """LIFO/random pop: take slot ``pick(n)`` of the ``n`` messages
+        sealed this step, move the newest sealed one into its place."""
+        newest = self._sealed[node] - 1
+        i = pick(newest + 1)
+        env = q[i]
+        q[i] = q[newest]
+        del q[newest]
+        return env
 
     # The two handler rounds of a step.  Everything else in ``step`` is
     # layer-1 state kept here; a backend that runs handlers elsewhere (the
@@ -656,7 +685,7 @@ class Machine:
             "halted": self._halted,
             "rng": self._rng.getstate(),
             "faults_rng": None if faults_rng is None else faults_rng.getstate(),
-            "inboxes": [list(inbox._q) for inbox in self._inboxes],
+            "inboxes": [list(q) for q in self._inboxes],
             "in_flight": {
                 step: list(pairs) for step, pairs in self._in_flight.items()
             },
@@ -701,7 +730,7 @@ class Machine:
         if faults_rng is not None:
             faults_rng.setstate(data["faults_rng"])
         for node, envs in enumerate(data["inboxes"]):
-            q = self._inboxes[node]._q
+            q = self._inboxes[node]
             q.clear()
             q.extend(envs)
             self._depths[node] = len(envs)

@@ -58,7 +58,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count from the argument, ``REPRO_JOBS``, or 1.
 
     ``0`` (or ``REPRO_JOBS=auto``) means one worker per host core.
-    Negative values are rejected.  The result never exceeds the host
+    Negative values and anything but an ``int`` (a bool, a float, a
+    string) are rejected.  The result never exceeds the host
     core count: extra workers cannot add concurrency, but each one
     still pays the full interpreter spawn + import warmup.
     """
@@ -75,8 +76,9 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
                 raise SimulationError(
                     f"{JOBS_ENV_VAR} must be an integer or 'auto', got {raw!r}"
                 ) from None
-    if jobs < 0:
-        raise SimulationError(f"jobs must be >= 0, got {jobs}")
+    if type(jobs) is not int or jobs < 0:
+        # a float would reach max_workers and the chunksize arithmetic
+        raise SimulationError(f"jobs must be an int >= 0, got {jobs!r}")
     cpus = os.cpu_count() or 1
     if jobs == 0:
         return cpus

@@ -1,64 +1,77 @@
-"""Tests for inbox queue policies and capacities."""
+"""Tests for the inbox pop orders and capacities of layer 1's Machine."""
 
-import random
+import re
 
 import pytest
 
 from repro.apps.sat import uf20_91_suite
 from repro.engine import RunSpec, execute
 from repro.errors import QueueOverflowError, SimulationError
-from repro.netsim import FifoInbox, LifoInbox, RandomInbox, make_inbox
-from repro.netsim.message import Envelope
+from repro.netsim import Machine
+from repro.topology import Ring
 
 
-def env(i):
-    return Envelope(src=0, dst=1, payload=i, sent_step=0, msg_id=i)
+POLICIES = ("fifo", "lifo", "random")
+
+
+class Echo:
+    """Log every delivered payload; send nothing."""
+
+    def __init__(self):
+        self.log = []
+
+    def init(self, ctx):
+        ctx.state = None
+
+    def on_message(self, ctx, sender, payload):
+        self.log.append(payload)
+
+
+def burst(policy="fifo", count=5, seed=0, **kw):
+    """A machine with ``count`` messages queued at node 0, and its log."""
+    program = Echo()
+    m = Machine(Ring(3), program, queue_policy=policy, seed=seed, **kw)
+    for i in range(count):
+        m.inject(0, i)
+    return m, program.log
 
 
 class TestFifo:
     def test_order(self):
-        q = FifoInbox()
-        for i in range(5):
-            q.push(env(i))
-        assert [q.pop().payload for _ in range(5)] == [0, 1, 2, 3, 4]
+        m, log = burst("fifo")
+        m.run()
+        assert log == [0, 1, 2, 3, 4]
 
     def test_len(self):
-        q = FifoInbox()
-        q.push(env(1))
-        q.push(env(2))
-        assert len(q) == 2
-        q.pop()
-        assert len(q) == 1
+        m, _ = burst("fifo", count=2)
+        assert m.queue_depth_of(0) == 2
+        m.step()
+        assert m.queue_depth_of(0) == 1
 
     def test_iter(self):
-        q = FifoInbox()
-        for i in range(3):
-            q.push(env(i))
-        assert [e.payload for e in q] == [0, 1, 2]
+        m, _ = burst("fifo", count=3)
+        inbox = m.snapshot().data["inboxes"][0]
+        assert [env.payload for env in inbox] == [0, 1, 2]
 
 
 class TestLifo:
     def test_order(self):
-        q = LifoInbox()
-        for i in range(5):
-            q.push(env(i))
-        assert [q.pop().payload for _ in range(5)] == [4, 3, 2, 1, 0]
+        m, log = burst("lifo")
+        m.run()
+        assert log == [4, 3, 2, 1, 0]
 
 
 class TestRandom:
     def test_pops_everything_once(self):
-        q = RandomInbox(random.Random(1))
-        for i in range(10):
-            q.push(env(i))
-        popped = sorted(q.pop().payload for _ in range(10))
-        assert popped == list(range(10))
+        m, log = burst("random", count=10, seed=1)
+        m.run()
+        assert sorted(log) == list(range(10))
 
     def test_deterministic_given_seed(self):
         def run(seed):
-            q = RandomInbox(random.Random(seed))
-            for i in range(8):
-                q.push(env(i))
-            return [q.pop().payload for _ in range(8)]
+            m, log = burst("random", count=8, seed=seed)
+            m.run()
+            return log
 
         assert run(42) == run(42)
         assert run(42) != run(43)  # overwhelmingly likely
@@ -66,56 +79,47 @@ class TestRandom:
 
 class TestCapacity:
     def test_overflow_raises_by_default(self):
-        q = FifoInbox(capacity=2)
-        q.push(env(1))
-        q.push(env(2))
-        with pytest.raises(QueueOverflowError):
-            q.push(env(3))
+        for policy in POLICIES:
+            m, _ = burst(policy, count=2, queue_capacity=2)
+            with pytest.raises(QueueOverflowError, match=r"node 0 .*capacity 2\)"):
+                m.inject(0, 2)
+            assert m.queue_depth_of(0) == 2
 
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):
-            FifoInbox(capacity=0)
+            Machine(Ring(3), Echo(), queue_capacity=0)
+
+    @pytest.mark.parametrize("capacity", [True, 1.5, "3", 0])
+    def test_non_int_capacity_rejected(self, capacity):
+        with pytest.raises(SimulationError, match=re.escape(repr(capacity))):
+            Machine(Ring(3), Echo(), queue_capacity=capacity)
 
 
 class TestFactory:
     def test_known_policies(self):
-        rng = random.Random(0)
-        assert isinstance(make_inbox("fifo", rng), FifoInbox)
-        assert isinstance(make_inbox("lifo", rng), LifoInbox)
-        assert isinstance(make_inbox("random", rng), RandomInbox)
+        for policy in POLICIES:
+            m, log = burst(policy, queue_capacity=5)
+            m.run()
+            assert sorted(log) == [0, 1, 2, 3, 4]
 
     def test_unknown_policy(self):
-        with pytest.raises(SimulationError):
-            make_inbox("priority", random.Random(0))
+        with pytest.raises(SimulationError, match="priority"):
+            Machine(Ring(3), Echo(), queue_policy="priority")
 
 
 class TestMachineQueuePolicies:
     def test_lifo_machine_reverses_burst(self):
-        from repro.netsim import Machine
-        from repro.topology import Ring
-
-        log = []
-
-        class Echo:
-            def init(self, ctx):
-                ctx.state = None
-
-            def on_message(self, ctx, sender, payload):
-                log.append(payload)
-
-        m = Machine(Ring(3), Echo(), queue_policy="lifo")
+        program = Echo()
+        m = Machine(Ring(3), program, queue_policy="lifo")
         for p in ("a", "b", "c"):
             m.inject(0, p)
         m.run()
-        assert log == ["c", "b", "a"]
+        assert program.log == ["c", "b", "a"]
 
     @pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
     def test_no_policy_delivers_a_message_in_the_step_it_was_sent(self, policy):
         # node 0 (handled first) sends to node 1 during step 0; node 1's pop
         # in that same step must choose among what was queued at step start
-        from repro.netsim import Machine
-        from repro.topology import Ring
-
         received = []
 
         class Relay:
@@ -141,14 +145,22 @@ class TestMachineQueuePolicies:
                 assert [p for _, p in received] == ["old", "old2", "fresh"]
 
     def test_sealed_pop_ignores_later_pushes(self):
-        for inbox in (LifoInbox(), RandomInbox(random.Random(3))):
-            inbox.push(env(1))
-            inbox.push(env(2))
-            inbox.seal()
-            inbox.push(env(3))
-            assert inbox.pop().payload in (1, 2)
-            # one pop per seal: the next unsealed pop sees everything
-            assert len(inbox) == 2
+        # LIFO: step 0 seals node 1's inbox at [a, b] and pops b although c
+        # arrives mid-round; the seal lasts one step, so step 1 pops c
+        class Relay(Echo):
+            def on_message(self, ctx, sender, payload):
+                if payload == "go":
+                    ctx.send(1, "c")
+                else:
+                    self.log.append((ctx.machine.current_step, payload))
+
+        program = Relay()
+        m = Machine(Ring(4), program, queue_policy="lifo")
+        m.inject(1, "a")
+        m.inject(1, "b")
+        m.inject(0, "go")
+        m.run()
+        assert program.log == [(0, "b"), (1, "c"), (2, "a")]
 
 
 # -- pinned schedules of the non-FIFO disciplines ----------------------------

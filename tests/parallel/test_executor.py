@@ -1,6 +1,7 @@
 """Tests for the process-pool task executor (repro.parallel.executor)."""
 
 import os
+import re
 
 import pytest
 
@@ -58,6 +59,12 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(SimulationError):
             resolve_jobs(-2)
+
+    @pytest.mark.parametrize("jobs", [2.5, True, "2"])
+    def test_float_bool_and_str_rejected(self, monkeypatch, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        with pytest.raises(SimulationError, match=re.escape(repr(jobs))):
+            resolve_jobs(jobs)
 
 
 class TestRunTasks:

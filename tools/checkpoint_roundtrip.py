@@ -12,7 +12,9 @@ Configurations:
 * ``lbn``              — adaptive (least-busy-neighbour) mapping with
                          explicit status broadcasts;
 * ``faulty-reliable``  — lossy links under the layer-1.5 reliable-delivery
-                         protocol.
+                         protocol;
+* ``lifo``             — last-in first-out inbox pops;
+* ``random-bounded``   — seeded random inbox pops, inboxes bounded at 64.
 
 Usage (from the repository root)::
 
@@ -37,6 +39,8 @@ CONFIGS = {
     "plain": {},
     "lbn": {"mapper": "lbn", "status": 8},
     "faulty-reliable": {"drop": 0.03, "duplicate": 0.01, "reliable": True},
+    "lifo": {"queue_policy": "lifo"},
+    "random-bounded": {"queue_policy": "random", "queue_capacity": 64},
 }
 
 CHECKPOINT_EVERY = 10
