@@ -27,6 +27,16 @@ from .errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
+class _ModeNames:
+    """The fuzzer's mode names, read only when help is printed: importing
+    the conformance package costs every other command ~0.3 s."""
+
+    def __str__(self) -> str:
+        from .conformance import MODE_NAMES
+
+        return ",".join(MODE_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -170,12 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the oracle on a saved discrepancy artifact instead of "
              "sampling; exits 1 while the discrepancy still reproduces",
     )
-    fuzz.add_argument(
+    modes = fuzz.add_argument(
         "--modes", default=None, metavar="M[,M...]",
         help="restrict the compared modes (comma-separated subset of "
-             "sharded,resume,fault_free,reference; the serial baseline "
-             "always runs)",
+             "%(known)s; the serial baseline always runs)",
     )
+    modes.known = _ModeNames()
     fuzz.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
         help="stop sampling early after this many seconds (bounded CI "

@@ -9,8 +9,8 @@ Public surface:
 * Mappers: :class:`RoundRobinMapper` (static),
   :class:`LeastBusyNeighbourMapper` (adaptive), :class:`RandomMapper`,
   :class:`HintAwareMapper`; see :func:`make_mapper_factory`.
-* Status policies controlling adaptivity overhead: :class:`NoStatusPolicy`,
-  :class:`ExplicitStatusPolicy`; see :func:`make_status_factory`.
+* Adaptivity overhead is one knob, ``MappingService(status=...)``: an int
+  threshold for explicit :class:`StatusMsg` broadcasts, or ``None``.
 """
 
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
@@ -27,13 +27,6 @@ from .mappers import (
     make_mapper_factory,
 )
 from .service import MappedApp, MappingContext, MappingService, queue_depth_load
-from .status import (
-    ExplicitStatusPolicy,
-    NoStatusPolicy,
-    StatusPolicy,
-    StatusPolicyFactory,
-    make_status_factory,
-)
 from .tickets import ReplyHandle, Ticket
 
 __all__ = [
@@ -57,9 +50,4 @@ __all__ = [
     "HintAwareMapper",
     "make_mapper_factory",
     "MAPPER_NAMES",
-    "StatusPolicy",
-    "StatusPolicyFactory",
-    "NoStatusPolicy",
-    "ExplicitStatusPolicy",
-    "make_status_factory",
 ]

@@ -75,9 +75,11 @@ class ReplyMsg:
 class StatusMsg:
     """Explicit activity broadcast (the adaptive mapper's overhead).
 
-    Sent neighbour-to-neighbour when a node's received count has moved far
-    enough since its last broadcast (see
-    :class:`~repro.mapping.status.ExplicitStatusPolicy`).
+    Sent to every neighbour when a node's received count has moved by at
+    least the service's ``status`` threshold since its last broadcast (see
+    :class:`~repro.mapping.MappingService`).  These messages take real queue
+    slots, which is the overhead that makes adaptive mapping a net loss on
+    small machines in the paper's Figure 4.
     """
 
     __slots__ = ("sender_count",)

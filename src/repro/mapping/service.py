@@ -13,8 +13,8 @@ destination-free message interface:
 
 The service also runs the activity-estimation machinery: every outgoing
 envelope piggybacks this node's received count, incoming envelopes update the
-per-neighbour record, and an optional
-:class:`~repro.mapping.status.StatusPolicy` broadcasts explicit updates.
+per-neighbour record, and with a ``status`` threshold a node broadcasts its
+count to every neighbour once it has moved that far since the last broadcast.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..sched import Address, ProcessContext
 from ..topology import NodeId
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
 from .mappers import Mapper, MapperFactory, MapperView
-from .status import NoStatusPolicy, StatusPolicy, StatusPolicyFactory
 from .tickets import ReplyHandle, Ticket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -94,7 +93,7 @@ class _MapState:
     __slots__ = (
         "view",
         "mapper",
-        "status",
+        "last_broadcast",
         "mctx",
         "app_state",
         "next_seq",
@@ -102,10 +101,11 @@ class _MapState:
         "results",
     )
 
-    def __init__(self, view: MapperView, mapper: Mapper, status: StatusPolicy):
+    def __init__(self, view: MapperView, mapper: Mapper):
         self.view = view
         self.mapper = mapper
-        self.status = status
+        #: received count at this node's last status broadcast
+        self.last_broadcast = 0
         self.mctx: Optional[MappingContext] = None
         self.app_state: Any = None
         self.next_seq = 0
@@ -250,8 +250,10 @@ class MappingService:
         in the context).
     mapper_factory:
         Builds one fresh :class:`~repro.mapping.mappers.Mapper` per node.
-    status_factory:
-        Builds one fresh status policy per node (default: piggyback only).
+    status:
+        Explicit status broadcasts: ``None`` (default, piggyback only) or an
+        int threshold >= 1 — a node tells every neighbour its received
+        count once the count has moved that far since its last broadcast.
     seed:
         Master seed for per-node tie-breaking streams.
     forward_hops:
@@ -284,7 +286,7 @@ class MappingService:
         self,
         app: MappedApp,
         mapper_factory: MapperFactory,
-        status_factory: Optional[StatusPolicyFactory] = None,
+        status: Optional[int] = None,
         seed: int = 0,
         forward_hops: int = 0,
         halt_on_result: bool = False,
@@ -292,16 +294,13 @@ class MappingService:
         load_fn: Optional[Callable[[Any], int]] = None,
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
-        if (
-            not isinstance(forward_hops, int)
-            or isinstance(forward_hops, bool)
-            or forward_hops < 0
-        ):
+        # type() is int refuses a bool, as the RunSpec rules do
+        if type(forward_hops) is not int or forward_hops < 0:
             raise MappingError(f"forward_hops must be an int >= 0, got {forward_hops!r}")
+        if status is not None and (type(status) is not int or status < 1):
+            raise MappingError(f"status must be None or an int >= 1, got {status!r}")
         if share_threshold is not None and (
-            not isinstance(share_threshold, int)
-            or isinstance(share_threshold, bool)
-            or share_threshold < 1
+            type(share_threshold) is not int or share_threshold < 1
         ):
             raise MappingError(
                 f"share_threshold must be None or an int >= 1, got {share_threshold!r}"
@@ -310,7 +309,7 @@ class MappingService:
             raise MappingError("work sharing needs a load_fn to measure load")
         self.app = app
         self.mapper_factory = mapper_factory
-        self.status_factory = status_factory if status_factory is not None else NoStatusPolicy
+        self.status = status
         self.seeds = SeedSequence(seed)
         self.forward_hops = forward_hops
         self.halt_on_result = halt_on_result
@@ -324,7 +323,7 @@ class MappingService:
         view = MapperView(
             pctx.node, pctx.neighbours, self.seeds.stream(f"mapper[{pctx.node}]")
         )
-        mstate = _MapState(view, self.mapper_factory(), self.status_factory())
+        mstate = _MapState(view, self.mapper_factory())
         pctx.state = mstate
         mstate.mctx = MappingContext(self, pctx, mstate)
         self.app.init(mstate.mctx)
@@ -409,7 +408,11 @@ class MappingService:
             # raw payload: an external trigger for the application
             self.app.on_work(mctx, None, payload, None)
 
-        if mstate.status.should_broadcast(view.received_count):
+        status = self.status
+        if (
+            status is not None
+            and view.received_count - mstate.last_broadcast >= status
+        ):
             self._broadcast_status(pctx, mstate)
 
     # -- internals -------------------------------------------------------
@@ -452,7 +455,7 @@ class MappingService:
         count = mstate.view.received_count
         for n in pctx.neighbours:
             pctx.send(Address(n, pctx.pid), StatusMsg(count))
-        mstate.status.on_broadcast(count)
+        mstate.last_broadcast = count
         tel = self._telemetry
         if tel is not None:
             tel.event(3, "status_broadcast", count, len(pctx.neighbours))
@@ -481,7 +484,7 @@ class MappingService:
             "neighbour_counts": dict(view.neighbour_counts),
             "view_rng": view.rng.getstate(),
             "mapper": pstate.mapper,
-            "status": pstate.status,
+            "last_broadcast": pstate.last_broadcast,
             "next_seq": pstate.next_seq,
             "forward_table": dict(pstate.forward_table),
             "results": list(pstate.results),
@@ -493,7 +496,7 @@ class MappingService:
 
         ``pctx`` must already be initialised by this service (so the
         :class:`MappingContext` and view objects exist); counters, mapper,
-        status policy, routing tables and the app state are replaced.
+        last status broadcast, routing tables and the app state are replaced.
         """
         from ..errors import CheckpointError
 
@@ -505,7 +508,7 @@ class MappingService:
         view.neighbour_counts = dict(data["neighbour_counts"])
         view.rng.setstate(data["view_rng"])
         mstate.mapper = data["mapper"]
-        mstate.status = data["status"]
+        mstate.last_broadcast = data["last_broadcast"]
         mstate.next_seq = data["next_seq"]
         mstate.forward_table = dict(data["forward_table"])
         mstate.results = list(data["results"])

@@ -582,12 +582,14 @@ class Machine:
         jumps there (or to the boundary) and the steps in between are
         accounted, not executed — trace, report and bus read as if stepped.
         """
-        if max_steps < 0:
-            raise SimulationError(f"max_steps must be >= 0, got {max_steps}")
+        # type() is int refuses a bool, as the RunSpec rules do
+        if type(max_steps) is not int or max_steps < 0:
+            raise SimulationError(f"max_steps must be an int >= 0, got {max_steps!r}")
         if checkpoint_every is not None:
-            if checkpoint_every < 1:
+            if type(checkpoint_every) is not int or checkpoint_every < 1:
                 raise SimulationError(
-                    f"checkpoint_every must be >= 1 or None, got {checkpoint_every}"
+                    "checkpoint_every must be an int >= 1 or None, "
+                    f"got {checkpoint_every!r}"
                 )
             if checkpoint_sink is None:
                 raise SimulationError("checkpoint_every requires a checkpoint_sink")

@@ -55,8 +55,12 @@ class FaultModel:
             ("drop_probability", drop_probability),
             ("duplicate_probability", duplicate_probability),
         ):
-            if not (0.0 <= p <= 1.0):
-                raise SimulationError(f"{name} must be in [0, 1], got {p}")
+            if (
+                not isinstance(p, (int, float))
+                or isinstance(p, bool)
+                or not 0.0 <= p <= 1.0
+            ):
+                raise SimulationError(f"{name} must be in [0, 1], got {p!r}")
         if (drop_probability or duplicate_probability) and rng is None:
             raise SimulationError("a seeded rng is required for non-zero fault rates")
         self.drop_probability = drop_probability

@@ -244,7 +244,7 @@ class SchedulerProgram:
     # -- snapshot / restore (repro.state protocol) -----------------------
 
     #: snapshot-schema version of the scheduler layer state
-    STATE_VERSION = 2
+    STATE_VERSION = 3
 
     def _snapshot_node(self, ctx: NodeContext, _arg: Any = None) -> Dict[str, Any]:
         """Capture one node's scheduler bookkeeping + per-process state

@@ -40,9 +40,7 @@ from .mapping import (
     MappedApp,
     MapperFactory,
     MappingService,
-    StatusPolicyFactory,
     make_mapper_factory,
-    make_status_factory,
     queue_depth_load,
 )
 from .netsim import (
@@ -68,18 +66,10 @@ __all__ = ["HyperspaceStack", "StackRun"]
 
 #: mapper argument: a registry name ("rr", "lbn", "random", "hint") or factory
 MapperSpec = Union[str, MapperFactory]
-#: status argument: None/"off", an int threshold, or a policy factory
-StatusSpec = Union[None, str, int, StatusPolicyFactory]
 
 
 def _mapper_factory_of(mapper: MapperSpec) -> MapperFactory:
     return make_mapper_factory(mapper) if isinstance(mapper, str) else mapper
-
-
-def _status_factory_of(status: StatusSpec) -> StatusPolicyFactory:
-    if status is None or isinstance(status, (str, int)):
-        return make_status_factory(status)
-    return status
 
 
 def _build_tower(
@@ -88,7 +78,7 @@ def _build_tower(
     ticketed: bool,
     cancellation: bool,
     mapper: MapperSpec,
-    status: StatusSpec,
+    status: Optional[int],
     budget: Optional[int],
     telemetry: Optional[TelemetryBus] = None,
     **service_kwargs: Any,
@@ -110,7 +100,7 @@ def _build_tower(
     service = MappingService(
         app,
         _mapper_factory_of(mapper),
-        _status_factory_of(status),
+        status,
         telemetry=telemetry,
         **service_kwargs,
     )
@@ -168,8 +158,9 @@ class HyperspaceStack:
         ``"lbn"`` (least busy neighbour), ``"random"``, ``"hint"``, or a
         custom per-node mapper factory.
     status:
-        Explicit-status policy for adaptive mapping: ``None`` (piggyback
-        only), an integer broadcast threshold, or a factory.
+        Explicit status broadcasts for adaptive mapping: ``None`` (piggyback
+        only) or an int threshold >= 1 (see
+        :class:`~repro.mapping.MappingService`; checked by the first run).
     cancellation:
         Layer-4 extension: actively cancel losing speculative subtrees.
     forward_hops:
@@ -234,7 +225,7 @@ class HyperspaceStack:
         topology: Topology,
         *,
         mapper: MapperSpec = "rr",
-        status: StatusSpec = None,
+        status: Optional[int] = None,
         cancellation: bool = False,
         forward_hops: int = 0,
         share_threshold: Optional[int] = None,
@@ -254,12 +245,11 @@ class HyperspaceStack:
         shard_backend: str = "auto",
     ) -> None:
         self.topology = topology
-        #: raw mapper/status specs: what the tower recipe ships to workers
+        #: raw mapper spec: what the tower recipe ships to workers
         self._mapper_spec: MapperSpec = mapper
-        self._status_spec: StatusSpec = status
         # resolved here so an unknown registry name fails at construction
         self.mapper_factory: MapperFactory = _mapper_factory_of(mapper)
-        self.status_factory: StatusPolicyFactory = _status_factory_of(status)
+        self.status = status
         self.cancellation = cancellation
         self.forward_hops = forward_hops
         self.share_threshold = share_threshold
@@ -318,7 +308,7 @@ class HyperspaceStack:
             ticketed=ticketed,
             cancellation=self.cancellation,
             mapper=self._mapper_spec,
-            status=self._status_spec,
+            status=self.status,
             budget=self.scheduler_budget,
             seed=self.seed,
             forward_hops=self.forward_hops,

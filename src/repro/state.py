@@ -79,6 +79,9 @@ MAGIC = "REPRO-CKPT"
 #: on-disk schema version, second token of line 1
 SCHEMA_VERSION = 1
 
+#: the default ``__getstate__`` (Python >= 3.11; None before)
+_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
+
 
 class LayerState:
     """One layer's captured mutable state.
@@ -123,8 +126,10 @@ def normalize(obj: Any) -> Any:
 
     * containers become (tagged) lists — dicts keep iteration order (which
       the deterministic simulator reproduces run-for-run), sets are sorted;
-    * slotted / ``__dict__`` objects become ``["obj", classname, fields]``
-      with fields sorted by name;
+    * an object whose class defines its own ``__getstate__`` becomes
+      ``["obj", classname, normalize(obj.__getstate__())]``;
+    * other slotted / ``__dict__`` objects become
+      ``["obj", classname, fields]`` with fields sorted by name;
     * :class:`random.Random` becomes its ``getstate()`` tuple;
     * functions and methods are named, not serialized.
     """
@@ -144,6 +149,10 @@ def normalize(obj: Any) -> Any:
         return ["rng", normalize(obj.getstate())]
     if isinstance(obj, (FunctionType, BuiltinFunctionType, MethodType)):
         return ["fn", f"{getattr(obj, '__module__', '?')}.{obj.__qualname__}"]
+    # a class that says what its state is (pickling honours it too) is
+    # digested by that, so a cache it leaves out does not count
+    if getattr(type(obj), "__getstate__", None) is not _OBJECT_GETSTATE:
+        return ["obj", type(obj).__name__, normalize(obj.__getstate__())]
     # generic object: collect __dict__ plus every slot along the MRO
     fields: Dict[str, Any] = {}
     d = getattr(obj, "__dict__", None)

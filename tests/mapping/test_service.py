@@ -4,14 +4,12 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mapping import (
-    ExplicitStatusPolicy,
     MappingService,
-    NoStatusPolicy,
     ReplyHandle,
     RoundRobinMapper,
+    StatusMsg,
     Ticket,
     make_mapper_factory,
-    make_status_factory,
     queue_depth_load,
 )
 from repro.netsim import Machine
@@ -40,9 +38,7 @@ class EchoApp:
 
 
 def build(topology, app, mapper="rr", status=None, **kw):
-    service = MappingService(
-        app, make_mapper_factory(mapper), make_status_factory(status), **kw
-    )
+    service = MappingService(app, make_mapper_factory(mapper), status, **kw)
     sched = SchedulerProgram([service])
     machine = Machine(topology, sched)
     return machine, sched, service
@@ -202,30 +198,77 @@ class TestActivityTracking:
         assert view.received_count == 7
 
 
-class TestStatusPolicies:
-    def test_no_status_policy(self):
-        p = NoStatusPolicy()
-        assert not p.should_broadcast(100)
+class Burst:
+    """Node 0 delegates ``n`` jobs; every other node answers at once."""
 
-    def test_explicit_threshold(self):
-        p = ExplicitStatusPolicy(threshold=3)
-        assert not p.should_broadcast(2)
-        assert p.should_broadcast(3)
-        p.on_broadcast(3)
-        assert not p.should_broadcast(5)
-        assert p.should_broadcast(6)
+    def __init__(self, n):
+        self.n = n
+
+    def init(self, mctx):
+        mctx.state = None
+
+    def on_work(self, mctx, reply, payload, hint):
+        if reply is None:
+            for _ in range(self.n):
+                mctx.call("job")
+        else:
+            mctx.reply(reply, None)
+
+    def on_reply(self, mctx, ticket, payload):
+        pass
+
+    def on_cancel(self, mctx, ticket):
+        pass
+
+
+def status_run(monkeypatch, status, n=6):
+    """Drain a Burst of ``n`` on Ring(3); return the (node, count) pairs
+    the nodes broadcast, the run's report and node 0's service state."""
+    broadcasts = []
+    original = MappingService._broadcast_status
+
+    def spy(service, pctx, mstate):
+        broadcasts.append((pctx.node, mstate.view.received_count))
+        original(service, pctx, mstate)
+
+    monkeypatch.setattr(MappingService, "_broadcast_status", spy)
+    machine, sched, _ = build(Ring(3), Burst(n), status=status)
+    machine.inject(0, "go")
+    report = machine.run(max_steps=10_000)
+    assert report.quiescent
+    return broadcasts, report, sched.process_state(machine, 0)
+
+
+class TestStatusPolicies:
+    def test_no_status_policy(self, monkeypatch):
+        broadcasts, report, state0 = status_run(monkeypatch, None)
+        assert broadcasts == []
+        # the trigger, 6 jobs out, 6 replies back, and not one StatusMsg
+        assert report.sent_total == 13
+        # the trigger and the replies were counted all the same
+        assert MappingService.view_of(state0).received_count == 7
+        assert state0.last_broadcast == 0
+
+    def test_explicit_threshold(self, monkeypatch):
+        # node 0 counts the trigger, then one reply per job: at threshold 3
+        # it broadcasts after its 3rd and 6th counted message, not after the
+        # 5th or the 7th; each worker counts its 3 jobs and broadcasts once
+        broadcasts, report, state0 = status_run(monkeypatch, 3)
+        assert [c for node, c in broadcasts if node == 0] == [3, 6]
+        assert sorted(node for node, _ in broadcasts if node != 0) == [1, 2]
+        # every broadcast goes to both neighbours of a Ring(3) node
+        assert report.sent_total == 13 + 2 * len(broadcasts)
+        assert state0.last_broadcast == 6
 
     def test_invalid_threshold(self):
-        with pytest.raises(MappingError):
-            ExplicitStatusPolicy(threshold=0)
-
-    def test_make_status_factory(self):
-        assert isinstance(make_status_factory(None)(), NoStatusPolicy)
-        assert isinstance(make_status_factory("off")(), NoStatusPolicy)
-        assert isinstance(make_status_factory(8)(), ExplicitStatusPolicy)
-        assert make_status_factory("8")().threshold == 8
-        with pytest.raises(MappingError):
-            make_status_factory("loud")
+        # the RunSpec status rule: True used to run as threshold 1, and the
+        # numeric string "8" was parsed
+        for status in (0, True, 2.5, "8"):
+            with pytest.raises(
+                MappingError,
+                match=f"status must be None or an int >= 1, got {status!r}",
+            ):
+                build(Ring(3), EchoApp(), status=status)
 
     def test_status_traffic_appears_on_wire(self):
         app = EchoApp()

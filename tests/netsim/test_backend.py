@@ -185,6 +185,25 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             m.run(max_steps=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_steps": 2.5},
+            {"max_steps": True},
+            {"checkpoint_every": True},
+            {"checkpoint_every": 2.5},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+    )
+    def test_non_int_step_counts_rejected(self, kwargs):
+        # the RunSpec max_steps/checkpoint_every rules: 2.5 ran 3 steps,
+        # True ran 1, and checkpoint_every=True checkpointed every step
+        m = Machine(Ring(3), CountAndForward())
+        m.inject(0, 0)
+        with pytest.raises(SimulationError, match=next(iter(kwargs))):
+            m.run(checkpoint_sink=lambda machine: None, **kwargs)
+        assert m.current_step == -1
+
     def test_halt_stops_the_loop(self):
         class HaltAfter:
             def init(self, ctx):

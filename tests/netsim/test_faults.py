@@ -20,6 +20,23 @@ class TestFaultModel:
         with pytest.raises(SimulationError):
             FaultModel(duplicate_probability=-0.1, rng=random.Random(0))
 
+    @pytest.mark.parametrize("rate", [True, "0.1", 1.5, -0.1], ids=repr)
+    @pytest.mark.parametrize("name", ["drop_probability", "duplicate_probability"])
+    def test_rate_must_be_a_number_in_range(self, name, rate):
+        # the RunSpec drop/duplicate rules: True dropped every message and
+        # "0.1" died with a bare TypeError
+        with pytest.raises(SimulationError, match=name):
+            FaultModel(**{name: rate}, rng=random.Random(0))
+
+    @pytest.mark.parametrize("rate", [True, "0.1", 1.5, -0.1], ids=repr)
+    def test_stack_refuses_bad_drop_rate(self, rate):
+        from repro import HyperspaceStack
+        from repro.apps.fib import fib
+
+        stack = HyperspaceStack(Ring(4), drop=rate)
+        with pytest.raises(SimulationError, match="drop_probability"):
+            stack.run_recursive(fib, 5, strict=False)
+
     def test_rng_required_for_faults(self):
         with pytest.raises(SimulationError):
             FaultModel(drop_probability=0.5)

@@ -338,3 +338,10 @@ class TestSnapshot:
         old = LayerState("sched", 1, prog.snapshot(m).data)
         with pytest.raises(CheckpointError, match="version 1 not supported"):
             prog.restore(m, old)
+
+    def test_version_2_snapshot_refused(self):
+        # version 2 pickled a status-policy object in each layer-3 state
+        prog, m = self._queued()
+        old = LayerState("sched", 2, prog.snapshot(m).data)
+        with pytest.raises(CheckpointError, match="version 2 not supported"):
+            prog.restore(m, old)

@@ -96,6 +96,15 @@ class TestNormalize:
         names = [name for name, _ in tag[2]]
         assert names == ["data", "layer", "version"]
 
+    def test_own_getstate_is_honoured(self):
+        # CNF's state is (clauses, num_vars): its occurrence cache, built or
+        # not, must not change the digest of an equal formula
+        fresh = CNF([(1, 2), (-1, 3)])
+        cached = CNF([(1, 2), (-1, 3)])
+        cached.occurrences()
+        assert normalize(cached) == normalize(fresh)
+        assert normalize(fresh) == ["obj", "CNF", [[[1, 2], [-1, 3]], 3]]
+
 
 class TestLayerState:
     def test_require_validates_layer_and_version(self):

@@ -43,6 +43,16 @@ class TestParser:
             assert args.jobs == 4 and args.json == "out.json"
 
 
+    def test_fuzz_modes_help_names_every_mode(self, capsys, monkeypatch):
+        from repro.conformance import MODE_NAMES
+
+        monkeypatch.setenv("COLUMNS", "200")  # no wrap inside the list
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fuzz", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"subset of {','.join(MODE_NAMES)};" in text
+
+
 class TestTopoCommand:
     def test_torus(self, capsys):
         assert main(["topo", "torus2d:4x4"]) == 0

@@ -5,7 +5,7 @@ import pytest
 from repro import HyperspaceStack, Torus
 from repro.apps.sumrec import calculate_sum
 from repro.errors import SimulationError
-from repro.mapping import LeastBusyNeighbourMapper, NoStatusPolicy
+from repro.mapping import LeastBusyNeighbourMapper
 from repro.recursion import Call, Result, Sync
 from repro.topology import Ring
 
@@ -26,10 +26,17 @@ class TestConfiguration:
         result, _ = stack.run_recursive(calculate_sum, 5)
         assert result == 15
 
-    def test_status_by_factory(self):
-        stack = HyperspaceStack(Ring(5), status=NoStatusPolicy)
-        result, _ = stack.run_recursive(calculate_sum, 5)
-        assert result == 15
+    @pytest.mark.parametrize("status", [2.5, True, "8", 0], ids=repr)
+    def test_status_must_be_none_or_int(self, status):
+        # 2.5 died with "'float' object is not callable"; True ran as 1
+        from repro.errors import MappingError
+
+        stack = HyperspaceStack(Ring(4), status=status)
+        with pytest.raises(
+            MappingError,
+            match=f"status must be None or an int >= 1, got {status!r}",
+        ):
+            stack.run_recursive(calculate_sum, 5)
 
     def test_unknown_mapper_rejected(self):
         from repro.errors import MappingError
