@@ -16,6 +16,7 @@ import argparse
 from repro.apps.sat import dpll_solve, load_dimacs, uf20_91_suite
 from repro.bench import heatmap_ascii, sparkline
 from repro.engine import RunSpec, execute
+from repro.mapping import MAPPERS
 from repro.topology import Torus, nearest_mesh_dims
 
 
@@ -23,7 +24,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("cnf", nargs="?", help="DIMACS CNF file (default: generated)")
     parser.add_argument("--cores", type=int, default=196, help="approximate core count")
-    parser.add_argument("--mapper", default="lbn", choices=["rr", "lbn", "random", "hint"])
+    parser.add_argument("--mapper", default="lbn", choices=list(MAPPERS))
     parser.add_argument("--seed", type=int, default=2017)
     args = parser.parse_args()
 

@@ -18,6 +18,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -27,14 +28,26 @@ from .errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
-class _ModeNames:
-    """The fuzzer's mode names, read only when help is printed: importing
-    the conformance package costs every other command ~0.3 s."""
+class _Names:
+    """The names of a registry, read only when an argument or the help
+    needs them: importing the mapping or conformance package costs every
+    other command 0.1-0.3 s."""
+
+    def __init__(self, module: str, registry: str) -> None:
+        self.module, self.registry = module, registry
+
+    def _names(self) -> tuple:
+        module = importlib.import_module(self.module, __package__)
+        return tuple(getattr(module, self.registry))
+
+    def __iter__(self):
+        return iter(self._names())
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
 
     def __str__(self) -> str:
-        from .conformance import MODE_NAMES
-
-        return ",".join(MODE_NAMES)
+        return ",".join(self._names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a SAT problem on a simulated machine")
     solve.add_argument("cnf", nargs="?", help="DIMACS file (default: generated uf20-91)")
     solve.add_argument("--topology", default="torus2d:14x14", help="machine spec")
-    solve.add_argument("--mapper", default="lbn", choices=["rr", "lbn", "random", "hint"])
+    solve.add_argument(
+        "--mapper", default="lbn", choices=_Names(".mapping", "MAPPERS"), metavar="NAME",
+        help="layer-3 mapper: %(choices)s (default %(default)s)",
+    )
     solve.add_argument("--status", type=int, default=None, help="LBN status threshold")
     solve.add_argument("--heuristic", default="max_occurrence")
     solve.add_argument("--simplify", default="none", choices=["none", "single", "fixpoint"])
@@ -185,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the compared modes (comma-separated subset of "
              "%(known)s; the serial baseline always runs)",
     )
-    modes.known = _ModeNames()
+    modes.known = _Names(".conformance", "MODE_NAMES")
     fuzz.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
         help="stop sampling early after this many seconds (bounded CI "

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import SpecError, TopologyError
+from .mapping import MAPPERS
 from .netsim.backend import QUEUE_POLICIES
 from .netsim.digest import canonical_digest
 from .netsim.sharded import FIFO_ONLY_MSG
@@ -270,6 +271,15 @@ def _check_workload_params(spec: RunSpec) -> Optional[str]:
     return _ask_workload(spec, "check_params", params)
 
 
+def _trigger_node_error(node: Any, where: str, n_nodes: int) -> Optional[str]:
+    """Why ``node`` cannot be the trigger node of a machine of ``n_nodes``."""
+    if not isinstance(node, int) or isinstance(node, bool):
+        return f"trigger_node must be an int, got {node!r}"
+    if not 0 <= node < n_nodes:
+        return f"trigger_node {node} out of range for {where} ({n_nodes} nodes)"
+    return None
+
+
 def _check_topology(spec: RunSpec) -> Optional[str]:
     if spec.topology is None:
         return None
@@ -277,12 +287,7 @@ def _check_topology(spec: RunSpec) -> Optional[str]:
         topo = topology_from_spec(spec.topology)
     except TopologyError as exc:
         return f"bad topology spec {spec.topology!r}: {exc}"
-    if not 0 <= spec.trigger_node < topo.n_nodes:
-        return (
-            f"trigger_node {spec.trigger_node} out of range for "
-            f"{spec.topology!r} ({topo.n_nodes} nodes)"
-        )
-    return None
+    return _trigger_node_error(spec.trigger_node, repr(spec.topology), topo.n_nodes)
 
 
 def _check_probability(name: str) -> Callable[[RunSpec], Optional[str]]:
@@ -296,15 +301,16 @@ def _check_probability(name: str) -> Callable[[RunSpec], Optional[str]]:
     return check
 
 
-def _check_positive(name: str, *, optional: bool = False,
-                    floor: int = 1) -> Callable[[RunSpec], Optional[str]]:
+def _check_int(name: str, *, optional: bool = False,
+               floor: Optional[int] = 1) -> Callable[[RunSpec], Optional[str]]:
     def check(spec: RunSpec) -> Optional[str]:
         value = getattr(spec, name)
         if optional and value is None:
             return None
-        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-            kind = f"an int >= {floor}" if not optional else f"None or an int >= {floor}"
-            return f"{name} must be {kind}, got {value!r}"
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or floor is not None and value < floor):
+            kind = "an int" if floor is None else f"an int >= {floor}"
+            return f"{name} must be {'None or ' if optional else ''}{kind}, got {value!r}"
         return None
 
     return check
@@ -331,7 +337,7 @@ def _check_shard_capability(spec: RunSpec) -> Optional[str]:
     return blockers[0] if blockers else None
 
 
-_retry_limit_value = _check_positive("retry_limit", optional=True, floor=0)
+_retry_limit_value = _check_int("retry_limit", optional=True, floor=0)
 
 
 def _check_retry_limit(spec: RunSpec) -> Optional[str]:
@@ -347,12 +353,13 @@ RULES: Tuple[Rule, ...] = (
          lambda s: _enum(s.workload, tuple(WORKLOADS), "workload")),
     Rule("workload-params", "workload_params carry what the workload needs",
          _check_workload_params),
-    Rule("topology", "topology spec (when given) parses; trigger_node in range",
+    Rule("topology", "topology spec (when given) parses; trigger_node is an int in range",
          _check_topology),
+    Rule("seed", "seed is an int", _check_int("seed", floor=None)),
     Rule("mapper", "mapper is a known registry name",
-         lambda s: _enum(s.mapper, ("rr", "lbn", "random", "hint"), "mapper")),
+         lambda s: _enum(s.mapper, tuple(MAPPERS), "mapper")),
     Rule("status", "status is None or an int threshold >= 1",
-         _check_positive("status", optional=True)),
+         _check_int("status", optional=True)),
     Rule("sat-knobs", "heuristic/simplify/hint_mode are valid (sat only)",
          lambda s: _ask_workload(s, "check_knobs")),
     Rule("share-load", "share_load is 'queue' or 'invocations'",
@@ -360,28 +367,28 @@ RULES: Tuple[Rule, ...] = (
     Rule("queue-policy", "queue_policy is fifo/lifo/random",
          lambda s: _enum(s.queue_policy, QUEUE_POLICIES, "queue_policy")),
     Rule("queue-capacity", "queue_capacity is None or >= 1",
-         _check_positive("queue_capacity", optional=True)),
+         _check_int("queue_capacity", optional=True)),
     Rule("scheduler-budget", "scheduler_budget is None or >= 1",
-         _check_positive("scheduler_budget", optional=True)),
+         _check_int("scheduler_budget", optional=True)),
     Rule("share-threshold", "share_threshold is None or >= 1",
-         _check_positive("share_threshold", optional=True)),
+         _check_int("share_threshold", optional=True)),
     Rule("forward-hops", "forward_hops is >= 0",
-         _check_positive("forward_hops", floor=0)),
-    Rule("latency", "latency is >= 0", _check_positive("latency", floor=0)),
-    Rule("max-steps", "max_steps is >= 1", _check_positive("max_steps")),
+         _check_int("forward_hops", floor=0)),
+    Rule("latency", "latency is >= 0", _check_int("latency", floor=0)),
+    Rule("max-steps", "max_steps is >= 1", _check_int("max_steps")),
     Rule("drop", "drop is a probability in [0, 1]", _check_probability("drop")),
     Rule("duplicate", "duplicate is a probability in [0, 1]",
          _check_probability("duplicate")),
     Rule("retry-limit", "retry_limit is None, or >= 0 with reliable=True",
          _check_retry_limit),
     Rule("checkpoint-every", "checkpoint_every is None or >= 1",
-         _check_positive("checkpoint_every", optional=True)),
+         _check_int("checkpoint_every", optional=True)),
     Rule("checkpoint-policy", "checkpoint_dir needs checkpoint_every",
          _check_checkpoint_policy),
     Rule("checkpoint-capability",
          "checkpointing excludes traversal and the shared-RNG 'random' heuristic",
          _check_checkpoint_capability),
-    Rule("shards", "shards is >= 1", _check_positive("shards")),
+    Rule("shards", "shards is >= 1", _check_int("shards")),
     Rule("partitioner", "partitioner is 'strip'",
          lambda s: _enum(s.partitioner, _PARTITIONER_NAMES, "partitioner")),
     Rule("shard-backend", "shard_backend is auto/process/inline",
@@ -541,11 +548,9 @@ def execute(
                 "execute(..., topology=...)"
             )
         topo = topology_from_spec(spec.topology)
-    if not 0 <= spec.trigger_node < topo.n_nodes:
-        raise SpecError(
-            f"trigger_node {spec.trigger_node} out of range for "
-            f"{topo.describe()} ({topo.n_nodes} nodes)"
-        )
+    message = _trigger_node_error(spec.trigger_node, topo.describe(), topo.n_nodes)
+    if message is not None:
+        raise SpecError(message)
     if size_fn is None and spec.sat_sizing:
         from .apps.sat import sat_content_size
         from .netsim import make_envelope_sizer

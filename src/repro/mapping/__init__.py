@@ -8,7 +8,8 @@ Public surface:
 * :class:`TicketedFunctionalApp` — the paper's Listing-2 handler style.
 * Mappers: :class:`RoundRobinMapper` (static),
   :class:`LeastBusyNeighbourMapper` (adaptive), :class:`RandomMapper`,
-  :class:`HintAwareMapper`; see :func:`make_mapper_factory`.
+  :class:`HintAwareMapper`, registered by name in :data:`MAPPERS`
+  (``MappingService(app, mapper="lbn")``).
 * Adaptivity overhead is one knob, ``MappingService(status=...)``: an int
   threshold for explicit :class:`StatusMsg` broadcasts, or ``None``.
 """
@@ -16,15 +17,13 @@ Public surface:
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
 from .functional import TicketedFunctionalApp
 from .mappers import (
-    MAPPER_NAMES,
+    MAPPERS,
     HintAwareMapper,
     LeastBusyNeighbourMapper,
-    Mapper,
-    MapperFactory,
     MapperView,
     RandomMapper,
     RoundRobinMapper,
-    make_mapper_factory,
+    mapper_class,
 )
 from .service import MappedApp, MappingContext, MappingService, queue_depth_load
 from .tickets import ReplyHandle, Ticket
@@ -41,13 +40,11 @@ __all__ = [
     "ReplyMsg",
     "StatusMsg",
     "CancelMsg",
-    "Mapper",
-    "MapperFactory",
     "MapperView",
     "RoundRobinMapper",
     "LeastBusyNeighbourMapper",
     "RandomMapper",
     "HintAwareMapper",
-    "make_mapper_factory",
-    "MAPPER_NAMES",
+    "MAPPERS",
+    "mapper_class",
 ]

@@ -16,28 +16,27 @@ plus extensions used by the ablation benches:
   hints (paper §III-B3): delegating *larger* sub-problems to *less* utilized
   neighbours by tracking outstanding hinted load per neighbour.
 
-Mappers are per-node objects created by a factory; :class:`MapperView` is
-the slice of node state they may consult.
+:data:`MAPPERS` maps each name to its class; layer 3 builds one fresh
+mapper per node from it.  :class:`MapperView` is the slice of node state
+they may consult.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Protocol, Sequence
+from typing import Dict, Optional, Sequence, Type
 
 from ..errors import MappingError
 from ..topology import NodeId
 
 __all__ = [
     "MapperView",
-    "Mapper",
-    "MapperFactory",
     "RoundRobinMapper",
     "LeastBusyNeighbourMapper",
     "RandomMapper",
     "HintAwareMapper",
-    "make_mapper_factory",
-    "MAPPER_NAMES",
+    "MAPPERS",
+    "mapper_class",
 ]
 
 
@@ -84,25 +83,6 @@ class MapperView:
         return self.neighbour_counts.get(neighbour, 0)
 
 
-class Mapper(Protocol):
-    """Chooses destinations for new work (one instance per node)."""
-
-    def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
-        """Return the neighbour that should receive the next sub-problem."""
-        ...
-
-    def on_sent(self, view: MapperView, dst: NodeId, hint: Optional[float]) -> None:
-        """Notification that work (with ``hint``) was sent to ``dst``."""
-        ...
-
-    def on_reply(self, view: MapperView, src: NodeId) -> None:
-        """Notification that a reply for earlier work came back via ``src``."""
-        ...
-
-
-MapperFactory = Callable[[], Mapper]
-
-
 class _MapperBase:
     """Default no-op notification hooks."""
 
@@ -141,30 +121,26 @@ class LeastBusyNeighbourMapper(_MapperBase):
     A neighbour's *expected* count is its last reported received-count plus
     the work this node has sent it that has not been answered yet — a
     message already posted to a neighbour is guaranteed to raise its count,
-    so ignoring it (``track_outstanding=False``, the literal reading of the
-    paper's one-sentence description) makes a node fire whole bursts of
-    subcalls at the same stale minimum.  The corrected estimate is what
-    delivers the paper's headline result that large adaptive 2D machines
-    match static 3D ones; the naive variant is kept for comparison, and
-    ``tests/mapping/test_mappers.py`` pins its behaviour.
+    so ignoring it (the literal reading of the paper's one-sentence
+    description) makes a node fire whole bursts of subcalls at the same
+    stale minimum.  The corrected estimate is what delivers the paper's
+    headline result that large adaptive 2D machines match static 3D ones.
 
     Ties (common early on, when most neighbours have never been heard from)
     break by seeded random choice so work does not always pile onto the
     first neighbour in topology order.
     """
 
-    __slots__ = ("track_outstanding", "_outstanding")
+    __slots__ = ("_outstanding",)
 
     name = "lbn"
 
-    def __init__(self, track_outstanding: bool = True) -> None:
-        self.track_outstanding = track_outstanding
+    def __init__(self) -> None:
         self._outstanding: Dict[NodeId, int] = {}
 
     def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
         if not view.neighbours:
             raise MappingError(f"node {view.node} has no neighbours to map work to")
-        # without track_outstanding nothing is ever recorded as outstanding
         known, outstanding = view.neighbour_counts.get, self._outstanding.get
         best, candidates = None, []
         for n in view.neighbours:
@@ -178,16 +154,14 @@ class LeastBusyNeighbourMapper(_MapperBase):
         return candidates[view.rng.randrange(len(candidates))]
 
     def on_sent(self, view: MapperView, dst: NodeId, hint: Optional[float]) -> None:
-        if self.track_outstanding:
-            self._outstanding[dst] = self._outstanding.get(dst, 0) + 1
+        self._outstanding[dst] = self._outstanding.get(dst, 0) + 1
 
     def on_reply(self, view: MapperView, src: NodeId) -> None:
-        if self.track_outstanding:
-            pending = self._outstanding.get(src, 0)
-            if pending > 1:
-                self._outstanding[src] = pending - 1
-            else:
-                self._outstanding.pop(src, None)
+        pending = self._outstanding.get(src, 0)
+        if pending > 1:
+            self._outstanding[src] = pending - 1
+        else:
+            self._outstanding.pop(src, None)
 
 
 class RandomMapper(_MapperBase):
@@ -206,23 +180,20 @@ class RandomMapper(_MapperBase):
 class HintAwareMapper(_MapperBase):
     """Least-busy mapping weighted by outstanding hinted load (§III-B3).
 
-    The score of a neighbour is ``known_count + alpha * outstanding_hints``
+    The score of a neighbour is ``known_count + outstanding_hints``
     where ``outstanding_hints`` sums the size hints of work this node sent
     there that has not been replied to yet.  With no hints ever supplied it
     degenerates to plain least-busy-neighbour.
     """
 
-    __slots__ = ("alpha", "_outstanding", "_sent_order")
+    __slots__ = ("_outstanding", "_sent_order")
 
     name = "hint"
 
     #: hint assumed for work delegated without a hint
     DEFAULT_HINT = 1.0
 
-    def __init__(self, alpha: float = 1.0) -> None:
-        if alpha < 0:
-            raise MappingError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._outstanding: Dict[NodeId, float] = {}
         # FIFO of (dst, hint) so replies retire the oldest load first
         self._sent_order: list[tuple[NodeId, float]] = []
@@ -230,10 +201,10 @@ class HintAwareMapper(_MapperBase):
     def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
         if not view.neighbours:
             raise MappingError(f"node {view.node} has no neighbours to map work to")
-        known, outstanding, alpha = view.neighbour_counts.get, self._outstanding.get, self.alpha
+        known, outstanding = view.neighbour_counts.get, self._outstanding.get
         best, candidates = None, []
         for n in view.neighbours:
-            score = known(n, 0) + alpha * outstanding(n, 0.0)
+            score = known(n, 0) + outstanding(n, 0.0)
             if best is None or score < best:
                 best, candidates = score, [n]
             elif score == best:
@@ -260,18 +231,15 @@ class HintAwareMapper(_MapperBase):
                 return
 
 
-#: names accepted by :func:`make_mapper_factory`
-MAPPER_NAMES = ("rr", "lbn", "random", "hint")
+#: every mapper a run can name, by its registry name
+MAPPERS: Dict[str, Type[_MapperBase]] = {
+    cls.name: cls
+    for cls in (RoundRobinMapper, LeastBusyNeighbourMapper, RandomMapper, HintAwareMapper)
+}
 
 
-def make_mapper_factory(name: str, **kwargs) -> MapperFactory:
-    """Return a factory building fresh per-node mappers of kind ``name``."""
-    if name == "rr":
-        return lambda: RoundRobinMapper(**kwargs)
-    if name == "lbn":
-        return lambda: LeastBusyNeighbourMapper(**kwargs)
-    if name == "random":
-        return lambda: RandomMapper(**kwargs)
-    if name == "hint":
-        return lambda: HintAwareMapper(**kwargs)
-    raise MappingError(f"unknown mapper {name!r}; expected one of {MAPPER_NAMES}")
+def mapper_class(name: str) -> Type[_MapperBase]:
+    """The mapper class registered as ``name``; anything else is refused."""
+    if not isinstance(name, str) or name not in MAPPERS:
+        raise MappingError(f"unknown mapper {name!r}; expected one of {tuple(MAPPERS)}")
+    return MAPPERS[name]

@@ -27,7 +27,7 @@ from ..rng import SeedSequence
 from ..sched import Address, ProcessContext
 from ..topology import NodeId
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
-from .mappers import Mapper, MapperFactory, MapperView
+from .mappers import MapperView, mapper_class
 from .tickets import ReplyHandle, Ticket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -101,7 +101,7 @@ class _MapState:
         "results",
     )
 
-    def __init__(self, view: MapperView, mapper: Mapper):
+    def __init__(self, view: MapperView, mapper: Any):
         self.view = view
         self.mapper = mapper
         #: received count at this node's last status broadcast
@@ -178,10 +178,6 @@ class MappingContext:
         ticket = Ticket(node, st.next_seq)
         st.next_seq += 1
         dst = st.mapper.choose(view, hint)
-        if dst not in pctx.neighbours:
-            raise MappingError(
-                f"mapper chose {dst}, not a neighbour of node {node}"
-            )
         st.mapper.on_sent(view, dst, hint)
         st.forward_table[ticket] = dst
         msg = WorkMsg(
@@ -248,8 +244,9 @@ class MappingService:
     app:
         The hosted :class:`MappedApp` (shared template; per-node state lives
         in the context).
-    mapper_factory:
-        Builds one fresh :class:`~repro.mapping.mappers.Mapper` per node.
+    mapper:
+        A name in :data:`~repro.mapping.mappers.MAPPERS` (default ``"rr"``);
+        every node gets a fresh instance of that class.
     status:
         Explicit status broadcasts: ``None`` (default, piggyback only) or an
         int threshold >= 1 — a node tells every neighbour its received
@@ -285,7 +282,7 @@ class MappingService:
     def __init__(
         self,
         app: MappedApp,
-        mapper_factory: MapperFactory,
+        mapper: str = "rr",
         status: Optional[int] = None,
         seed: int = 0,
         forward_hops: int = 0,
@@ -308,7 +305,7 @@ class MappingService:
         if share_threshold is not None and load_fn is None:
             raise MappingError("work sharing needs a load_fn to measure load")
         self.app = app
-        self.mapper_factory = mapper_factory
+        self.mapper_cls = mapper_class(mapper)
         self.status = status
         self.seeds = SeedSequence(seed)
         self.forward_hops = forward_hops
@@ -323,7 +320,7 @@ class MappingService:
         view = MapperView(
             pctx.node, pctx.neighbours, self.seeds.stream(f"mapper[{pctx.node}]")
         )
-        mstate = _MapState(view, self.mapper_factory())
+        mstate = _MapState(view, self.mapper_cls())
         pctx.state = mstate
         mstate.mctx = MappingContext(self, pctx, mstate)
         self.app.init(mstate.mctx)

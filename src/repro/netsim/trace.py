@@ -17,11 +17,12 @@ an optional per-step per-node queue-depth matrix for fine-grained analysis.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..topology import Topology
+
+if TYPE_CHECKING:  # numpy loads with the first report, not with the package
+    import numpy as np
 
 __all__ = ["TraceRecorder", "SimulationReport", "spatial_entropy", "gini"]
 
@@ -234,6 +235,8 @@ class SimulationReport:
         self.delivered_total = trace.delivered_total
         self.dropped_total = trace.dropped_total
         self.payload_counts = dict(trace.payload_counts)
+        import numpy as np
+
         self.queued_series = np.asarray(trace.queued_series, dtype=np.int64)
         self.delivered_series = np.asarray(trace.delivered_series, dtype=np.int64)
         self.node_delivered = np.asarray(trace.node_delivered, dtype=np.int64)
@@ -283,6 +286,8 @@ class SimulationReport:
             raise ValueError("report was built without a topology reference")
         shape = self._topology.shape
         coords = [self._topology.coords(n) for n in range(self._topology.n_nodes)]
+        import numpy as np
+
         grid = np.zeros(shape, dtype=np.int64)
         for node, c in enumerate(coords):
             grid[c] = self.node_delivered[node]
@@ -342,6 +347,8 @@ class SimulationReport:
 
 def spatial_entropy(counts: Sequence[int]) -> float:
     """Shannon entropy in bits of a non-negative count histogram."""
+    import numpy as np
+
     arr = np.asarray(counts, dtype=np.float64)
     total = arr.sum()
     if total <= 0:
@@ -352,6 +359,8 @@ def spatial_entropy(counts: Sequence[int]) -> float:
 
 def gini(counts: Sequence[int]) -> float:
     """Gini coefficient of a non-negative histogram (0 = uniform)."""
+    import numpy as np
+
     arr = np.sort(np.asarray(counts, dtype=np.float64))
     n = arr.size
     total = arr.sum()

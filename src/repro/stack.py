@@ -36,13 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import MappingError, SimulationError
-from .mapping import (
-    MappedApp,
-    MapperFactory,
-    MappingService,
-    make_mapper_factory,
-    queue_depth_load,
-)
+from .mapping import MappedApp, MappingService, mapper_class, queue_depth_load
 from .netsim import (
     EMPTY_MSG,
     FaultModel,
@@ -64,20 +58,12 @@ from .topology import NodeId, Topology
 
 __all__ = ["HyperspaceStack", "StackRun"]
 
-#: mapper argument: a registry name ("rr", "lbn", "random", "hint") or factory
-MapperSpec = Union[str, MapperFactory]
-
-
-def _mapper_factory_of(mapper: MapperSpec) -> MapperFactory:
-    return make_mapper_factory(mapper) if isinstance(mapper, str) else mapper
-
-
 def _build_tower(
     app: Any,
     *,
     ticketed: bool,
     cancellation: bool,
-    mapper: MapperSpec,
+    mapper: str,
     status: Optional[int],
     budget: Optional[int],
     telemetry: Optional[TelemetryBus] = None,
@@ -98,11 +84,7 @@ def _build_tower(
     if not ticketed:
         app = RecursionEngine(app, cancellation=cancellation, telemetry=telemetry)
     service = MappingService(
-        app,
-        _mapper_factory_of(mapper),
-        status,
-        telemetry=telemetry,
-        **service_kwargs,
+        app, mapper, status, telemetry=telemetry, **service_kwargs
     )
     return SchedulerProgram([service], budget=budget, telemetry=telemetry)
 
@@ -154,9 +136,9 @@ class HyperspaceStack:
     topology:
         The machine's interconnect.
     mapper:
-        Layer-3 mapping algorithm: ``"rr"`` (round robin, default),
-        ``"lbn"`` (least busy neighbour), ``"random"``, ``"hint"``, or a
-        custom per-node mapper factory.
+        Layer-3 mapping algorithm, a name in :data:`repro.mapping.MAPPERS`:
+        ``"rr"`` (round robin, default), ``"lbn"`` (least busy neighbour),
+        ``"random"`` or ``"hint"``.
     status:
         Explicit status broadcasts for adaptive mapping: ``None`` (piggyback
         only) or an int threshold >= 1 (see
@@ -224,7 +206,7 @@ class HyperspaceStack:
         self,
         topology: Topology,
         *,
-        mapper: MapperSpec = "rr",
+        mapper: str = "rr",
         status: Optional[int] = None,
         cancellation: bool = False,
         forward_hops: int = 0,
@@ -245,10 +227,8 @@ class HyperspaceStack:
         shard_backend: str = "auto",
     ) -> None:
         self.topology = topology
-        #: raw mapper spec: what the tower recipe ships to workers
-        self._mapper_spec: MapperSpec = mapper
-        # resolved here so an unknown registry name fails at construction
-        self.mapper_factory: MapperFactory = _mapper_factory_of(mapper)
+        mapper_class(mapper)  # an unknown mapper name fails at construction
+        self.mapper = mapper
         self.status = status
         self.cancellation = cancellation
         self.forward_hops = forward_hops
@@ -258,6 +238,9 @@ class HyperspaceStack:
                 f"share_load must be 'queue' or 'invocations', got {share_load!r}"
             )
         self.share_load = share_load
+        # a bool or a float seed would run as some int's schedule
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise SimulationError(f"seed must be an int, got {seed!r}")
         self.seed = seed
         self.scheduler_budget = scheduler_budget
         self.queue_policy = queue_policy
@@ -307,7 +290,7 @@ class HyperspaceStack:
             app,
             ticketed=ticketed,
             cancellation=self.cancellation,
-            mapper=self._mapper_spec,
+            mapper=self.mapper,
             status=self.status,
             budget=self.scheduler_budget,
             seed=self.seed,

@@ -49,15 +49,6 @@ The bus inspects a subscriber once, at attach; it may implement any of:
 
 A pure aggregator (:class:`~repro.telemetry.MetricsSubscriber`) implements
 only the last three, so with it alone no event is ever built.
-
-Sampling
---------
-
-``sample_every=N`` keeps every ``N``-th ``record`` call (deterministic
-counter, not random), trading trace completeness for proportionally less
-ring traffic.  Counters and observations are never sampled — metrics stay
-exact at any sampling rate.  The default ``1`` records everything, which
-the trace-subsumption tests rely on.
 """
 
 from __future__ import annotations
@@ -67,6 +58,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .events import EVENT_ATTRS, TelemetryEvent
 
 __all__ = ["TelemetryBus", "Subscriber"]
+
+#: capacity of the event-tuple ring; it flushes when full and at every
+#: ``flush``, so the size tunes batching granularity and never drops events
+RING_SIZE = 1024
 
 #: What a subscriber that keeps events is called with: any callable taking
 #: one event, or the bound ``on_event`` of an object that has one.
@@ -88,17 +83,6 @@ class TelemetryBus:
         log = bus.attach(EventLog())
         exporter = bus.attach(ChromeTraceExporter())
         stack = HyperspaceStack(topology, telemetry=bus)
-
-    Parameters
-    ----------
-    sample_every:
-        Keep one in every ``sample_every`` ``record`` calls (default 1 =
-        keep all).  Deterministic; applies only to ``record``, never to
-        ``emit`` or to counters/observations.
-    ring_size:
-        Capacity of the preallocated event-tuple ring.  The ring flushes
-        when full and at every ``flush``, so the size only tunes batching
-        granularity, never drops events.
     """
 
     __slots__ = (
@@ -108,8 +92,6 @@ class TelemetryBus:
         "_observation_subs",
         "_gauge_subs",
         "events_emitted",
-        "sample_every",
-        "_sample_skip",
         "want_events",
         "step",
         "node",
@@ -120,11 +102,7 @@ class TelemetryBus:
         "_ring_n",
     )
 
-    def __init__(self, *, sample_every: int = 1, ring_size: int = 1024) -> None:
-        # a float phase never returns to 0 and a bool is not a count
-        for name, value in (("sample_every", sample_every), ("ring_size", ring_size)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    def __init__(self) -> None:
         #: attached subscriber objects/callables, in subscription order
         self._subscribers: List[Any] = []
         #: handlers of the subscribers that keep events
@@ -134,11 +112,9 @@ class TelemetryBus:
         self._counter_subs: List[Callable] = []
         self._observation_subs: List[Callable] = []
         self._gauge_subs: List[Callable] = []
-        #: total events published (``emit`` and ``event`` calls plus kept
-        #: ``record`` calls); coalesced counter deltas are not events
+        #: total events published (``emit``, ``event`` and ``record``
+        #: calls); coalesced counter deltas are not events
         self.events_emitted = 0
-        self.sample_every = sample_every
-        self._sample_skip = 0
         #: True when at least one subscriber keeps events — publishers
         #: check this before building ``record`` arguments
         self.want_events = False
@@ -154,7 +130,7 @@ class TelemetryBus:
         self._gauges: Dict[Tuple[int, str], List[Any]] = {}
         #: preallocated ring of event tuples (step, layer, name, node,
         #: dur, attrs); ``_ring_n`` is the fill level
-        self._ring: List[Any] = [None] * ring_size
+        self._ring: List[Any] = [None] * RING_SIZE
         self._ring_n = 0
 
     # -- subscription ---------------------------------------------------
@@ -293,17 +269,12 @@ class TelemetryBus:
         dur: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Stage one event tuple in the ring (subject to sampling).
+        """Stage one event tuple in the ring.
 
         The event half of a ``count`` + ``record`` pair: only meaningful
         when :attr:`want_events` — publishers guard the call (and the
         ``attrs`` construction) behind that flag.
         """
-        skip = self._sample_skip
-        if skip:
-            self._sample_skip = skip - 1
-            return
-        self._sample_skip = self.sample_every - 1
         self.events_emitted += 1
         n = self._ring_n
         self._ring[n] = (step, layer, name, node, dur, attrs)
@@ -352,33 +323,28 @@ class TelemetryBus:
     # -- snapshot / restore (repro.state protocol) ---------------------
 
     #: snapshot-schema version of the telemetry layer state
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def snapshot(self) -> "LayerState":
         """Capture the bus's step-boundary state.
 
         The machine flushes the bus at every step boundary, so the ring
         and the coalesced delta maps are empty whenever a checkpoint is
-        taken — only the total event count and the deterministic sampling
-        phase carry across.  Subscribers are assembly, not state: a
-        resumed run re-attaches its own.
+        taken — only the total event count carries across.  Subscribers
+        are assembly, not state: a resumed run re-attaches its own.
         """
         from ..state import LayerState
 
         return LayerState(
             "telemetry",
             self.STATE_VERSION,
-            {
-                "events_emitted": self.events_emitted,
-                "sample_skip": self._sample_skip,
-            },
+            {"events_emitted": self.events_emitted},
         )
 
     def restore(self, state: "LayerState") -> None:
         """Install a :meth:`snapshot`-captured state into this bus."""
         data = state.require("telemetry", self.STATE_VERSION)
         self.events_emitted = data["events_emitted"]
-        self._sample_skip = data["sample_skip"]
         self._counts.clear()
         self._observations.clear()
         self._gauges.clear()

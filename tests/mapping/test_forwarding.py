@@ -5,7 +5,7 @@ import pytest
 from repro import HyperspaceStack
 from repro.apps.fib import fib, sequential_fib
 from repro.apps.sumrec import calculate_sum, closed_form_sum
-from repro.mapping import MappingService, ReplyHandle, make_mapper_factory
+from repro.mapping import MappingService, ReplyHandle
 from repro.netsim import Machine
 from repro.sched import SchedulerProgram
 from repro.topology import Ring, Torus
@@ -33,7 +33,7 @@ class PathProbeApp:
 
 def build(topology, app, forward_hops=0):
     service = MappingService(
-        app, make_mapper_factory("rr"), forward_hops=forward_hops
+        app, "rr", forward_hops=forward_hops
     )
     sched = SchedulerProgram([service])
     machine = Machine(topology, sched)

@@ -6,13 +6,18 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mapping import (
+    MAPPERS,
     HintAwareMapper,
     LeastBusyNeighbourMapper,
+    MappingService,
     MapperView,
     RandomMapper,
     RoundRobinMapper,
-    make_mapper_factory,
+    mapper_class,
 )
+from repro.netsim import Machine
+from repro.sched import SchedulerProgram
+from repro.topology import Ring
 
 
 def make_view(neighbours=(1, 2, 3, 4), node=0, seed=0):
@@ -71,13 +76,14 @@ class TestLeastBusyNeighbour:
         assert m.choose(v, None) == 3  # never heard from -> count 0
 
     def test_random_tie_break_spreads(self):
-        m = LeastBusyNeighbourMapper(track_outstanding=False)
+        # choose alone never records posted work, so every pick is a tie
+        m = LeastBusyNeighbourMapper()
         v = make_view((1, 2, 3, 4), seed=42)
         picks = {m.choose(v, None) for _ in range(40)}
         assert len(picks) > 1
 
     def test_outstanding_tracking_spreads_bursts(self):
-        m = LeastBusyNeighbourMapper(track_outstanding=True)
+        m = LeastBusyNeighbourMapper()
         v = make_view((1, 2, 3))
         picks = []
         for _ in range(3):
@@ -86,20 +92,8 @@ class TestLeastBusyNeighbour:
             picks.append(dst)
         assert sorted(picks) == [1, 2, 3]
 
-    def test_naive_variant_hammers_stale_minimum(self):
-        m = LeastBusyNeighbourMapper(track_outstanding=False)
-        v = make_view((1, 2, 3))
-        v.observe(2, 1)
-        v.observe(3, 1)
-        picks = []
-        for _ in range(5):
-            dst = m.choose(v, None)
-            m.on_sent(v, dst, None)
-            picks.append(dst)
-        assert picks == [1, 1, 1, 1, 1]
-
     def test_reply_retires_outstanding(self):
-        m = LeastBusyNeighbourMapper(track_outstanding=True)
+        m = LeastBusyNeighbourMapper()
         v = make_view((1, 2))
         m.on_sent(v, 1, None)
         m.on_sent(v, 1, None)
@@ -135,13 +129,13 @@ class TestHintAware:
         assert m.choose(v, None) == 2
 
     def test_outstanding_hints_steer_away(self):
-        m = HintAwareMapper(alpha=1.0)
+        m = HintAwareMapper()
         v = make_view((1, 2))
         m.on_sent(v, 1, 100.0)  # heavy work sent to 1
         assert m.choose(v, 1.0) == 2
 
     def test_reply_retires_hint_load(self):
-        m = HintAwareMapper(alpha=1.0)
+        m = HintAwareMapper()
         v = make_view((1, 2))
         m.on_sent(v, 1, 100.0)
         m.on_reply(v, 1)
@@ -149,14 +143,10 @@ class TestHintAware:
         assert m.choose(v, None) == 1
 
     def test_unhinted_work_uses_default(self):
-        m = HintAwareMapper(alpha=1.0)
+        m = HintAwareMapper()
         v = make_view((1, 2))
         m.on_sent(v, 1, None)
         assert m._outstanding[1] == HintAwareMapper.DEFAULT_HINT
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(MappingError):
-            HintAwareMapper(alpha=-1)
 
     def test_fifo_retirement_order(self):
         m = HintAwareMapper()
@@ -167,19 +157,45 @@ class TestHintAware:
         assert m._outstanding[1] == pytest.approx(1.0)
 
 
+class _IdleApp:
+    def init(self, mctx):
+        pass
+
+
 class TestFactory:
+    """``MAPPERS`` is the one factory: a name builds a fresh mapper per node."""
+
     @pytest.mark.parametrize("name", ["rr", "lbn", "random", "hint"])
     def test_known_names(self, name):
-        factory = make_mapper_factory(name)
-        assert factory() is not factory()  # fresh instance per node
+        sched = SchedulerProgram([MappingService(_IdleApp(), name)])
+        machine = Machine(Ring(4), sched)
+        mappers = [sched.process_state(machine, n).mapper for n in range(4)]
+        assert all(type(m) is MAPPERS[name] for m in mappers)
+        assert len({id(m) for m in mappers}) == 4
 
     def test_unknown_name(self):
-        with pytest.raises(MappingError):
-            make_mapper_factory("banana")
+        # a class or a factory is refused like a misspelt name
+        expected = r"expected one of \('rr', 'lbn', 'random', 'hint'\)"
+        for bad in ("banana", RoundRobinMapper, lambda: RoundRobinMapper(), None):
+            with pytest.raises(MappingError, match=expected):
+                mapper_class(bad)
+            with pytest.raises(MappingError, match=expected):
+                MappingService(_IdleApp(), bad)
 
-    def test_kwargs_forwarded(self):
-        factory = make_mapper_factory("hint", alpha=2.5)
-        assert factory().alpha == 2.5
+    def test_the_other_name_lists_read_the_registry(self):
+        from repro.cli import build_parser
+        from repro.conformance.space import SPACE
+        from repro.engine import RunSpec, violations
+
+        assert set(SPACE["mapper"]) == set(MAPPERS)
+        for name in MAPPERS:
+            assert violations(RunSpec(mapper=name)) == []
+        assert [code for code, _ in violations(RunSpec(mapper="banana"))] == ["mapper"]
+        parser = build_parser()
+        for name in MAPPERS:
+            assert parser.parse_args(["solve", "--mapper", name]).mapper == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["solve", "--mapper", "banana"])
 
 
 # -- one-pass ``choose`` against the two-pass code it replaced -----------------
@@ -196,15 +212,14 @@ def two_pass_choose(score, view):
 
 def lbn_reference(mapper, view):
     def score(n):
-        pending = mapper._outstanding.get(n, 0) if mapper.track_outstanding else 0
-        return float(view.known_count(n)) + pending
+        return float(view.known_count(n)) + mapper._outstanding.get(n, 0)
 
     return two_pass_choose(score, view)
 
 
 def hint_reference(mapper, view):
     def score(n):
-        return view.known_count(n) + mapper.alpha * mapper._outstanding.get(n, 0.0)
+        return view.known_count(n) + mapper._outstanding.get(n, 0.0)
 
     return two_pass_choose(score, view)
 
@@ -213,12 +228,8 @@ class TestOnePassChooseMatchesTwoPass:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize(
         "make,reference",
-        [
-            (lambda: LeastBusyNeighbourMapper(track_outstanding=True), lbn_reference),
-            (lambda: LeastBusyNeighbourMapper(track_outstanding=False), lbn_reference),
-            (lambda: HintAwareMapper(alpha=0.5), hint_reference),
-        ],
-        ids=["lbn", "lbn-naive", "hint"],
+        [(LeastBusyNeighbourMapper, lbn_reference), (HintAwareMapper, hint_reference)],
+        ids=["lbn", "hint"],
     )
     def test_same_destination_and_same_rng_draws(self, make, reference, seed):
         history = random.Random(seed)

@@ -6,10 +6,8 @@ from repro.errors import MappingError
 from repro.mapping import (
     MappingService,
     ReplyHandle,
-    RoundRobinMapper,
     StatusMsg,
     Ticket,
-    make_mapper_factory,
     queue_depth_load,
 )
 from repro.netsim import Machine
@@ -38,7 +36,7 @@ class EchoApp:
 
 
 def build(topology, app, mapper="rr", status=None, **kw):
-    service = MappingService(app, make_mapper_factory(mapper), status, **kw)
+    service = MappingService(app, mapper, status, **kw)
     sched = SchedulerProgram([service])
     machine = Machine(topology, sched)
     return machine, sched, service
@@ -297,7 +295,7 @@ class TestForwardHops:
 
     def test_invalid_forward_hops(self):
         with pytest.raises(MappingError):
-            MappingService(EchoApp(), RoundRobinMapper, forward_hops=-1)
+            MappingService(EchoApp(), "rr", forward_hops=-1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -313,5 +311,5 @@ class TestForwardHops:
         # twice and True was taken as 1
         with pytest.raises(MappingError, match=next(iter(kwargs))):
             MappingService(
-                EchoApp(), RoundRobinMapper, load_fn=queue_depth_load, **kwargs
+                EchoApp(), "rr", load_fn=queue_depth_load, **kwargs
             )

@@ -6,7 +6,7 @@ from repro import HyperspaceStack
 from repro.apps.fib import fib, sequential_fib
 from repro.apps.sumrec import calculate_sum
 from repro.errors import MappingError
-from repro.mapping import MappingService, RoundRobinMapper, queue_depth_load
+from repro.mapping import MappingService, queue_depth_load
 from repro.recursion import RecursionEngine
 from repro.topology import Ring, Torus
 
@@ -15,14 +15,14 @@ class TestConfiguration:
     def test_share_needs_load_fn(self):
         with pytest.raises(MappingError):
             MappingService(
-                RecursionEngine(fib), RoundRobinMapper, share_threshold=2
+                RecursionEngine(fib), "rr", share_threshold=2
             )
 
     def test_invalid_threshold(self):
         with pytest.raises(MappingError):
             MappingService(
                 RecursionEngine(fib),
-                RoundRobinMapper,
+                "rr",
                 share_threshold=0,
                 load_fn=queue_depth_load,
             )
@@ -94,14 +94,13 @@ class TestSharingBehaviour:
             observed.append(queue_depth_load(pctx, app_state))
             return 0  # never actually share
 
-        from repro.mapping import make_mapper_factory
         from repro.netsim import Machine
         from repro.sched import SchedulerProgram
 
         engine = RecursionEngine(fib)
         service = MappingService(
             engine,
-            make_mapper_factory("rr"),
+            "rr",
             share_threshold=10**9,
             load_fn=probing_load,
             halt_on_result=True,

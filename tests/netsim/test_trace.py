@@ -149,3 +149,21 @@ class TestSpatialMetrics:
             counts = [r.randrange(50) for _ in range(30)]
             g = gini(counts)
             assert 0.0 <= g <= 1.0
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy loads with the first report: the CLI and the fuzzer start without it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = "import sys, repro.conformance, repro.cli; print('numpy' in sys.modules)"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "False"

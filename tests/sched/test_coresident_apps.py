@@ -10,7 +10,7 @@ import pytest
 
 from repro.apps.fib import fib, sequential_fib
 from repro.apps.sat import SatProblem, make_solve_sat
-from repro.mapping import MappingService, make_mapper_factory
+from repro.mapping import MappingService
 from repro.netsim import Machine
 from repro.recursion import RecursionEngine
 from repro.sched import SchedulerProgram
@@ -20,8 +20,8 @@ from repro.topology import Torus
 def build_two_app_machine(topology, seed=0):
     sat_engine = RecursionEngine(make_solve_sat(simplify="single"))
     fib_engine = RecursionEngine(fib)
-    sat_service = MappingService(sat_engine, make_mapper_factory("rr"), seed=seed)
-    fib_service = MappingService(fib_engine, make_mapper_factory("lbn"), seed=seed + 1)
+    sat_service = MappingService(sat_engine, "rr", seed=seed)
+    fib_service = MappingService(fib_engine, "lbn", seed=seed + 1)
     scheduler = SchedulerProgram([sat_service, fib_service])
     machine = Machine(topology, scheduler)
     return machine, scheduler

@@ -1,4 +1,6 @@
-"""The buffered publishing path: coalesced deltas, the event ring, sampling."""
+"""The buffered publishing path: coalesced deltas and the event ring."""
+
+import pytest
 
 from repro.netsim import EMPTY_MSG, Machine
 from repro.telemetry import EventLog, MetricsSubscriber, TelemetryBus
@@ -129,9 +131,10 @@ class TestCoalescing:
 
 
 class TestRing:
-    def test_wraparound_loses_nothing(self):
+    def test_wraparound_loses_nothing(self, monkeypatch):
         # a tiny ring flushing many times must still deliver every record
-        bus = TelemetryBus(ring_size=4)
+        monkeypatch.setattr(bus_module, "RING_SIZE", 4)
+        bus = TelemetryBus()
         log = bus.attach(EventLog())
         for i in range(10):
             bus.record(step=i, layer=1, name="send", node=i)
@@ -154,8 +157,9 @@ class TestRing:
         ]
         assert bus.events_emitted == 3
 
-    def test_full_ring_flushes_emits_too(self):
-        bus = TelemetryBus(ring_size=4)
+    def test_full_ring_flushes_emits_too(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "RING_SIZE", 4)
+        bus = TelemetryBus()
         log = bus.attach(EventLog())
         for i in range(10):
             bus.emit(3, "ticket_issue", i, i)
@@ -198,39 +202,19 @@ class TestRing:
         assert len(built) == len(log) == 1
 
 
-class TestSampling:
-    def test_deterministic_every_nth(self):
-        bus = TelemetryBus(sample_every=3)
-        log = bus.attach(EventLog())
-        for i in range(10):
-            bus.record(step=0, layer=1, name="send", node=i)
-        bus.flush()
-        kept = [e.node for e in log.by_name("send", layer=1)]
-        assert kept == [0, 3, 6, 9]
+class TestSnapshot:
+    def test_round_trip_carries_the_event_count(self):
+        bus = TelemetryBus()
+        bus.record(step=0, layer=1, name="send", node=1)
+        fresh = TelemetryBus()
+        fresh.restore(bus.snapshot())
+        assert fresh.events_emitted == 1
 
-    def test_two_identical_runs_sample_identically(self):
-        def run():
-            bus = TelemetryBus(sample_every=4)
-            log = bus.attach(EventLog())
-            for i in range(23):
-                bus.record(step=i, layer=1, name="send", node=i)
-            bus.flush()
-            return [e.node for e in log.events]
+    def test_version_1_state_refused(self):
+        # version 1 carried the phase of the removed record sampling
+        from repro.errors import CheckpointError
+        from repro.state import LayerState
 
-        assert run() == run()
-
-    def test_sampling_never_touches_counters(self):
-        # metrics must stay exact at any sampling rate
-        bus = TelemetryBus(sample_every=7)
-        metrics = bus.attach(MetricsSubscriber())
-        log = bus.attach(EventLog())
-        m = Machine(Torus((4, 4)), _Forwarder(), telemetry=bus)
-        for n in range(16):
-            m.inject(n, EMPTY_MSG)
-        m.run(max_steps=30)
-        rep = m.report()
-        dump = metrics.registry.as_dict()
-        assert dump["l1.send"]["value"] == rep.sent_total
-        assert dump["l1.deliver"]["value"] == rep.delivered_total
-        # while the retained event stream is (roughly 7x) thinner
-        assert 0 < log.count("send", layer=1) < rep.sent_total
+        old = LayerState("telemetry", 1, {"events_emitted": 3, "sample_skip": 0})
+        with pytest.raises(CheckpointError, match="version 1 not supported"):
+            TelemetryBus().restore(old)

@@ -9,6 +9,7 @@ one assembly path, which honours every spec field for all of them.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from repro.engine import (
     violations,
 )
 from repro.errors import ApplicationError, SpecError
+from repro.topology import topology_from_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,6 +98,7 @@ RULE_VIOLATIONS = {
     "workload": RunSpec(workload="bogus"),
     "workload-params": RunSpec(workload="fib", workload_params={}),
     "topology": RunSpec(topology="klein-bottle:7"),
+    "seed": RunSpec(seed=2.5),
     "mapper": RunSpec(mapper="bogus"),
     "status": RunSpec(status="sixteen"),
     "sat-knobs": RunSpec(
@@ -161,6 +164,24 @@ def test_rule_fires_and_validate_raises(case):
     assert case.split("/")[0] in [c for c, _ in violations(spec)]
     with pytest.raises(SpecError):
         validate(spec)
+
+
+NON_INTS = [("seed", 2.5), ("seed", True), ("seed", "1"),
+            ("trigger_node", True), ("trigger_node", 1.0)]
+
+
+@pytest.mark.parametrize("field, value", NON_INTS,
+                         ids=[f"{f}={v!r}" for f, v in NON_INTS])
+def test_seed_and_trigger_node_must_be_ints(field, value):
+    # each ran: seed=2.5 gave the seed=2 schedule, True stood in for 1
+    spec = RunSpec(workload="fib", workload_params={"n": 7}, topology="torus2d:3x3",
+                   mapper="random", **{field: value})
+    message = f"{field} must be an int, got {value!r}"
+    code = "seed" if field == "seed" else "topology"
+    assert violations(spec) == [(code, message)]
+    # a topology object skips the table's topology row; execute still refuses
+    with pytest.raises(SpecError, match=re.escape(message)):
+        execute(spec.with_(topology=None), topology=topology_from_spec("torus2d:3x3"))
 
 
 def test_partitioner_rule_names_the_one_legal_value():
@@ -453,6 +474,9 @@ def test_entrypoint_lint_catches_a_violation(tmp_path):
     ("ShardedMachine", "src/repro/engine.py"),
     ("Machine", "src/repro/engine.py"),
     ("Machine", "src/repro/telemetry/capture.py"),
+    ("SchedulerProgram", "src/repro/engine.py"),
+    ("MappingService", "src/repro/engine.py"),
+    ("RecursionEngine", "src/repro/engine.py"),
 ])
 def test_entrypoint_lint_allowlists_are_per_constructor(tmp_path, constructor, rel_path):
     bad = tmp_path / rel_path
@@ -475,6 +499,9 @@ def test_entrypoint_lint_accepts_each_constructor_in_its_own_files(tmp_path):
         ("Machine", "src/repro/stack.py"),
         ("Machine", "src/repro/apps/traversal.py"),
         ("Machine", "benchmarks/bench_microbenchmarks.py"),
+        ("SchedulerProgram", "src/repro/stack.py"),
+        ("MappingService", "src/repro/stack.py"),
+        ("RecursionEngine", "src/repro/stack.py"),
     ]:
         path = tmp_path / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)

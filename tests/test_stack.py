@@ -16,10 +16,17 @@ class TestConfiguration:
         result, _ = stack.run_recursive(calculate_sum, 5)
         assert result == 15
 
-    def test_mapper_by_factory(self):
-        stack = HyperspaceStack(Ring(5), mapper=LeastBusyNeighbourMapper)
-        result, _ = stack.run_recursive(calculate_sum, 5)
-        assert result == 15
+    def test_mapper_must_be_a_registry_name(self):
+        from repro.errors import MappingError
+
+        for mapper in (LeastBusyNeighbourMapper, lambda: LeastBusyNeighbourMapper(), "banana"):
+            with pytest.raises(MappingError, match="unknown mapper .*; expected one of"):
+                HyperspaceStack(Ring(5), mapper=mapper)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "1"], ids=repr)
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(SimulationError, match=f"seed must be an int, got {seed!r}"):
+            HyperspaceStack(Ring(5), seed=seed)
 
     def test_status_by_threshold(self):
         stack = HyperspaceStack(Ring(5), mapper="lbn", status=2)

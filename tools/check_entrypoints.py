@@ -1,15 +1,15 @@
 """Entry-point lint: every machine is assembled on the one path.
 
 A run is assembled in exactly one sequence — ``repro.engine.execute``
-builds a :class:`~repro.stack.HyperspaceStack`, and the stack's single
-machine builder constructs the layer-1
-:class:`~repro.netsim.Machine` or
-:class:`~repro.netsim.sharded.ShardedMachine` under it.  Any other
+builds a :class:`~repro.stack.HyperspaceStack`, the stack's one tower
+builder stacks the layer 2–4 programs, and its single machine builder
+constructs the layer-1 :class:`~repro.netsim.Machine` or
+:class:`~repro.netsim.sharded.ShardedMachine` under them.  Any other
 construction site silently forks the capability rules (which knob
 combinations are legal, how defaults are resolved, what the checkpoint
 header records, who closes the shard workers), so this lint walks the
 AST of every production Python file and fails on a call to one of the
-three constructors outside that constructor's own short allowlist
+six constructors outside that constructor's own short allowlist
 (see ``ALLOWED``):
 
 * ``HyperspaceStack(`` — ``src/repro/engine.py``, the funnel itself;
@@ -19,7 +19,9 @@ three constructors outside that constructor's own short allowlist
 * ``Machine(`` — ``src/repro/stack.py`` (the machine builder),
   ``src/repro/apps/traversal.py`` (the Listing-1 teaching helper) and
   the layer-1 microbenchmarks ``benchmarks/record_baseline.py`` /
-  ``benchmarks/bench_microbenchmarks.py``.
+  ``benchmarks/bench_microbenchmarks.py``;
+* ``SchedulerProgram(``, ``MappingService(`` and ``RecursionEngine(`` —
+  ``src/repro/stack.py`` only (``_build_tower``, the layer 2–4 builder).
 
 Tests and ``examples/`` are out of scope: they exercise the stack
 directly on purpose (white-box digests, teaching material).
@@ -56,6 +58,9 @@ ALLOWED = {
         "benchmarks/record_baseline.py",
         "benchmarks/bench_microbenchmarks.py",
     ),
+    "SchedulerProgram": ("src/repro/stack.py",),
+    "MappingService": ("src/repro/stack.py",),
+    "RecursionEngine": ("src/repro/stack.py",),
 }
 
 #: production trees the lint walks (tests/ and examples/ are exempt)
