@@ -66,6 +66,17 @@ class TestKernelParity:
         )
         assert machine_digest(m, 60) == "8cf026bd2fbb0935"
 
+    def test_faulty_int_latent_storm_rng_order_pinned(self):
+        # the same storm and faults on a uniform int latency: the slow
+        # path's draw order with every in-flight message on one delay
+        m = Machine(
+            Torus((6, 6)),
+            Storm(),
+            faults=FaultModel(0.08, 0.03, rng=random.Random(42)),
+            latency=2,
+        )
+        assert machine_digest(m, 60) == "75953611f8e8a1c0"
+
     def test_protected_clean_storm_pinned(self):
         # the virtualized clean-link reliability path must deliver the
         # same payloads on the same steps as the framed protocol did

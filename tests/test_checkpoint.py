@@ -267,7 +267,7 @@ class TestMachineSnapshot:
         def build():
             return storm_machine(
                 faults=FaultModel(0.1, 0.05, rng=random.Random(11)),
-                latency=lambda s, d: (s + d) % 3,
+                latency=2,
             )
 
         ref = build()
