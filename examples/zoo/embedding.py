@@ -1,4 +1,4 @@
-"""Topology embeddings (paper §II-A, refs [14]-[16]).
+"""Topology embeddings into hypercubes (paper §II-A, refs [14]-[16]).
 
 The paper motivates hypercubes partly by their ability to embed other
 topologies efficiently: "hypercubes can embed other topologies including
@@ -14,20 +14,20 @@ classic constructions:
 * :func:`embed_tree_in_hypercube` — double-rooted-style inorder embedding of
   a complete binary tree with dilation <= 2 (Bhatt & Ipsen [15]);
 * :class:`Embedding` — an injective guest→host node map with
-  dilation/expansion quality metrics;
-* :func:`embedding_latency` — charge a guest machine the host-route cost
-  of each guest link, so solvers can run *virtualised* on a host topology.
+  dilation/expansion quality metrics.
+
+No layer of :mod:`repro` reads an embedding; ``topology_playground.py``
+uses one to size the link latency of a guest machine.  It imports as
+``zoo.embedding`` with ``examples/`` on ``sys.path`` (a script in
+``examples/`` has it there; the test suite's conftest puts it there).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..errors import TopologyError
-from .base import NodeId, Topology
-from .hypercube import Hypercube
-from .torus import Grid, Ring, Torus
-from .tree import CompleteTree
+from repro.errors import TopologyError
+from repro.topology import CompleteTree, Grid, Hypercube, NodeId, Ring, Topology, Torus
 
 __all__ = [
     "gray_code",
@@ -37,7 +37,6 @@ __all__ = [
     "embed_tree_in_hypercube",
     "Embedding",
     "dilation",
-    "embedding_latency",
     "is_valid_embedding",
 ]
 
@@ -109,29 +108,6 @@ class Embedding:
             for a, b in self.guest.edges()
         ]
         return sum(dists) / len(dists) if dists else 0.0
-
-
-def embedding_latency(embedding: "Embedding"):
-    """Per-link latency model for running a guest topology *virtualised* on
-    a host machine (paper §II-A: hypercubes "can embed other topologies").
-
-    A message over a guest link whose endpoints map ``d`` host hops apart
-    pays ``d - 1`` extra in-flight steps (hop count minus the one step every
-    message pays anyway).  Pass the result as ``latency=`` to
-    :class:`repro.netsim.Machine` or :class:`repro.stack.HyperspaceStack`
-    running on the *guest* topology.
-    """
-    table: Dict[tuple, int] = {}
-    for a, b in embedding.guest.edges():
-        d = embedding.host.distance(embedding.mapping[a], embedding.mapping[b])
-        extra = max(0, d - 1)
-        table[(a, b)] = extra
-        table[(b, a)] = extra
-
-    def latency(src: NodeId, dst: NodeId) -> int:
-        return table.get((src, dst), 0)
-
-    return latency
 
 
 def dilation(guest: Topology, host: Topology, mapping: Sequence[NodeId]) -> int:

@@ -24,14 +24,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import ReproError
+from .mapping.mappers import MAPPERS
 
 __all__ = ["main", "build_parser"]
 
 
 class _Names:
     """The names of a registry, read only when an argument or the help
-    needs them: importing the mapping or conformance package costs every
-    other command 0.1-0.3 s."""
+    needs them: importing the conformance package costs every other
+    command 0.1-0.3 s."""
 
     def __init__(self, module: str, registry: str) -> None:
         self.module, self.registry = module, registry
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("cnf", nargs="?", help="DIMACS file (default: generated uf20-91)")
     solve.add_argument("--topology", default="torus2d:14x14", help="machine spec")
     solve.add_argument(
-        "--mapper", default="lbn", choices=_Names(".mapping", "MAPPERS"), metavar="NAME",
+        "--mapper", default="lbn", choices=MAPPERS, metavar="NAME",
         help="layer-3 mapper: %(choices)s (default %(default)s)",
     )
     solve.add_argument("--status", type=int, default=None, help="LBN status threshold")

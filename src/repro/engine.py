@@ -30,12 +30,11 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .domains import describe, problem
 from .errors import SpecError, TopologyError
-from .mapping import MAPPERS
-from .netsim.backend import QUEUE_POLICIES
 from .netsim.digest import canonical_digest
-from .netsim.sharded import FIFO_ONLY_MSG
-from .stack import HyperspaceStack
+from .netsim.sharded import FIFO_ONLY_MSG, SHARE_SHARD_MSG
+from .stack import RETRY_NEEDS_RELIABLE_MSG, HyperspaceStack
 from .state import state_digest_of
 from .topology import Topology, topology_from_spec
 from .workloads import WORKLOADS, cnf_of
@@ -64,10 +63,6 @@ SCHEMA_VERSION = 1
 #: verdict marker for runs that exhausted max_steps without an answer
 INCOMPLETE: Tuple[str] = ("incomplete",)
 
-_SHARE_LOADS = ("queue", "invocations")
-#: one legal value; the field goes with shard_backend (ROADMAP items 3, 4)
-_PARTITIONER_NAMES = ("strip",)
-_SHARD_BACKENDS = ("auto", "process", "inline")
 #: what ``RunSpec.describe()`` leads with, value only
 _DESCRIBED_FIRST = ("workload", "workload_params", "topology")
 
@@ -198,13 +193,6 @@ class RunSpec:
 
 # -- the capability-rule table ----------------------------------------------
 
-#: why work sharing cannot run sharded (mirrors the HyperspaceStack guard)
-_SHARE_SHARD_MSG = (
-    "work sharing (share_threshold) reads live inbox depths and "
-    "is not supported with shards > 1"
-)
-
-
 def _ask_workload(spec: "RunSpec", question: str, about: Any = None) -> Optional[str]:
     """Put one of the per-workload questions to the spec's record (about
     the spec itself unless ``about`` says otherwise).
@@ -231,7 +219,7 @@ def shard_blockers(spec: RunSpec) -> List[str]:
     if reason is not None:
         blockers.append(reason)
     if spec.share_threshold is not None:
-        blockers.append(_SHARE_SHARD_MSG)
+        blockers.append(SHARE_SHARD_MSG)
     if spec.queue_policy != "fifo" or spec.queue_capacity is not None:
         blockers.append(FIFO_ONLY_MSG)
     return blockers
@@ -258,10 +246,11 @@ class Rule(NamedTuple):
     check: Callable[[RunSpec], Optional[str]]
 
 
-def _enum(value: Any, allowed: Tuple[Any, ...], what: str) -> Optional[str]:
-    if value not in allowed:
-        return f"unknown {what} {value!r}; expected one of {allowed}"
-    return None
+def _field(name: str) -> Rule:
+    """The rule for one field's domain (:mod:`repro.domains`); its code is
+    the field name with dashes."""
+    return Rule(name.replace("_", "-"), describe(name),
+                lambda spec: problem(name, getattr(spec, name)))
 
 
 def _check_workload_params(spec: RunSpec) -> Optional[str]:
@@ -290,32 +279,6 @@ def _check_topology(spec: RunSpec) -> Optional[str]:
     return _trigger_node_error(spec.trigger_node, repr(spec.topology), topo.n_nodes)
 
 
-def _check_probability(name: str) -> Callable[[RunSpec], Optional[str]]:
-    def check(spec: RunSpec) -> Optional[str]:
-        value = getattr(spec, name)
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0.0 <= value <= 1.0):
-            return f"{name} must be a probability in [0, 1], got {value!r}"
-        return None
-
-    return check
-
-
-def _check_int(name: str, *, optional: bool = False,
-               floor: Optional[int] = 1) -> Callable[[RunSpec], Optional[str]]:
-    def check(spec: RunSpec) -> Optional[str]:
-        value = getattr(spec, name)
-        if optional and value is None:
-            return None
-        if (not isinstance(value, int) or isinstance(value, bool)
-                or floor is not None and value < floor):
-            kind = "an int" if floor is None else f"an int >= {floor}"
-            return f"{name} must be {'None or ' if optional else ''}{kind}, got {value!r}"
-        return None
-
-    return check
-
-
 def _check_checkpoint_policy(spec: RunSpec) -> Optional[str]:
     if spec.checkpoint_dir is not None and spec.checkpoint_every is None:
         # mirror the CheckpointError text run_recursive would raise
@@ -337,62 +300,52 @@ def _check_shard_capability(spec: RunSpec) -> Optional[str]:
     return blockers[0] if blockers else None
 
 
-_retry_limit_value = _check_int("retry_limit", optional=True, floor=0)
-
-
 def _check_retry_limit(spec: RunSpec) -> Optional[str]:
-    message = _retry_limit_value(spec)
+    message = problem("retry_limit", spec.retry_limit)
     if message is None and spec.retry_limit is not None and not spec.reliable:
-        return "retry_limit needs reliable=True (it configures the layer-1.5 protocol)"
+        return RETRY_NEEDS_RELIABLE_MSG
     return message
 
 
 #: the one capability-rule table: every entry point rejects through this
 RULES: Tuple[Rule, ...] = (
-    Rule("workload", "workload is a known registry name",
-         lambda s: _enum(s.workload, tuple(WORKLOADS), "workload")),
+    _field("workload"),
     Rule("workload-params", "workload_params carry what the workload needs",
          _check_workload_params),
     Rule("topology", "topology spec (when given) parses; trigger_node is an int in range",
          _check_topology),
-    Rule("seed", "seed is an int", _check_int("seed", floor=None)),
-    Rule("mapper", "mapper is a known registry name",
-         lambda s: _enum(s.mapper, tuple(MAPPERS), "mapper")),
-    Rule("status", "status is None or an int threshold >= 1",
-         _check_int("status", optional=True)),
+    _field("seed"),
+    _field("mapper"),
+    _field("status"),
+    _field("cancellation"),
     Rule("sat-knobs", "heuristic/simplify/hint_mode are valid (sat only)",
          lambda s: _ask_workload(s, "check_knobs")),
-    Rule("share-load", "share_load is 'queue' or 'invocations'",
-         lambda s: _enum(s.share_load, _SHARE_LOADS, "share_load")),
-    Rule("queue-policy", "queue_policy is fifo/lifo/random",
-         lambda s: _enum(s.queue_policy, QUEUE_POLICIES, "queue_policy")),
-    Rule("queue-capacity", "queue_capacity is None or >= 1",
-         _check_int("queue_capacity", optional=True)),
-    Rule("scheduler-budget", "scheduler_budget is None or >= 1",
-         _check_int("scheduler_budget", optional=True)),
-    Rule("share-threshold", "share_threshold is None or >= 1",
-         _check_int("share_threshold", optional=True)),
-    Rule("forward-hops", "forward_hops is >= 0",
-         _check_int("forward_hops", floor=0)),
-    Rule("latency", "latency is >= 0", _check_int("latency", floor=0)),
-    Rule("max-steps", "max_steps is >= 1", _check_int("max_steps")),
-    Rule("drop", "drop is a probability in [0, 1]", _check_probability("drop")),
-    Rule("duplicate", "duplicate is a probability in [0, 1]",
-         _check_probability("duplicate")),
+    _field("sat_sizing"),
+    _field("share_load"),
+    _field("queue_policy"),
+    _field("queue_capacity"),
+    _field("record_queue_depths"),
+    _field("scheduler_budget"),
+    _field("share_threshold"),
+    _field("forward_hops"),
+    _field("latency"),
+    _field("max_steps"),
+    _field("drain"),
+    _field("strict"),
+    _field("drop"),
+    _field("duplicate"),
+    _field("reliable"),
     Rule("retry-limit", "retry_limit is None, or >= 0 with reliable=True",
          _check_retry_limit),
-    Rule("checkpoint-every", "checkpoint_every is None or >= 1",
-         _check_int("checkpoint_every", optional=True)),
+    _field("checkpoint_every"),
     Rule("checkpoint-policy", "checkpoint_dir needs checkpoint_every",
          _check_checkpoint_policy),
     Rule("checkpoint-capability",
          "checkpointing excludes traversal and the shared-RNG 'random' heuristic",
          _check_checkpoint_capability),
-    Rule("shards", "shards is >= 1", _check_int("shards")),
-    Rule("partitioner", "partitioner is 'strip'",
-         lambda s: _enum(s.partitioner, _PARTITIONER_NAMES, "partitioner")),
-    Rule("shard-backend", "shard_backend is auto/process/inline",
-         lambda s: _enum(s.shard_backend, _SHARD_BACKENDS, "shard_backend")),
+    _field("shards"),
+    _field("partitioner"),
+    _field("shard_backend"),
     Rule("shard-capability",
          "sharding excludes the shared-RNG 'random' heuristic, work sharing "
          "and non-default inboxes",
@@ -481,25 +434,13 @@ def schedule_digest(verdict: Any, report: Any) -> str:
 # -- execution --------------------------------------------------------------
 
 
-def _resolve_reliability(spec: RunSpec, reliability: Any) -> Any:
-    if reliability is not None:
-        return reliability
-    if spec.retry_limit is not None:
-        from .reliability import ReliabilityConfig
-
-        return ReliabilityConfig(retry_limit=spec.retry_limit)
-    return spec.reliable
-
-
 def execute(
     spec: RunSpec,
     *,
     topology: Optional[Topology] = None,
     telemetry: Any = None,
-    size_fn: Optional[Callable[[Any], int]] = None,
     checkpoint_sink: Optional[Callable[[Any], None]] = None,
     resume_from: Any = None,
-    reliability: Any = None,
     heuristic_fn: Any = None,
     fn: Any = None,
     args: Any = None,
@@ -514,13 +455,8 @@ def execute(
       overriding (or standing in for a missing) ``spec.topology`` string;
     * ``telemetry`` — a :class:`~repro.telemetry.TelemetryBus` (or
       ``True`` for a fresh one, reachable as ``result.telemetry``);
-    * ``size_fn`` — a message-size model (``spec.sat_sizing`` builds the
-      standard SAT envelope sizer when this is omitted);
     * ``checkpoint_sink`` / ``resume_from`` — in-memory checkpoint
       capture and resume (file-based policy is in the spec);
-    * ``reliability`` — a configured
-      :class:`~repro.reliability.ReliabilityConfig` overriding the
-      spec's ``reliable``/``retry_limit`` pair;
     * ``heuristic_fn`` — the branching heuristic of a SAT spec whose
       ``heuristic`` is ``"custom"``;
     * ``fn`` / ``args`` — the ``custom`` workload's generator function
@@ -551,7 +487,8 @@ def execute(
     message = _trigger_node_error(spec.trigger_node, topo.describe(), topo.n_nodes)
     if message is not None:
         raise SpecError(message)
-    if size_fn is None and spec.sat_sizing:
+    size_fn = None
+    if spec.sat_sizing:
         from .apps.sat import sat_content_size
         from .netsim import make_envelope_sizer
 
@@ -579,7 +516,8 @@ def execute(
         latency=spec.latency,
         drop=spec.drop,
         duplicate=spec.duplicate,
-        reliable=_resolve_reliability(spec, reliability),
+        reliable=spec.reliable,
+        retry_limit=spec.retry_limit,
         telemetry=telemetry,
         shards=min(spec.shards, topo.n_nodes),
         shard_backend=spec.shard_backend,

@@ -12,10 +12,14 @@ Public surface:
   (``MappingService(app, mapper="lbn")``).
 * Adaptivity overhead is one knob, ``MappingService(status=...)``: an int
   threshold for explicit :class:`StatusMsg` broadcasts, or ``None``.
+
+The service-backed names load layers 1-2 with them, so they are imported
+on first access: reading :data:`MAPPERS` costs no simulator import.
 """
 
+from importlib import import_module
+
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
-from .functional import TicketedFunctionalApp
 from .mappers import (
     MAPPERS,
     HintAwareMapper,
@@ -25,8 +29,16 @@ from .mappers import (
     RoundRobinMapper,
     mapper_class,
 )
-from .service import MappedApp, MappingContext, MappingService, queue_depth_load
 from .tickets import ReplyHandle, Ticket
+
+_SERVICE = ("MappingService", "MappedApp", "MappingContext", "queue_depth_load")
+
+
+def __getattr__(name):  # PEP 562: the first access imports the submodule
+    if name in _SERVICE or name == "TicketedFunctionalApp":
+        module = ".service" if name in _SERVICE else ".functional"
+        return getattr(import_module(module, __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "MappingService",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Sequence, Type
 
+from ..domains import judge
 from ..errors import MappingError
 from ..topology import NodeId
 
@@ -240,6 +241,5 @@ MAPPERS: Dict[str, Type[_MapperBase]] = {
 
 def mapper_class(name: str) -> Type[_MapperBase]:
     """The mapper class registered as ``name``; anything else is refused."""
-    if not isinstance(name, str) or name not in MAPPERS:
-        raise MappingError(f"unknown mapper {name!r}; expected one of {tuple(MAPPERS)}")
+    judge("mapper", name)
     return MAPPERS[name]

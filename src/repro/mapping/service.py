@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Tuple
 
+from ..domains import judge
 from ..errors import MappingError, UnknownTicketError
 from ..rng import SeedSequence
 from ..sched import Address, ProcessContext
@@ -291,17 +292,9 @@ class MappingService:
         load_fn: Optional[Callable[[Any], int]] = None,
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
-        # type() is int refuses a bool, as the RunSpec rules do
-        if type(forward_hops) is not int or forward_hops < 0:
-            raise MappingError(f"forward_hops must be an int >= 0, got {forward_hops!r}")
-        if status is not None and (type(status) is not int or status < 1):
-            raise MappingError(f"status must be None or an int >= 1, got {status!r}")
-        if share_threshold is not None and (
-            type(share_threshold) is not int or share_threshold < 1
-        ):
-            raise MappingError(
-                f"share_threshold must be None or an int >= 1, got {share_threshold!r}"
-            )
+        judge("forward_hops", forward_hops)
+        judge("status", status)
+        judge("share_threshold", share_threshold)
         if share_threshold is not None and load_fn is None:
             raise MappingError("work sharing needs a load_fn to measure load")
         self.app = app

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..reliability import ReliabilityConfig, ReliableDelivery
     from ..telemetry import TelemetryBus
 
+from ..domains import judge
 from ..errors import AdjacencyError, QueueOverflowError, SimulationError
 from ..topology import NodeId, Topology
 from .faults import FaultModel, ReliableLinks
@@ -41,16 +42,10 @@ from .message import Envelope
 from .program import NodeContext, NodeProgram
 from .trace import SimulationReport, TraceRecorder
 
-__all__ = ["Machine", "LatencyFn"]
-
-#: Optional per-link latency: extra steps a message spends in flight.
-LatencyFn = Union[int, Callable[[NodeId, NodeId], int]]
+__all__ = ["Machine"]
 
 #: Source id used for externally injected (kickstart) messages.
 EXTERNAL = -1
-
-#: Inbox pop orders; FIFO is the paper's.
-QUEUE_POLICIES = ("fifo", "lifo", "random")
 
 
 def _newest(n: int) -> int:
@@ -77,7 +72,7 @@ class Machine:
         held when the step began.  A full finite inbox raises
         :class:`~repro.errors.QueueOverflowError`.
     latency:
-        Extra in-flight steps per message: an int or ``f(src, dst) -> int``.
+        Extra in-flight steps per message on every link, an int >= 0.
         Default 0 (delivered the following step).
     faults:
         Optional :class:`FaultModel` for drop/duplicate injection.
@@ -115,7 +110,7 @@ class Machine:
         trace: Optional[TraceRecorder] = None,
         queue_policy: str = "fifo",
         queue_capacity: Optional[int] = None,
-        latency: LatencyFn = 0,
+        latency: int = 0,
         faults: FaultModel = ReliableLinks,
         reliability: Union[None, bool, "ReliabilityConfig"] = None,
         seed: int = 0,
@@ -131,14 +126,9 @@ class Machine:
                 f"trace sized for {self.trace.n_nodes} nodes, machine has "
                 f"{topology.n_nodes}"
             )
-        if queue_policy not in QUEUE_POLICIES:
-            raise SimulationError(f"unknown queue policy {queue_policy!r}")
-        if queue_capacity is not None and (
-            type(queue_capacity) is not int or queue_capacity < 1
-        ):
-            raise SimulationError(
-                f"inbox capacity must be None or an int >= 1, got {queue_capacity!r}"
-            )
+        judge("queue_policy", queue_policy)
+        judge("queue_capacity", queue_capacity)
+        judge("latency", latency)
         self._rng = random.Random(seed)
         self._queue_capacity = queue_capacity
         #: one deque per node; every discipline pushes on the right
@@ -173,14 +163,7 @@ class Machine:
         self._faults = faults
         self._size_fn = size_fn
         self._full = topology.kind == "full"
-        if callable(latency):
-            self._latency_fn: Optional[Callable[[NodeId, NodeId], int]] = latency
-        elif type(latency) is not int or latency < 0:
-            raise SimulationError(
-                f"latency must be an int >= 0 or a callable, got {latency!r}"
-            )
-        else:
-            self._latency_fn = None if latency == 0 else (lambda s, d: latency)
+        self._latency = latency
         if reliability:
             from ..reliability import ReliabilityConfig, ReliableDelivery
 
@@ -194,7 +177,7 @@ class Machine:
         #: fault/latency/protocol machinery and the capacity test
         self._fast_send = (
             faults.is_reliable
-            and self._latency_fn is None
+            and latency == 0
             and self._reliability is None
             and self._unbounded_fifo
         )
@@ -296,14 +279,7 @@ class Machine:
         for _ in range(copies):
             env = Envelope(src, dst, payload, self.current_step, self._next_msg_id)
             self._next_msg_id += 1
-            if self._latency_fn is not None:
-                delay = self._latency_fn(src, dst) if src != EXTERNAL else 0
-                if type(delay) is not int or delay < 0:
-                    raise SimulationError(
-                        f"latency of link {src}->{dst} must be an int >= 0, got {delay!r}"
-                    )
-            else:
-                delay = 0
+            delay = self._latency if src != EXTERNAL else 0
             if delay == 0:
                 self._enqueue(dst, env)
             else:
@@ -585,12 +561,8 @@ class Machine:
         # type() is int refuses a bool, as the RunSpec rules do
         if type(max_steps) is not int or max_steps < 0:
             raise SimulationError(f"max_steps must be an int >= 0, got {max_steps!r}")
+        judge("checkpoint_every", checkpoint_every)
         if checkpoint_every is not None:
-            if type(checkpoint_every) is not int or checkpoint_every < 1:
-                raise SimulationError(
-                    "checkpoint_every must be an int >= 1 or None, "
-                    f"got {checkpoint_every!r}"
-                )
             if checkpoint_sink is None:
                 raise SimulationError("checkpoint_every requires a checkpoint_sink")
         executed = self.current_step + 1

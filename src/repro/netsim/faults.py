@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from ..domains import judge
 from ..errors import SimulationError
 
 __all__ = ["FaultModel", "ReliableLinks"]
@@ -51,16 +52,8 @@ class FaultModel:
         duplicate_probability: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        for name, p in (
-            ("drop_probability", drop_probability),
-            ("duplicate_probability", duplicate_probability),
-        ):
-            if (
-                not isinstance(p, (int, float))
-                or isinstance(p, bool)
-                or not 0.0 <= p <= 1.0
-            ):
-                raise SimulationError(f"{name} must be in [0, 1], got {p!r}")
+        judge("drop", drop_probability)
+        judge("duplicate", duplicate_probability)
         if (drop_probability or duplicate_probability) and rng is None:
             raise SimulationError("a seeded rng is required for non-zero fault rates")
         self.drop_probability = drop_probability

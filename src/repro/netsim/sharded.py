@@ -62,6 +62,7 @@ import pickle
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..domains import judge
 from ..errors import AdjacencyError, SimulationError
 from ..topology import NodeId, Topology
 from .backend import Machine
@@ -70,6 +71,7 @@ from .program import NodeContext
 
 __all__ = [
     "FIFO_ONLY_MSG",
+    "SHARE_SHARD_MSG",
     "SHARDS_ENV_VAR",
     "ShardProgramSpec",
     "ShardWorkerError",
@@ -82,6 +84,13 @@ __all__ = [
 FIFO_ONLY_MSG = (
     "the sharded backend supports only the default unbounded "
     "FIFO inboxes (queue_policy='fifo', queue_capacity=None)"
+)
+
+#: why work sharing cannot run sharded (the stack's guard and the engine's
+#: ``shard-capability`` rule)
+SHARE_SHARD_MSG = (
+    "work sharing (share_threshold) reads live inbox depths and "
+    "is not supported with shards > 1"
 )
 
 #: Environment variable consulted when ``shards`` is not given explicitly
@@ -562,11 +571,7 @@ class ShardedMachine(Machine):
         **machine_kwargs: Any,
     ) -> None:
         self._cells: List[Any] = []
-        if shard_backend not in ("auto", "process", "inline"):
-            raise SimulationError(
-                f"shard_backend must be 'auto', 'process' or 'inline', "
-                f"got {shard_backend!r}"
-            )
+        judge("shard_backend", shard_backend)
         k = min(resolve_shards(shards), topology.n_nodes)
         spec = program if isinstance(program, ShardProgramSpec) else None
         if shard_backend == "auto":

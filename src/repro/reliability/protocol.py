@@ -227,7 +227,7 @@ class ReliableDelivery:
         "_timers",
         "_ack_owed",
         "_reliable_links",
-        "_latency_fn",
+        "_latency",
         "_skip_timers",
         "_virtual",
         "_retire",
@@ -254,14 +254,14 @@ class ReliableDelivery:
         # Cached channel properties (fixed for the machine's lifetime):
         # clean links skip the fault-model draw per frame entirely.
         self._reliable_links = machine._faults.is_reliable
-        self._latency_fn = machine._latency_fn
+        self._latency = machine._latency
         # On a clean zero-latency link the ack for a frame sent at step t
         # arrives at t+2, and arrivals are processed before timers, so the
         # earliest timer (due t+2 at timeout=1) is always stale when its
         # bucket fires.  The timer can provably never fire — skip arming
         # it.  (With latency the round trip can exceed the timeout and
         # spurious retransmits are real behaviour, so timers stay on.)
-        self._skip_timers = self._reliable_links and self._latency_fn is None
+        self._skip_timers = self._reliable_links and self._latency == 0
         # On a clean zero-latency link with no telemetry bus the whole
         # frame lifecycle is deterministic, so it is *virtualized*: the
         # envelope itself travels the flight bucket (no DataFrame), acks
@@ -506,13 +506,10 @@ class ReliableDelivery:
                 if tel is not None:
                     tel.emit(1, "drop", m.current_step, dst, attrs={"reason": "link"})
                 return
-        latency_fn = self._latency_fn
-        # external endpoints (src/dst -1) have no physical link to model
-        delay = 0 if (latency_fn is None or src < 0 or dst < 0) else latency_fn(src, dst)
-        if type(delay) is not int or delay < 0:
-            raise ReliabilityError(
-                f"latency of link {src}->{dst} must be an int >= 0, got {delay!r}"
-            )
+        delay = self._latency
+        if delay and (src < 0 or dst < 0):
+            # external endpoints (src/dst -1) have no physical link to model
+            delay = 0
         frames = self._frames
         key = m.current_step + 1 + delay
         bucket = frames.get(key)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..domains import judge
 from ..errors import SchedulingError
 from ..netsim import NodeContext
 from ..topology import NodeId
@@ -99,10 +100,7 @@ class SchedulerProgram:
     ) -> None:
         if not processes:
             raise SchedulingError("scheduler needs at least one process template")
-        if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
-        ):
-            raise SchedulingError(f"budget must be None or an int >= 1, got {budget!r}")
+        judge("scheduler_budget", budget)
         self._templates = list(processes)
         self._budget = budget
         self._telemetry = telemetry

@@ -35,8 +35,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import MappingError, SimulationError
-from .mapping import MappedApp, MappingService, mapper_class, queue_depth_load
+from .domains import DOMAINS, judge
+from .errors import ReliabilityError, SimulationError
+from .mapping import MappedApp, MappingService, queue_depth_load
 from .netsim import (
     EMPTY_MSG,
     FaultModel,
@@ -48,6 +49,7 @@ from .netsim import (
     TraceRecorder,
     resolve_shards,
 )
+from .netsim.sharded import SHARE_SHARD_MSG
 from .recursion import EngineStats, RecursionEngine, RecursiveFunction
 from .reliability import ReliabilityConfig
 from .rng import substream
@@ -57,6 +59,10 @@ from .telemetry.probe import install_probes, uninstall_probes
 from .topology import NodeId, Topology
 
 __all__ = ["HyperspaceStack", "StackRun"]
+
+#: the stack's guard and the engine's ``retry-limit`` rule say it alike
+RETRY_NEEDS_RELIABLE_MSG = "retry_limit needs reliable=True (it configures the layer-1.5 protocol)"
+
 
 def _build_tower(
     app: Any,
@@ -131,6 +137,9 @@ class StackRun:
 class HyperspaceStack:
     """A configured hyperspace machine ready to run combinatorial solvers.
 
+    A keyword that is also a :class:`~repro.engine.RunSpec` field is judged
+    at construction by its row in :data:`repro.domains.DOMAINS`.
+
     Parameters
     ----------
     topology:
@@ -142,7 +151,7 @@ class HyperspaceStack:
     status:
         Explicit status broadcasts for adaptive mapping: ``None`` (piggyback
         only) or an int threshold >= 1 (see
-        :class:`~repro.mapping.MappingService`; checked by the first run).
+        :class:`~repro.mapping.MappingService`).
     cancellation:
         Layer-4 extension: actively cancel losing speculative subtrees.
     forward_hops:
@@ -166,22 +175,24 @@ class HyperspaceStack:
         fine-grained unfolding analyses; costs O(n_nodes) per step).
     size_fn:
         Optional layer-1 message-size model for bandwidth accounting
-        (see :mod:`repro.netsim.sizing`).
+        (see :mod:`repro.netsim.sizing`; ``RunSpec.sat_sizing`` passes the
+        SAT envelope sizer).
     latency:
-        Optional layer-1 per-link latency: an int or ``f(src, dst) -> int``
-        — e.g. :func:`repro.topology.embedding_latency` to run this
-        topology virtualised on a host machine.
+        Layer-1 link latency: extra in-flight steps per message, the same
+        int >= 0 on every link (default 0, the paper's next-step delivery).
     drop / duplicate:
         Layer-1 link fault rates (Bernoulli per send; the fault stream is
         seeded from ``seed``, so runs stay reproducible).  Defaults 0.0 —
         the paper's perfectly reliable links.
     reliable:
-        Enable the layer-1.5 reliable-delivery protocol
-        (:mod:`repro.reliability`): ``True`` for the default retransmit
-        configuration or a :class:`~repro.reliability.ReliabilityConfig`.
-        With it on, the stack's verdicts are immune to the configured
-        ``drop``/``duplicate`` rates; off (default), faults reach the
-        upper layers unprotected.
+        ``True`` enables the layer-1.5 reliable-delivery protocol
+        (:mod:`repro.reliability`).  With it on, the stack's verdicts are
+        immune to the configured ``drop``/``duplicate`` rates; off
+        (default), faults reach the upper layers unprotected.
+    retry_limit:
+        The protocol's retransmissions per frame before it gives up
+        (``None``: the :class:`~repro.reliability.ReliabilityConfig`
+        default); needs ``reliable=True``.
     telemetry:
         Cross-layer observability: ``None`` (default, zero overhead), an
         existing :class:`~repro.telemetry.TelemetryBus`, or ``True`` to
@@ -218,29 +229,29 @@ class HyperspaceStack:
         queue_capacity: Optional[int] = None,
         record_queue_depths: bool = False,
         size_fn=None,
-        latency=0,
+        latency: int = 0,
         drop: float = 0.0,
         duplicate: float = 0.0,
-        reliable: Union[bool, ReliabilityConfig] = False,
+        reliable: bool = False,
+        retry_limit: Optional[int] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
         shards: Any = None,
         shard_backend: str = "auto",
     ) -> None:
+        # ``shards`` also takes None and "auto" here: resolve_shards judges it
+        knobs = locals()
+        for name in DOMAINS:
+            if name in knobs and name != "shards":
+                judge(name, knobs[name])
+        if retry_limit is not None and not reliable:
+            raise ReliabilityError(RETRY_NEEDS_RELIABLE_MSG)
         self.topology = topology
-        mapper_class(mapper)  # an unknown mapper name fails at construction
         self.mapper = mapper
         self.status = status
         self.cancellation = cancellation
         self.forward_hops = forward_hops
         self.share_threshold = share_threshold
-        if share_load not in ("queue", "invocations"):
-            raise MappingError(
-                f"share_load must be 'queue' or 'invocations', got {share_load!r}"
-            )
         self.share_load = share_load
-        # a bool or a float seed would run as some int's schedule
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SimulationError(f"seed must be an int, got {seed!r}")
         self.seed = seed
         self.scheduler_budget = scheduler_budget
         self.queue_policy = queue_policy
@@ -250,7 +261,10 @@ class HyperspaceStack:
         self.latency = latency
         self.drop = drop
         self.duplicate = duplicate
-        self.reliable = reliable
+        #: Machine(reliability=...): off, on, or on with a retransmission cap
+        self.reliable = (
+            ReliabilityConfig(retry_limit=retry_limit) if retry_limit is not None else reliable
+        )
         if telemetry is True:
             telemetry = TelemetryBus()
         elif telemetry is False:
@@ -261,10 +275,7 @@ class HyperspaceStack:
         self.shards = min(resolve_shards(shards), topology.n_nodes)
         self.shard_backend = shard_backend
         if self.shards > 1 and self.share_threshold is not None:
-            raise SimulationError(
-                "work sharing (share_threshold) reads live inbox depths and "
-                "is not supported with shards > 1"
-            )
+            raise SimulationError(SHARE_SHARD_MSG)
         #: populated by the most recent run_* call
         self.last_run: Optional[StackRun] = None
         #: the machine of the most recent run_* call, from the moment it is

@@ -7,21 +7,13 @@ Public surface:
   :class:`FullyConnected`, :class:`Ring`, :class:`Line`, :class:`Star`,
   :class:`CompleteTree`.
 * :func:`topology_from_spec` — parse ``"torus2d:14x14"``-style specs.
-* :mod:`repro.topology.embedding` — Gray-code embeddings into hypercubes.
+
+Gray-code embeddings into hypercubes live in ``examples/zoo/embedding.py``.
 """
 
 from .base import Coord, NodeId, Topology
 from .ccc import CubeConnectedCycles
 from .custom import CustomTopology, from_networkx, to_networkx
-from .embedding import (
-    Embedding,
-    embed_grid_in_hypercube,
-    embed_ring_in_hypercube,
-    embed_tree_in_hypercube,
-    embedding_latency,
-    gray_code,
-    gray_rank,
-)
 from .factory import balanced_dims, nearest_mesh_dims, spec_of, topology_from_spec
 from .fully_connected import FullyConnected, Star
 from .hypercube import Hypercube
@@ -48,11 +40,4 @@ __all__ = [
     "topology_from_spec",
     "balanced_dims",
     "nearest_mesh_dims",
-    "Embedding",
-    "embedding_latency",
-    "gray_code",
-    "gray_rank",
-    "embed_grid_in_hypercube",
-    "embed_ring_in_hypercube",
-    "embed_tree_in_hypercube",
 ]

@@ -8,7 +8,7 @@ bit.  Key properties the paper highlights (and our tests verify):
 * ``n * 2**(n-1)`` links and diameter ``n``;
 * distance equals Hamming distance of the addresses;
 * lower-dimensional meshes, rings and trees embed efficiently
-  (see :mod:`repro.topology.embedding`).
+  (see ``examples/zoo/embedding.py``).
 """
 
 from __future__ import annotations

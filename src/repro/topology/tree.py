@@ -3,7 +3,7 @@
 Trees are a natural match for the unfolding call structure of fork-join
 solvers, and the paper cites efficient tree embeddings into hypercubes
 (§II-A, refs [15], [16]).  This topology is used in ablation benches and as
-an embedding target in :mod:`repro.topology.embedding`.
+an embedding target in ``examples/zoo/embedding.py``.
 """
 
 from __future__ import annotations

@@ -255,3 +255,26 @@ class TestOnePassChooseMatchesTwoPass:
         assert view.rng.getstate() == shadow.rng.getstate()
         if len(neighbours) > 1:  # ties were drawn for, not merely possible
             assert view.rng.getstate() != random.Random(seed).getstate()
+
+
+def test_reading_the_registry_loads_no_service():
+    # MAPPERS is four names: reading it (the CLI's --mapper choices) must
+    # not import the mapping service and, through it, layers 1-2
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.mapping.mappers; "
+        "print(sorted(m for m in ('repro.mapping.service', 'repro.sched', "
+        "'repro.netsim') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

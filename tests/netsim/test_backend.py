@@ -273,24 +273,6 @@ class TestLatency:
         # hop sent at step 0 arrives at step 0 + 1 + 3
         assert steps == [(0, 0), (3, 4)]
 
-    def test_callable_latency(self):
-        steps = []
-
-        class P:
-            def init(self, ctx):
-                ctx.state = None
-
-            def on_message(self, ctx, sender, payload):
-                steps.append(ctx.step)
-                if payload > 0:
-                    ctx.send(ctx.neighbours[0], payload - 1)
-
-        # latency 2 on every link
-        m = Machine(Ring(6), P(), latency=lambda s, d: 2)
-        m.inject(0, 2)
-        m.run()
-        assert steps == [0, 3, 6]
-
     def test_negative_latency_rejected(self):
         with pytest.raises(SimulationError):
             Machine(Ring(4), CountAndForward(), latency=-1)

@@ -63,19 +63,6 @@ class TestLatencyPath:
         # kickstart at step 0, message matures 3 extra steps later
         assert report.steps >= 4
 
-    def test_callable_latency_receives_endpoints(self):
-        seen = []
-
-        def lat(src, dst):
-            seen.append((src, dst))
-            return 2
-
-        m = Machine(Line(3), fanout(2), latency=lat)
-        m.inject(0, EMPTY_MSG)
-        m.run()
-        assert m.state_of(1) == [0, 1]
-        assert (0, 1) in seen
-
     def test_latency_combined_with_faults(self):
         fm = FaultModel(drop_probability=1.0, rng=random.Random(0))
         m = Machine(Line(2), fanout(3), latency=2, faults=fm)

@@ -54,21 +54,10 @@ class TestKernelParity:
         m = Machine(Torus((6, 6)), Storm())
         assert machine_digest(m, 60) == "02727c11938513e2"
 
-    def test_faulty_latent_storm_rng_order_pinned(self):
+    def test_faulty_int_latent_storm_rng_order_pinned(self):
         # the unprotected slow path must consume fault-model draws in the
         # exact pre-overhaul order — a reordered draw shifts every
         # subsequent drop/duplicate decision
-        m = Machine(
-            Torus((6, 6)),
-            Storm(),
-            faults=FaultModel(0.08, 0.03, rng=random.Random(42)),
-            latency=lambda s, d: (s + d) % 3,
-        )
-        assert machine_digest(m, 60) == "8cf026bd2fbb0935"
-
-    def test_faulty_int_latent_storm_rng_order_pinned(self):
-        # the same storm and faults on a uniform int latency: the slow
-        # path's draw order with every in-flight message on one delay
         m = Machine(
             Torus((6, 6)),
             Storm(),

@@ -3,15 +3,8 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.topology import (
-    FullyConnected,
-    Grid,
-    Hypercube,
-    Ring,
-    Torus,
-    gray_code,
-    gray_rank,
-)
+from repro.topology import FullyConnected, Grid, Hypercube, Ring, Torus
+from zoo.embedding import gray_code, gray_rank
 
 dims2d = st.tuples(st.integers(2, 8), st.integers(2, 8))
 dims3d = st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))

@@ -131,6 +131,13 @@ RULE_VIOLATIONS = {
     "partitioner/grid": RunSpec(partitioner="grid"),
     "shard-backend": RunSpec(shard_backend="bogus"),
     "shard-capability": RunSpec(share_threshold=4, shards=2),
+    # the bool fields: a string or an int would read as some bool
+    "cancellation": RunSpec(cancellation="yes"),
+    "record-queue-depths": RunSpec(record_queue_depths="x"),
+    "drain": RunSpec(drain=0),
+    "strict": RunSpec(strict="no"),
+    "reliable": RunSpec(reliable="no"),
+    "sat-sizing": RunSpec(sat_sizing=1),
 }
 
 
@@ -375,10 +382,6 @@ def _queue_depths(run):
     assert run.report.queue_depths.shape == (run.report.steps, 36)
 
 
-def _sized_traffic(run):
-    assert run.report.traffic_total == 7 * run.report.sent_total > 0
-
-
 def _incomplete(run):
     # max_steps=2 floods 5 of 36 nodes: the run did not finish
     assert not run.completed and not run.report.quiescent
@@ -390,14 +393,22 @@ def _complete(run):
     assert len(run.verdict["visited"]) == 36
 
 
-@pytest.mark.parametrize("spec, attachments, check", [
-    (TRAVERSAL.with_(record_queue_depths=True), {}, _queue_depths),
-    (TRAVERSAL, {"size_fn": lambda payload: 7}, _sized_traffic),
-    (TRAVERSAL, {}, _incomplete),
-    (TRAVERSAL.with_(max_steps=1000), {}, _complete),
-], ids=["record_queue_depths", "size_fn", "completed", "quiescent"])
-def test_traversal_honours_spec_fields(spec, attachments, check):
-    check(execute(spec, **attachments))
+@pytest.mark.parametrize("spec, check", [
+    (TRAVERSAL.with_(record_queue_depths=True), _queue_depths),
+    (TRAVERSAL, _incomplete),
+    (TRAVERSAL.with_(max_steps=1000), _complete),
+], ids=["record_queue_depths", "completed", "quiescent"])
+def test_traversal_honours_spec_fields(spec, check):
+    check(execute(spec))
+
+
+def test_sat_sizing_charges_envelope_sizes():
+    # the one way a message-size model reaches layer 1 from a spec
+    spec = RunSpec(workload="sat", topology="ring:4",
+                   workload_params={"num_vars": 6, "num_clauses": 20, "formula_seed": 1})
+    plain, sized = execute(spec), execute(spec.with_(sat_sizing=True))
+    assert plain.report.traffic_total == plain.report.sent_total
+    assert sized.report.traffic_total > sized.report.sent_total == plain.report.sent_total
 
 
 def test_traversal_strict_run_that_hits_max_steps_raises():

@@ -38,12 +38,11 @@ class TestConfiguration:
         # 2.5 died with "'float' object is not callable"; True ran as 1
         from repro.errors import MappingError
 
-        stack = HyperspaceStack(Ring(4), status=status)
         with pytest.raises(
             MappingError,
             match=f"status must be None or an int >= 1, got {status!r}",
         ):
-            stack.run_recursive(calculate_sum, 5)
+            HyperspaceStack(Ring(4), status=status)
 
     def test_unknown_mapper_rejected(self):
         from repro.errors import MappingError

@@ -1,22 +1,20 @@
-"""Tests for Gray codes and hypercube embeddings (paper §II-A refs [14]-[16])."""
+"""Tests for Gray codes and hypercube embeddings (paper §II-A refs [14]-[16]).
+
+The module lives in ``examples/zoo/embedding.py``; the conftest puts
+``examples/`` on ``sys.path``, so it imports as ``zoo.embedding``.
+"""
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import (
-    CompleteTree,
-    Grid,
-    Hypercube,
-    Ring,
-    Torus,
-    gray_code,
-    gray_rank,
-)
-from repro.topology.embedding import (
+from repro.topology import CompleteTree, Grid, Hypercube, Ring, Torus
+from zoo.embedding import (
     Embedding,
     embed_grid_in_hypercube,
     embed_ring_in_hypercube,
     embed_tree_in_hypercube,
+    gray_code,
+    gray_rank,
     is_valid_embedding,
 )
 
