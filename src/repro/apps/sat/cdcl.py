@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...declared import Counters
 from ...errors import ApplicationError
 from .cnf import CNF, var_of
 
@@ -40,24 +41,12 @@ def luby(i: int) -> int:
         i = i - (1 << (k - 1)) + 1  # tail recursion on i - 2**(k-1) + 1
 
 
-class CdclStats:
-    """Search-effort counters for one CDCL solve."""
+class CdclStats(Counters):
+    """Search-effort counters for one CDCL solve; ``max_backjump`` is the
+    largest number of levels jumped over in one backjump."""
 
-    __slots__ = ("decisions", "propagations", "conflicts", "learned_clauses",
-                 "restarts", "max_backjump")
-
-    def __init__(self) -> None:
-        self.decisions = 0
-        self.propagations = 0
-        self.conflicts = 0
-        self.learned_clauses = 0
-        self.restarts = 0
-        #: largest number of levels jumped over in one backjump
-        self.max_backjump = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for reports."""
-        return {name: getattr(self, name) for name in self.__slots__}
+    __slots__ = STATE = ("decisions", "propagations", "conflicts", "learned_clauses",
+                         "restarts", "max_backjump")
 
 
 class CdclResult:

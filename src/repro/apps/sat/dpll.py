@@ -19,31 +19,20 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from ...declared import Counters
 from .cnf import CNF, Literal, var_of
 from .heuristics import Heuristic, make_heuristic, require_occurring
 
 __all__ = ["SolveStats", "SatResult", "dpll_solve", "propagate_units", "assign_pures"]
 
 
-class SolveStats:
-    """Search-effort counters for one sequential solve."""
+class SolveStats(Counters):
+    """Search-effort counters for one sequential solve; ``branches`` counts
+    recursive branch evaluations (the size of the explored search tree)."""
 
-    __slots__ = ("decisions", "unit_propagations", "pure_assignments", "max_depth", "branches")
-
-    def __init__(self) -> None:
-        self.decisions = 0
-        self.unit_propagations = 0
-        self.pure_assignments = 0
-        self.max_depth = 0
-        #: recursive branch evaluations (size of the explored search tree)
-        self.branches = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for reports."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SolveStats({self.as_dict()!r})"
+    __slots__ = STATE = (
+        "decisions", "unit_propagations", "pure_assignments", "max_depth", "branches"
+    )
 
 
 class SatResult:

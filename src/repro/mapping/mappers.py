@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Sequence, Type
 
+from ..declared import Declared
 from ..domains import judge
 from ..errors import MappingError
 from ..topology import NodeId
@@ -84,8 +85,26 @@ class MapperView:
         return self.neighbour_counts.get(neighbour, 0)
 
 
-class _MapperBase:
-    """Default no-op notification hooks."""
+def _least_busy_choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
+    """Least known count plus outstanding load, ties broken by seeded random
+    choice; each class that scores so binds it as its own ``choose``."""
+    if not view.neighbours:
+        raise MappingError(f"node {view.node} has no neighbours to map work to")
+    known, outstanding = view.neighbour_counts.get, self._outstanding.get
+    best, candidates = None, []
+    for n in view.neighbours:
+        score = known(n, 0) + outstanding(n, 0)
+        if best is None or score < best:
+            best, candidates = score, [n]
+        elif score == best:
+            candidates.append(n)
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[view.rng.randrange(len(candidates))]
+
+
+class _MapperBase(Declared):
+    """Default no-op notification hooks; ``STATE`` names the mapper's state."""
 
     __slots__ = ()
 
@@ -99,7 +118,7 @@ class _MapperBase:
 class RoundRobinMapper(_MapperBase):
     """Static circular mapping over the neighbour list (paper's "RR")."""
 
-    __slots__ = ("_next",)
+    __slots__ = STATE = ("_next",)
 
     #: registry name
     name = "rr"
@@ -132,27 +151,14 @@ class LeastBusyNeighbourMapper(_MapperBase):
     first neighbour in topology order.
     """
 
-    __slots__ = ("_outstanding",)
+    __slots__ = STATE = ("_outstanding",)
 
     name = "lbn"
 
     def __init__(self) -> None:
         self._outstanding: Dict[NodeId, int] = {}
 
-    def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
-        if not view.neighbours:
-            raise MappingError(f"node {view.node} has no neighbours to map work to")
-        known, outstanding = view.neighbour_counts.get, self._outstanding.get
-        best, candidates = None, []
-        for n in view.neighbours:
-            score = known(n, 0) + outstanding(n, 0)
-            if best is None or score < best:
-                best, candidates = score, [n]
-            elif score == best:
-                candidates.append(n)
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[view.rng.randrange(len(candidates))]
+    choose = _least_busy_choose
 
     def on_sent(self, view: MapperView, dst: NodeId, hint: Optional[float]) -> None:
         self._outstanding[dst] = self._outstanding.get(dst, 0) + 1
@@ -187,7 +193,7 @@ class HintAwareMapper(_MapperBase):
     degenerates to plain least-busy-neighbour.
     """
 
-    __slots__ = ("_outstanding", "_sent_order")
+    __slots__ = STATE = ("_outstanding", "_sent_order")
 
     name = "hint"
 
@@ -199,20 +205,7 @@ class HintAwareMapper(_MapperBase):
         # FIFO of (dst, hint) so replies retire the oldest load first
         self._sent_order: list[tuple[NodeId, float]] = []
 
-    def choose(self, view: MapperView, hint: Optional[float]) -> NodeId:
-        if not view.neighbours:
-            raise MappingError(f"node {view.node} has no neighbours to map work to")
-        known, outstanding = view.neighbour_counts.get, self._outstanding.get
-        best, candidates = None, []
-        for n in view.neighbours:
-            score = known(n, 0) + outstanding(n, 0.0)
-            if best is None or score < best:
-                best, candidates = score, [n]
-            elif score == best:
-                candidates.append(n)
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[view.rng.randrange(len(candidates))]
+    choose = _least_busy_choose
 
     def on_sent(self, view: MapperView, dst: NodeId, hint: Optional[float]) -> None:
         h = self.DEFAULT_HINT if hint is None else float(hint)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
 
+from ..declared import Counters
 from ..errors import ProtocolError, RecursionLayerError
 from ..mapping import MappingContext, ReplyHandle, Ticket
 from .ops import Call, Choice, Result, Sync, coerce_op
@@ -37,10 +38,10 @@ __all__ = ["RecursionEngine", "RecursiveFunction", "EngineStats"]
 RecursiveFunction = Callable[[Any], Generator[Any, Any, Any]]
 
 
-class EngineStats:
+class EngineStats(Counters):
     """Per-node layer-4 counters (aggregated by the stack for profiling)."""
 
-    __slots__ = (
+    __slots__ = STATE = (
         "invocations",
         "completions",
         "calls_made",
@@ -51,31 +52,14 @@ class EngineStats:
         "cancels_sent",
         "cancels_received",
         "late_replies",
+        # duplicate deliveries of one work item, suppressed (layer-1
+        # duplication faults reaching layer 4 unprotected)
         "dup_work",
     )
 
-    def __init__(self) -> None:
-        self.invocations = 0
-        self.completions = 0
-        self.calls_made = 0
-        self.syncs = 0
-        self.choice_groups = 0
-        self.choice_wins = 0
-        self.choice_exhausted = 0
-        self.cancels_sent = 0
-        self.cancels_received = 0
-        self.late_replies = 0
-        #: duplicate deliveries of the same work item, suppressed (layer-1
-        #: duplication faults reaching layer 4 unprotected)
-        self.dup_work = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for reports."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def merge(self, other: "EngineStats") -> None:
         """Accumulate ``other`` into this instance."""
-        for name in self.__slots__:
+        for name in self.STATE:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 

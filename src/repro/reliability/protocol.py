@@ -56,6 +56,8 @@ from __future__ import annotations
 from math import inf
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..declared import Counters
+from ..domains import judge
 from ..errors import ReliabilityError
 from ..netsim.message import Envelope
 from .frames import AckFrame, DataFrame
@@ -84,8 +86,9 @@ class ReliabilityConfig:
     max_timeout:
         Upper bound on the per-retry wait.
     retry_limit:
-        Maximum retransmissions per frame.  A frame still unacknowledged
-        after the cap is handled per ``on_exhausted``.
+        Maximum retransmissions per frame (None: the default cap, 12).  A
+        frame still unacknowledged after the cap is handled per
+        ``on_exhausted``.
     on_exhausted:
         ``"raise"`` (default) aborts the run with
         :class:`~repro.errors.ReliabilityError` — the loud option, for
@@ -101,14 +104,11 @@ class ReliabilityConfig:
         timeout: int = 4,
         backoff: float = 2.0,
         max_timeout: int = 64,
-        retry_limit: int = 12,
+        retry_limit: Optional[int] = None,
         on_exhausted: str = "raise",
     ) -> None:
-        for name, value in (
-            ("timeout", timeout),
-            ("max_timeout", max_timeout),
-            ("retry_limit", retry_limit),
-        ):
+        judge("retry_limit", retry_limit)
+        for name, value in (("timeout", timeout), ("max_timeout", max_timeout)):
             # a float step never comes due on the integer clock; True is not a count
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ReliabilityError(f"{name} must be an int, got {value!r}")
@@ -122,8 +122,6 @@ class ReliabilityConfig:
             raise ReliabilityError(
                 f"max_timeout ({max_timeout}) must be >= timeout ({timeout})"
             )
-        if retry_limit < 0:
-            raise ReliabilityError(f"retry_limit must be >= 0, got {retry_limit}")
         if on_exhausted not in ("raise", "drop"):
             raise ReliabilityError(
                 f"on_exhausted must be 'raise' or 'drop', got {on_exhausted!r}"
@@ -131,11 +129,11 @@ class ReliabilityConfig:
         self.timeout = timeout
         self.backoff = backoff
         self.max_timeout = max_timeout
-        self.retry_limit = retry_limit
+        self.retry_limit = 12 if retry_limit is None else retry_limit
         self.on_exhausted = on_exhausted
 
 
-class LinkLayerStats:
+class LinkLayerStats(Counters):
     """Protocol counters, always maintained while the layer is enabled.
 
     Telemetry mirrors these as events (``retransmit`` / ``ack`` /
@@ -148,7 +146,7 @@ class LinkLayerStats:
     at the sending endpoint (both kinds, duplicates included).
     """
 
-    __slots__ = (
+    __slots__ = STATE = (
         "data_sent",
         "delivered",
         "retransmits",
@@ -159,25 +157,6 @@ class LinkLayerStats:
         "frames_lost",
         "exhausted",
     )
-
-    def __init__(self) -> None:
-        self.data_sent = 0
-        self.delivered = 0
-        self.retransmits = 0
-        self.acks_sent = 0
-        self.acks_piggybacked = 0
-        self.acks_received = 0
-        self.dups_suppressed = 0
-        self.frames_lost = 0
-        self.exhausted = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for reports and tests."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"LinkLayerStats({body})"
 
 
 class _SenderLink:

@@ -156,6 +156,28 @@ class TestHintAware:
         m.on_reply(v, 1)  # retires the 10.0 first
         assert m._outstanding[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_without_hints_it_chooses_like_least_busy(self, seed):
+        script = random.Random(seed)
+        neighbours = tuple(script.sample(range(1, 20), script.randint(2, 6)))
+        hint, lbn = HintAwareMapper(), LeastBusyNeighbourMapper()
+        hint_view, lbn_view = make_view(neighbours, seed=seed), make_view(neighbours, seed=seed)
+        for _ in range(200):
+            event, n = script.random(), script.choice(neighbours)
+            if event < 0.3:
+                count = script.randint(0, 5)
+                hint_view.observe(n, count)
+                lbn_view.observe(n, count)
+            elif event < 0.5:
+                hint.on_reply(hint_view, n)
+                lbn.on_reply(lbn_view, n)
+            else:
+                dst = hint.choose(hint_view, None)
+                assert dst == lbn.choose(lbn_view, None)
+                hint.on_sent(hint_view, dst, None)
+                lbn.on_sent(lbn_view, dst, None)
+        assert hint_view.rng.getstate() == lbn_view.rng.getstate()
+
 
 class _IdleApp:
     def init(self, mctx):

@@ -15,6 +15,7 @@ from repro import HyperspaceStack
 from repro.conformance.space import SPACE
 from repro.domains import DOMAINS, describe, judge, problem
 from repro.engine import RULES, RunSpec, validate
+from repro.reliability import ReliabilityConfig
 from repro.errors import (
     MappingError,
     RecursionLayerError,
@@ -121,6 +122,27 @@ def test_retry_limit_needs_reliable_at_construction():
         HyperspaceStack(Ring(4), retry_limit=3)
     stack = HyperspaceStack(Ring(4), reliable=True, retry_limit=3)
     assert stack.reliable.retry_limit == 3
+
+
+#: layer constructors judged by a row: (name, build, value outside the row)
+LAYER_REFUSALS = [
+    ("retry_limit", lambda v: ReliabilityConfig(retry_limit=v), True),
+    ("retry_limit", lambda v: ReliabilityConfig(retry_limit=v), -1),
+]
+
+
+@pytest.mark.parametrize("name, build, value", LAYER_REFUSALS)
+def test_a_layer_refuses_like_the_stack(name, build, value):
+    with pytest.raises(DOMAINS[name].error) as layer:
+        build(value)
+    with pytest.raises(DOMAINS[name].error) as stack:
+        HyperspaceStack(Ring(4), reliable=True, **{name: value})
+    assert str(layer.value) == str(stack.value) == problem(name, value)
+
+
+def test_retry_limit_none_is_the_default_cap():
+    assert ReliabilityConfig(retry_limit=None).retry_limit == 12
+    assert ReliabilityConfig().retry_limit == 12
 
 
 @pytest.mark.parametrize("name", sorted(set(SPACE) & set(DOMAINS)))
