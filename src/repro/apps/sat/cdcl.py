@@ -19,7 +19,7 @@ microseconds either way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...declared import Counters
 from ...errors import ApplicationError

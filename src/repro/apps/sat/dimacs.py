@@ -10,7 +10,7 @@ access; see DESIGN.md).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from ...errors import DimacsFormatError
 from .cnf import CNF

@@ -17,10 +17,10 @@ The sequential version serves three purposes:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ...declared import Counters
-from .cnf import CNF, Literal, var_of
+from .cnf import CNF, var_of
 from .heuristics import Heuristic, make_heuristic, require_occurring
 
 __all__ = ["SolveStats", "SatResult", "dpll_solve", "propagate_units", "assign_pures"]

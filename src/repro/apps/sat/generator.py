@@ -20,7 +20,7 @@ network access we regenerate the same distribution locally:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ...errors import ApplicationError
 from ...rng import SeedSequence

@@ -17,7 +17,7 @@ to become unwieldy for anything but trivial recursive functions").
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
 from ..mapping import TicketedFunctionalApp
 from ..recursion import Call, Result, Sync

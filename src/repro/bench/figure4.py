@@ -19,7 +19,7 @@ reports (and our benchmark asserts):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..parallel import sat_cell, solve_sat_tasks
 from .report import format_table

@@ -427,7 +427,7 @@ def schedule_digest(verdict: Any, report: Any) -> str:
         "sent": report.sent_total,
         "delivered": report.delivered_total,
         "dropped": report.dropped_total,
-        "queued": [int(q) for q in report.queued_series],
+        "queued": report.queued_series.tolist(),
     })
 
 

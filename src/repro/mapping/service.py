@@ -318,6 +318,13 @@ class MappingService:
         mstate.mctx = MappingContext(self, pctx, mstate)
         self.app.init(mstate.mctx)
 
+    def release(self, pctx: ProcessContext) -> None:
+        """Break the state's link to its :class:`MappingContext` when the
+        machine closes (the context points back at the state)."""
+        mstate: Optional[_MapState] = pctx.state
+        if mstate is not None:
+            mstate.mctx = None
+
     def on_message(
         self, pctx: ProcessContext, sender: Optional[Address], payload: Any
     ) -> None:

@@ -39,7 +39,7 @@ from ..errors import AdjacencyError, QueueOverflowError, SimulationError
 from ..topology import NodeId, Topology
 from .faults import FaultModel, ReliableLinks
 from .message import Envelope
-from .program import NodeContext, NodeProgram
+from .program import NodeContext, NodeProgram, release_states
 from .trace import SimulationReport, TraceRecorder
 
 __all__ = ["Machine"]
@@ -393,8 +393,23 @@ class Machine:
         return 0
 
     def close(self) -> None:
-        """Release what the backend holds outside this object (idempotent):
-        nothing here, the worker processes on the sharded backend."""
+        """Free the finished run (idempotent).
+
+        Each node's program ``release`` hook runs and its state is
+        cleared, the contexts are dropped, and the reliability engine lets
+        go of this machine, so no reference cycle outlives the run.  The
+        trace, :meth:`report` and ``reliability.stats`` stay readable; the
+        machine cannot step again.
+        """
+        contexts = getattr(self, "_contexts", None)
+        if contexts:
+            release_states(self.program, contexts)
+        self._contexts = []
+        # LIFO/random pops are partials of a bound method of this machine
+        self._pop_fns = []
+        rel = getattr(self, "_reliability", None)
+        if rel is not None:
+            rel.release()
 
     def queue_depths(self) -> List[int]:
         """Current inbox depth for every node."""

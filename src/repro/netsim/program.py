@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkabl
 
 from ..topology import NodeId
 
-__all__ = ["SendFn", "NodeContext", "NodeProgram", "FunctionalProgram"]
+__all__ = ["SendFn", "NodeContext", "NodeProgram", "FunctionalProgram", "release_states"]
 
 #: Signature of the send handler passed to node code: ``send(dst, payload)``.
 SendFn = Callable[[NodeId, Any], None]
@@ -79,7 +79,14 @@ class NodeContext:
 
 @runtime_checkable
 class NodeProgram(Protocol):
-    """Code run by every node of a simulated machine."""
+    """Code run by every node of a simulated machine.
+
+    A program may also define ``release(ctx)``, called once per node when
+    the machine closes (as ``on_step`` it is optional): it drops whatever
+    the node's state links back to, so the finished run is freed by
+    reference counting instead of waiting for the cycle collector.  The
+    machine clears ``ctx.state`` after it either way.
+    """
 
     def init(self, ctx: NodeContext) -> None:
         """Initialise ``ctx.state``; called once per node before step 0."""
@@ -119,3 +126,13 @@ class FunctionalProgram:
         )
         if new_state is not None:
             ctx.state = new_state
+
+
+def release_states(program: Any, contexts: Sequence[NodeContext]) -> None:
+    """Run ``program.release(ctx)`` (when defined) and clear ``ctx.state``
+    for every context: the per-node half of closing a machine."""
+    release = getattr(program, "release", None)
+    for ctx in contexts:
+        if release is not None:
+            release(ctx)
+        ctx.state = None

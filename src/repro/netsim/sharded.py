@@ -67,7 +67,7 @@ from ..errors import AdjacencyError, SimulationError
 from ..topology import NodeId, Topology
 from .backend import Machine
 from .partition import edge_cut, partition_strip
-from .program import NodeContext
+from .program import NodeContext, release_states
 
 __all__ = [
     "FIFO_ONLY_MSG",
@@ -359,6 +359,11 @@ class _ShardCore:
             )
         return out
 
+    def release(self) -> None:
+        """Free this shard's node states (the inline cell's close)."""
+        release_states(self.program, list(self.contexts.values()))
+        self.contexts = {}
+
     def handle(self, msg: Tuple[Any, ...]) -> Any:
         """Answer one coordinator request (everything after the init handshake)."""
         kind = msg[0]
@@ -450,7 +455,7 @@ class _InlineCell:
         return reply
 
     def close(self) -> None:
-        pass
+        self._core.release()
 
 
 class _ProcessCell:
@@ -646,13 +651,13 @@ class ShardedMachine(Machine):
     # -- worker lifecycle ------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the shard workers (idempotent)."""
+        """Shut down the shard workers, or free the inline cell's node
+        states, then free the coordinator's side (idempotent)."""
         cells = getattr(self, "_cells", None)
-        if not cells:
-            return
         self._cells = []
-        for cell in cells:
+        for cell in cells or ():
             cell.close()
+        super().close()
 
     def __enter__(self) -> "ShardedMachine":
         return self

@@ -12,12 +12,14 @@ The paper's profiling pipeline logs, for every run:
 :class:`TraceRecorder` collects all three with O(1) Python-int work per event
 (numpy conversion happens once, post-run), plus per-payload-type counters and
 an optional per-step per-node queue-depth matrix for fine-grained analysis.
+Steps the clock jumps over cost one gap record per stretch, not one entry
+per step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..topology import Topology
 
@@ -37,21 +39,32 @@ def _payload_kind(payload: Any) -> str:
 class TraceRecorder:
     """Accumulates simulation events; queried through :class:`SimulationReport`.
 
+    The per-step series pay for events, not ticks: each executed step
+    appends its values (``queued``, ``delivered`` and, when recording, a
+    row of ``depth_rows``), and each run of steps the clock jumped over
+    is one ``(position, length)`` entry of ``gaps`` — ``length`` steps
+    that queued and delivered nothing, falling before the executed step
+    at index ``position``.  :meth:`dense` spells the series out step by
+    step, as :meth:`snapshot` writes them.
+
     Parameters
     ----------
     n_nodes:
         Machine size (for the node-activity histogram).
     record_queue_depths:
-        If True, snapshot every node's queue depth at every step into a
-        ``steps x n_nodes`` matrix.  Costs O(n_nodes) per step — off by
+        If True, snapshot every node's queue depth at every executed step
+        into ``depth_rows`` (the backend passes them to
+        :meth:`on_step_end`).  Costs O(n_nodes) per step — off by
         default; the Figure 5 bench enables it for the unfolding heatmaps.
     """
 
     __slots__ = (
         "n_nodes",
         "record_queue_depths",
-        "queued_series",
-        "delivered_series",
+        "queued",
+        "delivered",
+        "depth_rows",
+        "gaps",
         "node_delivered",
         "node_sent",
         "node_dropped",
@@ -63,17 +76,20 @@ class TraceRecorder:
         "first_activity_step",
         "last_activity_step",
         "payload_counts",
-        "queue_depth_rows",
         "_kind_cache",
     )
 
     def __init__(self, n_nodes: int, record_queue_depths: bool = False) -> None:
         self.n_nodes = n_nodes
         self.record_queue_depths = record_queue_depths
-        #: total messages sitting in queues at the end of each step
-        self.queued_series: List[int] = []
-        #: messages delivered during each step
-        self.delivered_series: List[int] = []
+        #: total messages sitting in queues at the end of each executed step
+        self.queued: List[int] = []
+        #: messages delivered during each executed step
+        self.delivered: List[int] = []
+        #: every node's queue depth at the end of each executed step
+        self.depth_rows: List[List[int]] = []
+        #: empty stretches: (executed steps before it, its length)
+        self.gaps: List[Tuple[int, int]] = []
         self.node_delivered = [0] * n_nodes
         self.node_sent = [0] * n_nodes
         self.node_dropped = [0] * n_nodes
@@ -86,7 +102,6 @@ class TraceRecorder:
         self.first_activity_step: Optional[int] = None
         self.last_activity_step: Optional[int] = None
         self.payload_counts: Dict[str, int] = {}
-        self.queue_depth_rows: List[List[int]] = []
         #: payload type -> kind tag; on_send runs once per message, so the
         #: type-name lookup is cached instead of recomputed
         self._kind_cache: Dict[type, str] = {}
@@ -146,32 +161,48 @@ class TraceRecorder:
         delivered_this_step: int,
         queue_depths: Optional[Sequence[int]] = None,
     ) -> None:
-        self.queued_series.append(total_queued)
-        self.delivered_series.append(delivered_this_step)
+        self.queued.append(total_queued)
+        self.delivered.append(delivered_this_step)
         if self.record_queue_depths and queue_depths is not None:
-            self.queue_depth_rows.append(list(queue_depths))
+            self.depth_rows.append(list(queue_depths))
 
     def on_empty_steps(self, n: int) -> None:
-        """Account ``n`` steps that queued and delivered nothing, in bulk."""
-        zeros = [0] * n
-        self.queued_series += zeros
-        self.delivered_series += zeros
-        if self.record_queue_depths:
-            self.queue_depth_rows.extend([0] * self.n_nodes for _ in range(n))
+        """Account ``n`` steps that queued and delivered nothing: one gap,
+        merged into the previous one when no step ran in between."""
+        gaps = self.gaps
+        position = len(self.queued)
+        if gaps and gaps[-1][0] == position:
+            n += gaps.pop()[1]
+        gaps.append((position, n))
+
+    def dense(self) -> Dict[str, List[Any]]:
+        """The per-step series with every gap spelled out as zeros:
+        ``queued_series``, ``delivered_series`` and ``queue_depth_rows``
+        (one list each, one entry per step)."""
+        queued, delivered, gaps, rows = _compact(self)
+        return {
+            "queued_series": _spell_out(queued, gaps).tolist(),
+            "delivered_series": _spell_out(delivered, gaps).tolist(),
+            "queue_depth_rows": [] if rows is None else _spell_out(rows, gaps).tolist(),
+        }
 
     # -- snapshot / restore (repro.state protocol) ---------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Copy every accumulated counter/series into a detached dict.
 
-        Configuration (``n_nodes``, ``record_queue_depths``) and the
-        ``_kind_cache`` memo are not state: the former must match on
-        restore, the latter rebuilds itself.
+        The series are written dense (:meth:`dense`), one entry per step,
+        so a checkpoint and its digest do not depend on how many steps the
+        clock jumped over.  Configuration (``n_nodes``,
+        ``record_queue_depths``) and the ``_kind_cache`` memo are not
+        state: the former must match on restore, the latter rebuilds
+        itself.
         """
+        dense = self.dense()
         return {
             "n_nodes": self.n_nodes,
-            "queued_series": list(self.queued_series),
-            "delivered_series": list(self.delivered_series),
+            "queued_series": dense["queued_series"],
+            "delivered_series": dense["delivered_series"],
             "node_delivered": list(self.node_delivered),
             "node_sent": list(self.node_sent),
             "node_dropped": list(self.node_dropped),
@@ -183,11 +214,15 @@ class TraceRecorder:
             "first_activity_step": self.first_activity_step,
             "last_activity_step": self.last_activity_step,
             "payload_counts": dict(self.payload_counts),
-            "queue_depth_rows": [list(row) for row in self.queue_depth_rows],
+            "queue_depth_rows": dense["queue_depth_rows"],
         }
 
     def restore(self, data: Dict[str, Any]) -> None:
-        """Install a :meth:`snapshot`-captured dict into this recorder."""
+        """Install a :meth:`snapshot`-captured dict into this recorder.
+
+        The dense series come back as executed steps with no gaps: the
+        spelled-out form reads the same, and later gaps append as usual.
+        """
         if data["n_nodes"] != self.n_nodes:
             from ..errors import CheckpointError
 
@@ -195,8 +230,10 @@ class TraceRecorder:
                 f"trace snapshot covers {data['n_nodes']} nodes; "
                 f"this recorder covers {self.n_nodes}"
             )
-        self.queued_series = list(data["queued_series"])
-        self.delivered_series = list(data["delivered_series"])
+        self.queued = list(data["queued_series"])
+        self.delivered = list(data["delivered_series"])
+        self.depth_rows = [list(row) for row in data["queue_depth_rows"]]
+        self.gaps = []
         self.node_delivered = list(data["node_delivered"])
         self.node_sent = list(data["node_sent"])
         self.node_dropped = list(data["node_dropped"])
@@ -208,8 +245,43 @@ class TraceRecorder:
         self.first_activity_step = data["first_activity_step"]
         self.last_activity_step = data["last_activity_step"]
         self.payload_counts = dict(data["payload_counts"])
-        self.queue_depth_rows = [list(row) for row in data["queue_depth_rows"]]
         self._kind_cache = {}
+
+
+def _compact(
+    trace: TraceRecorder,
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", Optional["np.ndarray"]]:
+    """A recorder's per-step series as arrays: queued and delivered per
+    executed step, the ``(position, length)`` gaps, and the queue-depth
+    rows (None when the recorder does not record them)."""
+    import numpy as np
+
+    rows = None
+    if trace.record_queue_depths:
+        rows = np.asarray(trace.depth_rows, dtype=np.int64).reshape(-1, trace.n_nodes)
+    return (
+        np.asarray(trace.queued, dtype=np.int64),
+        np.asarray(trace.delivered, dtype=np.int64),
+        np.asarray(trace.gaps, dtype=np.int64).reshape(-1, 2),
+        rows,
+    )
+
+
+def _spell_out(executed: "np.ndarray", gaps: "np.ndarray") -> "np.ndarray":
+    """``executed`` (one entry or row per executed step) with each gap
+    ``(position, length)`` of ``gaps`` inserted as ``length`` zeros."""
+    import numpy as np
+
+    n = len(executed)
+    if not len(gaps):
+        return executed.copy()
+    # shift[i]: gap steps before executed step i
+    shift = np.zeros(n + 1, dtype=np.int64)
+    shift[gaps[:, 0]] = gaps[:, 1]
+    shift = np.cumsum(shift)
+    out = np.zeros((n + int(shift[-1]),) + executed.shape[1:], dtype=np.int64)
+    out[np.arange(n) + shift[:n]] = executed
+    return out
 
 
 class SimulationReport:
@@ -217,6 +289,13 @@ class SimulationReport:
 
     Exposes the paper's three metrics plus derived statistics used by the
     benchmark harness (performance, spatial spread measures, heatmaps).
+
+    The per-step series are held compact — executed steps plus the gaps
+    the clock jumped over — and :attr:`queued_series`,
+    :attr:`delivered_series`, :attr:`interconnect_activity` and
+    :attr:`queue_depths` spell them out into a new dense array on every
+    read.  Bind the array once (``series = report.queued_series``)
+    rather than reading the property in a loop.
     """
 
     def __init__(
@@ -235,10 +314,9 @@ class SimulationReport:
         self.delivered_total = trace.delivered_total
         self.dropped_total = trace.dropped_total
         self.payload_counts = dict(trace.payload_counts)
+        self._queued, self._delivered, self._gaps, self._depth_rows = _compact(trace)
         import numpy as np
 
-        self.queued_series = np.asarray(trace.queued_series, dtype=np.int64)
-        self.delivered_series = np.asarray(trace.delivered_series, dtype=np.int64)
         self.node_delivered = np.asarray(trace.node_delivered, dtype=np.int64)
         self.node_sent = np.asarray(trace.node_sent, dtype=np.int64)
         #: messages dropped per addressed node (fault injection / retry
@@ -248,12 +326,28 @@ class SimulationReport:
         self.node_traffic = np.asarray(trace.node_traffic, dtype=np.int64)
         self.first_activity_step = trace.first_activity_step
         self.last_activity_step = trace.last_activity_step
-        if trace.queue_depth_rows:
-            self.queue_depths: Optional[np.ndarray] = np.asarray(
-                trace.queue_depth_rows, dtype=np.int64
-            )
-        else:
-            self.queue_depths = None
+
+    # -- per-step series (built dense on each read) ----------------------
+
+    @property
+    def queued_series(self) -> np.ndarray:
+        """Total messages queued at the end of each step (a new array)."""
+        return _spell_out(self._queued, self._gaps)
+
+    @property
+    def delivered_series(self) -> np.ndarray:
+        """Messages delivered during each step (a new array)."""
+        return _spell_out(self._delivered, self._gaps)
+
+    @property
+    def queue_depths(self) -> Optional[np.ndarray]:
+        """``steps x n_nodes`` queue depths (a new array), or None when the
+        run did not record them or ran no step."""
+        rows = self._depth_rows
+        if rows is None:
+            return None
+        dense = _spell_out(rows, self._gaps)
+        return dense if len(dense) else None
 
     # -- paper metrics ---------------------------------------------------
 
@@ -272,7 +366,8 @@ class SimulationReport:
 
     @property
     def interconnect_activity(self) -> np.ndarray:
-        """Total queued messages per step (Figure 5 top-row series)."""
+        """Total queued messages per step (Figure 5 top-row series; a new
+        array on each read)."""
         return self.queued_series
 
     @property
@@ -303,7 +398,8 @@ class SimulationReport:
     @property
     def peak_queued(self) -> int:
         """Maximum total queued messages across any step."""
-        return int(self.queued_series.max()) if self.queued_series.size else 0
+        # a gap is all zeros, so the executed steps hold the peak
+        return int(self._queued.max()) if self._queued.size else 0
 
     @property
     def active_node_count(self) -> int:

@@ -12,7 +12,7 @@ activation of the user's recursive function on this node.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..mapping import ReplyHandle, Ticket
 

@@ -277,6 +277,11 @@ class ReliableDelivery:
             min(self._retire, default=inf),
         )
 
+    def release(self) -> None:
+        """Let go of the machine (its ``close`` calls this): the engine's
+        stats and link state stay readable, it cannot carry frames again."""
+        self._machine = None
+
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Accept one logical send from the machine's send path."""
         m = self._machine

@@ -87,7 +87,10 @@ class Process(Protocol):
 
     A single :class:`Process` instance may serve every node (stateless
     templates storing everything in ``ctx.state``) or be instantiated per
-    node — the scheduler only ever calls these two methods.
+    node — the scheduler calls these two methods, plus an optional
+    ``release(ctx)`` once per process when the machine closes: it drops
+    whatever the process state links back to, and the scheduler clears
+    ``ctx.state`` after it either way.
     """
 
     def init(self, ctx: ProcessContext) -> None:

@@ -136,6 +136,18 @@ class SchedulerProgram:
         sched.poll_pending = False
         self._drain(ctx, sched)
 
+    def release(self, ctx: NodeContext) -> None:
+        """Clear one node's process states, after each template's optional
+        ``release(pctx)`` hook, when the machine closes."""
+        sched: Optional[_NodeSched] = ctx.state
+        if sched is None:
+            return
+        for template, pctx in zip(self._templates, sched.proc_ctxs):
+            release = getattr(template, "release", None)
+            if release is not None:
+                release(pctx)
+            pctx.state = None
+
     # -- internals -------------------------------------------------------
 
     def _make_send(self, node_ctx: NodeContext, src: Address):

@@ -428,9 +428,10 @@ class HyperspaceStack:
     def close(self) -> None:
         """Release the most recent run's machine (idempotent).
 
-        A sharded run keeps its workers alive after it returns so that
-        :meth:`snapshot` can still reach node state; the run engine calls
-        this in a ``finally`` once the run has been read.
+        A run keeps its node state (and a sharded run its workers) after
+        it returns so that :meth:`snapshot` and ``map_nodes`` can still
+        reach it; closing frees it (:meth:`Machine.close`), and the run
+        engine calls this in a ``finally`` once the run has been read.
         """
         if self._machine is not None:
             self._machine.close()

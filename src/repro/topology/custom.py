@@ -10,7 +10,7 @@ analysis/plotting with the NetworkX ecosystem.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from .base import NodeId, Topology

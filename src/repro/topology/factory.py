@@ -20,7 +20,7 @@ core counts that have no exact square/cube factorisation.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..errors import TopologyError
 from .base import Topology

@@ -49,8 +49,8 @@ class TestTraceRecorder:
         t = TraceRecorder(2)
         t.on_step_end(0, 5, 2)
         t.on_step_end(1, 3, 1)
-        assert t.queued_series == [5, 3]
-        assert t.delivered_series == [2, 1]
+        assert t.dense()["queued_series"] == [5, 3]
+        assert t.dense()["delivered_series"] == [2, 1]
 
 
 class TestSimulationReport:

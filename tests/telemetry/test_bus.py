@@ -151,6 +151,6 @@ class TestTraceRecorderSubsumption:
         assert node_delivered == machine_rec.node_delivered
         assert [
             ev.attrs["value"] for ev in log.by_name("queued", layer=1)
-        ] == machine_rec.queued_series
+        ] == machine_rec.dense()["queued_series"]
         assert min(activity) == machine_rec.first_activity_step
         assert max(activity) == machine_rec.last_activity_step
