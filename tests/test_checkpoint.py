@@ -11,13 +11,14 @@ pickle bytes.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.apps.sat import CNF
 from repro.apps.sat.generator import uf20_91_suite
 from repro.apps.sumrec import calculate_sum
-from repro.engine import RunSpec, execute
+from repro.engine import RunSpec, cnf_of, execute
 from repro.errors import ApplicationError, CheckpointError
 from repro.netsim import Machine
 from repro.netsim.digest import canonical_digest, payload_digest
@@ -507,3 +508,32 @@ class TestSatResumeParity:
                 topology=Ring(4),
                 checkpoint_sink=lambda c: None,
             )
+
+
+# -- a checkpoint written by an older tree ---------------------------------
+#
+# ``tests/data/sat_lbn_ring4_step14.ckpt`` was written before the bitset
+# ``CNF`` (whose sub-formulas pickle as root clauses plus an assignment):
+# uf20 ``uf20_91_suite(1, 2017)[0]``, ``mapper="lbn"``, ``status=16``,
+# ``ring:4``, ``simplify="none"``, ``seed=1``, the first checkpoint of
+# ``checkpoint_every=14``.  Its sub-formulas are the old pickled form, a
+# ``(clauses, num_vars)`` state each.  The literals below are that tree's
+# own straight-through run; the file is a pickle (see the security note in
+# docs/checkpointing.md).
+
+OLD_CHECKPOINT = Path(__file__).parent / "data" / "sat_lbn_ring4_step14.ckpt"
+OLD_FINAL = {"state": "d3662a28d7683db6", "steps": 582, "sent": 2301, "sat": True}
+
+
+def test_checkpoint_of_an_older_tree_resumes_to_its_digest():
+    meta = load_checkpoint(OLD_CHECKPOINT).meta
+    spec = RunSpec.from_dict(meta["runspec"]).with_(checkpoint_every=None)
+    resumed = execute(spec, resume_from=OLD_CHECKPOINT)
+    cnf = cnf_of(spec.workload_params)
+    assert cnf.is_satisfied_by(dict(resumed.verdict["assignment"]))
+    assert {
+        "state": resumed.state_digest,
+        "steps": resumed.report.steps,
+        "sent": resumed.report.sent_total,
+        "sat": resumed.verdict["sat"],
+    } == OLD_FINAL
