@@ -5,7 +5,9 @@ Public surface:
 * :class:`CNF` and DIMACS I/O (:func:`parse_dimacs` / :func:`to_dimacs`).
 * Generators: :func:`uniform_random_ksat`, :func:`satisfiable_random_ksat`,
   :func:`planted_random_ksat`, :func:`uf20_91_suite` (the paper's suite).
-* Sequential reference: :func:`dpll_solve` (+ :func:`brute_force_solve`).
+* Sequential solvers: :func:`dpll_solve` (Figure 4's baseline),
+  :func:`cdcl_solve` (the conformance fuzzer's SAT reference: it shares no
+  formula code with the distributed solver) and :func:`brute_force_solve`.
 * Distributed solver: :func:`make_solve_sat` (Listing 4); run it on a
   machine with ``repro.engine.execute(RunSpec(workload="sat", ...))``.
 * Branching heuristics registry: :func:`make_heuristic`.

@@ -10,7 +10,10 @@ conflict-driven clause learning with first-UIP analysis, non-chronological
 backjumping, VSIDS-style activity ordering and Luby restarts — as a
 *sequential* reference, so the ablation bench can quantify how much search
 the barebone distributed solver performs compared to a modern one on the
-same instances.
+same instances.  It is also the SAT reference of ``repro.workloads``
+(``repro fuzz``): it keeps its own trail over plain clause lists and never
+calls :meth:`CNF.assign`, so a fault in the formula code that the
+distributed solver and DPLL share cannot make it agree with them.
 
 The implementation favours clarity over raw speed (counter-based
 propagation rather than watched literals); uf20-91-scale instances solve in

@@ -22,7 +22,7 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 from ...errors import ApplicationError
 from ...recursion import Call, Choice, Result, Sync
 from ...telemetry.probe import probe, probe_enabled
-from .cnf import CNF, var_of
+from .cnf import CNF
 from .dpll import assign_pures, propagate_units
 from .heuristics import Heuristic, make_heuristic, require_occurring
 
@@ -64,10 +64,9 @@ def sat_content_size(content: Any) -> int:
     Used with :func:`repro.netsim.make_envelope_sizer`.
     """
     if isinstance(content, SatProblem):
-        literals = sum(len(c) for c in content.cnf.clauses)
-        return 2 + literals + len(content.assignment)
+        return 2 + content.cnf.num_literals + len(content.assignment)
     if isinstance(content, CNF):
-        return 2 + sum(len(c) for c in content.clauses)
+        return 2 + content.num_literals
     if isinstance(content, dict):
         return 1 + len(content)
     return 1
@@ -158,7 +157,7 @@ def make_solve_sat(
         # lines 12-14: branch on a selected literal
         lit = heuristic(cnf)
         require_occurring(cnf, lit)
-        var, value = var_of(lit), lit > 0
+        var, value = (lit, True) if lit > 0 else (-lit, False)
         if probe_enabled():
             probe(
                 "dpll.branch",

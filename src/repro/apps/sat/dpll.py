@@ -8,7 +8,10 @@ to this end we choose a basic implementation of DPLL").
 
 The sequential version serves three purposes:
 
-* ground truth for the distributed solver's answers;
+* Figure 4's sequential baseline, and the answer ``repro solve`` and the
+  benchmarks check the distributed solver against (the conformance
+  fuzzer checks it against :func:`~repro.apps.sat.cdcl.cdcl_solve`,
+  which shares no formula code with either);
 * the satisfiability filter of the benchmark generator (SATLIB's uf20-91
   suite contains satisfiable instances only);
 * a workload-size oracle (its statistics estimate problem hardness).
@@ -96,8 +99,7 @@ def assign_pures(
     """Assign pure literals (paper Listing 4 lines 9-11), one sweep."""
     for lit in cnf.pure_literals():
         # purity can change as clauses vanish; re-check before each assign
-        occ = cnf.occurrences()
-        if lit in occ and -lit not in occ:
+        if cnf.occurs(lit) and not cnf.occurs(-lit):
             cnf = cnf.assign(lit)
             assignment[var_of(lit)] = lit > 0
             if stats is not None:

@@ -32,15 +32,17 @@ __all__ = [
 Heuristic = Callable[[CNF], Literal]
 
 
+_EMPTY = "cannot select a literal from an empty formula"
+
+
 def _require_literals(cnf: CNF) -> None:
-    if not cnf.occurrences():
-        raise ApplicationError("cannot select a literal from an empty formula")
+    if not cnf.literals():
+        raise ApplicationError(_EMPTY)
 
 
 def require_occurring(cnf: CNF, lit: Literal) -> None:
     """Reject a branching literal whose variable is gone from ``cnf``."""
-    occ = cnf.occurrences()
-    if lit not in occ and -lit not in occ:
+    if not (cnf.occurs(lit) or cnf.occurs(-lit)):
         raise ApplicationError(
             f"heuristic chose literal {lit}, whose variable does not occur "
             "in the formula (both children would equal their parent)"
@@ -52,15 +54,38 @@ def first_literal(cnf: CNF) -> Literal:
     for clause in cnf.clauses:
         if clause:
             return clause[0]
-    raise ApplicationError("cannot select a literal from an empty formula")
+    raise ApplicationError(_EMPTY)
 
 
 def max_occurrence(cnf: CNF) -> Literal:
     """The literal occurring in the most clauses (ties: smallest var, then
     positive polarity).  A solid general-purpose default."""
-    _require_literals(cnf)
-    # (count, -var, literal) orders exactly as (count, -var, positive first)
-    return max([(len(where), -abs(l), l) for l, where in cnf.occurrences().items()])[2]
+    table = cnf._table
+    if table.repeats:
+        # a literal repeated inside a clause counts twice: only the
+        # occurrence index sees that
+        _require_literals(cnf)
+        # (count, -var, literal) orders exactly as (count, -var, positive first)
+        return max([(len(where), -abs(l), l) for l, where in cnf.occurrences().items()])[2]
+    # the key (count, -var, literal), counted on the bitmasks: variables
+    # come largest first and -var before +var, so ">=" leaves the winner
+    alive, assigned = cnf._alive, cnf._assigned
+    best = most = 0
+    for vbit, var, pos, neg in table.by_var:
+        if not assigned & vbit:
+            neg &= alive
+            if neg:
+                neg = neg.bit_count()
+                if neg >= most:
+                    best, most = -var, neg
+            pos &= alive
+            if pos:
+                pos = pos.bit_count()
+                if pos >= most:
+                    best, most = var, pos
+    if not best:
+        raise ApplicationError(_EMPTY)
+    return best
 
 
 def jeroslow_wang(cnf: CNF) -> Literal:
@@ -96,9 +121,9 @@ def make_random_heuristic(rng: random.Random) -> Heuristic:
     """Uniform random literal (seeded) — the no-information baseline."""
 
     def random_literal(cnf: CNF) -> Literal:
-        lits = sorted(cnf.occurrences(), key=lambda l: (var_of(l), l < 0))
+        lits = sorted(cnf.literals(), key=lambda l: (var_of(l), l < 0))
         if not lits:
-            raise ApplicationError("cannot select a literal from an empty formula")
+            raise ApplicationError(_EMPTY)
         return lits[rng.randrange(len(lits))]
 
     random_literal.__name__ = "random_literal"

@@ -45,9 +45,12 @@ class TestConstruction:
         assert cnf.has_empty_clause
 
     def test_immutable(self):
-        cnf = CNF([(1,)])
-        with pytest.raises(AttributeError):
-            cnf.num_vars = 5
+        root = CNF([(1,), (2, 3)])
+        for cnf in (root, root.assign(2)):
+            with pytest.raises(AttributeError):
+                cnf.num_vars = 5
+            with pytest.raises(AttributeError):
+                cnf.clauses = ()
 
     def test_equality_and_hash(self):
         a = CNF([(1, 2)], num_vars=2)

@@ -47,11 +47,11 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
         "sched": 2805, "stack": 73, "topology": 601, "workloads": 5,
     }, 12520),
     "sat_lbn": (2501, {
-        "apps": 13899, "declared": 37, "domains": 89, "engine": 38,
+        "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
         "mapping": 17159, "netsim": 11626, "recursion": 15013, "rng": 109,
         "sched": 16317, "stack": 45, "telemetry": 1024, "topology": 2658,
         "workloads": 9,
-    }, 141855),
+    }, 76087),
     "sparse_chain": (601, {
         "apps": 1202, "declared": 17, "domains": 89, "engine": 38,
         "mapping": 4650, "netsim": 9363, "recursion": 5170, "rng": 49,
