@@ -28,7 +28,7 @@ from ..rng import SeedSequence
 from ..sched import Address, ProcessContext
 from ..topology import NodeId
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
-from .mappers import MapperView, mapper_class
+from .mappers import MapperView, _MapperBase, mapper_class
 from .tickets import ReplyHandle, Ticket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -96,7 +96,6 @@ class _MapState:
         "mapper",
         "last_broadcast",
         "mctx",
-        "app_state",
         "next_seq",
         "forward_table",
         "results",
@@ -107,8 +106,8 @@ class _MapState:
         self.mapper = mapper
         #: received count at this node's last status broadcast
         self.last_broadcast = 0
+        #: the hosted app's context; its ``state`` is the app's state
         self.mctx: Optional[MappingContext] = None
-        self.app_state: Any = None
         self.next_seq = 0
         #: ticket -> next hop, for routing cancellations along work paths
         self.forward_table: Dict[Ticket, NodeId] = {}
@@ -117,9 +116,12 @@ class _MapState:
 
 
 class MappingContext:
-    """Layer-3 API handed to :class:`MappedApp` handlers."""
+    """Layer-3 API handed to :class:`MappedApp` handlers.
 
-    __slots__ = ("_service", "_pctx", "_mstate")
+    ``state`` is the application's state slot.
+    """
+
+    __slots__ = ("_service", "_pctx", "_mstate", "_machine", "state")
 
     def __init__(
         self, service: "MappingService", pctx: ProcessContext, mstate: _MapState
@@ -127,6 +129,8 @@ class MappingContext:
         self._service = service
         self._pctx = pctx
         self._mstate = mstate
+        self._machine = pctx.machine
+        self.state: Any = None
 
     # -- identity / environment ---------------------------------------
 
@@ -143,21 +147,12 @@ class MappingContext:
     @property
     def step(self) -> int:
         """Current simulation step."""
-        return self._pctx.step
+        return self._machine.current_step
 
     @property
     def rng(self) -> random.Random:
         """Per-node seeded random stream."""
         return self._mstate.view.rng
-
-    @property
-    def state(self) -> Any:
-        """Application state slot."""
-        return self._mstate.app_state
-
-    @state.setter
-    def state(self, value: Any) -> None:
-        self._mstate.app_state = value
 
     @property
     def results(self) -> List[Any]:
@@ -174,23 +169,26 @@ class MappingContext:
         """
         st = self._mstate
         view = st.view
-        pctx = self._pctx
-        node, pid = pctx.address
+        service = self._service
+        node = view.node
         ticket = Ticket(node, st.next_seq)
         st.next_seq += 1
-        dst = st.mapper.choose(view, hint)
-        st.mapper.on_sent(view, dst, hint)
+        mapper = st.mapper
+        dst = mapper.choose(view, hint)
+        if service.notify_sent:
+            mapper.on_sent(view, dst, hint)
         st.forward_table[ticket] = dst
         msg = WorkMsg(
             ticket,
             payload,
             hint,
             path=(node,),
-            hops_left=self._service.forward_hops,
+            hops_left=service.forward_hops,
             sender_count=view.received_count,
         )
-        pctx.send(Address(dst, pid), msg)
-        tel = self._service._telemetry
+        pctx = self._pctx
+        pctx.send(pctx.peers[dst], msg)
+        tel = service._telemetry
         if tel is not None:
             tel.event(3, "ticket_issue", ticket, dst, hint)
         return ticket
@@ -217,7 +215,8 @@ class MappingContext:
         msg = ReplyMsg(
             handle.ticket, payload, route[1:], self._mstate.view.received_count
         )
-        self._pctx.send(Address(route[0], self._pctx.pid), msg)
+        pctx = self._pctx
+        pctx.send(pctx.peers[route[0]], msg)
         if tel is not None:
             tel.event(3, "reply_sent", handle.ticket, len(route))
 
@@ -231,7 +230,7 @@ class MappingContext:
         if dst is None:
             return
         msg = CancelMsg(ticket, self._mstate.view.received_count)
-        self._pctx.send(Address(dst, self._pctx.pid), msg)
+        self._pctx.send(self._pctx.peers[dst], msg)
         tel = self._service._telemetry
         if tel is not None:
             tel.event(3, "cancel_sent", ticket, dst)
@@ -299,6 +298,10 @@ class MappingService:
             raise MappingError("work sharing needs a load_fn to measure load")
         self.app = app
         self.mapper_cls = mapper_class(mapper)
+        #: whether the mapper's ``on_sent`` / ``on_reply`` do anything:
+        #: the inherited no-ops are not called
+        self.notify_sent = self.mapper_cls.on_sent is not _MapperBase.on_sent
+        self.notify_reply = self.mapper_cls.on_reply is not _MapperBase.on_reply
         self.status = status
         self.seeds = SeedSequence(seed)
         self.forward_hops = forward_hops
@@ -319,11 +322,11 @@ class MappingService:
         self.app.init(mstate.mctx)
 
     def release(self, pctx: ProcessContext) -> None:
-        """Break the state's link to its :class:`MappingContext` when the
-        machine closes (the context points back at the state)."""
+        """Break the :class:`MappingContext`'s link back to the state when
+        the machine closes (the state points at the context)."""
         mstate: Optional[_MapState] = pctx.state
-        if mstate is not None:
-            mstate.mctx = None
+        if mstate is not None and mstate.mctx is not None:
+            mstate.mctx._mstate = None
 
     def on_message(
         self, pctx: ProcessContext, sender: Optional[Address], payload: Any
@@ -346,7 +349,9 @@ class MappingService:
                 view.observe(sender.node, payload.sender_count)
             if payload.hops_left > 0:
                 self._forward_work(pctx, mstate, payload)
-            elif self._should_share(pctx, mstate, payload):
+            elif self.share_threshold is not None and self._should_share(
+                pctx, mstate, payload
+            ):
                 # overloaded: push the work onward rather than execute it
                 self._forward_work(pctx, mstate, payload, consume_hop=False)
             else:
@@ -364,7 +369,7 @@ class MappingService:
                 # relay toward the issuer; retire our forwarding-table entry
                 # and the load _forward_work put on that neighbour
                 mstate.forward_table.pop(payload.ticket, None)
-                if sender is not None:
+                if sender is not None and self.notify_reply:
                     mstate.mapper.on_reply(view, sender.node)
                 fwd = ReplyMsg(
                     payload.ticket,
@@ -372,14 +377,14 @@ class MappingService:
                     payload.route[1:],
                     view.received_count,
                 )
-                pctx.send(Address(payload.route[0], pctx.pid), fwd)
+                pctx.send(pctx.peers[payload.route[0]], fwd)
             else:
-                if payload.ticket.node != pctx.node:
+                if payload.ticket.node != view.node:
                     raise UnknownTicketError(
-                        f"node {pctx.node} received terminal reply for foreign "
+                        f"node {view.node} received terminal reply for foreign "
                         f"ticket {payload.ticket!r}"
                     )
-                if sender is not None:
+                if sender is not None and self.notify_reply:
                     mstate.mapper.on_reply(view, sender.node)
                 mstate.forward_table.pop(payload.ticket, None)
                 tel = self._telemetry
@@ -393,10 +398,10 @@ class MappingService:
             if sender is not None:
                 view.observe(sender.node, payload.sender_count)
             next_hop = mstate.forward_table.get(payload.ticket)
-            if next_hop is not None and payload.ticket.node != pctx.node:
+            if next_hop is not None and payload.ticket.node != view.node:
                 # we relayed this work onward: pass the cancel along
                 pctx.send(
-                    Address(next_hop, pctx.pid),
+                    pctx.peers[next_hop],
                     CancelMsg(payload.ticket, view.received_count),
                 )
             else:
@@ -417,12 +422,10 @@ class MappingService:
     def _should_share(
         self, pctx: ProcessContext, mstate: _MapState, msg: WorkMsg
     ) -> bool:
-        if self.share_threshold is None or self.load_fn is None:
-            return False
         # path holds the issuer plus every relay so far; cap the detour
         if len(msg.path) > MAX_SHARE_HOPS:
             return False
-        return self.load_fn(pctx, mstate.app_state) >= self.share_threshold
+        return self.load_fn(pctx, mstate.mctx.state) >= self.share_threshold
 
     def _forward_work(
         self,
@@ -433,7 +436,8 @@ class MappingService:
     ) -> None:
         view = mstate.view
         dst = mstate.mapper.choose(view, msg.hint)
-        mstate.mapper.on_sent(view, dst, msg.hint)
+        if self.notify_sent:
+            mstate.mapper.on_sent(view, dst, msg.hint)
         mstate.forward_table[msg.ticket] = dst
         fwd = WorkMsg(
             msg.ticket,
@@ -443,7 +447,7 @@ class MappingService:
             hops_left=msg.hops_left - 1 if consume_hop else msg.hops_left,
             sender_count=view.received_count,
         )
-        pctx.send(Address(dst, pctx.pid), fwd)
+        pctx.send(pctx.peers[dst], fwd)
         tel = self._telemetry
         if tel is not None:
             tel.event(3, "ticket_forward", msg.ticket, dst, not consume_hop)
@@ -451,7 +455,7 @@ class MappingService:
     def _broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
         count = mstate.view.received_count
         for n in pctx.neighbours:
-            pctx.send(Address(n, pctx.pid), StatusMsg(count))
+            pctx.send(pctx.peers[n], StatusMsg(count))
         mstate.last_broadcast = count
         tel = self._telemetry
         if tel is not None:
@@ -473,9 +477,9 @@ class MappingService:
         view = pstate.view
         hook = getattr(self.app, "snapshot_app_state", None)
         if hook is not None:
-            app: Tuple[str, Any] = ("hook", hook(pstate.app_state))
+            app: Tuple[str, Any] = ("hook", hook(pstate.mctx.state))
         else:
-            app = ("raw", pstate.app_state)
+            app = ("raw", pstate.mctx.state)
         return {
             "received_count": view.received_count,
             "neighbour_counts": dict(view.neighbour_counts),
@@ -517,10 +521,9 @@ class MappingService:
                     f"application {type(self.app).__name__} cannot restore "
                     "a hook-captured state"
                 )
-            assert mstate.mctx is not None
             hook(mstate.mctx, app_data)
         else:
-            mstate.app_state = app_data
+            mstate.mctx.state = app_data
 
     # -- inspection -------------------------------------------------------
 
@@ -536,7 +539,7 @@ class MappingService:
         """Hosted application's state inside a service state blob."""
         if not isinstance(process_state, _MapState):
             raise MappingError("state does not belong to a MappingService process")
-        return process_state.app_state
+        return process_state.mctx.state
 
     @staticmethod
     def view_of(process_state: Any) -> MapperView:

@@ -118,6 +118,8 @@ class Machine:
         telemetry: Optional["TelemetryBus"] = None,
     ) -> None:
         self.topology = topology
+        #: the node count every send checks against, read once
+        self._n_nodes = topology.n_nodes
         self.program = program
         self._telemetry = telemetry
         self.trace = trace if trace is not None else TraceRecorder(topology.n_nodes)
@@ -216,7 +218,7 @@ class Machine:
         return partial(self._send_from, src)
 
     def _send_from(self, src: NodeId, dst: NodeId, payload: Any) -> None:
-        if not (0 <= dst < self.topology.n_nodes):
+        if not (0 <= dst < self._n_nodes):
             raise SimulationError(f"send to invalid node {dst} from node {src}")
         if src != EXTERNAL:
             if not self._full:

@@ -21,7 +21,10 @@ cascading through their own outstanding subcalls.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+)
 
 from ..declared import Counters
 from ..errors import ProtocolError, RecursionLayerError
@@ -59,8 +62,23 @@ class EngineStats(Counters):
 
     def merge(self, other: "EngineStats") -> None:
         """Accumulate ``other`` into this instance."""
-        for name in self.STATE:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        pairs = zip(_read_stats(self), _read_stats(other))
+        for name, (mine, theirs) in zip(self.STATE, pairs):
+            setattr(self, name, mine + theirs)
+
+    @classmethod
+    def summed(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
+        """A new instance holding the field-wise sum of ``parts`` (the
+        per-node merge at the end of a run: one read per part)."""
+        total = cls()
+        columns = zip(*map(_read_stats, parts))
+        for name, value in zip(cls.STATE, map(sum, columns)):
+            setattr(total, name, value)
+        return total
+
+
+#: every counter of an EngineStats, in STATE order, read in one call
+_read_stats = attrgetter(*EngineStats.STATE)
 
 
 class _EngineState:
@@ -71,12 +89,42 @@ class _EngineState:
     def __init__(self) -> None:
         #: live invocations by local id
         self.invocations: Dict[int, Invocation] = {}
-        #: outstanding subcall tickets -> (invocation, call record)
-        self.pending: Dict[Ticket, Tuple[Invocation, CallRecord]] = {}
+        #: outstanding subcall tickets -> (invocation, choice group's call
+        #: record, or None for a plain call)
+        self.pending: Dict[Ticket, Tuple[Invocation, Optional[CallRecord]]] = {}
         #: incoming-work ticket -> invocation (for cancellation lookups)
         self.by_reply_ticket: Dict[Ticket, Invocation] = {}
         self.next_inv_id = 0
         self.stats = EngineStats()
+
+
+def _batch_records(inv: Invocation) -> List[Dict[str, Any]]:
+    """``inv``'s batch as call-record dicts, in issue order."""
+    results = inv.results or {}
+    # a plain call's value is keyed by the reply's ticket object: equal
+    # to the issued one, not always the same object
+    keys = {key: key for key in results}
+    out = []
+    for entry in inv.batch:
+        if entry.__class__ is CallRecord:
+            out.append({
+                "tickets": list(entry.tickets),
+                "is_valid": entry.is_valid,
+                "results": dict(entry.results),
+                "resolved": entry.resolved,
+                "value": entry.value,
+            })
+        else:
+            done = entry in results
+            value = results[entry] if done else None
+            out.append({
+                "tickets": [entry],
+                "is_valid": None,
+                "results": {keys[entry]: value} if done else {},
+                "resolved": done,
+                "value": value,
+            })
+    return out
 
 
 class RecursionEngine:
@@ -160,8 +208,11 @@ class RecursionEngine:
                 tel.event(4, "late_reply", ticket)
             return
         inv, record = entry
-        resolved_now = record.deliver(ticket, payload)
-        if resolved_now and record.is_valid is not None:
+        if record is None:
+            # a plain call: the reply is its value
+            inv.resolve(ticket, payload)
+        elif record.deliver(ticket, payload):
+            inv.unresolved -= 1
             if record.value is None:
                 st.stats.choice_exhausted += 1
                 if tel is not None:
@@ -178,10 +229,10 @@ class RecursionEngine:
                         st.stats.cancels_sent += 1
         if inv.done or inv.cancelled:
             return
-        if inv.waiting_sync and inv.batch_resolved():
+        if inv.waiting_sync and not inv.unresolved:
             value = inv.sync_value()
             inv.waiting_sync = False
-            inv.batch = []
+            inv.end_batch()
             self._advance(mctx, st, inv, resume_value=value)
 
     def on_cancel(self, mctx: MappingContext, ticket: Ticket) -> None:
@@ -226,9 +277,8 @@ class RecursionEngine:
                 kind = next(k for k in (Call, Choice, Sync, Result) if isinstance(op, k))
             if kind is Call:
                 ticket = mctx.call(op.args, op.hint)
-                record = CallRecord([ticket], None)
-                st.pending[ticket] = (inv, record)
-                inv.batch.append(record)
+                st.pending[ticket] = (inv, None)
+                inv.issue(ticket)
                 st.stats.calls_made += 1
                 if tel is not None:
                     tel.event(4, "call", inv.inv_id, ticket)
@@ -240,16 +290,16 @@ class RecursionEngine:
                     record.tickets.append(ticket)
                     st.pending[ticket] = (inv, record)
                     st.stats.calls_made += 1
-                inv.batch.append(record)
+                inv.issue(record)
                 st.stats.choice_groups += 1
                 if tel is not None:
                     tel.event(4, "choice", inv.inv_id, len(op.calls))
                 to_send = tuple(record.tickets)
             elif kind is Sync:
                 st.stats.syncs += 1
-                if inv.batch_resolved():
+                if not inv.unresolved:
                     to_send = inv.sync_value()
-                    inv.batch = []
+                    inv.end_batch()
                     continue
                 inv.waiting_sync = True
                 if tel is not None:
@@ -314,7 +364,10 @@ class RecursionEngine:
         hosted function are deterministic, so replaying the log against a
         fresh ``fn(args)`` generator reproduces the exact suspension point
         on restore.  Ticket-indexed maps are stored positionally
-        (invocation id + call-record index) and relinked on restore.
+        (invocation id + call-record index) and relinked on restore.  Each
+        batch entry is written as a call record: a plain call, which keeps
+        no record, as the one-ticket record with ``is_valid=None`` it
+        stands for.
         """
         if not isinstance(st, _EngineState):
             raise RecursionLayerError("state does not belong to a RecursionEngine")
@@ -334,22 +387,14 @@ class RecursionEngine:
                     "reply": inv.reply,
                     "start_step": inv.start_step,
                     "sent_log": list(inv.sent_log),
-                    "batch": [
-                        {
-                            "tickets": list(rec.tickets),
-                            "is_valid": rec.is_valid,
-                            "results": dict(rec.results),
-                            "resolved": rec.resolved,
-                            "value": rec.value,
-                        }
-                        for rec in inv.batch
-                    ],
+                    "batch": _batch_records(inv),
                 }
             )
         pending = []
         for ticket, (inv, rec) in st.pending.items():
             try:
-                idx = inv.batch.index(rec)  # CallRecord compares by identity
+                # a record compares by identity, a ticket by value
+                idx = inv.batch.index(ticket if rec is None else rec)
             except ValueError as exc:
                 raise CheckpointError(
                     f"pending ticket {ticket} references a call record "
@@ -399,18 +444,28 @@ class RecursionEngine:
                     "hosted function is not deterministic, so this run "
                     "cannot be resumed from a checkpoint"
                 ) from exc
-            inv.batch = [
-                CallRecord(list(r["tickets"]), r["is_valid"]) for r in idata["batch"]
-            ]
-            for rec, r in zip(inv.batch, idata["batch"]):
+            for r in idata["batch"]:
+                if r["is_valid"] is None:
+                    # a plain call; its value is keyed as the reply's ticket
+                    inv.issue(r["tickets"][0])
+                    if r["resolved"]:
+                        inv.resolve(next(iter(r["results"])), r["value"])
+                    continue
+                rec = CallRecord(list(r["tickets"]), r["is_valid"])
                 rec.results = dict(r["results"])
                 rec.resolved = r["resolved"]
                 rec.value = r["value"]
+                inv.issue(rec)
+                if rec.resolved:
+                    inv.unresolved -= 1
             st.invocations[inv.inv_id] = inv
         for ticket, inv_id, idx in data["pending"]:
             try:
                 inv = st.invocations[inv_id]
-                st.pending[ticket] = (inv, inv.batch[idx])
+                entry = inv.batch[idx]
+                st.pending[ticket] = (
+                    inv, entry if entry.__class__ is CallRecord else None
+                )
             except (KeyError, IndexError) as exc:
                 raise CheckpointError(
                     f"pending ticket {ticket} references missing invocation "

@@ -4,15 +4,17 @@
 ticket number issued by layer 3 is stored in call records, alongside an
 empty slot for a pending computation result."
 
-A :class:`CallRecord` covers either a single subcall or a whole
-non-deterministic choice group (the paper stores "all tickets in the same
-call record" for choices).  An :class:`Invocation` is one suspended/running
-activation of the user's recursive function on this node.
+A :class:`CallRecord` covers a whole non-deterministic choice group (the
+paper stores "all tickets in the same call record" for choices); it also
+models a single subcall, but the engine keeps a plain call as its bare
+ticket, whose result slot is the invocation's ``results`` entry.  An
+:class:`Invocation` is one suspended/running activation of the user's
+recursive function on this node.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
 from ..mapping import ReplyHandle, Ticket
 
@@ -80,6 +82,8 @@ class Invocation:
         "gen",
         "reply",
         "batch",
+        "unresolved",
+        "results",
         "waiting_sync",
         "done",
         "cancelled",
@@ -100,8 +104,15 @@ class Invocation:
         self.gen = gen
         #: where the final result goes (None = external/root invocation)
         self.reply = reply
-        #: call records created since the last sync, in issue order
-        self.batch: List[CallRecord] = []
+        #: calls made since the last sync, in issue order: a plain call's
+        #: ticket, or a choice group's record
+        self.batch: List[Union[Ticket, CallRecord]] = []
+        #: entries of ``batch`` that have no value yet
+        self.unresolved = 0
+        #: plain call's ticket -> its value, for the calls answered so far;
+        #: made by the batch's first such value (a choice group's record
+        #: holds its own)
+        self.results: Optional[Dict[Ticket, Any]] = None
         self.waiting_sync = False
         self.done = False
         self.cancelled = False
@@ -116,26 +127,52 @@ class Invocation:
         #: exactly (the engine and the generator are both deterministic)
         self.sent_log: List[Any] = []
 
+    def issue(self, entry: Union[Ticket, CallRecord]) -> None:
+        """Append a plain call's ticket or a choice group's record to the
+        batch, unresolved."""
+        self.batch.append(entry)
+        self.unresolved += 1
+
+    def resolve(self, ticket: Ticket, value: Any) -> None:
+        """Give an unanswered plain call its value."""
+        results = self.results
+        if results is None:
+            self.results = results = {}
+        results[ticket] = value
+        self.unresolved -= 1
+
     def batch_resolved(self) -> bool:
-        """True if every record in the current batch has a value."""
-        return all(rec.resolved for rec in self.batch)
+        """True if every entry of the current batch has a value."""
+        return not self.unresolved
 
     def sync_value(self) -> Any:
         """Value a pending :class:`~repro.recursion.ops.Sync` resumes with.
 
-        One record → its value; several → a tuple in issue order (matching
+        One call → its value; several → a tuple in issue order (matching
         the paper's ``result1, result2 <- yield Sync()``); an empty batch
         (sync with no preceding calls) → an empty tuple.
         """
-        if len(self.batch) == 1:
-            return self.batch[0].value
-        return tuple(rec.value for rec in self.batch)
+        results = self.results
+        values = tuple([
+            entry.value if entry.__class__ is CallRecord else results[entry]
+            for entry in self.batch
+        ])
+        return values[0] if len(values) == 1 else values
+
+    def end_batch(self) -> None:
+        """Start a new batch (after a sync has taken its value)."""
+        self.batch = []
+        self.results = None
 
     def outstanding_tickets(self) -> List[Ticket]:
         """All unresolved tickets across the current batch."""
         out: List[Ticket] = []
-        for rec in self.batch:
-            out.extend(rec.outstanding())
+        results = self.results or ()
+        for entry in self.batch:
+            if entry.__class__ is CallRecord:
+                out.extend(entry.outstanding())
+            elif entry not in results:
+                out.append(entry)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

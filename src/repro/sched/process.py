@@ -40,9 +40,12 @@ class ProcessContext:
         node, otherwise routed over the mesh (destination must be adjacent).
     state:
         Arbitrary process state slot.
+    peers:
+        ``peers[node]`` is this pid's address on ``node``, for every node of
+        the machine: one shared table, so a send need not build an address.
     """
 
-    __slots__ = ("address", "neighbours", "send", "state", "_scheduler_ctx")
+    __slots__ = ("address", "neighbours", "send", "state", "peers", "_scheduler_ctx")
 
     def __init__(
         self,
@@ -50,11 +53,13 @@ class ProcessContext:
         neighbours: Sequence[NodeId],
         send: Callable[[Address, Any], None],
         scheduler_ctx: Any,
+        peers: Sequence[Address],
     ) -> None:
         self.address = address
         self.neighbours = tuple(neighbours)
         self.send = send
         self.state: Any = None
+        self.peers = peers
         self._scheduler_ctx = scheduler_ctx
 
     @property

@@ -106,15 +106,26 @@ class SchedulerProgram:
         self._telemetry = telemetry
         #: one process and no budget: _drain pops queues[0] directly
         self._solo = len(self._templates) == 1 and budget is None
+        #: ... and no bus either: on_message hands a message arriving at an
+        #: idle node straight to the process, with no queue in between
+        self._direct = self._solo and telemetry is None
+        #: per pid, ``Address(node, pid)`` for every node addressed so far
+        #: (addresses are values, so machines of any size share them)
+        self._peers: List[List[Address]] = [[] for _ in self._templates]
 
     # -- layer-1 NodeProgram interface ----------------------------------
 
     def init(self, ctx: NodeContext) -> None:
+        node = ctx.node
+        if node >= len(self._peers[0]):
+            n_nodes = ctx.n_nodes
+            for pid, peers in enumerate(self._peers):
+                peers.extend(Address(n, pid) for n in range(len(peers), n_nodes))
         proc_ctxs: List[ProcessContext] = []
-        for pid in range(len(self._templates)):
-            addr = Address(ctx.node, pid)
+        for pid, peers in enumerate(self._peers):
+            addr = peers[node]
             pctx = ProcessContext(
-                addr, ctx.neighbours, self._make_send(ctx, addr), ctx
+                addr, ctx.neighbours, self._make_send(ctx, addr), ctx, peers
             )
             proc_ctxs.append(pctx)
         ctx.state = _NodeSched(proc_ctxs)
@@ -123,6 +134,25 @@ class SchedulerProgram:
 
     def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
         sched: _NodeSched = ctx.state
+        if (
+            self._direct
+            and payload.__class__ is Packet
+            and not sched.queues[0]
+            and sender >= 0
+            and payload.dst_pid == 0
+            and payload.src_pid == 0
+        ):
+            # Direct dispatch: the general path below would queue the one
+            # message and pop it straight back for pid 0.  The cursor ends
+            # where that drain leaves it, and local work the handler queued
+            # runs in this same call, as it would in that drain's loop.
+            sched.last_pid = 0
+            self._templates[0].on_message(
+                sched.proc_ctxs[0], self._peers[0][sender], payload.payload
+            )
+            if sched.queues[0]:
+                self._drain(ctx, sched)
+            return
         if isinstance(payload, Packet):
             src = Address(sender, payload.src_pid) if sender >= 0 else None
             self._enqueue(ctx, sched, payload.dst_pid, src, payload.payload)

@@ -418,9 +418,9 @@ class HyperspaceStack:
             )
             results = per_node[trigger_node][0]
             if recursive:
-                engine_stats = EngineStats()
-                for node in self.topology.nodes():
-                    engine_stats.merge(per_node[node][1])
+                engine_stats = EngineStats.summed(
+                    [per_node[node][1] for node in self.topology.nodes()]
+                )
         run = StackRun(machine, report, results, engine_stats, scheduler)
         self.last_run = run
         return run

@@ -273,6 +273,10 @@ class TestEngineStats:
         a.merge(b)
         assert a.invocations == 7
         assert a.as_dict()["invocations"] == 7
+        # the end-of-run merge over every node sums field by field
+        total = EngineStats.summed([a, b, EngineStats()])
+        assert total.as_dict() == {**EngineStats().as_dict(), "invocations": 11}
+        assert EngineStats.summed([]).as_dict() == EngineStats().as_dict()
 
 
 class _MyCall(Call):
