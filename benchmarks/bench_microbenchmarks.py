@@ -52,6 +52,25 @@ def test_bench_machine_step_overhead(benchmark):
     benchmark(m.step)
 
 
+def test_bench_machine_storm_step(benchmark):
+    """Cost of one event-loop step with every node of a 20x20 torus busy."""
+
+    class Storm:
+        def init(self, ctx):
+            ctx.state = 0
+
+        def on_message(self, ctx, sender, payload):
+            ctx.state += 1
+            ctx.send(ctx.neighbours[ctx.state & 3], payload)
+
+    m = Machine(Torus((20, 20)), Storm())
+    for n in range(400):
+        m.inject(n, EMPTY_MSG)
+    m.step()
+
+    assert benchmark(m.step) == 400
+
+
 def test_bench_cnf_assign(benchmark, sample_cnf):
     """One uf20-91 simplification step (the solver's inner loop)."""
     lit = 1

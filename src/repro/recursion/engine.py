@@ -60,12 +60,6 @@ class EngineStats(Counters):
         "dup_work",
     )
 
-    def merge(self, other: "EngineStats") -> None:
-        """Accumulate ``other`` into this instance."""
-        pairs = zip(_read_stats(self), _read_stats(other))
-        for name, (mine, theirs) in zip(self.STATE, pairs):
-            setattr(self, name, mine + theirs)
-
     @classmethod
     def summed(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
         """A new instance holding the field-wise sum of ``parts`` (the

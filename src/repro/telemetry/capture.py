@@ -3,7 +3,7 @@
 :func:`capture_workload` runs one named workload with a fully wired
 telemetry pipeline — bus + Chrome-trace exporter + metrics — and writes the
 artifacts; :func:`capture_sat_trace` does the same for a single SAT sweep
-cell (used by the figure benches and ``record_baseline.py --trace``).
+cell (used by the figure benches).
 
 Workload names accept either a registry key whose record has a ``demo``
 (``sat``, ``sumrec``, ``fib``, ``nqueens``, ``traversal``) or a path to

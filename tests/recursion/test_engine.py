@@ -270,12 +270,17 @@ class TestEngineStats:
         a.invocations = 3
         b = EngineStats()
         b.invocations = 4
-        a.merge(b)
-        assert a.invocations == 7
-        assert a.as_dict()["invocations"] == 7
-        # the end-of-run merge over every node sums field by field
+        b.late_replies = 2
+        # the end-of-run merge over every node sums field by field and
+        # leaves its parts as they were
+        merged = EngineStats.summed([a, b])
+        assert merged.invocations == 7
+        assert merged.as_dict() == {
+            **EngineStats().as_dict(), "invocations": 7, "late_replies": 2,
+        }
+        assert (a.invocations, b.invocations) == (3, 4)
         total = EngineStats.summed([a, b, EngineStats()])
-        assert total.as_dict() == {**EngineStats().as_dict(), "invocations": 11}
+        assert total.as_dict() == merged.as_dict()
         assert EngineStats.summed([]).as_dict() == EngineStats().as_dict()
 
 

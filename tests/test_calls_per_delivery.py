@@ -3,10 +3,18 @@
 Host time on a shared machine wobbles by tens of percent, but the number
 of Python calls a fixed batch makes is exact: ``cProfile`` counts every
 call, and the same batch gives the same counts in every process.  This
-test runs the smoke batches of four end-to-end benchmark workloads
-(``benchmarks/e2e/workloads.py``) under ``cProfile`` and checks, per
-``repro`` package, the calls of ``repro``'s own named functions against
-the ceilings below.
+test runs fixed batches under ``cProfile`` and checks, per ``repro``
+package, the calls of ``repro``'s own named functions against the
+ceilings below.  A row is either
+
+* the smoke batch of an end-to-end benchmark workload
+  (``benchmarks/e2e/workloads.py``), or
+* a layer-1 kernel load from ``KERNELS``: a storm (every node of a 20x20
+  torus busy every step) or a ping-pong (one message on a 16x16 torus),
+  bare or with telemetry, reliable delivery or inline shards switched
+  on.  Telemetry and reliability are packages of their own, so a row's
+  ``telemetry`` or ``reliability`` count is that feature's own cost, and
+  the bare row pins the rest.
 
 * A change that adds calls on a message's path fails here.  If the rise
   is meant, raise the ceiling in the same commit and say why.
@@ -24,22 +32,28 @@ import cProfile
 import gc
 import importlib.util
 import os
+import random
 import sys
+from contextlib import closing
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import pytest
 
 import repro
 from repro.engine import execute
+from repro.netsim import EMPTY_MSG, FaultModel, Machine, ShardedMachine
+from repro.reliability import ReliabilityConfig
+from repro.telemetry import ChromeTraceExporter, MetricsSubscriber, TelemetryBus
+from repro.topology import Torus
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
 _PACKAGE = str(Path(repro.__file__).resolve().parent) + os.sep
 _INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 SEED = 2017
 
-#: workload -> (deliveries of its smoke batch, calls per repro package
-#: (a subpackage, or a top-level module without ``.py``), builtin calls)
+#: row -> (deliveries of its batch, calls per repro package (a
+#: subpackage, or a top-level module without ``.py``), builtin calls)
 CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
     "fib_rr": (353, {
         "apps": 618, "declared": 65, "domains": 89, "engine": 38,
@@ -64,6 +78,112 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
         "reliability": 15900, "rng": 111, "sched": 6509, "stack": 45,
         "telemetry": 1024, "topology": 159, "workloads": 9,
     }, 91137),
+    # layer-1 kernel loads (KERNELS); the bare rows pin netsim and
+    # topology, and a telemetry or reliability row adds that package
+    "storm": (16000, {
+        "domains": 7, "netsim": 51770, "topology": 2015,
+    }, 79879),
+    "storm_metrics": (16000, {
+        "domains": 7, "netsim": 51770, "telemetry": 266, "topology": 2015,
+    }, 80426),
+    "storm_trace": (16000, {
+        "domains": 7, "netsim": 51770, "telemetry": 99995, "topology": 2015,
+    }, 180163),
+    "pingpong": (2000, {
+        "domains": 7, "netsim": 14529, "topology": 785,
+    }, 24589),
+    "pingpong_metrics": (2000, {
+        "domains": 7, "netsim": 14529, "telemetry": 12026, "topology": 785,
+    }, 50616),
+    "pingpong_trace": (2000, {
+        "domains": 7, "netsim": 14529, "telemetry": 30043, "topology": 785,
+    }, 68642),
+    "storm_reliable": (16000, {
+        "declared": 1, "domains": 9, "netsim": 84971, "reliability": 16885,
+        "topology": 2015,
+    }, 195748),
+    # 5% drop, 2% duplication: fewer deliveries, retransmits on top
+    "storm_reliable_faulty": (10728, {
+        "declared": 1, "domains": 13, "netsim": 79607, "reliability": 88385,
+        "topology": 2015,
+    }, 311578),
+    # both features on: the protocol publishes to the bus itself
+    "storm_reliable_metrics": (16000, {
+        "declared": 1, "domains": 9, "netsim": 84971, "reliability": 86885,
+        "telemetry": 32755, "topology": 2015,
+    }, 326799),
+    # the intent-collection and replay of four same-process shards
+    "storm_sharded_inline": (16000, {
+        "domains": 10, "netsim": 69399, "topology": 22826,
+    }, 171692),
+}
+
+
+class _Storm:
+    """Every node forwards every message it gets, round the compass."""
+
+    def init(self, ctx):
+        ctx.state = 0
+
+    def on_message(self, ctx, sender, payload):
+        ctx.state += 1
+        ctx.send(ctx.neighbours[ctx.state & 3], payload)
+
+
+class _PingPong:
+    """Every message goes on along a node's first link."""
+
+    def init(self, ctx):
+        ctx.state = None
+
+    def on_message(self, ctx, sender, payload):
+        ctx.send(ctx.neighbours[0], payload)
+
+
+def _drive(machine, injected: int, steps: int) -> List[int]:
+    """Inject one message at each of the first ``injected`` nodes, take
+    one warm-up step, then return the deliveries of each of ``steps``
+    steps; the machine is closed after."""
+    with closing(machine):
+        for node in range(injected):
+            machine.inject(node, EMPTY_MSG)
+        machine.step()
+        return [machine.step() for _ in range(steps)]
+
+
+def _storm(**machine_kwargs) -> List[int]:
+    return _drive(Machine(Torus((20, 20)), _Storm(), **machine_kwargs), 400, 40)
+
+
+def _pingpong(**machine_kwargs) -> List[int]:
+    return _drive(Machine(Torus((16, 16)), _PingPong(), **machine_kwargs), 1, 2000)
+
+
+def _bus(*subscribers) -> TelemetryBus:
+    bus = TelemetryBus()
+    for subscriber in subscribers:
+        bus.attach(subscriber)
+    return bus
+
+
+#: kernel row -> a fresh run of it, returning deliveries per step
+KERNELS: Dict[str, Callable[[], List[int]]] = {
+    "storm": _storm,
+    "storm_metrics": lambda: _storm(telemetry=_bus(MetricsSubscriber())),
+    "storm_trace": lambda: _storm(
+        telemetry=_bus(MetricsSubscriber(), ChromeTraceExporter())),
+    "pingpong": _pingpong,
+    "pingpong_metrics": lambda: _pingpong(telemetry=_bus(MetricsSubscriber())),
+    "pingpong_trace": lambda: _pingpong(
+        telemetry=_bus(MetricsSubscriber(), ChromeTraceExporter())),
+    "storm_reliable": lambda: _storm(reliability=ReliabilityConfig()),
+    "storm_reliable_faulty": lambda: _storm(
+        faults=FaultModel(0.05, 0.02, random.Random(SEED)),
+        reliability=ReliabilityConfig()),
+    "storm_reliable_metrics": lambda: _storm(
+        reliability=ReliabilityConfig(), telemetry=_bus(MetricsSubscriber())),
+    "storm_sharded_inline": lambda: _drive(ShardedMachine(
+        Torus((20, 20)), _Storm(), shards=4, shard_backend="inline"), 400, 40),
 }
 
 
@@ -75,12 +195,19 @@ def _load_workloads():
     return module.WORKLOADS
 
 
+def _batch(name: str) -> Callable[[], List[int]]:
+    """A zero-argument run of row ``name``, returning delivery counts."""
+    if name in KERNELS:
+        return KERNELS[name]
+    cases = _load_workloads()[name].build(SEED, True)
+    return lambda: [execute(case.spec).report.delivered_total for case in cases]
+
+
 def count_calls(name: str) -> Tuple[int, Dict[str, int], int]:
     """(deliveries, repro calls per package, builtin calls) of one
-    profiled pass over the workload's smoke batch."""
-    cases = _load_workloads()[name].build(SEED, True)
-    for case in cases:
-        execute(case.spec)
+    profiled pass over row ``name``'s batch."""
+    run = _batch(name)
+    run()
     # garbage left by earlier tests could be collected (and its __del__
     # counted) inside the window: collect it first, and collect nothing
     # while profiling
@@ -89,7 +216,7 @@ def count_calls(name: str) -> Tuple[int, Dict[str, int], int]:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        results = [execute(case.spec) for case in cases]
+        delivered = run()
     finally:
         profiler.disable()
         gc.enable()
@@ -103,8 +230,7 @@ def count_calls(name: str) -> Tuple[int, Dict[str, int], int]:
             package = code.co_filename[len(_PACKAGE):].split(os.sep)[0]
             package = package[:-3] if package.endswith(".py") else package
             calls[package] = calls.get(package, 0) + entry.callcount
-    deliveries = sum(result.report.delivered_total for result in results)
-    return deliveries, calls, builtins
+    return sum(delivered), calls, builtins
 
 
 @pytest.mark.parametrize("name", sorted(CEILINGS))

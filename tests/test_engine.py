@@ -506,7 +506,6 @@ def test_entrypoint_lint_accepts_each_constructor_in_its_own_files(tmp_path):
     for constructor, rel_path in [
         ("HyperspaceStack", "src/repro/engine.py"),
         ("ShardedMachine", "src/repro/stack.py"),
-        ("ShardedMachine", "benchmarks/record_baseline.py"),
         ("Machine", "src/repro/stack.py"),
         ("Machine", "src/repro/apps/traversal.py"),
         ("Machine", "benchmarks/bench_microbenchmarks.py"),

@@ -13,13 +13,10 @@ six constructors outside that constructor's own short allowlist
 (see ``ALLOWED``):
 
 * ``HyperspaceStack(`` — ``src/repro/engine.py``, the funnel itself;
-* ``ShardedMachine(`` — ``src/repro/stack.py`` (the machine builder) and
-  ``benchmarks/record_baseline.py``, which measures the raw sharded
-  *coordinator loop* (a layer-1 microbenchmark below the spec level);
+* ``ShardedMachine(`` — ``src/repro/stack.py`` (the machine builder);
 * ``Machine(`` — ``src/repro/stack.py`` (the machine builder),
   ``src/repro/apps/traversal.py`` (the Listing-1 teaching helper) and
-  the layer-1 microbenchmarks ``benchmarks/record_baseline.py`` /
-  ``benchmarks/bench_microbenchmarks.py``;
+  the layer-1 microbenchmarks ``benchmarks/bench_microbenchmarks.py``;
 * ``SchedulerProgram(``, ``MappingService(`` and ``RecursionEngine(`` —
   ``src/repro/stack.py`` only (``_build_tower``, the layer 2–4 builder).
 
@@ -48,14 +45,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: the root); anything that assembles a machine is listed here
 ALLOWED = {
     "HyperspaceStack": ("src/repro/engine.py",),
-    "ShardedMachine": (
-        "src/repro/stack.py",
-        "benchmarks/record_baseline.py",
-    ),
+    "ShardedMachine": ("src/repro/stack.py",),
     "Machine": (
         "src/repro/stack.py",
         "src/repro/apps/traversal.py",
-        "benchmarks/record_baseline.py",
         "benchmarks/bench_microbenchmarks.py",
     ),
     "SchedulerProgram": ("src/repro/stack.py",),
