@@ -197,11 +197,6 @@ class CNF:
         clauses, num_vars = state
         self._root(clauses, num_vars)
 
-    def __deepcopy__(self, memo) -> "CNF":
-        return _derived(
-            self._table, self._alive, self._assigned, self._units, self._empty
-        )
-
     # -- basic structure ---------------------------------------------------
 
     @property

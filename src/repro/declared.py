@@ -1,12 +1,12 @@
 """Declared state: what digests and checkpoints see of an object.
 
 :func:`repro.state.normalize` digests an object through its class's own
-``__getstate__``; pickling (checkpoints) and :func:`copy.deepcopy` (layer
-snapshots) go through the same pair.  A :class:`Declared` class names its
-state fields in ``STATE``.  Its other slots are storage, such as a cache,
-which no digest or checkpoint sees.  The state is the ``(name, value)``
-pairs sorted by name, which normalize like the slot walk of an object with
-only those slots, so declaring a class's state moves none of its digests.
+``__getstate__``; pickling (checkpoints) goes through the same pair.  A
+:class:`Declared` class names its state fields in ``STATE``.  Its other
+slots are storage, such as a cache, which no digest or checkpoint sees.
+The state is the ``(name, value)`` pairs sorted by name, which normalize
+like the slot walk of an object with only those slots, so declaring a
+class's state moves none of its digests.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .errors import SpecError, TopologyError
 from .netsim.digest import canonical_digest
 from .netsim.sharded import FIFO_ONLY_MSG, SHARE_SHARD_MSG
 from .stack import RETRY_NEEDS_RELIABLE_MSG, HyperspaceStack
-from .state import state_digest_of
+from .state import digest_of_normalized, normalize
 from .topology import Topology, topology_from_spec
 from .workloads import WORKLOADS, cnf_of
 
@@ -565,10 +565,10 @@ def execute(
         state_digest = semantic_digest = None
         if want:
             layers = stack._compose_layers(run.machine, run.scheduler)
-            state_digest = state_digest_of(layers)
-            semantic_digest = state_digest_of(
-                {k: v for k, v in layers.items() if k != "telemetry"}
-            )
+            normal = {name: normalize(state) for name, state in layers.items()}
+            state_digest = semantic_digest = digest_of_normalized(normal)
+            if normal.pop("telemetry", None) is not None:
+                semantic_digest = digest_of_normalized(normal)
         rel_layer = run.machine.reliability
         link_stats = rel_layer.stats if rel_layer is not None else None
     finally:

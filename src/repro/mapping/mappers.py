@@ -54,8 +54,9 @@ class MapperView:
     received_count:
         Total messages this node's mapping service has received.
     neighbour_counts:
-        Latest known received-count of each neighbour (piggybacked or from
-        status messages); missing entries mean "never heard from".
+        Largest received-count each neighbour has reported (piggybacked or
+        in a status message; the mapping service keeps it); missing entries
+        mean "never heard from".
     rng:
         Seeded per-node random stream for tie-breaking.
     """
@@ -70,15 +71,6 @@ class MapperView:
         self.received_count = 0
         self.neighbour_counts: Dict[NodeId, int] = {}
         self.rng = rng
-
-    def observe(self, src: NodeId, count: int) -> None:
-        """Record that ``src`` reported a received-count of ``count``."""
-        if src in self.neighbour_counts:
-            # counts are monotone; keep the freshest (largest) observation
-            if count > self.neighbour_counts[src]:
-                self.neighbour_counts[src] = count
-        else:
-            self.neighbour_counts[src] = count
 
     def known_count(self, neighbour: NodeId) -> int:
         """Latest count for ``neighbour`` (0 if never observed)."""

@@ -341,12 +341,17 @@ class MappingService:
         kind = payload.__class__
         if kind is not StatusMsg and kind is not CancelMsg:
             view.received_count += 1
+        if sender is not None:
+            # every message from a peer piggybacks its received-count;
+            # counts are monotone, so keep the freshest (largest) one
+            src, count = sender.node, payload.sender_count
+            counts = view.neighbour_counts
+            if src not in counts or count > counts[src]:
+                counts[src] = count
         mctx = mstate.mctx
         assert mctx is not None
 
         if kind is WorkMsg:
-            if sender is not None:
-                view.observe(sender.node, payload.sender_count)
             if payload.hops_left > 0:
                 self._forward_work(pctx, mstate, payload)
             elif self.share_threshold is not None and self._should_share(
@@ -363,8 +368,6 @@ class MappingService:
                 )
                 self.app.on_work(mctx, handle, payload.payload, payload.hint)
         elif kind is ReplyMsg:
-            if sender is not None:
-                view.observe(sender.node, payload.sender_count)
             if payload.route:
                 # relay toward the issuer; retire our forwarding-table entry
                 # and the load _forward_work put on that neighbour
@@ -392,11 +395,8 @@ class MappingService:
                     tel.event(3, "reply_delivered", payload.ticket)
                 self.app.on_reply(mctx, payload.ticket, payload.payload)
         elif kind is StatusMsg:
-            if sender is not None:
-                view.observe(sender.node, payload.sender_count)
+            pass  # its count was observed above
         elif kind is CancelMsg:
-            if sender is not None:
-                view.observe(sender.node, payload.sender_count)
             next_hop = mstate.forward_table.get(payload.ticket)
             if next_hop is not None and payload.ticket.node != view.node:
                 # we relayed this work onward: pass the cancel along
@@ -466,8 +466,8 @@ class MappingService:
     def snapshot_process_state(self, pstate: Any) -> Dict[str, Any]:
         """Scheduler hook: capture one node's layer-3 state (plus the app's).
 
-        Returns live references — the calling scheduler detaches the whole
-        composite with one deepcopy, preserving any sharing.  The hosted
+        Returns live references — the checkpoint's one pickle detaches the
+        whole composite, preserving any sharing.  The hosted
         application's state is delegated to its ``snapshot_app_state`` hook
         when present (the recursion engine implements it to make its live
         generators replayable); hookless apps are captured raw.

@@ -23,7 +23,6 @@ Semantics implemented here (and verified by tests):
 
 from __future__ import annotations
 
-import copy
 import random
 from collections import deque
 from functools import partial
@@ -651,7 +650,7 @@ class Machine:
     STATE_VERSION = 1
 
     def snapshot(self) -> "LayerState":
-        """Capture layer-1 mutable state as a detached :class:`LayerState`.
+        """Capture layer-1 mutable state as a :class:`LayerState`.
 
         Covers the event-loop core (step counter, message-id counter, halt
         flag), every inbox's contents, in-flight (latent) messages, pending
@@ -660,6 +659,8 @@ class Machine:
         Derived bookkeeping (active list, depth mirror, counters) is
         recomputed on restore.  Program/per-node state is *not* included:
         that belongs to the layers above (see ``docs/checkpointing.md``).
+        The queued envelopes are the live ones: the checkpoint's pickle is
+        the copy.
         """
         from ..state import LayerState
 
@@ -683,9 +684,7 @@ class Machine:
             "poll_requests": sorted(self._poll_requests),
             "trace": self.trace.snapshot(),
         }
-        # one deepcopy over the whole composite: detaches envelopes/payloads
-        # from the live run while preserving sharing inside the snapshot
-        return LayerState("netsim", self.STATE_VERSION, copy.deepcopy(data))
+        return LayerState("netsim", self.STATE_VERSION, data)
 
     def restore(self, state: "LayerState") -> None:
         """Install a :meth:`snapshot`-captured state into this machine.
@@ -697,7 +696,7 @@ class Machine:
         """
         from ..state import CheckpointError, LayerState  # noqa: F401
 
-        data = copy.deepcopy(state.require("netsim", self.STATE_VERSION))
+        data = state.require("netsim", self.STATE_VERSION)
         cfg = data["config"]
         if cfg["n_nodes"] != self.topology.n_nodes or cfg["topology"] != self.topology.describe():
             raise CheckpointError(

@@ -5,11 +5,11 @@ ticket number issued by layer 3 is stored in call records, alongside an
 empty slot for a pending computation result."
 
 A :class:`CallRecord` covers a whole non-deterministic choice group (the
-paper stores "all tickets in the same call record" for choices); it also
-models a single subcall, but the engine keeps a plain call as its bare
-ticket, whose result slot is the invocation's ``results`` entry.  An
-:class:`Invocation` is one suspended/running activation of the user's
-recursive function on this node.
+paper stores "all tickets in the same call record" for choices).  A plain
+call keeps no record: the engine keeps it as its bare ticket, whose result
+slot is the invocation's ``results`` entry.  An :class:`Invocation` is one
+suspended/running activation of the user's recursive function on this
+node.
 """
 
 from __future__ import annotations
@@ -22,39 +22,29 @@ __all__ = ["CallRecord", "Invocation"]
 
 
 class CallRecord:
-    """Result slot(s) for one subcall or one choice group."""
+    """Result slots for one choice group: its tickets and its predicate."""
 
     __slots__ = ("tickets", "is_valid", "results", "resolved", "value")
 
     def __init__(
-        self, tickets: List[Ticket], is_valid: Optional[Callable[[Any], bool]]
+        self, tickets: List[Ticket], is_valid: Callable[[Any], bool]
     ) -> None:
         self.tickets = tickets
-        #: None for plain calls; the choice predicate otherwise
+        #: the choice predicate: the first evaluation it accepts wins
         self.is_valid = is_valid
         self.results: Dict[Ticket, Any] = {}
         self.resolved = False
         self.value: Any = None
 
-    @property
-    def is_choice(self) -> bool:
-        """True for choice groups (several tickets + predicate)."""
-        return self.is_valid is not None
-
     def deliver(self, ticket: Ticket, payload: Any) -> bool:
         """Record one evaluation; return True if this resolved the record.
 
-        Plain records resolve on their (single) result.  Choice records
-        resolve on the first valid evaluation, or — with ``None`` as value —
-        once every evaluation has arrived invalid.
+        The record resolves on the first valid evaluation, or — with
+        ``None`` as value — once every evaluation has arrived invalid.
         """
         self.results[ticket] = payload
         if self.resolved:
             return False
-        if self.is_valid is None:
-            self.resolved = True
-            self.value = payload
-            return True
         if self.is_valid(payload):
             self.resolved = True
             self.value = payload

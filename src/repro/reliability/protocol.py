@@ -669,10 +669,10 @@ class ReliableDelivery:
     STATE_VERSION = 1
 
     def snapshot(self) -> "LayerState":
-        """Capture the protocol's mutable state as a detached ``LayerState``.
+        """Capture the protocol's mutable state as a ``LayerState``.
 
-        One :func:`copy.deepcopy` over the composed dict keeps the internal
-        aliasing intact — ``_ack_owed`` values are the *same*
+        The dict holds the live objects; the checkpoint's one pickle keeps
+        their aliasing intact — ``_ack_owed`` values are the *same*
         :class:`_ReceiverLink` objects held by ``_receivers``, timer-wheel
         buckets hold the same :class:`_SenderLink` objects as ``_senders``,
         and an in-flight retransmission is the same :class:`DataFrame` as
@@ -680,8 +680,6 @@ class ReliableDelivery:
         latency, virtualization) is derived from the owning machine and is
         recorded only as a ``virtual`` compatibility flag.
         """
-        import copy
-
         from ..state import LayerState
 
         data = {
@@ -696,21 +694,20 @@ class ReliableDelivery:
             "ack_owed": self._ack_owed,
             "retire": self._retire,
         }
-        return LayerState("reliability", self.STATE_VERSION, copy.deepcopy(data))
+        return LayerState("reliability", self.STATE_VERSION, data)
 
     def restore(self, state: "LayerState") -> None:
         """Install a :meth:`snapshot`-captured state into this engine.
 
         The engine must run in the same mode (framed vs virtualized, which
         follows from the machine's fault/latency/telemetry configuration)
-        as the one that took the snapshot.
+        as the one that took the snapshot.  The state's objects are
+        installed as they are, not copied.
         """
-        import copy
-
         from ..errors import CheckpointError
         from ..state import LayerState  # noqa: F401
 
-        data = copy.deepcopy(state.require("reliability", self.STATE_VERSION))
+        data = state.require("reliability", self.STATE_VERSION)
         if data["virtual"] != self._virtual:
             raise CheckpointError(
                 "checkpoint and machine disagree on the reliability mode "

@@ -335,23 +335,20 @@ class SchedulerProgram:
                 pctx.state = pdata
 
     def snapshot(self, machine: Any) -> Any:
-        """Capture every node's scheduler state as a detached ``LayerState``.
+        """Capture every node's scheduler state as a ``LayerState``.
 
         The scheduler is a template: its per-node state lives in the
         machine's node-state slots, so the machine is the explicit handle.
         Per-process state is delegated to the template when it implements
         the ``snapshot_process_state(state)`` hook (layer 3 does, carrying
-        layers 4-5 inside); hookless templates are captured by raw
-        deepcopy.  Either way one final :func:`copy.deepcopy` over the
-        whole composite detaches the snapshot from the live run.
+        layers 4-5 inside); hookless templates are captured raw.  Either
+        way the capture holds live objects until the checkpoint pickles it.
 
         The per-node captures are gathered through ``machine.map_nodes``
         — from this process or from the owning shard workers, with
         identical snapshot data (and therefore checkpoint digest) either
         way, which is what lets a checkpoint hop between shard counts.
         """
-        import copy
-
         from ..state import LayerState
 
         n_nodes = machine.topology.n_nodes
@@ -361,20 +358,19 @@ class SchedulerProgram:
             "n_processes": len(self._templates),
             "nodes": [per_node[node] for node in range(n_nodes)],
         }
-        return LayerState("sched", self.STATE_VERSION, copy.deepcopy(data))
+        return LayerState("sched", self.STATE_VERSION, data)
 
     def restore(self, machine: Any, state: Any) -> None:
         """Install a :meth:`snapshot`-captured state into ``machine``.
 
         The machine must already be initialised with this scheduler (same
         templates, same process count) — contexts and send closures are
-        kept; queues, budgets, cursors and per-process state are replaced.
+        kept; queues, budgets, cursors and per-process state are replaced
+        by the state's own objects, not copies.
         """
-        import copy
-
         from ..state import CheckpointError, LayerState  # noqa: F401
 
-        data = copy.deepcopy(state.require("sched", self.STATE_VERSION))
+        data = state.require("sched", self.STATE_VERSION)
         if data["n_nodes"] != machine.topology.n_nodes:
             raise CheckpointError(
                 f"scheduler snapshot covers {data['n_nodes']} nodes; "

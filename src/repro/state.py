@@ -2,7 +2,7 @@
 
 Every stateful layer of the stack exposes a uniform pair of methods::
 
-    snapshot() -> LayerState      # capture all mutable state, detached
+    snapshot() -> LayerState      # capture all mutable state (live objects)
     restore(state: LayerState)    # install a previously captured state
 
 (template-style layers whose per-node state lives in machine slots — the
@@ -69,6 +69,7 @@ __all__ = [
     "LayerState",
     "StackCheckpoint",
     "normalize",
+    "digest_of_normalized",
     "state_digest_of",
     "save_checkpoint",
     "load_checkpoint",
@@ -89,8 +90,9 @@ class LayerState:
     ``layer`` names the owner (``"netsim"``, ``"reliability"``, ``"sched"``,
     ``"telemetry"`` — layers 3-5 ride inside the scheduler's per-process
     states), ``version`` is the layer's own snapshot-schema version, and
-    ``data`` is a plain (picklable) structure fully detached from the live
-    objects it was captured from.
+    ``data`` is a plain (picklable) structure that may hold live objects:
+    it is a view of the run until a :class:`StackCheckpoint` pickles it,
+    and ``restore`` installs it without copying.
     """
 
     __slots__ = ("layer", "version", "data")
@@ -172,11 +174,17 @@ def normalize(obj: Any) -> Any:
     ]
 
 
+def digest_of_normalized(normalized: Dict[str, Any]) -> str:
+    """:func:`state_digest_of` for layer states that are already
+    :func:`normalize`-d (so one walk can serve several digests)."""
+    return canonical_digest(
+        ["ckpt", [[name, normalized[name]] for name in sorted(normalized)]]
+    )
+
+
 def state_digest_of(layers: Dict[str, "LayerState"]) -> str:
     """Semantic digest of a composed layer-state dict (resume parity)."""
-    return canonical_digest(
-        ["ckpt", [[name, normalize(layers[name])] for name in sorted(layers)]]
-    )
+    return digest_of_normalized({name: normalize(layers[name]) for name in layers})
 
 
 class StackCheckpoint:
@@ -211,7 +219,6 @@ class StackCheckpoint:
         full_meta["layers"] = sorted(layers)
         full_meta["payload_len"] = len(payload)
         full_meta["payload_sha256"] = payload_digest(payload)
-        full_meta["state_digest"] = state_digest_of(layers)
         return cls(full_meta, payload)
 
     def layers(self) -> Dict[str, LayerState]:
@@ -232,21 +239,27 @@ class StackCheckpoint:
 
     @property
     def state_digest(self) -> str:
-        """The semantic state digest recorded at build time."""
-        return self.meta["state_digest"]
+        """The semantic state digest, worked out from the payload on the
+        first read and kept in the meta (a loaded file's header has it)."""
+        digest = self.meta.get("state_digest")
+        if digest is None:
+            digest = self.meta["state_digest"] = state_digest_of(self.layers())
+        return digest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StackCheckpoint(step={self.step}, layers={self.meta.get('layers')}, "
-            f"digest={self.state_digest})"
+            f"digest={self.meta.get('state_digest')})"
         )
 
 
 def save_checkpoint(path: Union[str, Path], ckpt: StackCheckpoint) -> Path:
-    """Write ``ckpt`` in the on-disk format; returns the path written."""
+    """Write ``ckpt`` in the on-disk format, its state digest in the
+    header; returns the path written."""
     path = Path(path)
     header = f"{MAGIC} {SCHEMA_VERSION}\n".encode("ascii")
-    meta_line = json.dumps(ckpt.meta, sort_keys=True).encode("utf-8") + b"\n"
+    meta = {**ckpt.meta, "state_digest": ckpt.state_digest}
+    meta_line = json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -13,10 +13,11 @@ from repro.mapping import (
     MapperView,
     RandomMapper,
     RoundRobinMapper,
+    StatusMsg,
     mapper_class,
 )
 from repro.netsim import Machine
-from repro.sched import SchedulerProgram
+from repro.sched import Address, SchedulerProgram
 from repro.topology import Ring
 
 
@@ -24,22 +25,35 @@ def make_view(neighbours=(1, 2, 3, 4), node=0, seed=0):
     return MapperView(node, neighbours, random.Random(seed))
 
 
+def report(view, src, count):
+    """What the mapping service does with a count ``src`` piggybacked."""
+    view.neighbour_counts[src] = max(count, view.known_count(src))
+
+
 class TestMapperView:
+    """The mapping service keeps a view's neighbour counts up to date from
+    the count every message of a neighbour carries."""
+
+    @staticmethod
+    def view_after(*statuses):
+        """Node 0's view once ``(src, count)`` status messages reached it."""
+        service = MappingService(_IdleApp(), "lbn")
+        machine = Machine(Ring(4), SchedulerProgram([service]))
+        pctx = machine.state_of(0).proc_ctxs[0]
+        for src, count in statuses:
+            service.on_message(pctx, Address(src, 0), StatusMsg(count))
+        return MappingService.view_of(pctx.state)
+
     def test_observe_records_count(self):
-        v = make_view()
-        v.observe(1, 5)
-        assert v.known_count(1) == 5
+        assert self.view_after((1, 5)).known_count(1) == 5
 
     def test_unobserved_defaults_to_zero(self):
         assert make_view().known_count(3) == 0
 
     def test_observe_keeps_freshest(self):
-        v = make_view()
-        v.observe(1, 5)
-        v.observe(1, 3)  # stale (counts are monotone)
-        assert v.known_count(1) == 5
-        v.observe(1, 9)
-        assert v.known_count(1) == 9
+        # stale (counts are monotone)
+        assert self.view_after((1, 5), (1, 3)).known_count(1) == 5
+        assert self.view_after((1, 5), (1, 3), (1, 9)).known_count(1) == 9
 
 
 class TestRoundRobin:
@@ -51,7 +65,7 @@ class TestRoundRobin:
     def test_ignores_counts(self):
         m = RoundRobinMapper()
         v = make_view((1, 2))
-        v.observe(1, 1000)
+        report(v, 1, 1000)
         assert m.choose(v, None) == 1  # static: counts irrelevant
 
     def test_no_neighbours_rejected(self):
@@ -63,16 +77,16 @@ class TestLeastBusyNeighbour:
     def test_picks_smallest_known_count(self):
         m = LeastBusyNeighbourMapper()
         v = make_view((1, 2, 3))
-        v.observe(1, 10)
-        v.observe(2, 2)
-        v.observe(3, 7)
+        report(v, 1, 10)
+        report(v, 2, 2)
+        report(v, 3, 7)
         assert m.choose(v, None) == 2
 
     def test_unheard_neighbours_look_idle(self):
         m = LeastBusyNeighbourMapper()
         v = make_view((1, 2, 3))
-        v.observe(1, 4)
-        v.observe(2, 4)
+        report(v, 1, 4)
+        report(v, 2, 4)
         assert m.choose(v, None) == 3  # never heard from -> count 0
 
     def test_random_tie_break_spreads(self):
@@ -125,7 +139,7 @@ class TestHintAware:
     def test_defaults_to_least_busy(self):
         m = HintAwareMapper()
         v = make_view((1, 2))
-        v.observe(1, 5)
+        report(v, 1, 5)
         assert m.choose(v, None) == 2
 
     def test_outstanding_hints_steer_away(self):
@@ -139,7 +153,7 @@ class TestHintAware:
         v = make_view((1, 2))
         m.on_sent(v, 1, 100.0)
         m.on_reply(v, 1)
-        v.observe(2, 1)
+        report(v, 2, 1)
         assert m.choose(v, None) == 1
 
     def test_unhinted_work_uses_default(self):
@@ -166,8 +180,8 @@ class TestHintAware:
             event, n = script.random(), script.choice(neighbours)
             if event < 0.3:
                 count = script.randint(0, 5)
-                hint_view.observe(n, count)
-                lbn_view.observe(n, count)
+                report(hint_view, n, count)
+                report(lbn_view, n, count)
             elif event < 0.5:
                 hint.on_reply(hint_view, n)
                 lbn.on_reply(lbn_view, n)
@@ -264,8 +278,8 @@ class TestOnePassChooseMatchesTwoPass:
             n = history.choice(neighbours)
             if event < 0.3:
                 count = history.randint(0, 6)  # small range: ties are common
-                view.observe(n, count)
-                shadow.observe(n, count)
+                report(view, n, count)
+                report(shadow, n, count)
             elif event < 0.45:
                 mapper.on_reply(view, n)
             else:

@@ -63,7 +63,7 @@ def roundtrip(layer, machine, scheduler):
     elif layer == "reliability":
         machine.reliability.restore(copy.deepcopy(machine.reliability.snapshot()))
     elif layer == "sched":
-        scheduler.restore(machine, scheduler.snapshot(machine))
+        scheduler.restore(machine, copy.deepcopy(scheduler.snapshot(machine)))
     elif layer == "mapping":
         service = scheduler._templates[0]
         for node in machine.topology.nodes():

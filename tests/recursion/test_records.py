@@ -8,32 +8,20 @@ def t(seq, node=0):
     return Ticket(node, seq)
 
 
-class TestPlainCallRecord:
-    def test_resolves_on_single_result(self):
-        rec = CallRecord([t(0)], None)
-        assert not rec.resolved
-        assert rec.deliver(t(0), "value")
-        assert rec.resolved
-        assert rec.value == "value"
-
+class TestChoiceCallRecord:
     def test_outstanding(self):
-        rec = CallRecord([t(0)], None)
-        assert rec.outstanding() == [t(0)]
+        rec = CallRecord([t(0), t(1)], lambda r: False)
+        assert rec.outstanding() == [t(0), t(1)]
         rec.deliver(t(0), 1)
+        rec.deliver(t(1), 2)
         assert rec.outstanding() == []
 
-    def test_is_choice_flag(self):
-        assert not CallRecord([t(0)], None).is_choice
-        assert CallRecord([t(0)], lambda r: True).is_choice
-
     def test_duplicate_delivery_ignored(self):
-        rec = CallRecord([t(0)], None)
+        rec = CallRecord([t(0), t(1)], lambda r: True)
         rec.deliver(t(0), "first")
         assert not rec.deliver(t(0), "second")
         assert rec.value == "first"
 
-
-class TestChoiceCallRecord:
     def test_resolves_on_first_valid(self):
         rec = CallRecord([t(0), t(1)], lambda r: r == "good")
         assert not rec.deliver(t(0), "bad")

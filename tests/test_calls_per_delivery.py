@@ -57,24 +57,24 @@ SEED = 2017
 CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
     "fib_rr": (353, {
         "apps": 618, "declared": 65, "domains": 89, "engine": 38,
-        "mapping": 2277, "netsim": 1376, "recursion": 2047, "rng": 193,
+        "mapping": 1925, "netsim": 1376, "recursion": 2047, "rng": 193,
         "sched": 1701, "stack": 73, "topology": 250, "workloads": 5,
     }, 8045),
     "sat_lbn": (2501, {
         "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
-        "mapping": 14050, "netsim": 8138, "recursion": 11397, "rng": 109,
+        "mapping": 11550, "netsim": 8138, "recursion": 11397, "rng": 109,
         "sched": 7865, "stack": 45, "telemetry": 1024, "topology": 159,
         "workloads": 9,
     }, 58377),
     "sparse_chain": (601, {
         "apps": 1202, "declared": 17, "domains": 89, "engine": 38,
-        "mapping": 3133, "netsim": 8479, "recursion": 3655, "rng": 49,
+        "mapping": 2533, "netsim": 8479, "recursion": 3655, "rng": 49,
         "sched": 1965, "stack": 25, "topology": 99, "workloads": 5,
     }, 18046),
     # the reliability path: drops, duplicates and ack/retransmit frames
     "sat_lossy": (2049, {
         "apps": 11845, "declared": 38, "domains": 95, "engine": 38,
-        "mapping": 10533, "netsim": 14599, "recursion": 11389,
+        "mapping": 8485, "netsim": 14599, "recursion": 11389,
         "reliability": 15900, "rng": 111, "sched": 6509, "stack": 45,
         "telemetry": 1024, "topology": 159, "workloads": 9,
     }, 91137),

@@ -10,11 +10,14 @@ literals, so the tests assert the *parity*, not one Python version's
 pickle bytes.
 """
 
+import copy
 import random
 from pathlib import Path
 
 import pytest
 
+import repro.engine
+import repro.state
 from repro.apps.sat import CNF
 from repro.apps.sat.generator import uf20_91_suite
 from repro.apps.sumrec import calculate_sum
@@ -193,7 +196,9 @@ class TestFileFormat:
         ids=["deleted-module", "missing-class", "garbage"],
     )
     def test_unreadable_payload_is_a_checkpoint_error(self, tmp_path, payload):
-        meta = dict(small_checkpoint().meta)
+        ckpt = small_checkpoint()
+        ckpt.state_digest  # digested from the good payload, before the swap
+        meta = dict(ckpt.meta)
         meta["payload_len"] = len(payload)
         meta["payload_sha256"] = payload_digest(payload)
         path = save_checkpoint(tmp_path / "c.ckpt", StackCheckpoint(meta, payload))
@@ -253,9 +258,10 @@ class TestMachineSnapshot:
 
         first = storm_machine()
         first.run(max_steps=15)
-        state = first.snapshot()
-        # keep mutating the donor: the snapshot must be detached
+        ckpt = StackCheckpoint.build({"netsim": first.snapshot()})
+        # keep mutating the donor: the checkpoint must be detached
         first.run(max_steps=5)
+        state = ckpt.layers()["netsim"]
 
         # max_steps bounds the absolute step counter, so the resumed
         # machine gets the same total budget as the reference
@@ -422,7 +428,7 @@ class TestStackResumeParity:
 
 
 # ----------------------------------------------------------------------
-# the acceptance scenario: uf20 SAT solves, three configurations,
+# the acceptance scenario: uf20 SAT solves, five configurations,
 # resume at early / mid / late checkpoints
 
 
@@ -441,6 +447,8 @@ UF20_CONFIGS = {
     "plain": {},
     "lbn": {"mapper": "lbn", "status": 8},
     "faulty-reliable": {"drop": 0.03, "duplicate": 0.01, "reliable": True},
+    "lifo": {"queue_policy": "lifo"},
+    "random-bounded": {"queue_policy": "random", "queue_capacity": 64},
 }
 
 
@@ -508,6 +516,73 @@ class TestSatResumeParity:
                 topology=Ring(4),
                 checkpoint_sink=lambda c: None,
             )
+
+
+# -- what a capture costs ------------------------------------------------
+#
+# A checkpoint's pickle is the only copy of the run's state: the layers
+# hand out live objects and no capture deep-copies them.  The semantic
+# digest is worked out on the first read.  The pin was recorded on the
+# tree that still deep-copied every layer and digested every capture.
+
+CAPTURED = {"checkpoints": 32, "digests": "8e6d26e71d5c64ad"}
+
+
+class TestCaptureCost:
+    def test_one_pickle_per_capture_and_a_digest_on_read(
+        self, monkeypatch, tmp_path
+    ):
+        def no_deepcopy(*args, **kwargs):
+            raise AssertionError("a checkpoint capture deep-copied its state")
+
+        walks = []
+        real_normalize = repro.state.normalize
+
+        def counted(obj):
+            walks.append(None)
+            return real_normalize(obj)
+
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+        monkeypatch.setattr(repro.state, "normalize", counted)
+        cnf = uf20_91_suite(1, seed=2017)[0]
+        spec = sat_spec(
+            cnf, topology="torus:4x4", mapper="lbn", status=16,
+            simplify="none", seed=1, checkpoint_every=1,
+            max_steps=32, strict=False,
+        )
+        snaps = []
+        execute(spec, checkpoint_sink=snaps.append, want_state_digest=False)
+        assert walks == [], "a capture normalized the state nobody read"
+
+        # saving reads the digest: the header carries it
+        path = save_checkpoint(tmp_path / "first.ckpt", snaps[0])
+        assert walks
+        header = load_checkpoint(path).meta["state_digest"]
+
+        digests = [ckpt.state_digest for ckpt in snaps]
+        assert header == digests[0]
+        assert digests == [state_digest_of(ckpt.layers()) for ckpt in snaps]
+        assert {
+            "checkpoints": len(snaps), "digests": canonical_digest(digests),
+        } == CAPTURED
+
+    def test_a_run_normalizes_each_layer_once_for_both_digests(
+        self, monkeypatch
+    ):
+        walked = []
+        real_normalize = repro.engine.normalize
+
+        def counted(state):
+            walked.append(state.layer)
+            return real_normalize(state)
+
+        monkeypatch.setattr(repro.engine, "normalize", counted)
+        spec = RunSpec(
+            workload="fib", workload_params={"n": 6}, topology="torus:4x4"
+        )
+        run = execute(spec, telemetry=True, want_state_digest=True)
+        assert sorted(walked) == ["netsim", "sched", "telemetry"]
+        assert run.state_digest != run.semantic_digest
 
 
 # -- a checkpoint written by an older tree ---------------------------------
