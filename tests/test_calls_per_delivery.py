@@ -8,7 +8,8 @@ package, the calls of ``repro``'s own named functions against the
 ceilings below.  A row is either
 
 * the smoke batch of an end-to-end benchmark workload
-  (``benchmarks/e2e/workloads.py``), or
+  (``benchmarks/e2e/workloads.py``; an observed one gets a fresh
+  ``TelemetryBus`` with a ``MetricsSubscriber`` per run), or
 * a layer-1 kernel load from ``KERNELS``: a storm (every node of a 20x20
   torus busy every step) or a ping-pong (one message on a 16x16 torus),
   bare or with telemetry, reliable delivery or inline shards switched
@@ -71,6 +72,13 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
         "mapping": 2533, "netsim": 8479, "recursion": 3655, "rng": 49,
         "sched": 1965, "stack": 25, "topology": 99, "workloads": 5,
     }, 18046),
+    # sat_lbn's batch with a TelemetryBus and MetricsSubscriber per run
+    "sat_observed": (2501, {
+        "apps": 12365, "declared": 37, "domains": 89, "engine": 38,
+        "mapping": 11550, "netsim": 10638, "recursion": 11397, "rng": 109,
+        "sched": 12865, "stack": 45, "telemetry": 14913, "topology": 159,
+        "workloads": 9,
+    }, 99691),
     # the reliability path: drops, duplicates and ack/retransmit frames
     "sat_lossy": (2049, {
         "apps": 11845, "declared": 38, "domains": 95, "engine": 38,
@@ -199,8 +207,21 @@ def _batch(name: str) -> Callable[[], List[int]]:
     """A zero-argument run of row ``name``, returning delivery counts."""
     if name in KERNELS:
         return KERNELS[name]
-    cases = _load_workloads()[name].build(SEED, True)
-    return lambda: [execute(case.spec).report.delivered_total for case in cases]
+    workload = _load_workloads()[name]
+    cases = workload.build(SEED, True)
+
+    def run() -> List[int]:
+        # an observed workload gets a fresh bus per run, as the benchmark's
+        # run_pass gives it
+        return [
+            execute(
+                case.spec,
+                telemetry=_bus(MetricsSubscriber()) if workload.observed else None,
+            ).report.delivered_total
+            for case in cases
+        ]
+
+    return run
 
 
 def count_calls(name: str) -> Tuple[int, Dict[str, int], int]:

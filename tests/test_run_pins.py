@@ -127,6 +127,31 @@ def test_wide_gap_sumrec_pinned(shards):
     assert (run.report.steps, run.report.sent_total) == (793, 25)
 
 
+#: shards -> (digest of MetricsSubscriber.as_dict(), events_emitted alone,
+#: events_emitted beside an EventLog) of the wide-gap run, recorded while
+#: every jumped step was still published as its own ``queued`` sample and
+#: flush: a gap published as one block must count the same
+WIDE_GAP_METRICS_PINNED = {
+    1: ("3868d1c62666f1dd", 923, 973),
+    2: ("3812b38e5e666b41", 923, 973),
+}
+
+
+@pytest.mark.parametrize("with_log", [False, True])
+@pytest.mark.parametrize("shards", sorted(WIDE_GAP_METRICS_PINNED))
+def test_wide_gap_sumrec_metrics_pinned(shards, with_log):
+    bus = TelemetryBus()
+    metrics = bus.attach(MetricsSubscriber())
+    if with_log:
+        bus.attach(EventLog())
+    spec = SPECS["sumrec"].with_(latency=32, shards=shards, shard_backend="inline")
+    run = execute(spec, telemetry=bus)
+    assert run.completed
+    digest, alone, beside_log = WIDE_GAP_METRICS_PINNED[shards]
+    assert canonical_digest(metrics.as_dict()) == digest
+    assert bus.events_emitted == (beside_log if with_log else alone)
+
+
 # -- the published event stream ---------------------------------------------
 #
 # Recorded before the step kernel's batched and per-event delivery loops
