@@ -21,10 +21,15 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ...errors import ApplicationError
 from ...recursion import Call, Choice, Result, Sync
-from ...telemetry.probe import probe, probe_enabled
+from ...telemetry.events import SLOT
+from ...telemetry.probe import PROBES
 from .cnf import CNF
 from .dpll import assign_pures, propagate_units
 from .heuristics import Heuristic, make_heuristic, require_occurring
+
+#: the tally slots of the solver's layer-5 probes
+_BRANCH = SLOT[5, "dpll.branch"]
+_BACKTRACK = SLOT[5, "dpll.backtrack"]
 
 __all__ = [
     "SatProblem",
@@ -134,8 +139,11 @@ def make_solve_sat(
             yield Result(dict(assignment))
             return
         if cnf.has_empty_clause:
-            if probe_enabled():
-                probe("dpll.backtrack", depth=len(assignment), reason="empty_clause")
+            bus = PROBES.bus
+            if bus is not None:
+                bus.tally[_BACKTRACK] += 1
+                if bus.want_events:
+                    bus.event(_BACKTRACK, len(assignment), "empty_clause")
             yield Result(None)
             return
         # lines 6-8: unit propagation / lines 9-11: pure literal assignment
@@ -146,8 +154,11 @@ def make_solve_sat(
                 cnf = assign_pures(cnf, model)
             # simplification may already decide the sub-problem
             if cnf.has_empty_clause:
-                if probe_enabled():
-                    probe("dpll.backtrack", depth=len(model), reason="conflict")
+                bus = PROBES.bus
+                if bus is not None:
+                    bus.tally[_BACKTRACK] += 1
+                    if bus.want_events:
+                        bus.event(_BACKTRACK, len(model), "conflict")
                 yield Result(None)
                 return
             if cnf.is_consistent:
@@ -158,13 +169,11 @@ def make_solve_sat(
         lit = heuristic(cnf)
         require_occurring(cnf, lit)
         var, value = (lit, True) if lit > 0 else (-lit, False)
-        if probe_enabled():
-            probe(
-                "dpll.branch",
-                var=var,
-                depth=len(assignment),
-                clauses=cnf.num_clauses,
-            )
+        bus = PROBES.bus
+        if bus is not None:
+            bus.tally[_BRANCH] += 1
+            if bus.want_events:
+                bus.event(_BRANCH, var, len(assignment), cnf.num_clauses)
         sub1 = SatProblem(cnf.assign(lit), assignment + ((var, value),))
         sub2 = SatProblem(cnf.assign(-lit), assignment + ((var, not value),))
         # line 15: concurrent evaluation with non-deterministic choice

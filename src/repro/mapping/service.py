@@ -26,10 +26,21 @@ from ..domains import judge
 from ..errors import MappingError, UnknownTicketError
 from ..rng import SeedSequence
 from ..sched import Address, ProcessContext
+from ..telemetry.events import SLOT
 from ..topology import NodeId
 from .envelopes import CancelMsg, ReplyMsg, StatusMsg, WorkMsg
 from .mappers import MapperView, _MapperBase, mapper_class
 from .tickets import ReplyHandle, Ticket
+
+# the tally slots of the layer-3 instants
+_ISSUE = SLOT[3, "ticket_issue"]
+_CLAIM = SLOT[3, "ticket_claim"]
+_FORWARD = SLOT[3, "ticket_forward"]
+_REPLY_SENT = SLOT[3, "reply_sent"]
+_REPLY_DELIVERED = SLOT[3, "reply_delivered"]
+_EXTERNAL = SLOT[3, "external_result"]
+_CANCEL = SLOT[3, "cancel_sent"]
+_STATUS = SLOT[3, "status_broadcast"]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..telemetry import TelemetryBus
@@ -190,7 +201,9 @@ class MappingContext:
         pctx.send(pctx.peers[dst], msg)
         tel = service._telemetry
         if tel is not None:
-            tel.event(3, "ticket_issue", ticket, dst, hint)
+            tel.tally[_ISSUE] += 1
+            if tel.want_events:
+                tel.event(_ISSUE, ticket, dst, hint)
         return ticket
 
     def reply(self, handle: Optional[ReplyHandle], payload: Any) -> None:
@@ -205,7 +218,9 @@ class MappingContext:
         if handle is None:
             self._mstate.results.append(payload)
             if tel is not None:
-                tel.event(3, "external_result")
+                tel.tally[_EXTERNAL] += 1
+                if tel.want_events:
+                    tel.event(_EXTERNAL)
             if self._service.halt_on_result:
                 self._pctx.machine.halt()
             return
@@ -218,7 +233,9 @@ class MappingContext:
         pctx = self._pctx
         pctx.send(pctx.peers[route[0]], msg)
         if tel is not None:
-            tel.event(3, "reply_sent", handle.ticket, len(route))
+            tel.tally[_REPLY_SENT] += 1
+            if tel.want_events:
+                tel.event(_REPLY_SENT, handle.ticket, len(route))
 
     def cancel(self, ticket: Ticket) -> None:
         """Cancel previously delegated work (extension; see §IV-C).
@@ -233,7 +250,9 @@ class MappingContext:
         self._pctx.send(self._pctx.peers[dst], msg)
         tel = self._service._telemetry
         if tel is not None:
-            tel.event(3, "cancel_sent", ticket, dst)
+            tel.tally[_CANCEL] += 1
+            if tel.want_events:
+                tel.event(_CANCEL, ticket, dst)
 
 
 class MappingService:
@@ -362,7 +381,9 @@ class MappingService:
             else:
                 tel = self._telemetry
                 if tel is not None:
-                    tel.event(3, "ticket_claim", payload.ticket, len(payload.path))
+                    tel.tally[_CLAIM] += 1
+                    if tel.want_events:
+                        tel.event(_CLAIM, payload.ticket, len(payload.path))
                 handle = ReplyHandle(
                     payload.ticket, tuple(reversed(payload.path))
                 )
@@ -392,7 +413,9 @@ class MappingService:
                 mstate.forward_table.pop(payload.ticket, None)
                 tel = self._telemetry
                 if tel is not None:
-                    tel.event(3, "reply_delivered", payload.ticket)
+                    tel.tally[_REPLY_DELIVERED] += 1
+                    if tel.want_events:
+                        tel.event(_REPLY_DELIVERED, payload.ticket)
                 self.app.on_reply(mctx, payload.ticket, payload.payload)
         elif kind is StatusMsg:
             pass  # its count was observed above
@@ -450,7 +473,9 @@ class MappingService:
         pctx.send(pctx.peers[dst], fwd)
         tel = self._telemetry
         if tel is not None:
-            tel.event(3, "ticket_forward", msg.ticket, dst, not consume_hop)
+            tel.tally[_FORWARD] += 1
+            if tel.want_events:
+                tel.event(_FORWARD, msg.ticket, dst, not consume_hop)
 
     def _broadcast_status(self, pctx: ProcessContext, mstate: _MapState) -> None:
         count = mstate.view.received_count
@@ -459,7 +484,9 @@ class MappingService:
         mstate.last_broadcast = count
         tel = self._telemetry
         if tel is not None:
-            tel.event(3, "status_broadcast", count, len(pctx.neighbours))
+            tel.tally[_STATUS] += 1
+            if tel.want_events:
+                tel.event(_STATUS, count, len(pctx.neighbours))
 
     # -- snapshot / restore (repro.state protocol) ------------------------
 

@@ -29,8 +29,20 @@ from typing import (
 from ..declared import Counters
 from ..errors import ProtocolError, RecursionLayerError
 from ..mapping import MappingContext, ReplyHandle, Ticket
+from ..telemetry.events import SLOT
 from .ops import Call, Choice, Result, Sync, coerce_op
 from .records import CallRecord, Invocation
+
+# the tally slots of the layer-4 instants
+_CALL = SLOT[4, "call"]
+_SYNC = SLOT[4, "sync"]
+_CHOICE = SLOT[4, "choice"]
+_WIN = SLOT[4, "choice_win"]
+_EXHAUSTED = SLOT[4, "choice_exhausted"]
+_RESULT = SLOT[4, "result"]
+_CANCELLED = SLOT[4, "cancelled"]
+_LATE = SLOT[4, "late_reply"]
+_DUP = SLOT[4, "dup_work"]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..telemetry import TelemetryBus
@@ -175,7 +187,9 @@ class RecursionEngine:
             st.stats.dup_work += 1
             tel = self._telemetry
             if tel is not None:
-                tel.event(4, "dup_work", reply.ticket)
+                tel.tally[_DUP] += 1
+                if tel.want_events:
+                    tel.event(_DUP, reply.ticket)
             return
         gen = self.fn(payload)
         if not hasattr(gen, "send"):
@@ -199,7 +213,9 @@ class RecursionEngine:
             # evaluation for a retired/cancelled subcall; drop it
             st.stats.late_replies += 1
             if tel is not None:
-                tel.event(4, "late_reply", ticket)
+                tel.tally[_LATE] += 1
+                if tel.want_events:
+                    tel.event(_LATE, ticket)
             return
         inv, record = entry
         if record is None:
@@ -210,11 +226,15 @@ class RecursionEngine:
             if record.value is None:
                 st.stats.choice_exhausted += 1
                 if tel is not None:
-                    tel.event(4, "choice_exhausted", inv.inv_id)
+                    tel.tally[_EXHAUSTED] += 1
+                    if tel.want_events:
+                        tel.event(_EXHAUSTED, inv.inv_id)
             else:
                 st.stats.choice_wins += 1
                 if tel is not None:
-                    tel.event(4, "choice_win", inv.inv_id, ticket)
+                    tel.tally[_WIN] += 1
+                    if tel.want_events:
+                        tel.event(_WIN, inv.inv_id, ticket)
                 # losing evaluations are no longer needed
                 for t in record.outstanding():
                     st.pending.pop(t, None)
@@ -275,7 +295,9 @@ class RecursionEngine:
                 inv.issue(ticket)
                 st.stats.calls_made += 1
                 if tel is not None:
-                    tel.event(4, "call", inv.inv_id, ticket)
+                    tel.tally[_CALL] += 1
+                    if tel.want_events:
+                        tel.event(_CALL, inv.inv_id, ticket)
                 to_send = ticket
             elif kind is Choice:
                 record = CallRecord([], op.is_valid)
@@ -287,7 +309,9 @@ class RecursionEngine:
                 inv.issue(record)
                 st.stats.choice_groups += 1
                 if tel is not None:
-                    tel.event(4, "choice", inv.inv_id, len(op.calls))
+                    tel.tally[_CHOICE] += 1
+                    if tel.want_events:
+                        tel.event(_CHOICE, inv.inv_id, len(op.calls))
                 to_send = tuple(record.tickets)
             elif kind is Sync:
                 st.stats.syncs += 1
@@ -297,8 +321,9 @@ class RecursionEngine:
                     continue
                 inv.waiting_sync = True
                 if tel is not None:
-                    pending = len(inv.outstanding_tickets()) if tel.want_events else 0
-                    tel.event(4, "sync", inv.inv_id, pending)
+                    tel.tally[_SYNC] += 1
+                    if tel.want_events:
+                        tel.event(_SYNC, inv.inv_id, len(inv.outstanding_tickets()))
                 return
             else:
                 self._finish(mctx, st, inv, op.value)
@@ -328,9 +353,12 @@ class RecursionEngine:
         if tel is not None:
             step = tel.step
             start = inv.start_step if inv.start_step >= 0 else step
+            dur = step - start if step > start else 0
             attrs = {"inv": inv.inv_id} if tel.want_events else None
-            tel.emit(4, "invocation", start, tel.node, max(step - start, 0), attrs)
-            tel.event(4, "result", inv.inv_id)
+            tel.emit(4, "invocation", start, tel.node, dur, attrs)
+            tel.tally[_RESULT] += 1
+            if tel.want_events:
+                tel.event(_RESULT, inv.inv_id)
         mctx.reply(inv.reply, value)
 
     def _cancel_invocation(
@@ -345,7 +373,9 @@ class RecursionEngine:
         inv.gen.close()
         tel = self._telemetry
         if tel is not None:
-            tel.event(4, "cancelled", inv.inv_id)
+            tel.tally[_CANCELLED] += 1
+            if tel.want_events:
+                tel.event(_CANCELLED, inv.inv_id)
 
     # -- snapshot / restore (repro.state protocol) --------------------------
 

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tu
 from ..domains import judge
 from ..errors import SchedulingError
 from ..netsim import NodeContext
+from ..telemetry.events import SLOT
 from ..topology import NodeId
 from .process import Address, Process, ProcessContext
 
@@ -34,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..telemetry import TelemetryBus
 
 __all__ = ["SchedulerProgram", "Packet"]
+
+# the tally slots of the layer-2 instants
+_SWITCH = SLOT[2, "context_switch"]
+_EXHAUSTED = SLOT[2, "budget_exhausted"]
+_RUN_QUEUE_ONE = SLOT[2, "run_queue"]
 
 
 class Packet:
@@ -104,11 +110,10 @@ class SchedulerProgram:
         self._templates = list(processes)
         self._budget = budget
         self._telemetry = telemetry
-        #: one process and no budget: _drain pops queues[0] directly
+        #: one process and no budget: _drain pops queues[0] directly, and
+        #: on_message hands a message arriving at an idle node straight to
+        #: the process, with no queue in between
         self._solo = len(self._templates) == 1 and budget is None
-        #: ... and no bus either: on_message hands a message arriving at an
-        #: idle node straight to the process, with no queue in between
-        self._direct = self._solo and telemetry is None
         #: per pid, ``Address(node, pid)`` for every node addressed so far
         #: (addresses are values, so machines of any size share them)
         self._peers: List[List[Address]] = [[] for _ in self._templates]
@@ -135,7 +140,7 @@ class SchedulerProgram:
     def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
         sched: _NodeSched = ctx.state
         if (
-            self._direct
+            self._solo
             and payload.__class__ is Packet
             and not sched.queues[0]
             and sender >= 0
@@ -143,15 +148,29 @@ class SchedulerProgram:
             and payload.src_pid == 0
         ):
             # Direct dispatch: the general path below would queue the one
-            # message and pop it straight back for pid 0.  The cursor ends
-            # where that drain leaves it, and local work the handler queued
-            # runs in this same call, as it would in that drain's loop.
+            # message and pop it straight back for pid 0.  A bus gets what
+            # that drain publishes (the cursor, a run-queue sample of 1, a
+            # switch on the node's first run), the round-robin cursor ends
+            # where it leaves it, and local work the handler queued runs in
+            # this same call, as it would in that drain's loop.
+            tel = self._telemetry
+            if tel is not None:
+                tel.step = ctx.step
+                tel.node = ctx.node
+                tel.tally[_RUN_QUEUE_ONE] += 1
+                if tel.want_events:
+                    tel.event(_RUN_QUEUE_ONE, 1)
+                if sched.last_pid != 0:
+                    tel.tally[_SWITCH] += 1
+                    if tel.want_events:
+                        tel.event(_SWITCH, sched.last_pid, 0)
             sched.last_pid = 0
-            self._templates[0].on_message(
-                sched.proc_ctxs[0], self._peers[0][sender], payload.payload
-            )
-            if sched.queues[0]:
-                self._drain(ctx, sched)
+            handler, pctx = self._templates[0].on_message, sched.proc_ctxs[0]
+            handler(pctx, self._peers[0][sender], payload.payload)
+            queue = sched.queues[0]
+            while queue:
+                local_sender, local_payload = queue.popleft()
+                handler(pctx, local_sender, local_payload)
             return
         if isinstance(payload, Packet):
             src = Address(sender, payload.src_pid) if sender >= 0 else None
@@ -248,7 +267,9 @@ class SchedulerProgram:
                 tel.emit(2, "run_queue", step, node, attrs={"value": len(queue)})
             if queue and sched.last_pid != 0:
                 if tel is not None:
-                    tel.event(2, "context_switch", sched.last_pid, 0)
+                    tel.tally[_SWITCH] += 1
+                    if tel.want_events:
+                        tel.event(_SWITCH, sched.last_pid, 0)
                 sched.last_pid = 0
             while queue:
                 sender, payload = queue.popleft()
@@ -266,10 +287,10 @@ class SchedulerProgram:
             if budget is not None and sched.budget_used >= budget:
                 # Out of budget: finish remaining work on a later step.
                 if tel is not None:
-                    pending = (
-                        sum(len(q) for q in sched.queues.values()) if tel.want_events else 0
-                    )
-                    tel.event(2, "budget_exhausted", pending)
+                    tel.tally[_EXHAUSTED] += 1
+                    if tel.want_events:
+                        pending = sum(len(q) for q in sched.queues.values())
+                        tel.event(_EXHAUSTED, pending)
                 self._schedule_poll(ctx, sched)
                 return
             sender, payload = sched.queues[pid].popleft()
@@ -277,7 +298,9 @@ class SchedulerProgram:
                 sched.budget_used += 1
             if pid != sched.last_pid:
                 if tel is not None:
-                    tel.event(2, "context_switch", sched.last_pid, pid)
+                    tel.tally[_SWITCH] += 1
+                    if tel.want_events:
+                        tel.event(_SWITCH, sched.last_pid, pid)
                 sched.last_pid = pid
             self._templates[pid].on_message(sched.proc_ctxs[pid], sender, payload)
 

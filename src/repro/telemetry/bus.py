@@ -17,15 +17,18 @@ Design constraints (in priority order):
    publishers that can do better than one call per event: layer 1 counts a
    step's sends once, and a publisher that would have to *build* ``attrs``
    pairs a ``count`` with a ``record`` guarded by :attr:`want_events`.
-   Layers 2-4 publish an instant with one ``event(layer, name, *values)``
-   and never test the audience: the bus keeps a cursor (:attr:`step`,
-   :attr:`node`, set by the scheduler as a node starts draining) and names
-   the values from :data:`~repro.telemetry.events.EVENT_ATTRS`, both only
-   when :attr:`want_events`.  Layer-5 ``probe()`` stamps the same cursor.
-   ``flush`` (called by the machine at every step boundary and at the end
-   of a run) is the one place a subscriber is called, so subscribers see a
-   step's publications at its boundary (a full ring goes out earlier).
-   No per-publication event object, handler call or metric-name formatting.
+   A layer 2-5 instant of :data:`~repro.telemetry.events.TALLIED` costs
+   no call at all: its publisher bumps the instant's int slot,
+   ``tally[slot] += 1``, and ``flush`` folds the bumped slots into the
+   counter deltas and ``events_emitted``.  Only when :attr:`want_events`
+   does the publisher also call ``event(slot, *values)``, which stages the
+   tuple at the cursor (:attr:`step`, :attr:`node`, set by the scheduler as
+   a node starts draining) with the values named from ``TALLIED``.  Layer-5
+   ``probe()`` stamps the same cursor.  ``flush`` (called by the machine at
+   every step boundary and at the end of a run) is the one place a
+   subscriber is called, so subscribers see a step's publications at its
+   boundary (a full ring goes out earlier).  No per-publication event
+   object, handler call or metric-name formatting.
 3. **Deterministic.**  Subscribers are invoked in subscription order,
    synchronously, on the simulation thread; the event stream is a pure
    function of the run (same seed => same events), which is what lets the
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .events import EVENT_ATTRS, TelemetryEvent
+from .events import SLOT, TALLIED, TelemetryEvent
 
 __all__ = ["TelemetryBus", "Subscriber"]
 
@@ -72,6 +75,14 @@ _HOOKS = ("on_event", "on_counters", "on_observations", "on_gauges")
 
 #: ``event`` values kept as they are; anything else (a ``Ticket``) is ``str``-ed
 _PLAIN = (int, float, str, type(None))
+
+#: per tally slot: its ``(layer, name)`` and the attribute names of its event
+_KEYS = tuple(TALLIED)
+_NAMES = tuple(TALLIED.values())
+#: an untouched tally, compared against at every flush
+_IDLE = [0] * len(TALLIED)
+#: the slot of the run-queue sample a directly dispatched message makes
+_RUN_QUEUE = SLOT[2, "run_queue"]
 
 
 class TelemetryBus:
@@ -95,6 +106,7 @@ class TelemetryBus:
         "want_events",
         "step",
         "node",
+        "tally",
         "_counts",
         "_observations",
         "_gauges",
@@ -122,6 +134,9 @@ class TelemetryBus:
         #: of the scheduler drain that is running handlers
         self.step = 0
         self.node = -1
+        #: one int per :data:`~repro.telemetry.events.TALLIED` instant,
+        #: bumped by its publishers and folded (back to 0) by :meth:`flush`
+        self.tally: List[int] = list(_IDLE)
         #: coalesced counter deltas: (layer, name) -> n since last flush
         self._counts: Dict[Tuple[int, str], int] = {}
         #: coalesced histogram observations: (layer, name, value) -> n
@@ -222,33 +237,51 @@ class TelemetryBus:
             if n + 1 == len(self._ring):
                 self._flush_ring()
 
-    def event(self, layer: int, name: str, *values: Any) -> None:
-        """Publish one layer 2-4 instant at the cursor.
+    def event(self, slot: int, *values: Any) -> None:
+        """Stage the event of the tallied instant ``slot`` at the cursor.
 
-        Counted like an ``emit`` instant; only for an audience that keeps
-        events are ``values`` named by ``EVENT_ATTRS[layer, name]`` and the
-        tuple staged at (:attr:`step`, :attr:`node`).
+        The event half of ``tally[slot] += 1``, which already counted it:
+        publishers call this only when :attr:`want_events`.  ``values`` are
+        named by the slot's ``TALLIED`` row and the tuple is staged at
+        (:attr:`step`, :attr:`node`).
         """
-        self.events_emitted += 1
-        key = (layer, name)
-        counts = self._counts
-        counts[key] = counts.get(key, 0) + 1
-        if self.want_events:
-            attrs = {
-                k: v if isinstance(v, _PLAIN) else str(v)
-                for k, v in zip(EVENT_ATTRS[key], values, strict=True)
-            }
-            n = self._ring_n
-            self._ring[n] = (self.step, layer, name, self.node, None, attrs or None)
-            self._ring_n = n + 1
-            if n + 1 == len(self._ring):
-                self._flush_ring()
+        layer, name = _KEYS[slot]
+        attrs = {
+            k: v if isinstance(v, _PLAIN) else str(v)
+            for k, v in zip(_NAMES[slot], values, strict=True)
+        }
+        n = self._ring_n
+        self._ring[n] = (self.step, layer, name, self.node, None, attrs or None)
+        self._ring_n = n + 1
+        if n + 1 == len(self._ring):
+            self._flush_ring()
 
     def count(self, layer: int, name: str, n: int = 1) -> None:
         """Coalesce ``n`` occurrences of ``l{layer}.{name}`` until flush."""
         key = (layer, name)
         counts = self._counts
         counts[key] = counts.get(key, 0) + n
+
+    def sample(self, layer: int, name: str, value: Any, n: int) -> None:
+        """Publish ``n`` instants of ``l{layer}.{name}``, each a gauge sample
+        of ``value``: what ``n`` ``emit(..., attrs={"value": value})`` calls
+        hand an aggregator.  It stages no event tuple, so it is for an
+        audience that keeps none, or for samples whose events were staged
+        already."""
+        self.events_emitted += n
+        key = (layer, name)
+        counts = self._counts
+        counts[key] = counts[key] + n if key in counts else n
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            self._gauges[key] = [value, value, value, n]
+        else:
+            gauge[0] = value
+            if value > gauge[1]:
+                gauge[1] = value
+            elif value < gauge[2]:
+                gauge[2] = value
+            gauge[3] += n
 
     def observe(self, layer: int, name: str, value: int, n: int = 1) -> None:
         """Coalesce ``n`` histogram observations of ``value`` until flush.
@@ -304,6 +337,8 @@ class TelemetryBus:
         """
         if self._ring_n:
             self._flush_ring()
+        if self.tally != _IDLE:
+            self._fold_tally()
         counts = self._counts
         if counts:
             for fn in self._counter_subs:
@@ -320,6 +355,28 @@ class TelemetryBus:
                 fn(gauges)
             gauges.clear()
 
+    def _fold_tally(self) -> None:
+        """Move the bumped tally slots into the counter deltas and
+        ``events_emitted``, and zero them.
+
+        A directly dispatched message's ``run_queue`` samples are gauge
+        samples too, and go in as the step's last, all of value 1: in a
+        step every polled drain runs before the delivery round, and every
+        delivery-round drain of a one-process scheduler samples 1.
+        """
+        tally = self.tally
+        ones = tally[_RUN_QUEUE]
+        if ones:
+            tally[_RUN_QUEUE] = 0
+            self.sample(2, "run_queue", 1, ones)
+        counts = self._counts
+        for slot, n in enumerate(tally):
+            if n:
+                tally[slot] = 0
+                self.events_emitted += n
+                key = _KEYS[slot]
+                counts[key] = counts[key] + n if key in counts else n
+
     # -- snapshot / restore (repro.state protocol) ---------------------
 
     #: snapshot-schema version of the telemetry layer state
@@ -328,10 +385,11 @@ class TelemetryBus:
     def snapshot(self) -> "LayerState":
         """Capture the bus's step-boundary state.
 
-        The machine flushes the bus at every step boundary, so the ring
-        and the coalesced delta maps are empty whenever a checkpoint is
-        taken — only the total event count carries across.  Subscribers
-        are assembly, not state: a resumed run re-attaches its own.
+        The machine flushes the bus at every step boundary, so the ring,
+        the tally and the coalesced delta maps are empty whenever a
+        checkpoint is taken — only the total event count carries across.
+        Subscribers are assembly, not state: a resumed run re-attaches its
+        own.
         """
         from ..state import LayerState
 
@@ -345,6 +403,7 @@ class TelemetryBus:
         """Install a :meth:`snapshot`-captured state into this bus."""
         data = state.require("telemetry", self.STATE_VERSION)
         self.events_emitted = data["events_emitted"]
+        self.tally[:] = _IDLE
         self._counts.clear()
         self._observations.clear()
         self._gauges.clear()

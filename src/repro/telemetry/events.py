@@ -16,9 +16,11 @@ keep events.  Aggregating subscribers (metrics) never see per-message
 objects at all; they consume coalesced per-step deltas (see
 :mod:`repro.telemetry.bus`).
 
-A layer 2-4 instant is one ``bus.event(layer, name, *values)`` call: the
-bus stamps the step and node of the drain that runs the handler, and
-:data:`EVENT_ATTRS` names the values.
+A layer 2-5 instant of :data:`TALLIED` costs its publisher no call: it
+bumps the instant's int slot, ``bus.tally[SLOT[layer, name]] += 1``, and
+only for an audience that keeps events stages the event with
+``bus.event(slot, *values)``, which stamps the step and node of the drain
+that runs the handler and names the values from :data:`TALLIED`.
 
 Taxonomy (the full per-layer list lives in ``docs/observability.md``):
 
@@ -59,6 +61,8 @@ from typing import Any, Dict, Optional, Tuple
 __all__ = [
     "TelemetryEvent",
     "EVENT_ATTRS",
+    "TALLIED",
+    "SLOT",
     "L1_NETSIM",
     "L2_SCHED",
     "L3_MAPPING",
@@ -107,6 +111,22 @@ EVENT_ATTRS: Dict[Tuple[int, str], Tuple[str, ...]] = {
     (4, "late_reply"): ("ticket",),
     (4, "dup_work"): ("ticket",),
 }
+
+
+#: Every instant a publisher counts in a tally slot of the bus, in slot
+#: order, with the attribute names of its staged event: the layer 2-4
+#: instants of :data:`EVENT_ATTRS`, the ``run_queue`` sample of a message a
+#: one-process scheduler dispatches directly (always 1), and the layer-5
+#: probes of the bundled DPLL solver.
+TALLIED: Dict[Tuple[int, str], Tuple[str, ...]] = {
+    **EVENT_ATTRS,
+    (2, "run_queue"): ("value",),
+    (5, "dpll.branch"): ("var", "depth", "clauses"),
+    (5, "dpll.backtrack"): ("depth", "reason"),
+}
+
+#: ``(layer, name)`` -> its slot in :attr:`TelemetryBus.tally`, fixed at import
+SLOT: Dict[Tuple[int, str], int] = {key: slot for slot, key in enumerate(TALLIED)}
 
 
 class TelemetryEvent:

@@ -10,6 +10,11 @@ signature.  Probes therefore go through a module-level *active bus*:
 * application code calls :func:`probe` anywhere; with no bus installed it
   is a no-op costing one attribute load and one ``is None`` test.
 
+A solver on the hot path publishes without a call: it tests
+``PROBES.bus`` and, with a bus, bumps its instant's tally slot and stages
+the event only for an audience that keeps events (see
+:data:`~repro.telemetry.events.TALLIED`; the DPLL solver does this).
+
 Example (this is exactly how the distributed DPLL solver is instrumented)::
 
     from repro import telemetry
@@ -33,6 +38,7 @@ from .bus import TelemetryBus
 from .events import L5_APP
 
 __all__ = [
+    "PROBES",
     "probe",
     "probe_enabled",
     "install_probes",
@@ -41,37 +47,44 @@ __all__ = [
     "probes_to",
 ]
 
-#: the bus :func:`probe` publishes to, or ``None``
-_bus: Optional[TelemetryBus] = None
+class _Installed:
+    """Where the installed bus lives: one attribute a caller reads, no call."""
+
+    __slots__ = ("bus",)
+
+    def __init__(self) -> None:
+        #: the bus :func:`probe` publishes to, or ``None``
+        self.bus: Optional[TelemetryBus] = None
+
+
+PROBES = _Installed()
 
 
 def install_probes(bus: TelemetryBus) -> None:
     """Route :func:`probe` calls to ``bus``."""
-    global _bus
-    if _bus is not None and _bus is not bus:
+    if PROBES.bus is not None and PROBES.bus is not bus:
         raise RuntimeError("another telemetry bus already has probes installed")
-    _bus = bus
+    PROBES.bus = bus
 
 
 def uninstall_probes() -> None:
     """Disconnect probes (safe to call when none are installed)."""
-    global _bus
-    _bus = None
+    PROBES.bus = None
 
 
 def active_probe_bus() -> Optional[TelemetryBus]:
     """The currently installed bus, or ``None``."""
-    return _bus
+    return PROBES.bus
 
 
 def probe_enabled() -> bool:
     """True when a bus is installed (for guarding expensive attr building)."""
-    return _bus is not None
+    return PROBES.bus is not None
 
 
 def probe(name: str, **attrs: Any) -> None:
     """Emit a layer-5 instant event, or do nothing when telemetry is off."""
-    bus = _bus
+    bus = PROBES.bus
     if bus is not None:
         bus.emit(L5_APP, name, bus.step, bus.node, attrs=attrs or None)
 

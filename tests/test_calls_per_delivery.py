@@ -64,8 +64,7 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
     "sat_lbn": (2501, {
         "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
         "mapping": 11550, "netsim": 8138, "recursion": 11397, "rng": 109,
-        "sched": 7865, "stack": 45, "telemetry": 1024, "topology": 159,
-        "workloads": 9,
+        "sched": 7865, "stack": 45, "topology": 159, "workloads": 9,
     }, 58377),
     "sparse_chain": (601, {
         "apps": 1202, "declared": 17, "domains": 89, "engine": 38,
@@ -74,17 +73,17 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
     }, 18046),
     # sat_lbn's batch with a TelemetryBus and MetricsSubscriber per run
     "sat_observed": (2501, {
-        "apps": 12365, "declared": 37, "domains": 89, "engine": 38,
+        "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
         "mapping": 11550, "netsim": 10638, "recursion": 11397, "rng": 109,
-        "sched": 12865, "stack": 45, "telemetry": 14913, "topology": 159,
+        "sched": 7865, "stack": 45, "telemetry": 2784, "topology": 159,
         "workloads": 9,
-    }, 99691),
+    }, 63226),
     # the reliability path: drops, duplicates and ack/retransmit frames
     "sat_lossy": (2049, {
         "apps": 11845, "declared": 38, "domains": 95, "engine": 38,
         "mapping": 8485, "netsim": 14599, "recursion": 11389,
         "reliability": 15900, "rng": 111, "sched": 6509, "stack": 45,
-        "telemetry": 1024, "topology": 159, "workloads": 9,
+        "topology": 159, "workloads": 9,
     }, 91137),
     # layer-1 kernel loads (KERNELS); the bare rows pin netsim and
     # topology, and a telemetry or reliability row adds that package
