@@ -623,13 +623,20 @@ class Machine:
 
     def _skip_empty_steps(self, gap: int) -> None:
         """Account ``gap`` steps with nothing queued, polled or due as ``step()``
-        would, one by one: a bus still gets each step's sample and flush."""
+        would.  A bus gets each step's ``queued`` sample: one block and one
+        flush, or, for an audience that keeps events, one event and one
+        flush per step.  Aggregators cannot tell the two apart: they fold
+        the deltas of a flush as they would the same samples one by one."""
         self.trace.on_empty_steps(gap)
         tel = self._telemetry
         if tel is not None:
-            first = self.current_step + 1
-            for step in range(first, first + gap):
-                tel.emit(1, "queued", step, attrs={"value": 0, "delivered": 0})
+            if tel.want_events:
+                first = self.current_step + 1
+                for step in range(first, first + gap):
+                    tel.emit(1, "queued", step, attrs={"value": 0, "delivered": 0})
+                    tel.flush()
+            else:
+                tel.sample(1, "queued", 0, gap)
                 tel.flush()
         self.current_step += gap
 
