@@ -60,31 +60,31 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
         "apps": 618, "declared": 65, "domains": 89, "engine": 38,
         "mapping": 1925, "netsim": 1376, "recursion": 2047, "rng": 193,
         "sched": 1701, "stack": 73, "topology": 250, "workloads": 5,
-    }, 8045),
+    }, 7330),
     "sat_lbn": (2501, {
         "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
         "mapping": 11550, "netsim": 8138, "recursion": 11397, "rng": 109,
         "sched": 7865, "stack": 45, "topology": 159, "workloads": 9,
-    }, 58377),
+    }, 57970),
     "sparse_chain": (601, {
         "apps": 1202, "declared": 17, "domains": 89, "engine": 38,
         "mapping": 2533, "netsim": 8479, "recursion": 3655, "rng": 49,
         "sched": 1965, "stack": 25, "topology": 99, "workloads": 5,
-    }, 18046),
+    }, 17859),
     # sat_lbn's batch with a TelemetryBus and MetricsSubscriber per run
     "sat_observed": (2501, {
         "apps": 11853, "declared": 37, "domains": 89, "engine": 38,
         "mapping": 11550, "netsim": 10638, "recursion": 11397, "rng": 109,
         "sched": 7865, "stack": 45, "telemetry": 2784, "topology": 159,
         "workloads": 9,
-    }, 63226),
+    }, 62819),
     # the reliability path: drops, duplicates and ack/retransmit frames
     "sat_lossy": (2049, {
         "apps": 11845, "declared": 38, "domains": 95, "engine": 38,
         "mapping": 8485, "netsim": 14599, "recursion": 11389,
         "reliability": 15900, "rng": 111, "sched": 6509, "stack": 45,
         "topology": 159, "workloads": 9,
-    }, 91137),
+    }, 90721),
     # layer-1 kernel loads (KERNELS); the bare rows pin netsim and
     # topology, and a telemetry or reliability row adds that package
     "storm": (16000, {
@@ -108,17 +108,17 @@ CEILINGS: Dict[str, Tuple[int, Dict[str, int], int]] = {
     "storm_reliable": (16000, {
         "declared": 1, "domains": 9, "netsim": 84971, "reliability": 16885,
         "topology": 2015,
-    }, 195748),
+    }, 195739),
     # 5% drop, 2% duplication: fewer deliveries, retransmits on top
     "storm_reliable_faulty": (10728, {
         "declared": 1, "domains": 13, "netsim": 79607, "reliability": 88385,
         "topology": 2015,
-    }, 311578),
+    }, 311569),
     # both features on: the protocol publishes to the bus itself
     "storm_reliable_metrics": (16000, {
         "declared": 1, "domains": 9, "netsim": 84971, "reliability": 86885,
         "telemetry": 32755, "topology": 2015,
-    }, 326799),
+    }, 326790),
     # the intent-collection and replay of four same-process shards
     "storm_sharded_inline": (16000, {
         "domains": 10, "netsim": 69399, "topology": 22826,
