@@ -3,8 +3,8 @@
 
 Runs fork-join Fibonacci on every topology family in the package — tori,
 hypercube, cube-connected cycles, grid, ring, fully connected, a NetworkX
-import (the Petersen graph) — at comparable sizes, then demonstrates
-*virtualised* execution: a complete binary tree of workers embedded into a
+import (the Petersen graph, through ``zoo/networkx_bridges.py``) — at
+comparable sizes, then demonstrates *virtualised* execution: a complete binary tree of workers embedded into a
 hypercube host (``zoo/embedding.py``), paying its dilation
 as link latency.
 
@@ -24,9 +24,9 @@ from repro.topology import (
     Hypercube,
     Ring,
     Torus,
-    from_networkx,
 )
 from zoo.embedding import embed_tree_in_hypercube
+from zoo.networkx_bridges import from_networkx
 
 N = 14
 EXPECTED = sequential_fib(N)

@@ -8,12 +8,13 @@ Public surface:
   :class:`CompleteTree`.
 * :func:`topology_from_spec` — parse ``"torus2d:14x14"``-style specs.
 
-Gray-code embeddings into hypercubes live in ``examples/zoo/embedding.py``.
+Gray-code embeddings into hypercubes live in ``examples/zoo/embedding.py``,
+the ``networkx`` bridges in ``examples/zoo/networkx_bridges.py``.
 """
 
 from .base import Coord, NodeId, Topology
 from .ccc import CubeConnectedCycles
-from .custom import CustomTopology, from_networkx, to_networkx
+from .custom import CustomTopology
 from .factory import balanced_dims, nearest_mesh_dims, spec_of, topology_from_spec
 from .fully_connected import FullyConnected, Star
 from .hypercube import Hypercube
@@ -25,8 +26,6 @@ __all__ = [
     "NodeId",
     "Coord",
     "CustomTopology",
-    "to_networkx",
-    "from_networkx",
     "Torus",
     "Grid",
     "Ring",

@@ -1,21 +1,20 @@
-"""Arbitrary (irregular) topologies and NetworkX interoperability.
+"""Arbitrary (irregular) topologies.
 
 The paper notes that SpiNNaker's "underlying communication infrastructure
 permits arbitrary topologies to be virtualised efficiently" (§II-A).
-:class:`CustomTopology` lets users run the stack on any connected graph —
-hand-built, loaded from data, or converted from a ``networkx`` graph —
-and :func:`to_networkx` exports any of this package's topologies for
-analysis/plotting with the NetworkX ecosystem.
+:class:`CustomTopology` lets users run the stack on any connected graph,
+hand-built or loaded from data; ``examples/zoo/networkx_bridges.py``
+converts to and from ``networkx`` graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from .base import NodeId, Topology
 
-__all__ = ["CustomTopology", "to_networkx", "from_networkx"]
+__all__ = ["CustomTopology"]
 
 
 class CustomTopology(Topology):
@@ -71,49 +70,3 @@ class CustomTopology(Topology):
     def describe(self) -> str:
         label = self.name or "custom"
         return f"{label}(n={self._n})"
-
-
-def to_networkx(topology: Topology):
-    """Export a topology as a ``networkx.Graph``.
-
-    Nodes carry a ``coords`` attribute (the topology's coordinate for the
-    node) so mesh layouts can be plotted directly.
-    """
-    import networkx as nx
-
-    g = nx.Graph(kind=topology.kind, describe=topology.describe())
-    for node in topology.nodes():
-        g.add_node(node, coords=topology.coords(node))
-    g.add_edges_from(topology.edges())
-    return g
-
-
-def from_networkx(graph, name: Optional[str] = None) -> CustomTopology:
-    """Build a :class:`CustomTopology` from a ``networkx`` graph.
-
-    Node labels may be arbitrary hashables; they are relabelled to dense
-    integer ids in sorted order (natural sort when the labels are mutually
-    comparable — so integer-labelled graphs keep their numbering — with a
-    string-order fallback for mixed labels).  The graph must be undirected,
-    simple and non-empty.
-    """
-    import networkx as nx
-
-    if graph.number_of_nodes() == 0:
-        raise TopologyError("cannot build a topology from an empty graph")
-    if graph.is_directed():
-        raise TopologyError("topologies are undirected; pass graph.to_undirected()")
-    try:
-        labels = sorted(graph.nodes())
-    except TypeError:  # mixed/incomparable labels
-        labels = sorted(graph.nodes(), key=str)
-    index: Dict[Hashable, int] = {label: i for i, label in enumerate(labels)}
-    adjacency: List[List[int]] = [[] for _ in labels]
-    for label in labels:
-        node = index[label]
-        for nb in graph.neighbors(label):
-            if nb == label:
-                continue  # drop self-loops
-            adjacency[node].append(index[nb])
-        adjacency[node].sort()
-    return CustomTopology(adjacency, name=name)
