@@ -4,9 +4,9 @@
 Runs fork-join Fibonacci on every topology family in the package — tori,
 hypercube, cube-connected cycles, grid, ring, fully connected, a NetworkX
 import (the Petersen graph, through ``zoo/networkx_bridges.py``) — at
-comparable sizes, then demonstrates *virtualised* execution: a complete binary tree of workers embedded into a
-hypercube host (``zoo/embedding.py``), paying its dilation
-as link latency.
+comparable sizes, then demonstrates *virtualised* execution: a complete
+binary tree of workers embedded into a hypercube host
+(``zoo/embedding.py``), paying its dilation as link latency.
 
 Usage:  python examples/topology_playground.py
 """

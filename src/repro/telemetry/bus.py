@@ -360,9 +360,10 @@ class TelemetryBus:
         ``events_emitted``, and zero them.
 
         A directly dispatched message's ``run_queue`` samples are gauge
-        samples too, and go in as the step's last, all of value 1: in a
-        step every polled drain runs before the delivery round, and every
-        delivery-round drain of a one-process scheduler samples 1.
+        samples too, and go in as the step's last, all of value 1: the
+        machine flushes at every step boundary, in a step every polled
+        drain runs before the delivery round, and every delivery-round
+        drain of a one-process scheduler samples 1.
         """
         tally = self.tally
         ones = tally[_RUN_QUEUE]

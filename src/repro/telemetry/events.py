@@ -88,8 +88,9 @@ LAYER_NAMES: Dict[int, str] = {
 }
 
 #: The attribute names of every layer 2-4 instant, in ``attrs`` order:
-#: :meth:`~repro.telemetry.TelemetryBus.event` zips a row with the values a
-#: publisher passes.  ``docs/observability.md`` lists the same names.
+#: :meth:`~repro.telemetry.TelemetryBus.event` zips a row (through
+#: :data:`TALLIED`) with the values a publisher passes.
+#: ``docs/observability.md`` lists the same names.
 EVENT_ATTRS: Dict[Tuple[int, str], Tuple[str, ...]] = {
     (2, "context_switch"): ("from_pid", "to_pid"),
     (2, "budget_exhausted"): ("pending",),

@@ -15,7 +15,7 @@ A solver on the hot path publishes without a call: it tests
 the event only for an audience that keeps events (see
 :data:`~repro.telemetry.events.TALLIED`; the DPLL solver does this).
 
-Example (this is exactly how the distributed DPLL solver is instrumented)::
+Example (a solver probing each branch)::
 
     from repro import telemetry
 
@@ -46,6 +46,7 @@ __all__ = [
     "active_probe_bus",
     "probes_to",
 ]
+
 
 class _Installed:
     """Where the installed bus lives: one attribute a caller reads, no call."""
