@@ -16,17 +16,20 @@ listing omits).
 
 from __future__ import annotations
 
+import importlib
 import random
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ...errors import ApplicationError
 from ...recursion import Call, Choice, Result, Sync
 from ...telemetry.events import SLOT
-from ...telemetry.probe import PROBES
 from .cnf import CNF
 from .dpll import assign_pures, propagate_units
 from .heuristics import Heuristic, make_heuristic, require_occurring
 
+#: the probe module, whose ``installed`` bus the solver reads without a
+#: call (``repro.telemetry`` exports the ``probe`` function under its name)
+_probes = importlib.import_module("...telemetry.probe", __package__)
 #: the tally slots of the solver's layer-5 probes
 _BRANCH = SLOT[5, "dpll.branch"]
 _BACKTRACK = SLOT[5, "dpll.backtrack"]
@@ -139,7 +142,7 @@ def make_solve_sat(
             yield Result(dict(assignment))
             return
         if cnf.has_empty_clause:
-            bus = PROBES.bus
+            bus = _probes.installed
             if bus is not None:
                 bus.tally[_BACKTRACK] += 1
                 if bus.want_events:
@@ -154,7 +157,7 @@ def make_solve_sat(
                 cnf = assign_pures(cnf, model)
             # simplification may already decide the sub-problem
             if cnf.has_empty_clause:
-                bus = PROBES.bus
+                bus = _probes.installed
                 if bus is not None:
                     bus.tally[_BACKTRACK] += 1
                     if bus.want_events:
@@ -169,7 +172,7 @@ def make_solve_sat(
         lit = heuristic(cnf)
         require_occurring(cnf, lit)
         var, value = (lit, True) if lit > 0 else (-lit, False)
-        bus = PROBES.bus
+        bus = _probes.installed
         if bus is not None:
             bus.tally[_BRANCH] += 1
             if bus.want_events:

@@ -44,25 +44,24 @@ class Declared:
 
 class Counters(Declared):
     """Int counters, all zero at construction; a subclass declares
-    ``__slots__ = STATE = (...)`` in report order."""
+    ``__slots__ = STATE = (...)`` in report order.
+
+    Such a subclass gets an ``__init__`` of one plain assignment per field,
+    compiled once per class: a record is built per node and run, and a
+    ``setattr`` call per field showed on the message path.  A subclass
+    that defines its own ``__init__`` zeroes its fields itself.
+    """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         if "STATE" in cls.__dict__ and "__init__" not in cls.__dict__:
-            # one plain assignment per field, compiled once per class: a
-            # record is built per node and run, and a setattr call per
-            # field showed on the message path
             body = "".join(f"\n    self.{name} = 0" for name in cls.STATE)
             namespace: Dict[str, Any] = {}
             exec(compile(f"def __init__(self):{body or ' pass'}", __file__, "exec"),
                  namespace)
             cls.__init__ = namespace["__init__"]
-
-    def __init__(self) -> None:
-        for name in self.STATE:
-            setattr(self, name, 0)
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for reports and tests."""

@@ -439,7 +439,10 @@ class Machine:
             for dst, env in self._in_flight.pop(step, ()):
                 self._enqueue(dst, env)
         # Poll nodes that requested a step callback (snapshot: re-requests
-        # made during the callback land on the following step).
+        # made during the callback land on the following step).  Polling
+        # before delivering, with one bus flush per step, is what lets the
+        # bus fold directly dispatched run-queue samples as the step's last
+        # (repro.telemetry.events.TALLIED_GAUGES).
         if self._poll_requests:
             polled = sorted(self._poll_requests)
             self._poll_requests.clear()

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tu
 from ..domains import judge
 from ..errors import SchedulingError
 from ..netsim import NodeContext
-from ..telemetry.events import SLOT
+from ..telemetry.events import SLOT, TALLIED_GAUGES
 from ..topology import NodeId
 from .process import Address, Process, ProcessContext
 
@@ -39,7 +39,9 @@ __all__ = ["SchedulerProgram", "Packet"]
 # the tally slots of the layer-2 instants
 _SWITCH = SLOT[2, "context_switch"]
 _EXHAUSTED = SLOT[2, "budget_exhausted"]
-_RUN_QUEUE_ONE = SLOT[2, "run_queue"]
+_RUN_QUEUE = SLOT[2, "run_queue"]
+#: the run-queue length a directly dispatched message samples
+_DIRECT_QUEUED = TALLIED_GAUGES[2, "run_queue"]
 
 
 class Packet:
@@ -149,17 +151,18 @@ class SchedulerProgram:
         ):
             # Direct dispatch: the general path below would queue the one
             # message and pop it straight back for pid 0.  A bus gets what
-            # that drain publishes (the cursor, a run-queue sample of 1, a
-            # switch on the node's first run), the round-robin cursor ends
-            # where it leaves it, and local work the handler queued runs in
-            # this same call, as it would in that drain's loop.
+            # that drain publishes: the cursor, its run-queue sample (a
+            # tallied gauge, see TALLIED_GAUGES) and a switch on the node's
+            # first run.  The round-robin cursor ends where that drain
+            # leaves it, and local work the handler queued runs in this
+            # same call, as it would in that drain's loop.
             tel = self._telemetry
             if tel is not None:
                 tel.step = ctx.step
                 tel.node = ctx.node
-                tel.tally[_RUN_QUEUE_ONE] += 1
+                tel.tally[_RUN_QUEUE] += 1
                 if tel.want_events:
-                    tel.event(_RUN_QUEUE_ONE, 1)
+                    tel.event(_RUN_QUEUE, _DIRECT_QUEUED)
                 if sched.last_pid != 0:
                     tel.tally[_SWITCH] += 1
                     if tel.want_events:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .events import SLOT, TALLIED, TelemetryEvent
+from .events import SLOT, TALLIED, TALLIED_GAUGES, TelemetryEvent
 
 __all__ = ["TelemetryBus", "Subscriber"]
 
@@ -81,8 +81,8 @@ _KEYS = tuple(TALLIED)
 _NAMES = tuple(TALLIED.values())
 #: an untouched tally, compared against at every flush
 _IDLE = [0] * len(TALLIED)
-#: the slot of the run-queue sample a directly dispatched message makes
-_RUN_QUEUE = SLOT[2, "run_queue"]
+#: per tallied gauge: its slot, ``(layer, name)`` and fixed sample value
+_GAUGED = tuple((SLOT[key], key, value) for key, value in TALLIED_GAUGES.items())
 
 
 class TelemetryBus:
@@ -220,6 +220,8 @@ class TelemetryBus:
         if attrs is not None:
             value = attrs.get("value")
             if value is not None:
+                # sample()'s gauge merge for n = 1, inlined: one call fewer
+                # per gauge instant
                 gauge = self._gauges.get(key)
                 if gauge is None:
                     self._gauges[key] = [value, value, value, 1]
@@ -240,10 +242,15 @@ class TelemetryBus:
     def event(self, slot: int, *values: Any) -> None:
         """Stage the event of the tallied instant ``slot`` at the cursor.
 
-        The event half of ``tally[slot] += 1``, which already counted it:
-        publishers call this only when :attr:`want_events`.  ``values`` are
-        named by the slot's ``TALLIED`` row and the tuple is staged at
-        (:attr:`step`, :attr:`node`).
+        This only stages; it counts nothing and does not test the
+        audience.  A publisher of a tallied instant must do both halves:
+
+            tel.tally[slot] += 1          # always: the count
+            if tel.want_events:
+                tel.event(slot, *values)  # only for an event-keeping audience
+
+        ``values`` are named by the slot's ``TALLIED`` row and the tuple is
+        staged at (:attr:`step`, :attr:`node`).
         """
         layer, name = _KEYS[slot]
         attrs = {
@@ -359,17 +366,15 @@ class TelemetryBus:
         """Move the bumped tally slots into the counter deltas and
         ``events_emitted``, and zero them.
 
-        A directly dispatched message's ``run_queue`` samples are gauge
-        samples too, and go in as the step's last, all of value 1: the
-        machine flushes at every step boundary, in a step every polled
-        drain runs before the delivery round, and every delivery-round
-        drain of a one-process scheduler samples 1.
+        A slot of :data:`~repro.telemetry.events.TALLIED_GAUGES` goes in as
+        that many gauge samples of its fixed value, the flush's last.
         """
         tally = self.tally
-        ones = tally[_RUN_QUEUE]
-        if ones:
-            tally[_RUN_QUEUE] = 0
-            self.sample(2, "run_queue", 1, ones)
+        for slot, (layer, name), value in _GAUGED:
+            n = tally[slot]
+            if n:
+                tally[slot] = 0
+                self.sample(layer, name, value, n)
         counts = self._counts
         for slot, n in enumerate(tally):
             if n:

@@ -63,6 +63,7 @@ __all__ = [
     "EVENT_ATTRS",
     "TALLIED",
     "SLOT",
+    "TALLIED_GAUGES",
     "L1_NETSIM",
     "L2_SCHED",
     "L3_MAPPING",
@@ -117,7 +118,8 @@ EVENT_ATTRS: Dict[Tuple[int, str], Tuple[str, ...]] = {
 #: Every instant a publisher counts in a tally slot of the bus, in slot
 #: order, with the attribute names of its staged event: the layer 2-4
 #: instants of :data:`EVENT_ATTRS`, the ``run_queue`` sample of a message a
-#: one-process scheduler dispatches directly (always 1), and the layer-5
+#: one-process scheduler dispatches directly (see :data:`TALLIED_GAUGES`),
+#: and the layer-5
 #: probes of the bundled DPLL solver.
 TALLIED: Dict[Tuple[int, str], Tuple[str, ...]] = {
     **EVENT_ATTRS,
@@ -128,6 +130,17 @@ TALLIED: Dict[Tuple[int, str], Tuple[str, ...]] = {
 
 #: ``(layer, name)`` -> its slot in :attr:`TelemetryBus.tally`, fixed at import
 SLOT: Dict[Tuple[int, str], int] = {key: slot for slot, key in enumerate(TALLIED)}
+
+#: The tallied instants that are also a gauge sample of one fixed value:
+#: ``TelemetryBus.flush`` folds each bump of their slot as a sample of that
+#: value, after every sample the step published by a call.  The one row is
+#: the ``run_queue`` sample of a message a one-process scheduler
+#: dispatches directly: the drain it stands for would find a queue of 1.
+#: Folding those samples last is exact because ``Machine.step`` runs every
+#: polled drain (the only kind that can sample another length) before its
+#: delivery round, every delivery-round drain of such a scheduler samples
+#: 1, and the machine flushes the bus at every step boundary.
+TALLIED_GAUGES: Dict[Tuple[int, str], int] = {(2, "run_queue"): 1}
 
 
 class TelemetryEvent:

@@ -10,8 +10,8 @@ signature.  Probes therefore go through a module-level *active bus*:
 * application code calls :func:`probe` anywhere; with no bus installed it
   is a no-op costing one attribute load and one ``is None`` test.
 
-A solver on the hot path publishes without a call: it tests
-``PROBES.bus`` and, with a bus, bumps its instant's tally slot and stages
+A solver on the hot path publishes without a call: it reads this module's
+``installed`` and, with a bus, bumps its instant's tally slot and stages
 the event only for an audience that keeps events (see
 :data:`~repro.telemetry.events.TALLIED`; the DPLL solver does this).
 
@@ -38,7 +38,6 @@ from .bus import TelemetryBus
 from .events import L5_APP
 
 __all__ = [
-    "PROBES",
     "probe",
     "probe_enabled",
     "install_probes",
@@ -47,45 +46,37 @@ __all__ = [
     "probes_to",
 ]
 
-
-class _Installed:
-    """Where the installed bus lives: one attribute a caller reads, no call."""
-
-    __slots__ = ("bus",)
-
-    def __init__(self) -> None:
-        #: the bus :func:`probe` publishes to, or ``None``
-        self.bus: Optional[TelemetryBus] = None
-
-
-PROBES = _Installed()
+#: the bus :func:`probe` publishes to, or ``None``
+installed: Optional[TelemetryBus] = None
 
 
 def install_probes(bus: TelemetryBus) -> None:
     """Route :func:`probe` calls to ``bus``."""
-    if PROBES.bus is not None and PROBES.bus is not bus:
+    global installed
+    if installed is not None and installed is not bus:
         raise RuntimeError("another telemetry bus already has probes installed")
-    PROBES.bus = bus
+    installed = bus
 
 
 def uninstall_probes() -> None:
     """Disconnect probes (safe to call when none are installed)."""
-    PROBES.bus = None
+    global installed
+    installed = None
 
 
 def active_probe_bus() -> Optional[TelemetryBus]:
     """The currently installed bus, or ``None``."""
-    return PROBES.bus
+    return installed
 
 
 def probe_enabled() -> bool:
     """True when a bus is installed (for guarding expensive attr building)."""
-    return PROBES.bus is not None
+    return installed is not None
 
 
 def probe(name: str, **attrs: Any) -> None:
     """Emit a layer-5 instant event, or do nothing when telemetry is off."""
-    bus = PROBES.bus
+    bus = installed
     if bus is not None:
         bus.emit(L5_APP, name, bus.step, bus.node, attrs=attrs or None)
 

@@ -13,8 +13,8 @@ from pathlib import Path
 from repro.engine import RunSpec, execute
 from repro.netsim import Machine
 from repro.sched import Address, FunctionalProcess, SchedulerProgram
-from repro.telemetry import EventLog, TelemetryBus
-from repro.telemetry.events import EVENT_ATTRS
+from repro.telemetry import EventLog, MetricsSubscriber, TelemetryBus
+from repro.telemetry.events import EVENT_ATTRS, TALLIED
 from repro.topology import Ring
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
@@ -78,6 +78,26 @@ def test_every_published_instant_has_its_row_and_every_row_is_published():
             assert tuple(event.attrs or ()) == EVENT_ATTRS.get(key), key
             seen.add(key)
     assert seen == set(EVENT_ATTRS)
+
+
+def test_every_tallied_instant_is_counted_and_staged_alike():
+    # a tallied instant is published in two halves, a slot bump that counts
+    # it and an event() that stages it: a site that does one half only
+    # makes its staged events and its folded counter differ
+    seen = set()
+    for spec in (UF20, UF20.with_(cancellation=True), FIB, FIB.with_(duplicate=0.2)):
+        bus = TelemetryBus()
+        log = bus.attach(EventLog())
+        metrics = bus.attach(MetricsSubscriber())
+        assert execute(spec, telemetry=bus).completed
+        staged = Counter((e.layer, e.name) for e in log.events if e.dur is None)
+        counted = metrics.as_dict()
+        for layer, name in TALLIED:
+            counter = counted.get(f"l{layer}.{name}", {"value": 0})["value"]
+            assert staged[layer, name] == counter, (spec.describe(), layer, name)
+            if counter:
+                seen.add((layer, name))
+    assert {(2, "run_queue"), (2, "context_switch"), (5, "dpll.branch")} <= seen
 
 
 def documented_attrs():
